@@ -19,21 +19,19 @@ from .metrics import (
     spearman,
     zscore,
 )
-from .orchestrator import GridSpec, ResultStore, generate_grid, run_matrix, store_append, store_load
+from .orchestrator import GridSpec, ResultStore, generate_grid, run_matrix, store_load
 from .proxy import ProxyManifest, ProxySpec, build_proxy, load_manifest, relative_cost, save_manifest
 from .trainer import (
     GradientExplosion,
     HyperparamConfig,
     ModelParams,
     RunRecord,
-    augment,
     config_id,
     evaluate_accuracy,
     forward_backward,
     gradient_check,
     one_cycle_lr,
     optimizer_step,
-    smoothed_cross_entropy,
     train_model,
 )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -23,13 +24,13 @@ __all__ = [
     "ResultStore",
     "generate_grid",
     "run_matrix",
-    "store_append",
     "store_load",
     "run_seed",
     "grid_from_json",
 ]
 
 _CONFIG_FIELDS = {f.name for f in fields(HyperparamConfig)}
+_MALFORMED = (json.JSONDecodeError, TypeError, KeyError)  # a line that is not a RunRecord
 
 
 @dataclass(frozen=True)
@@ -114,28 +115,42 @@ class ResultStore:
                 fh.flush()
 
 
-def store_append(store: ResultStore, record: RunRecord) -> None:
-    store.append(record)
-
-
 def store_load(path: str | Path) -> ResultStore:
-    """Load a JSONL results file; malformed lines are reported by number."""
+    """Load a JSONL results file; malformed lines are reported by number.
+
+    The one exception is an unterminated last line that does not parse: the
+    tail a process killed mid-append leaves. It is dropped with a warning on
+    stderr and cut from the file, so the next append starts a fresh line.
+    """
     path = Path(path)
     store = ResultStore(path=path)
     if not path.exists():
         return store
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
+    data = path.read_bytes()
+    complete = data.rfind(b"\n") + 1  # end of the last newline-terminated line
     bound_path = store._path
     store._path = None  # don't re-append while loading
     try:
-        for n, line in enumerate(lines, start=1):
+        for n, line in enumerate(data[:complete].decode("utf-8").splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                store.append(RunRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, TypeError, KeyError) as e:
+                record = RunRecord.from_dict(json.loads(line))
+            except _MALFORMED as e:
                 raise ValueError(f"{path}: line {n}: malformed record ({e})") from None
+            store.append(record)
+        tail = data[complete:].decode("utf-8", errors="replace")
+        if tail.strip():
+            try:
+                record = RunRecord.from_dict(json.loads(tail))
+            except _MALFORMED:
+                print(f"warning: {path}: dropping an unterminated last line cut off mid-write", file=sys.stderr)
+                with open(path, "r+b") as fh:
+                    fh.truncate(complete)
+            else:  # a whole record whose newline was never written
+                store.append(record)
+                with open(path, "ab") as fh:
+                    fh.write(b"\n")
     finally:
         store._path = bound_path
     return store

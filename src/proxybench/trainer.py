@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,12 +31,10 @@ __all__ = [
     "GradCheckReport",
     "GradientExplosion",
     "DEPTH_EXTRA_LAYERS",
-    "smoothed_cross_entropy",
     "forward_backward",
     "optimizer_step",
     "init_opt_state",
     "one_cycle_lr",
-    "augment",
     "init_params",
     "evaluate_accuracy",
     "train_model",
@@ -126,23 +124,37 @@ def config_id(config: HyperparamConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass
 class ModelParams:
-    """Per-layer weights and biases. Also reused as the gradient container."""
+    """Per-layer weights and biases, held as views into one flat float64 vector.
 
-    weights: list
-    biases: list
+    sizes lists the layer widths, input first and class count last. flat holds
+    every weight matrix (row-major, layer order) and then every bias vector;
+    weights[i] and biases[i] are reshaped views into it, so writing through
+    either side changes both. Gradients use the same class and layout, which
+    lets the optimizer and the gradient check work on flat alone.
+    """
+
+    def __init__(self, sizes, flat: np.ndarray | None = None):
+        self.sizes = tuple(sizes)
+        shapes = list(zip(self.sizes[:-1], self.sizes[1:]))
+        n_weights = sum(fan_in * fan_out for fan_in, fan_out in shapes)
+        n = n_weights + sum(self.sizes[1:])
+        self.flat = np.zeros(n) if flat is None else flat
+        if self.flat.shape != (n,):
+            raise ValueError(f"flat must have shape ({n},) for sizes {self.sizes}, got {self.flat.shape}")
+        self.weights, self.biases = [], []
+        w_at, b_at = 0, n_weights
+        for fan_in, fan_out in shapes:
+            self.weights.append(self.flat[w_at : w_at + fan_in * fan_out].reshape(fan_in, fan_out))
+            self.biases.append(self.flat[b_at : b_at + fan_out])
+            w_at += fan_in * fan_out
+            b_at += fan_out
 
     def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and all(
-            np.all(np.isfinite(b)) for b in self.biases
-        )
-
-    def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return bool(np.isfinite(self.flat).all())
 
 
 @dataclass
@@ -184,12 +196,12 @@ class RunRecord:
 
 @dataclass
 class OptState:
-    """Optimizer slots. m/v mirror the param structure; sgd keeps neither."""
+    """Optimizer slots, laid out like ModelParams.flat; sgd keeps neither."""
 
     kind: str
     t: int = 0
-    m: ModelParams | None = None
-    v: ModelParams | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -217,31 +229,13 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def smoothed_cross_entropy(logits: np.ndarray, label: int, smoothing: bool):
-    """Cross entropy of one logit vector against a (possibly smoothed) target.
-
-    Returns (loss, dloss/dlogits). The target puts 0.9 on the labeled class
-    and spreads the rest uniformly when smoothing is on; one-hot otherwise.
-    The gradient is softmax(logits) - target.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.shape[0] < 2:
-        raise ValueError(f"logits must be a vector of length >= 2, got shape {logits.shape}")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite logits")
-    k = logits.shape[0]
-    if not (0 <= label < k):
-        raise ValueError(f"label {label} outside [0, {k})")
-
-    target = _target_rows(np.array([label]), k, smoothing)[0]
-    logp = _log_softmax(logits[None, :])[0]
-    loss = float(-(target * logp).sum())
-    grad = np.exp(logp) - target
-    return loss, grad
-
-
 def _batch_loss_grad(logits: np.ndarray, labels: np.ndarray, smoothing: bool):
-    """Mean CE over a batch and dloss/dlogits (already divided by batch size)."""
+    """Mean CE over a batch and dloss/dlogits (already divided by batch size).
+
+    The target puts 0.9 on the labeled class and spreads the rest uniformly
+    when smoothing is on; one-hot otherwise. The gradient of each row's loss
+    is softmax(logits) - target.
+    """
     n, k = logits.shape
     target = _target_rows(labels, k, smoothing)
     logp = _log_softmax(logits)
@@ -257,12 +251,11 @@ def init_params(config: HyperparamConfig, feature_dim: int, class_count: int) ->
         + [config.stem_width_2] * DEPTH_EXTRA_LAYERS[config.depth]
         + [class_count]
     )
+    params = ModelParams(sizes)
     rng = np.random.default_rng([config.seed, _STREAM_INIT])
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(rng.standard_normal((fan_in, fan_out)) * math.sqrt(2.0 / fan_in))
-        biases.append(np.zeros(fan_out))
-    return ModelParams(weights, biases)
+    for w in params.weights:
+        w[:] = rng.standard_normal(w.shape) * math.sqrt(2.0 / w.shape[0])
+    return params
 
 
 def _forward(params: ModelParams, x: np.ndarray):
@@ -281,7 +274,7 @@ def _forward(params: ModelParams, x: np.ndarray):
 
 
 def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarray, smoothing: bool):
-    """Mean batch loss and exact analytic gradients, shaped like params."""
+    """Mean batch loss and exact analytic gradients, laid out like params."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or len(x) == 0:
@@ -296,14 +289,13 @@ def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarr
     logits, acts, zs = _forward(params, x)
     loss, delta = _batch_loss_grad(logits, y, smoothing)
 
-    d_weights = [None] * len(params.weights)
-    d_biases = [None] * len(params.biases)
+    grads = ModelParams(params.sizes, np.empty_like(params.flat))
     for i in range(len(params.weights) - 1, -1, -1):
-        d_weights[i] = acts[i].T @ delta
-        d_biases[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=grads.weights[i])
+        delta.sum(axis=0, out=grads.biases[i])
         if i > 0:
             delta = (delta @ params.weights[i].T) * (zs[i - 1] > 0)
-    return loss, ModelParams(d_weights, d_biases)
+    return loss, grads
 
 
 def init_opt_state(optimizer: str, params: ModelParams) -> OptState:
@@ -311,13 +303,9 @@ def init_opt_state(optimizer: str, params: ModelParams) -> OptState:
         raise ValueError(f"unknown optimizer {optimizer!r}")
     if optimizer == "sgd":
         return OptState(kind="sgd")
-    zeros = ModelParams(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
     if optimizer == "adam":
-        return OptState(kind="adam", m=zeros, v=zeros.copy())
-    return OptState(kind="rmsprop", v=zeros)
+        return OptState(kind="adam", m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+    return OptState(kind="rmsprop", v=np.zeros_like(params.flat))
 
 
 def optimizer_step(state: OptState, params: ModelParams, grads: ModelParams, lr: float):
@@ -330,28 +318,21 @@ def optimizer_step(state: OptState, params: ModelParams, grads: ModelParams, lr:
     if not grads.all_finite():
         raise GradientExplosion("non-finite gradient")
     state.t += 1
-    pairs = list(zip(params.weights, grads.weights)) + list(zip(params.biases, grads.biases))
+    p, g, m, v = params.flat, grads.flat, state.m, state.v
     if state.kind == "sgd":
-        for p, g in pairs:
-            p -= lr * g
+        p -= lr * g
     elif state.kind == "adam":
-        slots = list(zip(state.m.weights, state.v.weights)) + list(
-            zip(state.m.biases, state.v.biases)
-        )
         bc1 = 1.0 - _BETA1**state.t
         bc2 = 1.0 - _BETA2**state.t
-        for (p, g), (m, v) in zip(pairs, slots):
-            m *= _BETA1
-            m += (1.0 - _BETA1) * g
-            v *= _BETA2
-            v += (1.0 - _BETA2) * g * g
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
     else:  # rmsprop
-        slots = state.v.weights + state.v.biases
-        for (p, g), v in zip(pairs, slots):
-            v *= _RHO
-            v += (1.0 - _RHO) * g * g
-            p -= lr * g / (np.sqrt(v) + _EPS)
+        v *= _RHO
+        v += (1.0 - _RHO) * g * g
+        p -= lr * g / (np.sqrt(v) + _EPS)
     return params, state
 
 
@@ -378,21 +359,12 @@ def one_cycle_lr(step: int, total_steps: int, lr_max: float) -> float:
     return floor_lr + (lr_max - floor_lr) * (1.0 + math.cos(math.pi * t)) / 2.0
 
 
-def augment(features: np.ndarray, augment_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """With probability augment_prob, reverse the feature vector; else identity.
+def _augment_batch(x: np.ndarray, prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Reverse each row's features with probability prob; x itself is never written.
 
     The 1-D counterpart of a horizontal image flip: a fixed, label-preserving
-    transform. Always returns a copy-safe array (never a view of the input).
+    transform.
     """
-    if not (0.0 <= augment_prob <= 1.0):
-        raise ValueError(f"augment_prob must be in [0, 1], got {augment_prob}")
-    features = np.asarray(features, dtype=np.float64)
-    if augment_prob > 0.0 and rng.random() < augment_prob:
-        return features[::-1].copy()
-    return features.copy()
-
-
-def _augment_batch(x: np.ndarray, prob: float, rng: np.random.Generator) -> np.ndarray:
     if prob <= 0.0:
         return x
     flip = rng.random(len(x)) < prob
@@ -493,10 +465,6 @@ def train_model(
     return record, params
 
 
-def _flat_views(p: ModelParams):
-    return p.weights + p.biases
-
-
 def gradient_check(
     config: HyperparamConfig,
     d: Dataset,
@@ -520,10 +488,6 @@ def gradient_check(
 
     x, y = d.features, d.labels
     _, grads = grad_fn(params, x, y, config.label_smoothing)
-    arrays = _flat_views(params)
-    grad_arrays = _flat_views(grads)
-    sizes = [a.size for a in arrays]
-    offsets = np.cumsum([0] + sizes)
 
     def relu_masks():
         _, _, zs = _forward(params, x)
@@ -531,27 +495,23 @@ def gradient_check(
 
     h = 1e-4
     rng = np.random.default_rng([seed, _STREAM_GRADCHECK])
-    coords = rng.integers(0, offsets[-1], size=n_coords)
+    coords = rng.integers(0, params.n_params(), size=n_coords)
     max_rel = 0.0
     n_skipped = 0
-    for flat in coords:
-        ai = int(np.searchsorted(offsets, flat, side="right") - 1)
-        local = int(flat - offsets[ai])
-        arr = arrays[ai]
-        idx = np.unravel_index(local, arr.shape)
-        orig = arr[idx]
-        arr[idx] = orig + h
+    for i in coords:
+        orig = params.flat[i]
+        params.flat[i] = orig + h
         loss_plus, _ = grad_fn(params, x, y, config.label_smoothing)
         masks_plus = relu_masks()
-        arr[idx] = orig - h
+        params.flat[i] = orig - h
         loss_minus, _ = grad_fn(params, x, y, config.label_smoothing)
         masks_minus = relu_masks()
-        arr[idx] = orig
+        params.flat[i] = orig
         if any(not np.array_equal(mp, mm) for mp, mm in zip(masks_plus, masks_minus)):
             n_skipped += 1
             continue
         fd = (loss_plus - loss_minus) / (2.0 * h)
-        a = grad_arrays[ai][idx]
+        a = grads.flat[i]
         rel = float(abs(a - fd) / max(abs(a), abs(fd), 1e-6))
         max_rel = max(max_rel, rel)
     return GradCheckReport(
@@ -561,8 +521,3 @@ def gradient_check(
         tolerance=tolerance,
         n_skipped=n_skipped,
     )
-
-
-def with_overrides(config: HyperparamConfig, **kw) -> HyperparamConfig:
-    """replace() wrapper so callers don't need dataclasses imports."""
-    return replace(config, **kw)

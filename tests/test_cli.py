@@ -204,6 +204,25 @@ class TestRunGrid:
         b = {k: r.best_val_acc for k, r in zip(store_load(out).keys(), store_load(out).records())}
         assert a == b
 
+    def test_torn_last_line_resumes(self, pipeline, tmp_path, capsys):
+        # a run killed mid-append leaves 12 whole records and half of the 13th
+        lines = pipeline["results"].read_text().splitlines(keepends=True)
+        out = tmp_path / "torn.jsonl"
+        out.write_text("".join(lines[:12]) + lines[12][: len(lines[12]) // 2])
+        code = main(
+            ["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
+             "--proxies", str(pipeline["proxies"]), "--out", str(out)]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "(12 pre-existing, 8 new)" in captured.out
+        assert "unterminated last line" in captured.err
+        full, resumed = store_load(pipeline["results"]), store_load(out)
+        assert capsys.readouterr().err == ""  # the repaired file loads cleanly
+        assert {k: full.get(k).epoch_val_acc for k in full.keys()} == {
+            k: resumed.get(k).epoch_val_acc for k in resumed.keys()
+        }
+
     def test_missing_proxy_dir(self, pipeline, tmp_path, capsys):
         code = main(
             ["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),

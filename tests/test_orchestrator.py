@@ -150,6 +150,38 @@ class TestResultStore:
         with pytest.raises(ValueError, match="line 2"):
             store_load(path)
 
+    def test_torn_last_line_is_dropped_and_cut(self, tmp_path, capsys):
+        path = tmp_path / "results.jsonl"
+        good = json.dumps(_record(cfg="c0").to_dict()) + "\n"
+        torn = json.dumps(_record(cfg="c1").to_dict())[:40]
+        path.write_text(good + torn)
+        store = store_load(path)
+        assert list(store.keys()) == [("d", "full", "c0")]
+        assert "line cut off mid-write" in capsys.readouterr().err
+        assert path.read_text() == good  # the fragment is gone before any append
+        store.append(_record(cfg="c2"))
+        assert [k[2] for k in store_load(path).keys()] == ["c0", "c2"]
+
+    def test_unterminated_whole_record_is_kept_and_terminated(self, tmp_path, capsys):
+        path = tmp_path / "results.jsonl"
+        good = json.dumps(_record(cfg="c0").to_dict())
+        path.write_text(good)
+        store = store_load(path)
+        assert len(store) == 1
+        assert capsys.readouterr().err == ""
+        assert path.read_text() == good + "\n"
+        store.append(_record(cfg="c1"))
+        assert len(store_load(path)) == 2
+
+    def test_malformed_line_mid_file_raises_despite_torn_tail(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        good = json.dumps(_record(cfg="c0").to_dict())
+        path.write_text(good + "\n{not json}\n" + good[:30])
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="line 2: malformed"):
+            store_load(path)
+        assert path.read_bytes() == before  # nothing is cut when loading fails
+
     def test_loaded_store_still_appends_to_file(self, tmp_path):
         path = tmp_path / "results.jsonl"
         ResultStore(path=path).append(_record(cfg="c0"))

@@ -12,6 +12,8 @@ from proxybench.trainer import (
     GradientExplosion,
     HyperparamConfig,
     ModelParams,
+    _augment_batch,
+    _batch_loss_grad,
     config_id,
     evaluate_accuracy,
     forward_backward,
@@ -20,9 +22,7 @@ from proxybench.trainer import (
     init_params,
     one_cycle_lr,
     optimizer_step,
-    smoothed_cross_entropy,
     train_model,
-    augment,
 )
 
 
@@ -81,21 +81,28 @@ class TestConfig:
 
 
 class TestSmoothedCrossEntropy:
+    """The label-smoothed loss on one-row batches, where the mean is the row's loss."""
+
+    @staticmethod
+    def _one_row(logits, label, smoothing):
+        loss, dlogits = _batch_loss_grad(np.array([logits], dtype=float), np.array([label]), smoothing)
+        return loss, dlogits[0]
+
     def test_uniform_logits_give_ln_k(self):
         for smoothing in (False, True):
-            loss, _ = smoothed_cross_entropy(np.zeros(10), 4, smoothing)
+            loss, _ = self._one_row(np.zeros(10), 4, smoothing)
             assert loss == pytest.approx(math.log(10), abs=1e-12)
 
     def test_confident_correct_prediction_drives_loss_to_zero(self):
         logits = np.zeros(5)
         logits[2] = 200.0
-        loss, _ = smoothed_cross_entropy(logits, 2, False)
+        loss, _ = self._one_row(logits, 2, False)
         assert loss < 1e-12
 
     def test_smoothed_target_mass(self):
         # gradient = softmax - target, so target = softmax - gradient
         logits = np.array([0.3, -1.2, 2.0, 0.0])
-        loss, grad = smoothed_cross_entropy(logits, 1, True)
+        loss, grad = self._one_row(logits, 1, True)
         sm = np.exp(logits - logits.max())
         sm /= sm.sum()
         target = sm - grad
@@ -105,20 +112,12 @@ class TestSmoothedCrossEntropy:
 
     def test_one_hot_target_without_smoothing(self):
         logits = np.array([0.5, 1.5, -0.5])
-        _, grad = smoothed_cross_entropy(logits, 0, False)
+        _, grad = self._one_row(logits, 0, False)
         sm = np.exp(logits - logits.max())
         sm /= sm.sum()
         target = sm - grad
         assert target[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(target[1]) < 1e-12 and abs(target[2]) < 1e-12
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            smoothed_cross_entropy(np.array([1.0, np.nan]), 0, False)
-        with pytest.raises(ValueError):
-            smoothed_cross_entropy(np.array([1.0]), 0, False)
-        with pytest.raises(ValueError):
-            smoothed_cross_entropy(np.zeros(3), 3, False)
 
 
 class TestForwardBackward:
@@ -159,7 +158,7 @@ class TestGradientCheckHarness:
     def test_corrupted_gradient_fails(self):
         def corrupted(params, x, y, smoothing):
             loss, grads = forward_backward(params, x, y, smoothing)
-            grads.weights[0] = grads.weights[0] + 1e-2
+            grads.weights[0] += 1e-2  # in place: the view writes through to grads.flat
             return loss, grads
 
         d = _small_data()
@@ -184,9 +183,37 @@ class TestGradientCheckHarness:
             gradient_check(HyperparamConfig(stem_width_1=200, stem_width_2=200), d)
 
 
+class TestFlatLayout:
+    def test_layers_are_views_into_flat(self):
+        params = init_params(_tiny_config(depth="large"), 5, 3)
+        assert params.n_params() == params.flat.size
+        assert params.n_params() == sum(w.size for w in params.weights) + sum(b.size for b in params.biases)
+        for a in params.weights + params.biases:
+            assert np.shares_memory(a, params.flat)
+        # weights first, then biases, each in layer order
+        expected = np.concatenate([w.ravel() for w in params.weights] + list(params.biases))
+        assert np.array_equal(params.flat, expected)
+
+    def test_gradients_share_the_layout(self):
+        d = _small_data()
+        params = init_params(_tiny_config(), d.feature_dim, d.class_count)
+        _, grads = forward_backward(params, d.features[:8], d.labels[:8], True)
+        assert grads.flat.shape == params.flat.shape
+        assert grads.sizes == params.sizes
+        for g, p in zip(grads.weights + grads.biases, params.weights + params.biases):
+            assert g.shape == p.shape
+            assert np.shares_memory(g, grads.flat)
+        assert not np.shares_memory(grads.flat, params.flat)
+
+    def test_wrong_flat_size_rejected(self):
+        with pytest.raises(ValueError, match="flat must have shape"):
+            ModelParams([2, 3], np.zeros(5))
+
+
 class TestOptimizers:
     def _scalar(self, value=1.0):
-        return ModelParams([np.array([[value]])], [np.array([0.0])])
+        # one 1 -> 1 layer: flat is [weight, bias]
+        return ModelParams([1, 1], np.array([value, 0.0]))
 
     def test_sgd_definition(self):
         p = self._scalar(1.0)
@@ -253,25 +280,27 @@ class TestOneCycle:
 class TestAugment:
     def test_prob_zero_is_identity(self):
         rng = np.random.default_rng(0)
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.arange(12.0).reshape(4, 3)
         for _ in range(20):
-            assert np.array_equal(augment(x, 0.0, rng), x)
+            assert np.array_equal(_augment_batch(x, 0.0, rng), x)
 
     def test_prob_one_reverses(self):
         rng = np.random.default_rng(0)
-        x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(augment(x, 1.0, rng), [3.0, 2.0, 1.0])
+        x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        out = _augment_batch(x, 1.0, rng)
+        assert np.array_equal(out, [[3.0, 2.0, 1.0], [6.0, 5.0, 4.0]])
+        assert np.array_equal(x, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])  # input untouched
 
     def test_applied_twice_is_identity(self):
         rng = np.random.default_rng(0)
-        x = np.array([4.0, 5.0, 6.0, 7.0])
-        assert np.array_equal(augment(augment(x, 1.0, rng), 1.0, rng), x)
+        x = np.arange(12.0).reshape(3, 4)
+        assert np.array_equal(_augment_batch(_augment_batch(x, 1.0, rng), 1.0, rng), x)
 
     def test_intermediate_prob_produces_both_outcomes(self):
         rng = np.random.default_rng(2)
-        x = np.array([1.0, 2.0])
-        outs = {tuple(augment(x, 0.5, rng)) for _ in range(50)}
-        assert outs == {(1.0, 2.0), (2.0, 1.0)}
+        x = np.tile([1.0, 2.0], (50, 1))
+        out = _augment_batch(x, 0.5, rng)
+        assert {tuple(row) for row in out} == {(1.0, 2.0), (2.0, 1.0)}
 
 
 class TestTrainModel:
@@ -334,6 +363,28 @@ class TestTrainModel:
         assert len(rec.epoch_val_acc) == 3
         assert len(set(rec.epoch_val_acc[-2:])) == 1  # padded with the last value
         assert rec.cost_units == len(train) * 3  # nominal budget kept
+
+    # Recorded accuracies (lr, per-epoch). Elementwise float ops do not depend
+    # on memory layout, so a change to how parameters are stored must keep
+    # these bit for bit; any drift means an update or gradient changed its
+    # arithmetic.
+    PINNED = {
+        "sgd": (0.05, [0.0, 0.26666666666666666, 0.6, 0.6666666666666666]),
+        "adam": (0.01, [0.0, 0.1, 0.4666666666666667, 0.4666666666666667]),
+        "rmsprop": (0.01, [0.1, 0.9333333333333333, 0.9666666666666667, 1.0]),
+    }
+
+    @pytest.mark.parametrize("optimizer", sorted(PINNED))
+    def test_accuracies_match_recorded_values(self, optimizer):
+        train, val = split(_small_data(seed=4, per_class=40), 0.25, seed=0)
+        lr, expected = self.PINNED[optimizer]
+        cfg = _tiny_config(
+            optimizer=optimizer, learning_rate=lr, epochs=4, augment_prob=0.5, label_smoothing=True, seed=3
+        )
+        rec, _ = train_model(train, val, cfg)
+        assert rec.status == "ok"
+        assert rec.epoch_val_acc == expected
+        assert rec.best_val_acc == max(expected)
 
     def test_depth_knob_changes_parameter_count(self):
         counts = {}
