@@ -258,7 +258,9 @@ def _cmd_analyze(args) -> int:
         raise ValueError(f"no records in {args.results}")
     reports = build_quality_reports(records, good_rule=rule, target_proxy=args.target_proxy)
     out = Path(args.out)
-    reports_to_csv(reports, out)
+    buf = io.StringIO()
+    reports_to_csv(reports, buf)
+    _write_atomic(out, buf.getvalue())
     print(f"{len(reports)} strategy rows -> {out}")
 
     if args.epoch_corr:

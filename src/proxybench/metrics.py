@@ -10,6 +10,7 @@ Everything here is pure numpy, population statistics throughout.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -213,28 +214,31 @@ class LassoFit:
         return np.asarray(features, dtype=np.float64) @ self.coef + self.intercept
 
 
-def _lasso_coordinate_descent(xs: np.ndarray, yc: np.ndarray, lam: float, max_iter: int = 10_000) -> np.ndarray:
-    """Minimize (1/2n)||yc - xs b||^2 + lam ||b||_1 on standardized columns.
+def _lasso_exact(xs: np.ndarray, yc: np.ndarray, lam: float) -> np.ndarray:
+    """Minimize (1/2n)||yc - xs b||^2 + lam ||b||_1 exactly: try all 3^p sign patterns.
 
-    With unit-variance columns each coordinate update is a plain
-    soft-threshold step. Converges when no coordinate moves more than 1e-8.
+    On its support A with signs s_A, some minimizer solves G_AA b_A = c_A - lam s_A
+    (G = xs'xs/n, c = xs'yc/n). Solutions with other signs are skipped; the lowest
+    objective wins, b = 0 first, so inactive entries are exactly 0.0.
     """
     n, p = xs.shape
-    beta = np.zeros(p)
-    resid = yc.copy()
-    for _ in range(max_iter):
-        max_delta = 0.0
-        for j in range(p):
-            old = beta[j]
-            rho = float(xs[:, j] @ (resid + xs[:, j] * old)) / n
-            new = math.copysign(max(abs(rho) - lam, 0.0), rho)
-            if new != old:
-                resid += xs[:, j] * (old - new)
-                beta[j] = new
-                max_delta = max(max_delta, abs(new - old))
-        if max_delta < 1e-8:
-            break
-    return beta
+    gram, corr = xs.T @ xs / n, xs.T @ yc / n
+    best, best_obj = np.zeros(p), 0.5 * float(yc @ yc) / n
+    for s in map(np.array, itertools.product((-1.0, 0.0, 1.0), repeat=p)):
+        active = s != 0.0
+        try:
+            b_active = np.linalg.solve(gram[np.ix_(active, active)], corr[active] - lam * s[active])
+        except np.linalg.LinAlgError:
+            continue
+        if not np.array_equal(np.sign(b_active), s[active]):
+            continue
+        b = np.zeros(p)
+        b[active] = b_active
+        resid = yc - xs @ b
+        obj = 0.5 * float(resid @ resid) / n + lam * float(np.abs(b_active).sum())
+        if obj < best_obj:
+            best, best_obj = b, obj
+    return best
 
 
 def _standardize(x: np.ndarray):
@@ -244,29 +248,25 @@ def _standardize(x: np.ndarray):
     return (x - mean) / safe, mean, std, safe
 
 
-def lasso_cv(features, y, lambda_grid=None, folds: int | None = None) -> LassoFit:
-    """Lasso with the penalty weight chosen by k-fold cross-validation.
+def lasso_cv(features, y, lambda_grid=None) -> LassoFit:
+    """Lasso on (n, p) features, the penalty weight chosen by k-fold cross-validation.
 
     Features are standardized internally and the intercept is never
     penalized; returned coefficients are on the original scale. The default
     grid is 50 log-spaced values from 1e-4*lam_max up to lam_max (the
-    smallest penalty that zeroes every coefficient); folds defaults to
-    min(5, n) contiguous unshuffled blocks; ties prefer the larger lambda.
+    smallest penalty that zeroes every coefficient); folds are min(5, n)
+    contiguous unshuffled blocks; ties prefer the larger lambda.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if x.shape[0] == 1 and np.asarray(y).ndim == 1 and len(np.asarray(y)) != 1:
-        x = x.T
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"features must be an (n, p) array, got shape {x.shape}")
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 rows")
     if len(y) != n:
         raise ValueError(f"{len(y)} targets for {n} rows")
-
-    if folds is None:
-        folds = min(5, n)
-    if not (2 <= folds <= n):
-        raise ValueError(f"folds must be in [2, {n}], got {folds}")
+    folds = min(5, n)
 
     xs, x_mean, x_std, x_safe = _standardize(x)
     y_mean = float(y.mean())
@@ -293,19 +293,19 @@ def lasso_cv(features, y, lambda_grid=None, folds: int | None = None) -> LassoFi
             ytr = y[train] - ytr_mean
             xte = (x[test] - m) / s
             for li, lam in enumerate(lambda_grid):
-                beta = _lasso_coordinate_descent(xtr, ytr, lam)
+                beta = _lasso_exact(xtr, ytr, lam)
                 pred = xte @ beta + ytr_mean
                 cv_err[li] += float(np.mean((y[test] - pred) ** 2))
         # grid is descending, so argmin lands on the largest tied lambda
         best_lam = lambda_grid[int(np.argmin(cv_err / folds))]
 
-    beta_std = _lasso_coordinate_descent(xs, yc, best_lam)
+    beta_std = _lasso_exact(xs, yc, best_lam)
     coef = np.where(x_std == 0.0, 0.0, beta_std / x_safe)
     intercept = y_mean - float(coef @ x_mean)
     return LassoFit(coef=coef, intercept=intercept, lam=best_lam)
 
 
-def cost_adjusted_quality(points, lambda_grid=None, degree: int | None = None) -> list:
+def cost_adjusted_quality(points, degree: int | None = None) -> list:
     """Residual quality of each strategy after removing what cost explains.
 
     points: (relative_cost, quality) pairs, one per strategy. Polynomial
@@ -316,7 +316,7 @@ def cost_adjusted_quality(points, lambda_grid=None, degree: int | None = None) -
     than its cost predicts.
 
     degree forces the polynomial degree (0 = intercept only), skipping the
-    Lasso selection; lambda_grid is passed through to it.
+    Lasso selection.
     """
     pts = [(float(c), float(q)) for c, q in points]
     if len(pts) < 5:
@@ -328,7 +328,7 @@ def cost_adjusted_quality(points, lambda_grid=None, degree: int | None = None) -
         degree = 0
         for d in range(1, 4):
             cols = np.column_stack([cost**p for p in range(1, d + 1)])
-            fit = lasso_cv(cols, quality, lambda_grid=lambda_grid)
+            fit = lasso_cv(cols, quality)
             if fit.coef[d - 1] == 0.0:
                 break
             degree = d
@@ -505,14 +505,13 @@ def build_quality_reports(
     return rows
 
 
-def reports_to_csv(reports, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(REPORT_COLUMNS)
-        for r in reports:
-            w.writerow(
-                [r.strategy, r.dataset, repr(r.r2), repr(r.spearman_good), repr(r.cost_adjusted), repr(r.relative_cost), r.n_configs]
-            )
+def reports_to_csv(reports, fh) -> None:
+    w = csv.writer(fh)
+    w.writerow(REPORT_COLUMNS)
+    for r in reports:
+        w.writerow(
+            [r.strategy, r.dataset, repr(r.r2), repr(r.spearman_good), repr(r.cost_adjusted), repr(r.relative_cost), r.n_configs]
+        )
 
 
 def reports_from_csv(path: str | Path) -> list:

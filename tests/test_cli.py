@@ -271,6 +271,19 @@ class TestAnalyze:
         capsys.readouterr()
         assert len(reports_from_csv(out)) == 5
 
+    def test_failed_write_keeps_previous_report(self, pipeline, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "q.csv"
+        out.write_text("previous report\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert main(["analyze", "--results", str(pipeline["results"]), "--out", str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_text() == "previous report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["q.csv"]
+
     def test_empty_results_file_is_runtime_error(self, tmp_path, capsys):
         missing = tmp_path / "none.jsonl"
         code = main(["analyze", "--results", str(missing), "--out", str(tmp_path / "q.csv")])

@@ -22,6 +22,7 @@ from proxybench.metrics import (
     zscore,
 )
 from proxybench.trainer import RunRecord
+from test_acceptance import _REFERENCE_STRATEGIES
 
 
 def _rec(epoch_accs, best=None, dataset="d", proxy="full", cfg="c0", cost=100.0):
@@ -181,6 +182,18 @@ class TestSelectGoodConfigs:
         assert abs(sub - spearman(proxy, target)) < 1e-12
 
 
+# (relative cost, r2) of the 6 strategies of the acceptance-6 pipeline at input seed 0
+ACCEPT6_SEED0_POINTS = [
+    (0.05, 0.2535107744349052),
+    (1.0, 1.0),
+    (0.4, 0.9375067713182411),
+    (0.5, 0.928336051792507),
+    (0.1, 0.530978353492834),
+    (0.1, 0.4477830807097062),
+]
+REFERENCE_POINTS = [(cost, r2) for _, cost, r2, _ in _REFERENCE_STRATEGIES]
+
+
 class TestLassoCV:
     def test_zero_penalty_matches_least_squares(self):
         rng = np.random.default_rng(3)
@@ -202,7 +215,7 @@ class TestLassoCV:
         x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         y = 2.0 * x
         lam = 0.3
-        fit = lasso_cv(x, y, lambda_grid=[lam])
+        fit = lasso_cv(x[:, None], y, lambda_grid=[lam])
         assert abs(fit.coef[0] - (2.0 - lam / x.std())) < 1e-8
 
     def test_tied_cv_error_prefers_larger_lambda(self):
@@ -220,12 +233,53 @@ class TestLassoCV:
 
     def test_predict(self):
         x = np.arange(8.0)
-        fit = lasso_cv(x, 2.0 * x + 1.0, lambda_grid=[0.0])
+        fit = lasso_cv(x[:, None], 2.0 * x + 1.0, lambda_grid=[0.0])
         assert np.allclose(fit.predict(x.reshape(-1, 1)), 2.0 * x + 1.0, atol=1e-6)
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             lasso_cv(np.array([[1.0]]), np.array([1.0]))
+
+    @pytest.mark.parametrize("shape", [(6,), (1, 6), (6, 1, 1)])
+    def test_features_must_be_n_by_p(self, shape):
+        x = np.arange(6.0).reshape(shape)
+        with pytest.raises(ValueError):
+            lasso_cv(x, np.arange(6.0))
+
+    @staticmethod
+    def _kkt_gaps(x, y, lam):
+        """Stationarity gaps of lasso_cv's fit at one lambda, on its standardized problem.
+
+        Active coordinates: |x_j'r/n - lam sign(b_j)|; inactive ones: how far
+        |x_j'r/n| exceeds lam (0 when it does not).
+        """
+        fit = lasso_cv(x, y, lambda_grid=[lam])
+        std = x.std(axis=0)
+        xs = (x - x.mean(axis=0)) / std
+        b = fit.coef * std
+        grad = xs.T @ (y - y.mean() - xs @ b) / len(y)
+        active = b != 0.0
+        return np.where(active, np.abs(grad - lam * np.sign(b)), np.maximum(np.abs(grad) - lam, 0.0))
+
+    def test_fold_fit_satisfies_kkt(self):
+        # accept6 seed 0, degree 3, CV fold 0 (rows 1-5), 42nd grid lambda:
+        # coordinate descent stopped at max_iter here with a gap of 1.9e-5
+        cost = np.array([c for c, _ in ACCEPT6_SEED0_POINTS[1:]])
+        quality = np.array([q for _, q in ACCEPT6_SEED0_POINTS[1:]])
+        x = np.column_stack([cost, cost**2, cost**3])
+        assert np.max(self._kkt_gaps(x, quality, 0.00010861330903787541)) <= 1e-12
+
+    def test_random_fits_satisfy_kkt(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            n, p = int(rng.integers(5, 30)), int(rng.integers(1, 4))
+            # correlated columns, like the cost polynomial's
+            x = rng.normal(size=(n, p)) @ (np.eye(p) + rng.uniform(0.0, 2.0, size=(p, p)))
+            y = x @ rng.normal(size=p) + rng.normal(scale=0.5, size=n)
+            xs = (x - x.mean(axis=0)) / x.std(axis=0)
+            lam_max = float(np.max(np.abs(xs.T @ (y - y.mean())))) / n
+            lam = lam_max * float(rng.uniform(1e-4, 1.0))
+            assert np.max(self._kkt_gaps(x, y, lam)) <= 1e-12
 
 
 class TestCostAdjustedQuality:
@@ -263,6 +317,40 @@ class TestCostAdjustedQuality:
         points = [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6), (0.7, 0.8), (1.0, 1.0)]
         with pytest.raises(ValueError, match="degree"):
             cost_adjusted_quality(points, degree=4)
+
+
+class TestCostModelSelection:
+    """The degree and the lambdas Lasso-CV picks on two fixed point sets.
+
+    The lambdas were recorded with the earlier coordinate-descent solver;
+    the exact solver picks the same grid values.
+    """
+
+    @pytest.mark.parametrize(
+        "points, lams",
+        [
+            (REFERENCE_POINTS, (2.1845988080844983e-05, 0.003495049451954984, 0.000533490627963004)),
+            (ACCEPT6_SEED0_POINTS, (0.113839035746599, 0.0038628109458693043, 0.006788931279170688)),
+        ],
+    )
+    def test_selection_is_pinned(self, points, lams):
+        assert cost_adjusted_quality(points) == cost_adjusted_quality(points, degree=3)
+        cost = np.array([c for c, _ in points])
+        quality = np.array([q for _, q in points])
+        for d, lam in zip((1, 2, 3), lams):
+            cols = np.column_stack([cost**k for k in range(1, d + 1)])
+            assert lasso_cv(cols, quality).lam == lam
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.3, q) for q in (0.2, 0.5, 0.4, 0.9, 0.7)],  # every cost equal
+            [(c, q) for c, q in zip((0.1, 0.9, 0.1, 0.9, 0.1, 0.9), (0.2, 0.8, 0.3, 0.7, 0.25, 0.9))],  # two costs
+            [(c, 0.6) for c in (0.05, 0.1, 0.4, 0.5, 1.0)],  # constant quality
+        ],
+    )
+    def test_degenerate_inputs_give_finite_residuals(self, points):
+        assert np.all(np.isfinite(cost_adjusted_quality(points)))
 
 
 def _report(strategy, r2, cost=0.5):
@@ -433,7 +521,8 @@ class TestBuildQualityReports:
         )
         rows = build_quality_reports(records)
         path = tmp_path / "quality.csv"
-        reports_to_csv(rows, path)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            reports_to_csv(rows, fh)
         loaded = reports_from_csv(path)
         assert len(loaded) == len(rows)
         for a, b in zip(loaded, rows):
