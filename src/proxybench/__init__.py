@@ -1,7 +1,7 @@
 """proxybench: build reduced proxy datasets and measure how well
 hyperparameter search results on them predict results on the full task."""
 
-from .dataset import Dataset, Example, SynthSpec, class_filter, load_csv, split, subset_by_ids, synth_generate
+from .dataset import Dataset, SynthSpec, class_filter, load_csv, split, subset_by_ids, synth_generate
 from .difficulty import DifficultyTable, load_table, quantile_slice, save_table, score_examples
 from .metrics import (
     GoodConfigRule,

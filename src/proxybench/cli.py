@@ -77,14 +77,10 @@ def _load_split(args):
 
 
 def _dataset_csv_text(d: Dataset) -> str:
-    buf = io.StringIO()
-    for ex in d.examples:
-        buf.write(str(ex.label))
-        for v in ex.features:
-            buf.write(",")
-            buf.write(repr(float(v)))
-        buf.write("\n")
-    return buf.getvalue()
+    return "".join(
+        f"{label},{','.join(map(repr, row))}\n"
+        for label, row in zip(d.labels.tolist(), d.features.tolist())
+    )
 
 
 def _cmd_gen_data(args) -> int:

@@ -8,14 +8,12 @@ across the whole pipeline.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "Example",
     "Dataset",
     "SynthSpec",
     "load_csv",
@@ -32,67 +30,53 @@ _STREAM_FLIPS = 3
 _STREAM_SPLIT = 4
 
 
-@dataclass(frozen=True, eq=False)
-class Example:
-    """One labeled feature vector with a stable non-negative integer id."""
-
-    id: int
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        if self.id < 0:
-            raise ValueError(f"example id must be >= 0, got {self.id}")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError(f"example {self.id}: non-finite feature value")
-
-
 class Dataset:
-    """Ordered, immutable collection of examples with a fixed label space.
+    """Ordered, immutable examples held as three aligned read-only arrays.
 
-    class_count and feature_dim are properties of the label/feature space,
-    not of the examples present: filtering away classes does not shrink
-    class_count, so models keep the same output head across subsets.
+    features is a C-contiguous (n, feature_dim) float64 copy, labels and ids
+    are (n,) int64. class_count and feature_dim are properties of the
+    label/feature space, not of the examples present: filtering away classes
+    does not shrink class_count, so models keep the same output head across
+    subsets.
     """
 
-    def __init__(self, examples, class_count: int, feature_dim: int, id: str = "dataset"):
-        examples = list(examples)
+    def __init__(self, features, labels, ids, class_count: int, feature_dim: int, id: str = "dataset"):
         if class_count < 1:
             raise ValueError(f"class_count must be >= 1, got {class_count}")
         if feature_dim < 1:
             raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
-        for ex in examples:
-            if not (0 <= ex.label < class_count):
-                raise ValueError(
-                    f"example {ex.id}: label {ex.label} outside [0, {class_count})"
-                )
-            if len(ex.features) != feature_dim:
-                raise ValueError(
-                    f"example {ex.id}: feature length {len(ex.features)} != {feature_dim}"
-                )
-        ids = [ex.id for ex in examples]
-        if len(set(ids)) != len(ids):
+        ids = np.array(ids, dtype=np.int64)
+        labels = np.array(labels, dtype=np.int64)
+        feats = np.array(features, dtype=np.float64, order="C")
+        if ids.ndim != 1 or labels.shape != ids.shape or feats.ndim != 2 or len(feats) != len(ids):
+            raise ValueError(
+                f"need (n,) ids and labels and (n, feature_dim) features, "
+                f"got shapes {ids.shape}, {labels.shape}, {feats.shape}"
+            )
+        if feats.shape[1] != feature_dim:
+            raise ValueError(f"feature length {feats.shape[1]} != {feature_dim}")
+        if (ids < 0).any():
+            raise ValueError(f"example id must be >= 0, got {ids.min()}")
+        bad_label = (labels < 0) | (labels >= class_count)
+        if bad_label.any():
+            i = np.argmax(bad_label)
+            raise ValueError(f"example {ids[i]}: label {labels[i]} outside [0, {class_count})")
+        if not np.isfinite(feats).all():
+            row = np.argmin(np.isfinite(feats).all(axis=1))
+            raise ValueError(f"example {ids[row]}: non-finite feature value")
+        sorted_ids = np.sort(ids)
+        if (sorted_ids[1:] == sorted_ids[:-1]).any():
             raise ValueError("example ids are not unique")
 
-        self.examples = examples
+        for a in (feats, labels, ids):
+            a.setflags(write=False)
+        self.features, self.labels, self.ids = feats, labels, ids
         self.class_count = int(class_count)
         self.feature_dim = int(feature_dim)
         self.id = str(id)
 
-        if examples:
-            feats = np.stack([np.asarray(ex.features, dtype=np.float64) for ex in examples])
-        else:
-            feats = np.zeros((0, feature_dim), dtype=np.float64)
-        feats.setflags(write=False)
-        self._features = feats
-        self._labels = np.asarray([ex.label for ex in examples], dtype=np.int64)
-        self._labels.setflags(write=False)
-        self._ids = np.asarray(ids, dtype=np.int64)
-        self._ids.setflags(write=False)
-        self._row_of_id = {int(i): row for row, i in enumerate(ids)}
-
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.ids)
 
     def __repr__(self) -> str:
         return (
@@ -100,23 +84,12 @@ class Dataset:
             f"classes={self.class_count}, dim={self.feature_dim})"
         )
 
-    @property
-    def features(self) -> np.ndarray:
-        """(n, feature_dim) float64 matrix in example order. Read-only."""
-        return self._features
-
-    @property
-    def labels(self) -> np.ndarray:
-        """(n,) int64 label vector in example order. Read-only."""
-        return self._labels
-
-    @property
-    def ids(self) -> np.ndarray:
-        """(n,) int64 example-id vector in example order. Read-only."""
-        return self._ids
-
     def id_set(self) -> set[int]:
-        return set(self._row_of_id)
+        return set(self.ids.tolist())
+
+    def _take(self, mask: np.ndarray) -> "Dataset":
+        """The examples where mask is true, in source order."""
+        return Dataset(self.features[mask], self.labels[mask], self.ids[mask], self.class_count, self.feature_dim, self.id)
 
 
 @dataclass(frozen=True)
@@ -156,58 +129,75 @@ class SynthSpec:
             raise ValueError("seed must be >= 0")
 
 
+def _data_rows(fh):
+    """The lines of fh that hold more than commas and whitespace, less a header."""
+    rows = (line for line in fh if line.strip(" \t\r\n\f\v,"))
+    first = next(rows, "")
+    try:
+        float(first.partition(",")[0])
+    except ValueError:
+        pass  # a header row, or no rows at all
+    else:
+        yield first
+    yield from rows
+
+
 def load_csv(path: str | Path, id: str | None = None) -> Dataset:
     """Load a dataset from CSV rows of the form ``label,f0,f1,...``.
 
-    A header row is allowed and detected by a non-numeric first cell.
-    Labels must be non-negative integers; class_count is 1 + max label.
+    A header row is allowed and detected by a non-numeric first cell; lines
+    holding only commas and whitespace are skipped, and cells are unquoted.
+    Labels must be non-negative integer literals; class_count is 1 + max
+    label. The features are parsed by numpy in one pass, which reads the
+    same float bits as float() but rejects underscores and non-ASCII digits.
     Example ids are assigned by data-row order starting at 0.
 
     Raises FileNotFoundError for a missing file and ValueError naming the
     offending data row (1-based) for ragged rows, non-integer labels, or
-    non-finite features.
+    non-numeric or non-finite features.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
 
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+        labels = []
+        for n, line in enumerate(_data_rows(fh), start=1):
+            if n == 1:
+                feature_dim = line.count(",")
+                if feature_dim < 1:
+                    raise ValueError(f"{path}: row 1: expected a label and at least one feature")
+            if line.count(",") != feature_dim:
+                raise ValueError(f"{path}: row {n}: has {line.count(',')} features, expected {feature_dim}")
+            cell = line.partition(",")[0]
+            try:
+                labels.append(int(cell))
+            except ValueError:
+                raise ValueError(f"{path}: row {n}: non-integer label {cell!r}") from None
+        if not labels:
+            raise ValueError(f"{path}: no rows")
+        labels = np.array(labels, dtype=np.int64)
+        if (labels < 0).any():
+            n = int(np.argmax(labels < 0)) + 1
+            raise ValueError(f"{path}: row {n}: negative label {labels[n - 1]}")
 
-    if rows:
+        columns = range(1, feature_dim + 1)
+        fh.seek(0)
         try:
-            float(rows[0][0])
+            feats = np.loadtxt(_data_rows(fh), delimiter=",", usecols=columns, ndmin=2, comments=None)
         except ValueError:
-            rows = rows[1:]  # header row
-    if not rows:
-        raise ValueError(f"{path}: no rows")
+            fh.seek(0)
+            for n, line in enumerate(_data_rows(fh), start=1):  # locate the row with the same parser
+                try:
+                    np.loadtxt([line], delimiter=",", usecols=columns, comments=None)
+                except ValueError:
+                    raise ValueError(f"{path}: row {n}: non-numeric feature") from None
+            raise
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: row {np.argmin(finite) + 1}: non-finite feature")
 
-    feature_dim = len(rows[0]) - 1
-    if feature_dim < 1:
-        raise ValueError(f"{path}: row 1: expected a label and at least one feature")
-
-    examples = []
-    for n, row in enumerate(rows, start=1):
-        if len(row) - 1 != feature_dim:
-            raise ValueError(
-                f"{path}: row {n}: has {len(row) - 1} features, expected {feature_dim}"
-            )
-        try:
-            label = int(row[0])
-        except ValueError:
-            raise ValueError(f"{path}: row {n}: non-integer label {row[0]!r}") from None
-        if label < 0:
-            raise ValueError(f"{path}: row {n}: negative label {label}")
-        try:
-            feats = np.array([float(v) for v in row[1:]], dtype=np.float64)
-        except ValueError:
-            raise ValueError(f"{path}: row {n}: non-numeric feature") from None
-        if not np.all(np.isfinite(feats)):
-            raise ValueError(f"{path}: row {n}: non-finite feature")
-        examples.append(Example(id=n - 1, features=feats, label=label))
-
-    class_count = 1 + max(ex.label for ex in examples)
-    return Dataset(examples, class_count, feature_dim, id=id or path.stem)
+    return Dataset(feats, labels, np.arange(len(labels)), 1 + labels.max(), feature_dim, id=id or path.stem)
 
 
 def _class_means(spec: SynthSpec) -> np.ndarray:
@@ -245,14 +235,11 @@ def synth_generate(spec: SynthSpec) -> Dataset:
                 wrong += 1
             labels[i] = wrong
 
-    examples = [
-        Example(id=i, features=feats[i], label=int(labels[i])) for i in range(n_total)
-    ]
     ds_id = (
         f"synth_k{spec.class_count}_d{spec.feature_dim}"
         f"_n{spec.examples_per_class}_s{spec.seed}"
     )
-    return Dataset(examples, spec.class_count, spec.feature_dim, id=ds_id)
+    return Dataset(feats, labels, np.arange(n_total), spec.class_count, spec.feature_dim, id=ds_id)
 
 
 def split(d: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -271,7 +258,7 @@ def split(d: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]
         )
 
     rng = np.random.default_rng([seed, _STREAM_SPLIT])
-    val_ids: set[int] = set()
+    picked = []
     for c in range(d.class_count):
         class_ids = d.ids[d.labels == c]
         if len(class_ids) == 0:
@@ -281,14 +268,10 @@ def split(d: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]
             raise ValueError(f"class {c} would get 0 validation examples")
         if n_val >= len(class_ids):
             raise ValueError(f"class {c} would get 0 training examples")
-        picked = rng.permutation(class_ids)[:n_val]
-        val_ids.update(int(i) for i in picked)
+        picked.append(rng.permutation(class_ids)[:n_val])
 
-    train_ex = [ex for ex in d.examples if ex.id not in val_ids]
-    val_ex = [ex for ex in d.examples if ex.id in val_ids]
-    train = Dataset(train_ex, d.class_count, d.feature_dim, id=d.id)
-    val = Dataset(val_ex, d.class_count, d.feature_dim, id=d.id)
-    return train, val
+    in_val = np.isin(d.ids, np.concatenate(picked))
+    return d._take(~in_val), d._take(in_val)
 
 
 def class_filter(d: Dataset, classes) -> Dataset:
@@ -303,8 +286,7 @@ def class_filter(d: Dataset, classes) -> Dataset:
     bad = [c for c in classes if not (0 <= c < d.class_count)]
     if bad:
         raise ValueError(f"unknown class ids {sorted(bad)} for class_count {d.class_count}")
-    kept = [ex for ex in d.examples if ex.label in classes]
-    return Dataset(kept, d.class_count, d.feature_dim, id=d.id)
+    return d._take(np.isin(d.labels, sorted(classes)))
 
 
 def subset_by_ids(d: Dataset, ids) -> Dataset:
@@ -314,9 +296,9 @@ def subset_by_ids(d: Dataset, ids) -> Dataset:
     ``ids``, so any permutation of the same id set yields an identical
     dataset.
     """
-    wanted = set(int(i) for i in ids)
-    missing = wanted - d.id_set()
-    if missing:
-        raise ValueError(f"ids not present in dataset {d.id!r}: {sorted(missing)[:5]}")
-    kept = [ex for ex in d.examples if ex.id in wanted]
-    return Dataset(kept, d.class_count, d.feature_dim, id=d.id)
+    wanted = np.asarray(ids, dtype=np.int64)
+    found = np.isin(wanted, d.ids)
+    if not found.all():
+        missing = np.unique(wanted[~found])
+        raise ValueError(f"ids not present in dataset {d.id!r}: {missing[:5].tolist()}")
+    return d._take(np.isin(d.ids, wanted))

@@ -162,16 +162,13 @@ def run_seed(dataset_id: str, proxy_id: str, cfg_id: str, global_seed: int) -> i
     return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big")
 
 
-def _run_cell(train: Dataset, val: Dataset, manifest: ProxyManifest, cfg: HyperparamConfig, cfg_id: str, global_seed: int) -> RunRecord:
-    sub_train = subset_by_ids(train, manifest.train_ids)
-    sub_val = subset_by_ids(val, manifest.val_ids)
-    seed = run_seed(train.id, manifest.proxy_id, cfg_id, global_seed)
+def _run_cell(sub_train: Dataset, sub_val: Dataset, manifest: ProxyManifest, cfg: HyperparamConfig, cfg_id: str, seed: int) -> RunRecord:
     run_cfg = replace(cfg, seed=seed, epochs=manifest.epochs)
     record, _ = train_model(
         sub_train,
         sub_val,
         run_cfg,
-        dataset_id=train.id,
+        dataset_id=sub_train.id,
         proxy_id=manifest.proxy_id,
         config_key=cfg_id,
     )
@@ -193,7 +190,9 @@ def run_matrix(
     grid: HyperparamConfigs; each cell overrides seed (hash of the key) and
     epochs (the manifest's budget), but keeps the grid config's identity so
     results pair across proxies. Records are appended in submission order
-    regardless of which worker finishes first.
+    regardless of which worker finishes first. A stored record whose seed
+    differs from the one global_seed gives its key raises ValueError before
+    any cell runs: resuming would mix runs of two seeds.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -208,17 +207,24 @@ def run_matrix(
     for ds_id in sorted(splits):
         train, val = splits[ds_id]
         for manifest in proxies[ds_id]:
+            pending = []
             for cfg in grid:
                 cfg_id = config_id(cfg)
-                if (ds_id, manifest.proxy_id, cfg_id) in store:
-                    continue
-                cells.append((train, val, manifest, cfg, cfg_id))
+                seed = run_seed(train.id, manifest.proxy_id, cfg_id, global_seed)
+                stored = store.get((ds_id, manifest.proxy_id, cfg_id))
+                if stored is None:
+                    pending.append((cfg, cfg_id, seed))
+                elif stored.seed != seed:
+                    raise ValueError(
+                        f"stored run {(ds_id, manifest.proxy_id, cfg_id)} used seed {stored.seed}, "
+                        f"but global seed {global_seed} gives seed {seed}; refusing to resume"
+                    )
+            if pending:  # one subset per manifest, shared by its cells
+                subsets = (subset_by_ids(train, manifest.train_ids), subset_by_ids(val, manifest.val_ids))
+                cells += [(*subsets, manifest, *cell) for cell in pending]
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [
-            pool.submit(_run_cell, train, val, manifest, cfg, cfg_id, global_seed)
-            for train, val, manifest, cfg, cfg_id in cells
-        ]
+        futures = [pool.submit(_run_cell, *cell) for cell in cells]
         for future in futures:
             store.append(future.result())
     return store

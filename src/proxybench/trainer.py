@@ -273,8 +273,12 @@ def _forward(params: ModelParams, x: np.ndarray):
     return zs[-1], acts, zs
 
 
-def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarray, smoothing: bool):
-    """Mean batch loss and exact analytic gradients, laid out like params."""
+def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarray, smoothing: bool, grads: ModelParams | None = None):
+    """Mean batch loss and exact analytic gradients, laid out like params.
+
+    grads, when given, is overwritten and returned; otherwise a new buffer
+    is allocated, so results kept from earlier calls stay intact.
+    """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or len(x) == 0:
@@ -289,7 +293,8 @@ def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarr
     logits, acts, zs = _forward(params, x)
     loss, delta = _batch_loss_grad(logits, y, smoothing)
 
-    grads = ModelParams(params.sizes, np.empty_like(params.flat))
+    if grads is None:
+        grads = ModelParams(params.sizes)
     for i in range(len(params.weights) - 1, -1, -1):
         np.matmul(acts[i].T, delta, out=grads.weights[i])
         delta.sum(axis=0, out=grads.biases[i])
@@ -413,6 +418,7 @@ def train_model(
     t0 = time.perf_counter()
     params = init_params(config, train.feature_dim, train.class_count)
     opt_state = init_opt_state(config.optimizer, params)
+    grads = ModelParams(params.sizes)  # reused by every step
     order_seed = config.seed if shuffle_seed is None else shuffle_seed
 
     n = len(train)
@@ -435,7 +441,7 @@ def train_model(
                     # order canonical, so full-batch runs ignore the shuffle.
                     idx = np.sort(perm[b * config.batch_size : (b + 1) * config.batch_size])
                     x = _augment_batch(train.features[idx], config.augment_prob, rng_aug)
-                    loss, grads = forward_backward(params, x, train.labels[idx], config.label_smoothing)
+                    loss, _ = forward_backward(params, x, train.labels[idx], config.label_smoothing, grads)
                     if not math.isfinite(loss):
                         raise GradientExplosion(f"non-finite loss at step {step}")
                     lr = one_cycle_lr(step, total_steps, config.learning_rate)

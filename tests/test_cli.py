@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -88,6 +89,16 @@ class TestGenData:
         assert loaded.class_count == direct.class_count
         assert np.array_equal(loaded.features, direct.features)
         assert np.array_equal(loaded.labels, direct.labels)
+
+    def test_output_bytes_are_pinned(self, tmp_path):
+        spec = {"class_count": 3, "feature_dim": 4, "examples_per_class": 7, "class_separation": 2.5,
+                "noise_scale_lo": 0.1, "noise_scale_hi": 1.2, "label_flip_fraction": 0.2, "seed": 11}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "small.csv"
+        assert main(["gen-data", "--spec", str(spec_path), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "8312ad8c547b027a44866d686757df14dcf28f363f758c861e3ef376c36352fb"
 
     def test_bad_spec_is_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -222,6 +233,22 @@ class TestRunGrid:
         assert {k: full.get(k).epoch_val_acc for k in full.keys()} == {
             k: resumed.get(k).epoch_val_acc for k in resumed.keys()
         }
+
+    def test_resume_under_another_seed_is_refused(self, pipeline, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "seed0.jsonl"
+        out.write_bytes(pipeline["results"].read_bytes())
+        monkeypatch.setenv("PROXYBENCH_SEED", "5")
+        code = main(
+            ["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
+             "--proxies", str(pipeline["proxies"]), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        first = store_load(pipeline["results"]).records()[0]
+        assert "refusing to resume" in err
+        assert f"'{first.proxy_id}', '{first.config_id}'" in err
+        assert f"used seed {first.seed}, but global seed 5 gives seed" in err
+        assert out.read_bytes() == pipeline["results"].read_bytes()
 
     def test_missing_proxy_dir(self, pipeline, tmp_path, capsys):
         code = main(

@@ -3,7 +3,6 @@ import pytest
 
 from proxybench.dataset import (
     Dataset,
-    Example,
     SynthSpec,
     class_filter,
     load_csv,
@@ -14,34 +13,47 @@ from proxybench.dataset import (
 
 
 def _toy(n_per_class=5, classes=3, dim=2):
-    examples = []
-    i = 0
-    for c in range(classes):
-        for _ in range(n_per_class):
-            examples.append(Example(id=i, features=np.full(dim, float(c)), label=c))
-            i += 1
-    return Dataset(examples, class_count=classes, feature_dim=dim, id="toy")
+    labels = np.repeat(np.arange(classes), n_per_class)
+    features = np.repeat(labels[:, None].astype(float), dim, axis=1)
+    return Dataset(features, labels, np.arange(len(labels)), class_count=classes, feature_dim=dim, id="toy")
 
 
 class TestDatasetConstruction:
     def test_rejects_duplicate_ids(self):
-        ex = [Example(0, np.zeros(2), 0), Example(0, np.ones(2), 1)]
         with pytest.raises(ValueError, match="unique"):
-            Dataset(ex, class_count=2, feature_dim=2)
+            Dataset([np.zeros(2), np.ones(2)], [0, 1], [0, 0], class_count=2, feature_dim=2)
 
     def test_rejects_label_out_of_range(self):
-        ex = [Example(0, np.zeros(2), 5)]
         with pytest.raises(ValueError, match="label"):
-            Dataset(ex, class_count=2, feature_dim=2)
+            Dataset([np.zeros(2)], [5], [0], class_count=2, feature_dim=2)
 
     def test_rejects_wrong_feature_dim(self):
-        ex = [Example(0, np.zeros(3), 0)]
         with pytest.raises(ValueError, match="feature length"):
-            Dataset(ex, class_count=2, feature_dim=2)
+            Dataset([np.zeros(3)], [0], [0], class_count=2, feature_dim=2)
 
     def test_rejects_non_finite_features(self):
         with pytest.raises(ValueError, match="non-finite"):
-            Example(0, np.array([1.0, np.inf]), 0)
+            Dataset([np.array([1.0, np.inf])], [0], [0], class_count=2, feature_dim=2)
+
+    def test_arrays_are_contiguous_copies(self):
+        feats = np.arange(12, dtype=float).reshape(3, 4)[:, ::2]  # a strided view
+        d = Dataset(feats, [0, 1, 0], [5, 6, 7], class_count=2, feature_dim=2)
+        assert d.features.flags.c_contiguous and d.features.dtype == np.float64
+        assert d.labels.dtype == np.int64 and d.ids.dtype == np.int64
+        feats[0, 0] = 99.0
+        assert d.features[0, 0] == 0.0
+
+    def test_error_names_the_offending_example(self):
+        feats = np.zeros((4, 2))
+        feats[2, 1] = np.nan
+        with pytest.raises(ValueError, match="example 12: non-finite"):
+            Dataset(feats, [0, 0, 0, 0], [10, 11, 12, 13], class_count=1, feature_dim=2)
+        with pytest.raises(ValueError, match="example 11: label 3 outside"):
+            Dataset(np.zeros((4, 2)), [0, 3, 0, 0], [10, 11, 12, 13], class_count=2, feature_dim=2)
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="shapes"):
+            Dataset(np.zeros((3, 2)), [0, 1], [0, 1, 2], class_count=2, feature_dim=2)
 
     def test_arrays_are_read_only_and_aligned(self):
         d = _toy()
@@ -61,7 +73,7 @@ class TestLoadCsv:
         assert d.class_count == 3
         assert d.feature_dim == 2
         assert d.id == "d"
-        assert d.examples[0].features[1] == -2.25
+        assert d.features[0, 1] == -2.25
 
     def test_header_row_is_skipped(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -75,8 +87,8 @@ class TestLoadCsv:
         p = tmp_path / "d.csv"
         p.write_text("\n".join(f"0,{v!r}" for v in vals) + "\n1,0.0\n")
         d = load_csv(p)
-        for ex, v in zip(d.examples[:4], vals):
-            assert ex.features[0] == v  # bitwise
+        for row, v in zip(d.features[:4], vals):
+            assert row[0] == v  # bitwise
 
     def test_ragged_row_error_names_the_row(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -105,6 +117,42 @@ class TestLoadCsv:
         p.write_text("0,inf\n")
         with pytest.raises(ValueError, match="non-finite"):
             load_csv(p)
+
+    CELLS = [
+        repr(0.1 + 0.2), repr(1 / 3), repr(-2.0 / 7.0), repr(1e-17), repr(12345.6789e11),
+        "5e-324", "2.2250738585072014e-308", "1e-310",  # smallest subnormal, smallest normal, a subnormal
+        "-0.0", "0.0", "1E5", "+2.5e-3", "-7.5E+02", ".5", "5.",
+        "  1.25", "-3.5  ", " \t4.75\t ",  # space-padded
+    ]
+
+    def test_features_have_the_bits_of_float(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("".join(f"{i % 2},{c},{c}\n" for i, c in enumerate(self.CELLS)))
+        d = load_csv(p)
+        want = np.array([float(c) for c in self.CELLS])
+        assert np.array_equal(d.features[:, 0].view(np.int64), want.view(np.int64))
+        assert np.array_equal(d.features[:, 1].view(np.int64), want.view(np.int64))
+        assert np.signbit(d.features[8, 0])  # -0.0 keeps its sign
+
+    def test_float_label_is_not_an_integer_label(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("0,1.0\n1.0,2.0\n")
+        with pytest.raises(ValueError, match="row 2: non-integer label '1.0'"):
+            load_csv(p)
+
+    def test_non_numeric_feature_error_names_the_row(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("label,f0,f1\n0,1.0,2.0\n\n1,3.0,x\n")
+        with pytest.raises(ValueError, match="row 2: non-numeric feature"):
+            load_csv(p)
+
+    def test_blank_lines_and_crlf_are_skipped(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"label,f0\r\n\r\n0,1.5\r\n , \r\n1,-2.5\r\n")
+        d = load_csv(p)
+        assert list(d.labels) == [0, 1]
+        assert list(d.features[:, 0]) == [1.5, -2.5]
+        assert list(d.ids) == [0, 1]
 
 
 class TestSynthGenerate:
@@ -227,9 +275,25 @@ class TestSubsetByIds:
         d = _toy()
         a = subset_by_ids(d, [7, 3, 11])
         b = subset_by_ids(d, [11, 7, 3])
-        assert [ex.id for ex in a.examples] == [3, 7, 11]
+        assert list(a.ids) == [3, 7, 11]
         assert np.array_equal(a.features, b.features)
 
     def test_missing_id_rejected(self):
         with pytest.raises(ValueError, match="not present"):
             subset_by_ids(_toy(), [999])
+
+    def test_any_order_and_repeats_give_the_same_subset(self):
+        d = _toy(n_per_class=20)
+        wanted = [50, 3, 17, 41, 8, 29]
+        a = subset_by_ids(d, wanted)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            b = subset_by_ids(d, list(rng.permutation(wanted)) + wanted[:2])
+            assert np.array_equal(a.ids, b.ids)
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.features, b.features)
+        assert list(a.ids) == sorted(wanted)  # the source order
+
+    def test_missing_ids_are_listed_sorted(self):
+        with pytest.raises(ValueError, match=r"not present in dataset 'toy': \[20, 999\]"):
+            subset_by_ids(_toy(), [3, 999, 20, 4, 999])

@@ -64,7 +64,7 @@ class TestScoreExamples:
                     class_separation=6.0, noise_scale_lo=0.0, noise_scale_hi=0.0, seed=5)
         clean = synth_generate(SynthSpec(**base))
         noisy = synth_generate(SynthSpec(**base, label_flip_fraction=0.1))
-        flipped = {a.id for a, b in zip(clean.examples, noisy.examples) if a.label != b.label}
+        flipped = set(clean.ids[clean.labels != noisy.labels].tolist())
         assert len(flipped) == 24
 
         train, val = split(noisy, 0.1, seed=0)

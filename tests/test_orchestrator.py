@@ -252,6 +252,47 @@ class TestRunMatrix:
         for a, b in zip(resumed.records(), full.records()):
             assert a.best_val_acc == b.best_val_acc
 
+    def test_resume_under_another_seed_is_refused(self, tmp_path):
+        train, val = _tiny_split()
+        proxies = [build_proxy(train, val, ProxySpec.full(), target_epochs=2)]
+        grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01]}))
+        path = tmp_path / "results.jsonl"
+        run_matrix({train.id: (train, val)}, {train.id: proxies}, grid, store=ResultStore(path=path))
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        before = path.read_bytes()
+        stored = store_load(path).records()[0]
+        with pytest.raises(ValueError, match=f"used seed {stored.seed}.*global seed 5 gives seed"):
+            run_matrix({train.id: (train, val)}, {train.id: proxies}, grid, global_seed=5, store=store_load(path))
+        assert path.read_bytes() == before
+        # the same seed still resumes
+        resumed = run_matrix({train.id: (train, val)}, {train.id: proxies}, grid, store=store_load(path))
+        assert len(resumed) == 2
+
+    def test_one_subset_per_manifest(self, monkeypatch):
+        import proxybench.orchestrator as orchestrator
+
+        calls = []
+        real = orchestrator.subset_by_ids
+
+        def counting(d, ids):
+            calls.append(len(ids))
+            return real(d, ids)
+
+        monkeypatch.setattr(orchestrator, "subset_by_ids", counting)
+        train, val = _tiny_split()
+        proxies = [
+            build_proxy(train, val, ProxySpec.full(), target_epochs=2),
+            build_proxy(train, val, ProxySpec.random_all(0.5, seed=0), target_epochs=2),
+        ]
+        grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01, 0.001]}))
+        store = run_matrix({train.id: (train, val)}, {train.id: proxies}, grid)
+        assert len(store) == 6
+        assert calls == [len(train), len(val), len(proxies[1].train_ids), len(val)]
+        # a resume that has every cell of a manifest takes no subset of it
+        calls.clear()
+        run_matrix({train.id: (train, val)}, {train.id: proxies}, grid, store=store)
+        assert calls == []
+
     def test_reduced_epochs_keep_grid_config_identity(self):
         train, val = _tiny_split()
         proxies = [
@@ -269,13 +310,15 @@ class TestRunMatrix:
         assert ep_rec.config_id == cid  # but identity is the grid config's
 
     def test_divergent_run_lands_in_store_as_aborted(self):
-        from proxybench.dataset import Dataset, Example
+        from proxybench.dataset import Dataset
 
         train, val = _tiny_split()
         # Feature scale 1e60 with an absurd learning rate overflows the
         # output layer to inf on the very first update, for any seed.
         blown = Dataset(
-            [Example(id=e.id, features=e.features * 1e60, label=e.label) for e in train.examples],
+            train.features * 1e60,
+            train.labels,
+            train.ids,
             class_count=train.class_count,
             feature_dim=train.feature_dim,
             id=train.id,

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from proxybench.dataset import Dataset, Example
+from proxybench.dataset import Dataset
 from proxybench.difficulty import DifficultyTable
 from proxybench.proxy import ProxySpec, build_proxy, load_manifest, relative_cost, save_manifest
 
 
 def _balanced(classes=10, per_class=100, dim=3, id="bal"):
-    examples = []
-    i = 0
-    for c in range(classes):
-        for _ in range(per_class):
-            examples.append(Example(id=i, features=np.full(dim, float(i)), label=c))
-            i += 1
-    return Dataset(examples, class_count=classes, feature_dim=dim, id=id)
+    n = classes * per_class
+    features = np.repeat(np.arange(n, dtype=float)[:, None], dim, axis=1)
+    labels = np.repeat(np.arange(classes), per_class)
+    return Dataset(features, labels, np.arange(n), class_count=classes, feature_dim=dim, id=id)
 
 
 def _table_for(d: Dataset):
@@ -80,19 +77,19 @@ class TestBuildProxy:
         m = build_proxy(TRAIN, VAL, ProxySpec.half_classes(tuple(range(5))), target_epochs=20)
         assert len(m.train_ids) == 500
         assert len(m.val_ids) == 250
-        labels = {TRAIN.examples[TRAIN._row_of_id[i]].label for i in m.train_ids}
+        labels = set(TRAIN.labels[np.isin(TRAIN.ids, m.train_ids)].tolist())
         assert labels <= set(range(5))
 
     def test_half_classes_with_fraction_samples_within_the_classes(self):
         m = build_proxy(TRAIN, VAL, ProxySpec.half_classes(tuple(range(5)), fraction=0.5, seed=3))
         assert len(m.train_ids) == 250  # ceil(0.5 * 500)
         assert len(m.val_ids) == 250  # val filtered but never sampled
-        labels = {TRAIN.examples[TRAIN._row_of_id[i]].label for i in m.train_ids}
+        labels = set(TRAIN.labels[np.isin(TRAIN.ids, m.train_ids)].tolist())
         assert labels <= set(range(5))
 
     def test_half_classes_auto_pick(self):
         m = build_proxy(TRAIN, VAL, ProxySpec.half_classes(seed=7))
-        labels = {TRAIN.examples[TRAIN._row_of_id[i]].label for i in m.train_ids}
+        labels = set(TRAIN.labels[np.isin(TRAIN.ids, m.train_ids)].tolist())
         assert len(labels) == 5  # ceil(10 / 2)
         again = build_proxy(TRAIN, VAL, ProxySpec.half_classes(seed=7))
         assert m.train_ids == again.train_ids

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from proxybench.dataset import Dataset, Example, SynthSpec, split, synth_generate
+from proxybench.dataset import Dataset, SynthSpec, split, synth_generate
 from proxybench.trainer import (
     DEPTH_EXTRA_LAYERS,
     GradientExplosion,
@@ -153,6 +153,26 @@ class TestForwardBackward:
         with pytest.raises(ValueError):
             forward_backward(params, d.features[:4], d.labels[:5], False)
 
+    def test_given_buffer_is_overwritten_and_returned(self):
+        d = _small_data()
+        params = init_params(_tiny_config(), d.feature_dim, d.class_count)
+        loss, fresh = forward_backward(params, d.features[:8], d.labels[:8], True)
+        buf = ModelParams(params.sizes, np.full_like(params.flat, np.nan))
+        loss_buf, out = forward_backward(params, d.features[:8], d.labels[:8], True, buf)
+        assert out is buf
+        assert loss_buf == loss
+        assert np.array_equal(buf.flat, fresh.flat)
+
+    def test_default_allocates_a_new_buffer_per_call(self):
+        # gradient_check keeps the first call's gradients while calling again
+        d = _small_data()
+        params = init_params(_tiny_config(), d.feature_dim, d.class_count)
+        _, g1 = forward_backward(params, d.features[:8], d.labels[:8], True)
+        kept = g1.flat.copy()
+        _, g2 = forward_backward(params, d.features[8:16], d.labels[8:16], True)
+        assert g2.flat is not g1.flat
+        assert np.array_equal(g1.flat, kept)
+
 
 class TestGradientCheckHarness:
     def test_corrupted_gradient_fails(self):
@@ -168,7 +188,9 @@ class TestGradientCheckHarness:
     def test_zero_input_batch_passes_with_zero_first_layer_grads(self):
         d = _small_data()
         zero = Dataset(
-            [Example(ex.id, np.zeros(d.feature_dim), ex.label) for ex in d.examples[:10]],
+            np.zeros((10, d.feature_dim)),
+            d.labels[:10],
+            d.ids[:10],
             d.class_count,
             d.feature_dim,
         )
@@ -316,6 +338,22 @@ class TestTrainModel:
         assert rec.dataset_id == d.id
         assert params.all_finite()
 
+    def test_one_gradient_buffer_per_run(self, monkeypatch):
+        import proxybench.trainer as trainer
+
+        buffers = []
+
+        def recording(params, x, y, smoothing, grads=None):
+            buffers.append(grads)
+            return forward_backward(params, x, y, smoothing, grads)
+
+        monkeypatch.setattr(trainer, "forward_backward", recording)
+        d = _small_data()
+        train, val = split(d, 0.2, seed=0)
+        train_model(train, val, _tiny_config(epochs=2, batch_size=8))
+        assert len(buffers) == 2 * 6  # 2 epochs of ceil(48 / 8) steps
+        assert buffers[0] is not None and all(b is buffers[0] for b in buffers)
+
     def test_bitwise_determinism(self):
         d = _small_data(seed=1)
         train, val = split(d, 0.2, seed=0)
@@ -352,7 +390,9 @@ class TestTrainModel:
     def test_gradient_explosion_is_recorded_not_raised(self):
         d = _small_data()
         big = Dataset(
-            [Example(ex.id, ex.features * 1e60, ex.label) for ex in d.examples],
+            d.features * 1e60,
+            d.labels,
+            d.ids,
             d.class_count,
             d.feature_dim,
         )
