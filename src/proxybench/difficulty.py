@@ -17,7 +17,7 @@ import numpy as np
 
 from ._exact import exact_floor
 from .dataset import Dataset
-from .trainer import ModelParams, _forward, _log_softmax
+from .trainer import ModelParams, _forward, _layer_outputs, _log_softmax
 
 __all__ = [
     "DifficultyTable",
@@ -74,9 +74,10 @@ def score_examples(model: ModelParams, train: Dataset, scoring_config_id: str = 
         raise ValueError(
             f"feature dim {train.feature_dim} does not match model fan-in {model.weights[0].shape[0]}"
         )
-    logits, _, _ = _forward(model, train.features)
-    logp = _log_softmax(logits)
-    losses = -logp[np.arange(len(train)), train.labels]
+    n = len(train)
+    logits = _forward(model, train.features, _layer_outputs(model.sizes, n))
+    logp = _log_softmax(logits, np.empty((n, 1)), np.empty_like(logits))
+    losses = -logp[np.arange(n), train.labels]
     entries = sorted(
         zip((int(i) for i in train.ids), (float(l) for l in losses)),
         key=lambda e: (-e[1], e[0]),

@@ -185,8 +185,9 @@ def run_matrix(
 ) -> ResultStore:
     """Run every (dataset, proxy, config) cell not already in the store.
 
-    splits: dataset_id -> (train Dataset, val Dataset).
-    proxies: dataset_id -> list of ProxyManifest.
+    splits: key -> (train Dataset, val Dataset).
+    proxies: key -> list of ProxyManifest. The keys only pair the two
+    dicts: records, and the lookup of stored cells, use train.id.
     grid: HyperparamConfigs; each cell overrides seed (hash of the key) and
     epochs (the manifest's budget), but keeps the grid config's identity so
     results pair across proxies. Records are appended in submission order
@@ -210,13 +211,14 @@ def run_matrix(
             pending = []
             for cfg in grid:
                 cfg_id = config_id(cfg)
-                seed = run_seed(train.id, manifest.proxy_id, cfg_id, global_seed)
-                stored = store.get((ds_id, manifest.proxy_id, cfg_id))
+                key = (train.id, manifest.proxy_id, cfg_id)
+                seed = run_seed(*key, global_seed)
+                stored = store.get(key)
                 if stored is None:
                     pending.append((cfg, cfg_id, seed))
                 elif stored.seed != seed:
                     raise ValueError(
-                        f"stored run {(ds_id, manifest.proxy_id, cfg_id)} used seed {stored.seed}, "
+                        f"stored run {key} used seed {stored.seed}, "
                         f"but global seed {global_seed} gives seed {seed}; refusing to resume"
                     )
             if pending:  # one subset per manifest, shared by its cells

@@ -13,6 +13,7 @@ seed, which is the determinism property the test suite leans on.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -59,6 +60,11 @@ _RHO = 0.99
 _EPS = 1e-8
 
 _SMOOTH_TARGET = 0.9  # probability mass placed on the labeled class
+
+# train_model gathers the rows of a block of whole batches, up to this many
+# rows, with one call: fewer calls than one gather per batch, and far less
+# memory than copying the training set every epoch.
+_BLOCK_ROWS = 1024
 
 
 class GradientExplosion(RuntimeError):
@@ -132,10 +138,14 @@ class ModelParams:
     weights[i] and biases[i] are reshaped views into it, so writing through
     either side changes both. Gradients use the same class and layout, which
     lets the optimizer and the gradient check work on flat alone.
+
+    scratch holds the activation and delta buffers forward_backward keeps on
+    the gradient buffer it writes, one set per batch size.
     """
 
     def __init__(self, sizes, flat: np.ndarray | None = None):
         self.sizes = tuple(sizes)
+        self.scratch: dict = {}
         shapes = list(zip(self.sizes[:-1], self.sizes[1:]))
         n_weights = sum(fan_in * fan_out for fan_in, fan_out in shapes)
         n = n_weights + sum(self.sizes[1:])
@@ -154,7 +164,7 @@ class ModelParams:
         return self.flat.size
 
     def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
+        return bool(np.logical_and.reduce(np.isfinite(self.flat)))  # .all() without its wrapper
 
 
 @dataclass
@@ -196,12 +206,16 @@ class RunRecord:
 
 @dataclass
 class OptState:
-    """Optimizer slots, laid out like ModelParams.flat; sgd keeps neither."""
+    """Optimizer slots, laid out like ModelParams.flat; sgd keeps none.
+
+    scratch holds two more such vectors for the temporaries of one step.
+    """
 
     kind: str
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    scratch: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -213,35 +227,20 @@ class GradCheckReport:
     n_skipped: int = 0  # coordinates straddling a rectifier kink
 
 
-def _target_rows(labels: np.ndarray, class_count: int, smoothing: bool) -> np.ndarray:
-    n = len(labels)
-    if smoothing:
-        t = np.full((n, class_count), (1.0 - _SMOOTH_TARGET) / (class_count - 1))
-        t[np.arange(n), labels] = _SMOOTH_TARGET
-    else:
-        t = np.zeros((n, class_count))
-        t[np.arange(n), labels] = 1.0
-    return t
+@functools.lru_cache(maxsize=None)
+def _target_table(class_count: int, smoothing: bool) -> np.ndarray:
+    """Row c is the training target for label c.
 
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def _batch_loss_grad(logits: np.ndarray, labels: np.ndarray, smoothing: bool):
-    """Mean CE over a batch and dloss/dlogits (already divided by batch size).
-
-    The target puts 0.9 on the labeled class and spreads the rest uniformly
-    when smoothing is on; one-hot otherwise. The gradient of each row's loss
-    is softmax(logits) - target.
+    It puts 0.9 on the labeled class and spreads the rest uniformly when
+    smoothing is on; one-hot otherwise. Shared, so read-only.
     """
-    n, k = logits.shape
-    target = _target_rows(labels, k, smoothing)
-    logp = _log_softmax(logits)
-    loss = float(-(target * logp).sum() / n)
-    dlogits = (np.exp(logp) - target) / n
-    return loss, dlogits
+    if smoothing:
+        table = np.full((class_count, class_count), (1.0 - _SMOOTH_TARGET) / (class_count - 1))
+        np.fill_diagonal(table, _SMOOTH_TARGET)
+    else:
+        table = np.eye(class_count)
+    table.flags.writeable = False
+    return table
 
 
 def init_params(config: HyperparamConfig, feature_dim: int, class_count: int) -> ModelParams:
@@ -258,26 +257,63 @@ def init_params(config: HyperparamConfig, feature_dim: int, class_count: int) ->
     return params
 
 
-def _forward(params: ModelParams, x: np.ndarray):
-    """Returns (logits, activations, pre_activations) for backprop."""
-    acts = [x]
-    zs = []
+def _layer_outputs(sizes, rows: int) -> list:
+    return [np.empty((rows, width)) for width in sizes[1:]]
+
+
+def _forward(params: ModelParams, x: np.ndarray, outs: list) -> np.ndarray:
+    """Writes each layer's output to outs (rectified, but logits for the last); returns the logits."""
     h = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        zs.append(z)
+    last = len(outs) - 1
+    for i, (w, b, out) in enumerate(zip(params.weights, params.biases, outs)):
+        np.matmul(h, w, out=out)
+        out += b
         if i < last:
-            h = np.maximum(z, 0.0)
-            acts.append(h)
-    return zs[-1], acts, zs
+            np.maximum(out, 0.0, out=out)
+        h = out
+    return h
+
+
+# The per-step code calls ufunc reductions and ndarray.take directly: np.max,
+# np.sum, np.take and the reducing array methods add a Python-level wrapper
+# that costs about as much as their arithmetic on one batch. What they
+# compute is the same.
+
+
+def _log_softmax(logits: np.ndarray, row: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Turns logits into log-probabilities in place; row (n, 1) and probs (like logits) are scratch."""
+    np.maximum.reduce(logits, axis=1, keepdims=True, out=row)
+    logits -= row
+    np.exp(logits, out=probs)
+    np.add.reduce(probs, axis=1, keepdims=True, out=row)
+    np.log(row, out=row)
+    logits -= row
+    return logits
+
+
+class _Scratch:
+    """forward_backward's buffers for batches of one size."""
+
+    def __init__(self, sizes, rows: int):
+        self.acts = _layer_outputs(sizes, rows)
+        self.deltas = [np.empty((rows, width)) for width in sizes[1:-1]]
+        self.live = [np.empty((rows, width), dtype=bool) for width in sizes[1:-1]]
+        self.probs = np.empty((rows, sizes[-1]))
+        self.target = np.empty((rows, sizes[-1]))
+        self.row = np.empty((rows, 1))
 
 
 def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarray, smoothing: bool, grads: ModelParams | None = None):
     """Mean batch loss and exact analytic gradients, laid out like params.
 
     grads, when given, is overwritten and returned; otherwise a new buffer
-    is allocated, so results kept from earlier calls stay intact.
+    is allocated, so results kept from earlier calls stay intact. The
+    activations and deltas go to buffers kept in grads.scratch, so a run that
+    passes the same grads every step allocates them once per batch size.
+
+    The loss is label-smoothed cross-entropy (see _target_table); the
+    gradient of each row's loss with respect to its logits is
+    softmax(logits) - target.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -290,16 +326,29 @@ def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarr
             f"feature dim {x.shape[1]} does not match first layer fan-in {params.weights[0].shape[0]}"
         )
 
-    logits, acts, zs = _forward(params, x)
-    loss, delta = _batch_loss_grad(logits, y, smoothing)
-
     if grads is None:
         grads = ModelParams(params.sizes)
+    n = len(x)
+    s = grads.scratch.get(n)
+    if s is None:
+        s = grads.scratch[n] = _Scratch(params.sizes, n)
+    acts, probs, target = s.acts, s.probs, s.target
+
+    logp = _log_softmax(_forward(params, x, acts), s.row, probs)
+    _target_table(params.sizes[-1], smoothing).take(y, 0, target)
+    np.multiply(target, logp, out=probs)
+    loss = float(-np.add.reduce(probs, axis=None) / n)
+    delta = np.exp(logp, out=probs)
+    delta -= target
+    delta /= n  # dloss/dlogits
+
     for i in range(len(params.weights) - 1, -1, -1):
-        np.matmul(acts[i].T, delta, out=grads.weights[i])
-        delta.sum(axis=0, out=grads.biases[i])
+        np.matmul((acts[i - 1] if i > 0 else x).T, delta, out=grads.weights[i])
+        np.add.reduce(delta, axis=0, out=grads.biases[i])
         if i > 0:
-            delta = (delta @ params.weights[i].T) * (zs[i - 1] > 0)
+            below = np.matmul(delta, params.weights[i].T, out=s.deltas[i - 1])
+            below *= np.greater(acts[i - 1], 0.0, out=s.live[i - 1])
+            delta = below
     return loss, grads
 
 
@@ -308,9 +357,10 @@ def init_opt_state(optimizer: str, params: ModelParams) -> OptState:
         raise ValueError(f"unknown optimizer {optimizer!r}")
     if optimizer == "sgd":
         return OptState(kind="sgd")
+    scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
     if optimizer == "adam":
-        return OptState(kind="adam", m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
-    return OptState(kind="rmsprop", v=np.zeros_like(params.flat))
+        return OptState(kind="adam", m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), scratch=scratch)
+    return OptState(kind="rmsprop", v=np.zeros_like(params.flat), scratch=scratch)
 
 
 def optimizer_step(state: OptState, params: ModelParams, grads: ModelParams, lr: float):
@@ -324,20 +374,35 @@ def optimizer_step(state: OptState, params: ModelParams, grads: ModelParams, lr:
         raise GradientExplosion("non-finite gradient")
     state.t += 1
     p, g, m, v = params.flat, grads.flat, state.m, state.v
+    # Adam and RMSProp evaluate one operation of the textbook expression per
+    # line, in its order and into the state's scratch vectors, so the result
+    # is bitwise that of the expression.
     if state.kind == "sgd":
         p -= lr * g
     elif state.kind == "adam":
+        step, tmp = state.scratch
         bc1 = 1.0 - _BETA1**state.t
         bc2 = 1.0 - _BETA2**state.t
         m *= _BETA1
-        m += (1.0 - _BETA1) * g
+        m += np.multiply(1.0 - _BETA1, g, out=tmp)
         v *= _BETA2
-        v += (1.0 - _BETA2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+        np.multiply(1.0 - _BETA2, g, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        np.divide(v, bc2, out=tmp)  # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.sqrt(tmp, out=tmp)
+        tmp += _EPS
+        np.divide(m, bc1, out=step)
+        np.multiply(lr, step, out=step)
+        p -= np.divide(step, tmp, out=step)
     else:  # rmsprop
+        step, tmp = state.scratch
         v *= _RHO
-        v += (1.0 - _RHO) * g * g
-        p -= lr * g / (np.sqrt(v) + _EPS)
+        np.multiply(1.0 - _RHO, g, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        np.sqrt(v, out=tmp)  # p -= lr * g / (sqrt(v) + eps)
+        tmp += _EPS
+        np.multiply(lr, g, out=step)
+        p -= np.divide(step, tmp, out=step)
     return params, state
 
 
@@ -364,19 +429,18 @@ def one_cycle_lr(step: int, total_steps: int, lr_max: float) -> float:
     return floor_lr + (lr_max - floor_lr) * (1.0 + math.cos(math.pi * t)) / 2.0
 
 
-def _augment_batch(x: np.ndarray, prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Reverse each row's features with probability prob; x itself is never written.
+def _gather_rows(features: np.ndarray, rows: np.ndarray, flip: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """Copy features[rows] into out, reversing the features of each row where flip is set.
 
-    The 1-D counterpart of a horizontal image flip: a fixed, label-preserving
-    transform.
+    The reversal is the 1-D counterpart of a horizontal image flip: a fixed,
+    label-preserving transform. features itself is never written, and a flip
+    of None reverses nothing. rows are clipped into range, not checked,
+    which spares take a temporary copy of the block; train_model's come
+    from a permutation of the rows.
     """
-    if prob <= 0.0:
-        return x
-    flip = rng.random(len(x)) < prob
-    if not flip.any():
-        return x
-    out = x.copy()
-    out[flip] = out[flip, ::-1]
+    np.take(features, rows, axis=0, out=out, mode="clip")
+    if flip is not None:
+        out[flip] = out[flip, ::-1]
     return out
 
 
@@ -384,7 +448,7 @@ def evaluate_accuracy(params: ModelParams, d: Dataset) -> float:
     """Fraction of examples whose argmax logit matches the label."""
     if len(d) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    logits, _, _ = _forward(params, d.features)
+    logits = _forward(params, d.features, _layer_outputs(params.sizes, len(d)))
     return float(np.mean(np.argmax(logits, axis=1) == d.labels))
 
 
@@ -422,8 +486,13 @@ def train_model(
     order_seed = config.seed if shuffle_seed is None else shuffle_seed
 
     n = len(train)
-    steps_per_epoch = -(-n // config.batch_size)
+    batch = config.batch_size
+    full = n // batch
+    steps_per_epoch = -(-n // batch)
     total_steps = config.epochs * steps_per_epoch
+    block = min(n, max(batch, _BLOCK_ROWS // batch * batch))  # whole batches
+    x_block = np.empty((block, train.feature_dim))
+    y_block = np.empty(block, dtype=train.labels.dtype)
 
     epoch_val_acc: list[float] = []
     status = "ok"
@@ -433,20 +502,30 @@ def train_model(
     # don't let numpy warn about either.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            perm = np.random.default_rng([order_seed, _STREAM_SHUFFLE, epoch]).permutation(n)
-            rng_aug = np.random.default_rng([order_seed, _STREAM_AUG, epoch])
+            order = np.random.default_rng([order_seed, _STREAM_SHUFFLE, epoch]).permutation(n)
+            # Ascending row order within each batch keeps accumulation order
+            # canonical, so full-batch runs ignore the shuffle.
+            order[: full * batch].reshape(full, batch).sort(axis=1)
+            order[full * batch :].sort()
+            # One draw per row in visiting order: the numbers that one draw
+            # per batch from the same generator would give.
+            flips = None
+            if config.augment_prob > 0.0:
+                flips = np.random.default_rng([order_seed, _STREAM_AUG, epoch]).random(n) < config.augment_prob
             try:
-                for b in range(steps_per_epoch):
-                    # Ascending row order within the batch keeps accumulation
-                    # order canonical, so full-batch runs ignore the shuffle.
-                    idx = np.sort(perm[b * config.batch_size : (b + 1) * config.batch_size])
-                    x = _augment_batch(train.features[idx], config.augment_prob, rng_aug)
-                    loss, _ = forward_backward(params, x, train.labels[idx], config.label_smoothing, grads)
-                    if not math.isfinite(loss):
-                        raise GradientExplosion(f"non-finite loss at step {step}")
-                    lr = one_cycle_lr(step, total_steps, config.learning_rate)
-                    optimizer_step(opt_state, params, grads, lr)
-                    step += 1
+                for start in range(0, n, block):
+                    rows = order[start : start + block]
+                    m = len(rows)
+                    flip = None if flips is None else flips[start : start + m]
+                    x = _gather_rows(train.features, rows, flip, x_block[:m])
+                    y = np.take(train.labels, rows, out=y_block[:m])
+                    for lo in range(0, m, batch):
+                        loss, _ = forward_backward(params, x[lo : lo + batch], y[lo : lo + batch], config.label_smoothing, grads)
+                        if not math.isfinite(loss):
+                            raise GradientExplosion(f"non-finite loss at step {step}")
+                        lr = one_cycle_lr(step, total_steps, config.learning_rate)
+                        optimizer_step(opt_state, params, grads, lr)
+                        step += 1
             except GradientExplosion:
                 status = "aborted"
                 break
@@ -496,8 +575,9 @@ def gradient_check(
     _, grads = grad_fn(params, x, y, config.label_smoothing)
 
     def relu_masks():
-        _, _, zs = _forward(params, x)
-        return [z > 0 for z in zs[:-1]]
+        outs = _layer_outputs(params.sizes, len(x))
+        _forward(params, x, outs)
+        return [h > 0 for h in outs[:-1]]
 
     h = 1e-4
     rng = np.random.default_rng([seed, _STREAM_GRADCHECK])

@@ -268,6 +268,19 @@ class TestRunMatrix:
         resumed = run_matrix({train.id: (train, val)}, {train.id: proxies}, grid, store=store_load(path))
         assert len(resumed) == 2
 
+    def test_resume_under_a_key_other_than_the_dataset_id(self, tmp_path):
+        # records carry train.id; the splits key only pairs splits with proxies
+        train, val = _tiny_split()
+        proxies = [build_proxy(train, val, ProxySpec.full(), target_epochs=2)]
+        grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01]}))
+        path = tmp_path / "results.jsonl"
+        first = run_matrix({"alias": (train, val)}, {"alias": proxies}, grid, store=ResultStore(path=path))
+        assert len(first) == 2 and all(r.dataset_id == train.id for r in first.records())
+        before = path.read_bytes()
+        again = run_matrix({"alias": (train, val)}, {"alias": proxies}, grid, store=store_load(path))
+        assert len(again) == 2  # nothing re-run, so no duplicate key either
+        assert path.read_bytes() == before
+
     def test_one_subset_per_manifest(self, monkeypatch):
         import proxybench.orchestrator as orchestrator
 

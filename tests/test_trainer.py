@@ -1,6 +1,7 @@
 """Trainer tests. The load-bearing ones are the finite-difference oracle for
 backprop and the determinism contracts train_model promises to the runner."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,8 +13,7 @@ from proxybench.trainer import (
     GradientExplosion,
     HyperparamConfig,
     ModelParams,
-    _augment_batch,
-    _batch_loss_grad,
+    _gather_rows,
     config_id,
     evaluate_accuracy,
     forward_backward,
@@ -85,8 +85,13 @@ class TestSmoothedCrossEntropy:
 
     @staticmethod
     def _one_row(logits, label, smoothing):
-        loss, dlogits = _batch_loss_grad(np.array([logits], dtype=float), np.array([label]), smoothing)
-        return loss, dlogits[0]
+        # One identity layer with zero bias passes its input through as the
+        # logits, so the bias gradient of a one-row batch is dloss/dlogits.
+        k = len(logits)
+        params = ModelParams([k, k])
+        params.weights[0][:] = np.eye(k)
+        loss, grads = forward_backward(params, np.array([logits], dtype=float), np.array([label]), smoothing)
+        return loss, grads.biases[0].copy()
 
     def test_uniform_logits_give_ln_k(self):
         for smoothing in (False, True):
@@ -300,29 +305,39 @@ class TestOneCycle:
 
 
 class TestAugment:
+    """_gather_rows copies a batch's rows and reverses the flipped ones."""
+
     def test_prob_zero_is_identity(self):
-        rng = np.random.default_rng(0)
         x = np.arange(12.0).reshape(4, 3)
-        for _ in range(20):
-            assert np.array_equal(_augment_batch(x, 0.0, rng), x)
+        rows = np.array([3, 0, 2])
+        for flip in (None, np.zeros(3, dtype=bool)):
+            assert np.array_equal(_gather_rows(x, rows, flip, np.empty((3, 3))), x[rows])
 
     def test_prob_one_reverses(self):
-        rng = np.random.default_rng(0)
         x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        out = _augment_batch(x, 1.0, rng)
+        out = np.empty((2, 3))
+        assert _gather_rows(x, np.array([0, 1]), np.ones(2, dtype=bool), out) is out
         assert np.array_equal(out, [[3.0, 2.0, 1.0], [6.0, 5.0, 4.0]])
         assert np.array_equal(x, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])  # input untouched
 
     def test_applied_twice_is_identity(self):
-        rng = np.random.default_rng(0)
         x = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(_augment_batch(_augment_batch(x, 1.0, rng), 1.0, rng), x)
+        rows, flip = np.arange(3), np.ones(3, dtype=bool)
+        once = _gather_rows(x, rows, flip, np.empty((3, 4)))
+        assert np.array_equal(_gather_rows(once, rows, flip, np.empty((3, 4))), x)
 
     def test_intermediate_prob_produces_both_outcomes(self):
-        rng = np.random.default_rng(2)
         x = np.tile([1.0, 2.0], (50, 1))
-        out = _augment_batch(x, 0.5, rng)
+        flip = np.random.default_rng(2).random(50) < 0.5
+        out = _gather_rows(x, np.arange(50), flip, np.empty((50, 2)))
         assert {tuple(row) for row in out} == {(1.0, 2.0), (2.0, 1.0)}
+
+    def test_one_draw_per_epoch_equals_one_draw_per_batch(self):
+        # train_model draws an epoch's flips at once; they must be the numbers
+        # one draw per batch gives, which the pinned runs were recorded with.
+        per_batch = np.random.default_rng([5, 13, 0])
+        drawn = [per_batch.random(size) for size in (32, 32, 32, 7)]
+        assert np.array_equal(np.concatenate(drawn), np.random.default_rng([5, 13, 0]).random(103))
 
 
 class TestTrainModel:
@@ -440,6 +455,150 @@ class TestTrainModel:
         other = _small_data(dim=7)
         with pytest.raises(ValueError):
             train_model(train, other, _tiny_config())
+
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+class TestPinnedRuns:
+    """Per-epoch accuracies and a sha256 of the trained parameters, recorded
+    with a trainer that gathered, flipped and allocated batch by batch. A
+    change to how the trainer schedules its arithmetic must keep every bit;
+    any drift means an operation or its order changed.
+
+    "small" has 36 training rows, so the default batch of 8 leaves a
+    partial last batch of 4; "blocks" has 1125, more than one gather block.
+    """
+
+    CASES = {
+        "partial_last_batch": ("small", dict(batch_size=10), [0.75, 1.0, 1.0],
+                               "ab940844b2562d291cfffdd259bca7ebd999b10007cc70e18bc69b0c2353090c"),
+        "batch_covers_train": ("small", dict(batch_size=64), [0.3333333333333333, 0.4166666666666667, 0.4166666666666667],
+                               "6c26eb094e470dcf12895f8d0a7f9d982bdd3cb48c34edc33f149105a008d73a"),
+        "batch_equals_train": ("small", dict(batch_size=36), [0.3333333333333333, 0.4166666666666667, 0.4166666666666667],
+                               "6c26eb094e470dcf12895f8d0a7f9d982bdd3cb48c34edc33f149105a008d73a"),
+        "no_augment": ("small", dict(augment_prob=0.0), [0.75, 1.0, 1.0],
+                       "da730938cd7895d142da07db7eecfceddf6c9ffe06adf4ba9598a1faa3e7568b"),
+        "always_augment": ("small", dict(augment_prob=1.0), [0.75, 1.0, 1.0],
+                           "666bbd7377d2e8c91c080bdfe4345d5d6bce585a0ca46217ba33553a61a66f49"),
+        "one_hot_targets": ("small", dict(label_smoothing=False), [0.75, 1.0, 1.0],
+                            "cf276819cfa81675613e4fb9084297aa30671b456dd42ef50fd1a45433f3c5fa"),
+        "depth_large": ("small", dict(depth="large"), [0.6666666666666666, 1.0, 1.0],
+                        "949f66bba96042c601919b1bf7e58f0647da495e69f20856a0e74e3459123711"),
+        "sgd": ("small", dict(optimizer="sgd", learning_rate=0.1), [0.8333333333333334, 1.0, 1.0],
+                "83ab5412fd791ce573098d38ee0692bf0939bd4b7ddcf1d5f0d4a13480bce456"),
+        "adam": ("small", dict(optimizer="adam"), [0.75, 1.0, 1.0],
+                 "0916d7e25e4ab246a1945184af84c380f8fc480d6e2deab030f89d060303a346"),
+        "rmsprop": ("small", dict(optimizer="rmsprop"), [1.0, 1.0, 1.0],
+                    "c55035d450a5e1401134c238e64bf65307ca5c74756d3844d806492e9723d83b"),
+        "many_small_batches": ("blocks", dict(batch_size=7, epochs=2), [1.0, 1.0],
+                               "9b55ead8af5882c65e9e822fda29dedca42822f25421d8011c01abcc9799df01"),
+        "few_large_batches": ("blocks", dict(batch_size=300, epochs=2), [0.304, 0.32266666666666666],
+                              "5b344996c7b2c81b21185d8993896bc590fdd88357cb7619e09b53e4c35cd7db"),
+    }
+
+    @staticmethod
+    def _data(name):
+        if name == "small":
+            return split(_small_data(seed=5, per_class=16), 0.25, seed=0)
+        return split(_small_data(seed=6, per_class=500), 0.25, seed=0)
+
+    @staticmethod
+    def _config(**kw):
+        return _tiny_config(**{"epochs": 3, "seed": 7, "learning_rate": 0.02, "batch_size": 8, **kw})
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_matches_recorded_bits(self, case):
+        data, overrides, expected, digest = self.CASES[case]
+        train, val = self._data(data)
+        rec, params = train_model(train, val, self._config(**overrides))
+        assert rec.status == "ok"
+        assert rec.epoch_val_acc == expected
+        assert _sha(params.flat) == digest
+
+    def test_run_aborted_mid_epoch_matches_recorded_bits(self, monkeypatch):
+        import proxybench.trainer as trainer
+
+        calls = []
+
+        def failing_eighth(state, params, grads, lr):
+            calls.append(lr)
+            if len(calls) == 8:  # the third of five steps in epoch 1
+                raise GradientExplosion("injected")
+            return optimizer_step(state, params, grads, lr)
+
+        monkeypatch.setattr(trainer, "optimizer_step", failing_eighth)
+        train, val = self._data("small")
+        rec, params = train_model(train, val, self._config())
+        assert rec.status == "aborted"
+        assert len(calls) == 8
+        assert rec.epoch_val_acc == [0.75, 0.75, 0.75]  # epoch 0's, padded
+        assert _sha(params.flat) == "fb8932a76dcc9a1d3470a056dee8c5e5948b6c9806ffde01c76c5348af1b8a6b"
+
+    def test_diverging_run_matches_recorded_bits(self):
+        d = _small_data()
+        big = Dataset(d.features * 1e60, d.labels, d.ids, d.class_count, d.feature_dim)
+        train, val = split(big, 0.2, seed=0)
+        rec, params = train_model(train, val, _tiny_config(optimizer="sgd", learning_rate=1e30, epochs=3, batch_size=8))
+        assert rec.status == "aborted"
+        assert rec.epoch_val_acc == [1 / 3] * 3
+        assert _sha(params.flat) == "802ee8ac6e9619cfea52b2510ada25224ad9b296de8031888786add1b256bcbb"
+
+    # (rows, loss.hex(), sha256 of the gradient) for a fresh depth-"large"
+    # model on the first rows of the "small" training set, recorded with
+    # buffers allocated on every call.
+    GRADIENTS = [
+        (8, "0x1.38c2a0bcfabdep+0", "f8e8ff2508b07fe9ea57f90b6cf38879b06dcd7e5c192944b0677d85441b0ead"),
+        (5, "0x1.15041a0be8ad3p+0", "beff6c4fa5c1ab1c139dc7136bb1c573a135ca05595863aaa4c0dc25e5829fb9"),
+    ]
+
+    def test_reused_buffers_give_the_bits_of_a_fresh_call(self):
+        train, _ = self._data("small")
+        params = init_params(_tiny_config(depth="large"), train.feature_dim, train.class_count)
+        reused = ModelParams(params.sizes)
+        for rows, loss_hex, digest in self.GRADIENTS * 2:  # full, partial, then both again
+            x, y = train.features[:rows], train.labels[:rows]
+            fresh_loss, fresh = forward_backward(params, x, y, True)
+            loss, grads = forward_backward(params, x, y, True, reused)
+            assert grads is reused
+            assert loss.hex() == fresh_loss.hex() == loss_hex
+            assert _sha(grads.flat) == _sha(fresh.flat) == digest
+        assert sorted(reused.scratch) == [5, 8]  # one set of buffers per batch size
+
+
+class TestCallContract:
+    """train_model reaches the layer functions through the module globals,
+    where a tracer or a test can wrap them: forward_backward and
+    optimizer_step once per step, evaluate_accuracy once per epoch."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        import proxybench.trainer as trainer
+
+        counts = {}
+        for name in ("forward_backward", "optimizer_step", "evaluate_accuracy"):
+            def counting(*args, _name=name, _fn=getattr(trainer, name)):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args)
+
+            monkeypatch.setattr(trainer, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("batch_size, steps_per_epoch", [(8, 6), (48, 1), (100, 1), (5, 10)])
+    def test_once_per_step_and_once_per_epoch(self, monkeypatch, batch_size, steps_per_epoch):
+        counts = self._count_calls(monkeypatch)
+        train, val = split(_small_data(), 0.2, seed=0)  # 48 training rows
+        rec, _ = train_model(train, val, _tiny_config(epochs=3, batch_size=batch_size))
+        assert rec.status == "ok"
+        steps = 3 * steps_per_epoch
+        assert counts == {"forward_backward": steps, "optimizer_step": steps, "evaluate_accuracy": 3}
+
+    def test_many_blocks_per_epoch(self, monkeypatch):
+        counts = self._count_calls(monkeypatch)
+        train, val = split(_small_data(per_class=500), 0.2, seed=0)  # 1200 rows: two blocks of batches
+        train_model(train, val, _tiny_config(epochs=1, batch_size=100))
+        assert counts == {"forward_backward": 12, "optimizer_step": 12, "evaluate_accuracy": 1}
 
 
 class TestInit:
