@@ -13,7 +13,6 @@ from .metrics import (
     epoch_correlation,
     lasso_cv,
     pair_accuracies,
-    pairwise_winrate,
     r2_no_intercept,
     select_good_configs,
     spearman,

@@ -18,6 +18,7 @@ import os
 import sys
 from pathlib import Path
 
+from ._atomic import write_atomic
 from .dataset import Dataset, SynthSpec, load_csv, split, synth_generate
 from .difficulty import load_table, save_table, score_examples
 from .metrics import (
@@ -31,7 +32,7 @@ from .metrics import (
     zscore,
 )
 from .orchestrator import grid_from_json, generate_grid, run_matrix, store_load
-from .proxy import ProxySpec, build_proxy, load_manifest, save_manifest
+from .proxy import FULL_PROXY_ID, ProxySpec, build_proxy, load_manifest, save_manifest
 from .trainer import HyperparamConfig, config_id, train_model
 
 __all__ = ["main", "UsageError"]
@@ -44,15 +45,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route to our codes
         raise UsageError(message)
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _global_seed(args) -> int:
@@ -90,7 +82,7 @@ def _cmd_gen_data(args) -> int:
     except TypeError as e:
         raise UsageError(f"bad synth spec: {e}") from None
     d = synth_generate(spec)
-    _write_atomic(Path(args.out), _dataset_csv_text(d))
+    write_atomic(args.out, _dataset_csv_text(d))
     print(f"wrote {len(d)} examples ({d.class_count} classes, dim {d.feature_dim}) to {args.out}")
     return 0
 
@@ -100,14 +92,8 @@ def _cmd_score(args) -> int:
     cfg = HyperparamConfig(seed=_global_seed(args))
     _, params = train_model(train, val, cfg)
     table = score_examples(params, train, scoring_config_id=config_id(cfg))
-    out = Path(args.out)
-    try:
-        save_table(table, out)
-    except BaseException:
-        out.unlink(missing_ok=True)
-        out.with_suffix(".json").unlink(missing_ok=True)
-        raise
-    print(f"scored {len(table)} examples with the default config; wrote {out}")
+    save_table(table, args.out)
+    print(f"scored {len(table)} examples with the default config; wrote {args.out}")
     return 0
 
 
@@ -118,37 +104,13 @@ def _parse_classes(text: str) -> tuple:
         raise UsageError(f"--classes must be comma-separated integers, got {text!r}") from None
 
 
-def _spec_from_flags(args) -> ProxySpec:
-    kind = args.kind
+def _cmd_make_proxy(args) -> int:
+    classes = None if args.classes is None else _parse_classes(args.classes)
     try:
-        if kind == "full":
-            return ProxySpec.full()
-        if kind == "random_all":
-            if args.fraction is None:
-                raise UsageError("random_all requires --fraction")
-            return ProxySpec.random_all(args.fraction, seed=args.seed)
-        if kind == "half_classes":
-            classes = _parse_classes(args.classes) if args.classes else None
-            return ProxySpec.half_classes(
-                class_set=classes,
-                fraction=args.fraction if args.fraction is not None else 1.0,
-                seed=args.seed,
-            )
-        if kind == "quantile":
-            if args.lo is None or args.hi is None:
-                raise UsageError("quantile requires --lo and --hi")
-            return ProxySpec.quantile(args.lo, args.hi)
-        if kind == "fewer_epochs":
-            if args.epochs is None:
-                raise UsageError("fewer_epochs requires --epochs")
-            return ProxySpec.fewer_epochs(args.epochs)
+        spec = ProxySpec(kind=args.kind, fraction=args.fraction, class_set=classes, lo=args.lo, hi=args.hi,
+                         epochs=args.epochs, seed=args.seed)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    raise UsageError(f"unknown proxy kind {kind!r}")
-
-
-def _cmd_make_proxy(args) -> int:
-    spec = _spec_from_flags(args)
     if spec.kind == "quantile" and not args.scores:
         raise UsageError("quantile proxies require --scores")
     d, train, val = _load_split(args)
@@ -160,11 +122,7 @@ def _cmd_make_proxy(args) -> int:
                 f"difficulty table is for dataset {table.dataset_id!r}, not {d.id!r}"
             )
     manifest = build_proxy(train, val, spec, table=table, target_epochs=args.target_epochs)
-    try:
-        save_manifest(manifest, args.out)
-    except BaseException:
-        Path(args.out).unlink(missing_ok=True)
-        raise
+    save_manifest(manifest, args.out)
     print(
         f"proxy {manifest.proxy_id}: {len(manifest.train_ids)} train ids, "
         f"{len(manifest.val_ids)} val ids, {manifest.epochs} epochs, "
@@ -190,7 +148,7 @@ def _cmd_run_grid(args) -> int:
     grid_spec = grid_from_json(args.grid)
     grid = generate_grid(grid_spec)
     manifests, proxy_ids = _load_manifests(Path(args.proxies))
-    if "full" not in proxy_ids:
+    if FULL_PROXY_ID not in proxy_ids:
         # The target task always runs; proxies are judged against it.
         manifests.insert(
             0,
@@ -211,9 +169,10 @@ def _cmd_run_grid(args) -> int:
     store = store_load(args.out)
     already = len(store)
     run_matrix(
-        splits={d.id: (train, val)},
-        proxies={d.id: manifests},
-        grid=grid,
+        train,
+        val,
+        manifests,
+        grid,
         parallelism=args.parallel,
         global_seed=_global_seed(args),
         store=store,
@@ -238,7 +197,7 @@ def _epoch_corr_csv(records) -> str:
     buf = io.StringIO()
     buf.write("dataset,epoch,pearson\n")
     for ds in sorted({r.dataset_id for r in records}):
-        full = [r for r in records if r.dataset_id == ds and r.proxy_id == "full"]
+        full = [r for r in records if r.dataset_id == ds and r.proxy_id == FULL_PROXY_ID]
         if len(full) < 3:
             continue
         for e, corr in enumerate(epoch_correlation(full)):
@@ -252,16 +211,16 @@ def _cmd_analyze(args) -> int:
     records = store.records()
     if not records:
         raise ValueError(f"no records in {args.results}")
-    reports = build_quality_reports(records, good_rule=rule, target_proxy=args.target_proxy)
+    reports = build_quality_reports(records, good_rule=rule)
     out = Path(args.out)
     buf = io.StringIO()
     reports_to_csv(reports, buf)
-    _write_atomic(out, buf.getvalue())
+    write_atomic(out, buf.getvalue())
     print(f"{len(reports)} strategy rows -> {out}")
 
     if args.epoch_corr:
         ec_path = out.with_name(out.stem + "-epochs.csv")
-        _write_atomic(ec_path, _epoch_corr_csv(records))
+        write_atomic(ec_path, _epoch_corr_csv(records))
         print(f"epoch correlations -> {ec_path}")
 
     if args.consistency:
@@ -288,7 +247,7 @@ def _cmd_report(args) -> int:
     buf.write("strategy,dataset,relative_cost,r2,cost_adjusted\n")
     for r in reports:
         buf.write(f"{r.strategy},{r.dataset},{r.relative_cost!r},{r.r2!r},{r.cost_adjusted!r}\n")
-    _write_atomic(out_dir / "quality_vs_cost.csv", buf.getvalue())
+    write_atomic(out_dir / "quality_vs_cost.csv", buf.getvalue())
     written = ["quality_vs_cost.csv"]
 
     if args.results:
@@ -296,15 +255,15 @@ def _cmd_report(args) -> int:
         buf = io.StringIO()
         buf.write("dataset,strategy,config_id,proxy_acc_z,target_acc_z\n")
         for r in reports:
-            if r.strategy == "full":
+            if r.strategy == FULL_PROXY_ID:
                 continue
             paired = pair_accuracies(records, r.dataset, r.strategy)
             pz = zscore(paired.proxy_acc)
             tz = zscore(paired.target_acc)
             for cfg, p, t in zip(paired.config_ids, pz, tz):
                 buf.write(f"{r.dataset},{r.strategy},{cfg},{p!r},{t!r}\n")
-        _write_atomic(out_dir / "proxy_target_scatter.csv", buf.getvalue())
-        _write_atomic(out_dir / "epoch_correlation.csv", _epoch_corr_csv(records))
+        write_atomic(out_dir / "proxy_target_scatter.csv", buf.getvalue())
+        write_atomic(out_dir / "epoch_correlation.csv", _epoch_corr_csv(records))
         written += ["proxy_target_scatter.csv", "epoch_correlation.csv"]
 
     print(f"wrote {', '.join(written)} to {out_dir}")
@@ -355,7 +314,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--results", required=True, help="results JSONL from run-grid")
     p.add_argument("--out", required=True, help="output quality report CSV")
     p.add_argument("--good-rule", default="top:0.5", help="good-config rule: top:F or min:T")
-    p.add_argument("--target-proxy", default="full", help="proxy id treated as the target task")
     p.add_argument("--epoch-corr", action="store_true", help="also write per-epoch correlation CSV")
     p.add_argument("--consistency", help="dsA,dsB[:metric] - correlation of a metric across two datasets")
     p.set_defaults(func=_cmd_analyze)

@@ -9,12 +9,14 @@ addressed on a hardest(0) to easiest(1) axis, so (0.9, 1.0) is the easiest
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._atomic import write_atomic
 from ._exact import exact_floor
 from .dataset import Dataset
 from .trainer import ModelParams, _forward, _layer_outputs, _log_softmax
@@ -56,9 +58,6 @@ class DifficultyTable:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def ids_in_rank_order(self) -> list:
-        return [ex_id for ex_id, _ in self.entries]
 
 
 def score_examples(model: ModelParams, train: Dataset, scoring_config_id: str = "default") -> DifficultyTable:
@@ -105,18 +104,24 @@ def quantile_slice(table: DifficultyTable, lo: float, hi: float) -> list:
 
 
 def save_table(table: DifficultyTable, path: str | Path) -> None:
-    """Write `example_id,loss` CSV plus a .json sidecar with the metadata."""
+    """Write `example_id,loss` CSV plus a .json sidecar with the metadata.
+
+    Each file is replaced atomically, so a failed write leaves its previous
+    version whole. The table goes first: a failure between the two leaves
+    the old sidecar, whose dataset id make-proxy checks, beside the new
+    table, never a new sidecar vouching for an old table.
+    """
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["example_id", "loss"])
-        for ex_id, loss in table.entries:
-            w.writerow([ex_id, repr(loss)])
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["example_id", "loss"])
+    w.writerows((ex_id, repr(loss)) for ex_id, loss in table.entries)
     sidecar = {
         "dataset_id": table.dataset_id,
         "scoring_config_id": table.scoring_config_id,
     }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    write_atomic(path, buf.getvalue())
+    write_atomic(path.with_suffix(".json"), json.dumps(sidecar, indent=2) + "\n")
 
 
 def load_table(path: str | Path) -> DifficultyTable:
@@ -127,10 +132,9 @@ def load_table(path: str | Path) -> DifficultyTable:
         rows = list(csv.reader(fh))
     entries = tuple((int(r[0]), float(r[1])) for r in rows[1:] if r)
     sidecar_path = path.with_suffix(".json")
-    if sidecar_path.exists():
-        meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    else:
-        meta = {"dataset_id": "unknown", "scoring_config_id": "unknown"}
+    if not sidecar_path.exists():
+        raise FileNotFoundError(f"difficulty table sidecar not found: {sidecar_path}")
+    meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
     return DifficultyTable(
         entries=entries,
         dataset_id=meta["dataset_id"],

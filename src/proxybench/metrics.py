@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._exact import exact_ceil
+from .proxy import FULL_PROXY_ID
 
 __all__ = [
     "PairedAccuracies",
@@ -32,7 +33,6 @@ __all__ = [
     "cost_adjusted_quality",
     "consistency_correlation",
     "epoch_correlation",
-    "pairwise_winrate",
     "pair_accuracies",
     "build_quality_reports",
     "reports_to_csv",
@@ -210,9 +210,6 @@ class LassoFit:
     intercept: float
     lam: float
 
-    def predict(self, features) -> np.ndarray:
-        return np.asarray(features, dtype=np.float64) @ self.coef + self.intercept
-
 
 def _lasso_exact(xs: np.ndarray, yc: np.ndarray, lam: float) -> np.ndarray:
     """Minimize (1/2n)||yc - xs b||^2 + lam ||b||_1 exactly: try all 3^p sign patterns.
@@ -249,7 +246,7 @@ def _standardize(x: np.ndarray):
 
 
 def lasso_cv(features, y, lambda_grid=None) -> LassoFit:
-    """Lasso on (n, p) features, the penalty weight chosen by k-fold cross-validation.
+    """Lasso on (n, p <= 3) features, the penalty weight chosen by k-fold cross-validation.
 
     Features are standardized internally and the intercept is never
     penalized; returned coefficients are on the original scale. The default
@@ -260,6 +257,8 @@ def lasso_cv(features, y, lambda_grid=None) -> LassoFit:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"features must be an (n, p) array, got shape {x.shape}")
+    if x.shape[1] > 3:  # the exact solver costs 3^p solves per fit
+        raise ValueError(f"at most 3 feature columns, got {x.shape[1]}")
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
@@ -383,36 +382,8 @@ def epoch_correlation(records) -> list:
     return out
 
 
-def pairwise_winrate(records, epoch: int) -> float:
-    """Chance that the run ahead at `epoch` (0-based) stays ahead at the end.
-
-    Counted over unordered record pairs; pairs exactly tied at the epoch or
-    at the final best are left out entirely.
-    """
-    records = list(records)
-    if len(records) < 2:
-        raise ValueError("need at least 2 records")
-    for r in records:
-        if not (0 <= epoch < len(r.epoch_val_acc)):
-            raise ValueError(f"epoch {epoch} out of range for record {r.config_id}")
-    agree = 0
-    total = 0
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            de = records[i].epoch_val_acc[epoch] - records[j].epoch_val_acc[epoch]
-            df = records[i].best_val_acc - records[j].best_val_acc
-            if de == 0.0 or df == 0.0:
-                continue
-            total += 1
-            if (de > 0) == (df > 0):
-                agree += 1
-    if total == 0:
-        raise ValueError("all pairs tied; winrate undefined")
-    return agree / total
-
-
-def pair_accuracies(records, dataset_id: str, proxy_id: str, target_proxy: str = "full") -> PairedAccuracies:
-    """Align proxy-run and target-run accuracies by config id."""
+def pair_accuracies(records, dataset_id: str, proxy_id: str) -> PairedAccuracies:
+    """Align proxy-run and full-run accuracies by config id."""
     proxy_by_cfg = {}
     target_by_cfg = {}
     for r in records:
@@ -420,12 +391,12 @@ def pair_accuracies(records, dataset_id: str, proxy_id: str, target_proxy: str =
             continue
         if r.proxy_id == proxy_id:
             proxy_by_cfg[r.config_id] = r.best_val_acc
-        if r.proxy_id == target_proxy:
+        if r.proxy_id == FULL_PROXY_ID:
             target_by_cfg[r.config_id] = r.best_val_acc
     shared = sorted(set(proxy_by_cfg) & set(target_by_cfg))
     if not shared:
         raise ValueError(
-            f"no shared configs between {proxy_id!r} and {target_proxy!r} on {dataset_id!r}"
+            f"no shared configs between {proxy_id!r} and {FULL_PROXY_ID!r} on {dataset_id!r}"
         )
     return PairedAccuracies(
         dataset_id=dataset_id,
@@ -436,22 +407,18 @@ def pair_accuracies(records, dataset_id: str, proxy_id: str, target_proxy: str =
     )
 
 
-def _strategy_cost(records, dataset_id: str, proxy_id: str, target_proxy: str) -> float:
+def _strategy_cost(records, dataset_id: str, proxy_id: str) -> float:
     proxy_costs = [r.cost_units for r in records if r.dataset_id == dataset_id and r.proxy_id == proxy_id]
-    target_costs = [r.cost_units for r in records if r.dataset_id == dataset_id and r.proxy_id == target_proxy]
+    target_costs = [r.cost_units for r in records if r.dataset_id == dataset_id and r.proxy_id == FULL_PROXY_ID]
     return (sum(proxy_costs) / len(proxy_costs)) / (sum(target_costs) / len(target_costs))
 
 
-def build_quality_reports(
-    records,
-    good_rule: GoodConfigRule = DEFAULT_GOOD_RULE,
-    target_proxy: str = "full",
-) -> list:
+def build_quality_reports(records, good_rule: GoodConfigRule = DEFAULT_GOOD_RULE) -> list:
     """QualityReport rows for every (dataset, strategy) in a result set.
 
-    The target strategy itself is included as a row (r2 = 1 by
-    construction), mirroring how the full run anchors the quality-vs-cost
-    picture. Cost-adjusted values need at least 5 strategies on a dataset;
+    Every strategy is scored against the full run, which is itself
+    included as a row (r2 = 1 by construction), anchoring the
+    quality-vs-cost picture. Cost-adjusted values need at least 5 strategies on a dataset;
     with fewer, that column is nan. Rows with under 3 paired configs are
     skipped entirely.
     """
@@ -460,11 +427,11 @@ def build_quality_reports(
     rows = []
     for ds in datasets:
         proxies = sorted({r.proxy_id for r in records if r.dataset_id == ds})
-        if target_proxy not in proxies:
-            raise ValueError(f"dataset {ds!r} has no {target_proxy!r} runs to compare against")
+        if FULL_PROXY_ID not in proxies:
+            raise ValueError(f"dataset {ds!r} has no {FULL_PROXY_ID!r} runs to compare against")
         ds_rows = []
         for proxy_id in proxies:
-            paired = pair_accuracies(records, ds, proxy_id, target_proxy)
+            paired = pair_accuracies(records, ds, proxy_id)
             if len(paired) < 3:
                 continue
             _, r2 = r2_no_intercept(zscore(paired.proxy_acc), zscore(paired.target_acc))
@@ -483,7 +450,7 @@ def build_quality_reports(
                     r2=r2,
                     spearman_good=sp,
                     cost_adjusted=float("nan"),
-                    relative_cost=_strategy_cost(records, ds, proxy_id, target_proxy),
+                    relative_cost=_strategy_cost(records, ds, proxy_id),
                     n_configs=len(paired),
                 )
             )

@@ -1,4 +1,4 @@
-"""Grid generation and execution of the (dataset x proxy x config) matrix.
+"""Grid generation and execution of the (proxy x config) matrix on one split.
 
 One-at-a-time grids: the default config, then one config per alternative
 value of a single field. The run matrix is embarrassingly parallel; every
@@ -92,9 +92,6 @@ class ResultStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def __contains__(self, key) -> bool:
-        return key in self._records
-
     def keys(self):
         return self._records.keys()
 
@@ -164,30 +161,23 @@ def run_seed(dataset_id: str, proxy_id: str, cfg_id: str, global_seed: int) -> i
 
 def _run_cell(sub_train: Dataset, sub_val: Dataset, manifest: ProxyManifest, cfg: HyperparamConfig, cfg_id: str, seed: int) -> RunRecord:
     run_cfg = replace(cfg, seed=seed, epochs=manifest.epochs)
-    record, _ = train_model(
-        sub_train,
-        sub_val,
-        run_cfg,
-        dataset_id=sub_train.id,
-        proxy_id=manifest.proxy_id,
-        config_key=cfg_id,
-    )
+    record, _ = train_model(sub_train, sub_val, run_cfg, proxy_id=manifest.proxy_id, config_key=cfg_id)
     return record
 
 
 def run_matrix(
-    splits: dict,
-    proxies: dict,
+    train: Dataset,
+    val: Dataset,
+    manifests: list,
     grid: list,
+    *,
     parallelism: int = 1,
     global_seed: int = 0,
     store: ResultStore | None = None,
 ) -> ResultStore:
-    """Run every (dataset, proxy, config) cell not already in the store.
+    """Run every (proxy, config) cell on one train/val split not already in the store.
 
-    splits: key -> (train Dataset, val Dataset).
-    proxies: key -> list of ProxyManifest. The keys only pair the two
-    dicts: records, and the lookup of stored cells, use train.id.
+    Records, and the lookup of stored cells, use train.id as the dataset id.
     grid: HyperparamConfigs; each cell overrides seed (hash of the key) and
     epochs (the manifest's budget), but keeps the grid config's identity so
     results pair across proxies. Records are appended in submission order
@@ -199,31 +189,27 @@ def run_matrix(
         raise ValueError("parallelism must be >= 1")
     if not grid:
         raise ValueError("empty grid")
-    if set(splits) != set(proxies):
-        raise ValueError("splits and proxies must cover the same dataset ids")
     if store is None:
         store = ResultStore()
 
     cells = []
-    for ds_id in sorted(splits):
-        train, val = splits[ds_id]
-        for manifest in proxies[ds_id]:
-            pending = []
-            for cfg in grid:
-                cfg_id = config_id(cfg)
-                key = (train.id, manifest.proxy_id, cfg_id)
-                seed = run_seed(*key, global_seed)
-                stored = store.get(key)
-                if stored is None:
-                    pending.append((cfg, cfg_id, seed))
-                elif stored.seed != seed:
-                    raise ValueError(
-                        f"stored run {key} used seed {stored.seed}, "
-                        f"but global seed {global_seed} gives seed {seed}; refusing to resume"
-                    )
-            if pending:  # one subset per manifest, shared by its cells
-                subsets = (subset_by_ids(train, manifest.train_ids), subset_by_ids(val, manifest.val_ids))
-                cells += [(*subsets, manifest, *cell) for cell in pending]
+    for manifest in manifests:
+        pending = []
+        for cfg in grid:
+            cfg_id = config_id(cfg)
+            key = (train.id, manifest.proxy_id, cfg_id)
+            seed = run_seed(*key, global_seed)
+            stored = store.get(key)
+            if stored is None:
+                pending.append((cfg, cfg_id, seed))
+            elif stored.seed != seed:
+                raise ValueError(
+                    f"stored run {key} used seed {stored.seed}, "
+                    f"but global seed {global_seed} gives seed {seed}; refusing to resume"
+                )
+        if pending:  # one subset per manifest, shared by its cells
+            subsets = (subset_by_ids(train, manifest.train_ids), subset_by_ids(val, manifest.val_ids))
+            cells += [(*subsets, manifest, *cell) for cell in pending]
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         futures = [pool.submit(_run_cell, *cell) for cell in cells]

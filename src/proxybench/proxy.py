@@ -15,11 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import write_atomic
 from ._exact import exact_ceil
 from .dataset import Dataset, class_filter
 from .difficulty import DifficultyTable, quantile_slice
 
 __all__ = [
+    "FULL_PROXY_ID",
     "ProxySpec",
     "ProxyManifest",
     "build_proxy",
@@ -28,6 +30,7 @@ __all__ = [
     "load_manifest",
 ]
 
+FULL_PROXY_ID = "full"  # the full-data run, the target every proxy is scored against
 _KINDS = ("full", "random_all", "half_classes", "quantile", "fewer_epochs")
 
 _STREAM_SAMPLE = 21
@@ -117,7 +120,7 @@ class ProxySpec:
     def proxy_id(self) -> str:
         """Human-readable identity; quantile slices use hard-lo-hi notation."""
         if self.kind == "full":
-            return "full"
+            return FULL_PROXY_ID
         if self.kind == "random_all":
             return f"random-{float(self.fraction)}-s{self.seed}"
         if self.kind == "half_classes":
@@ -226,15 +229,16 @@ def build_proxy(
     elif spec.kind == "quantile":
         if table is None:
             raise ValueError("quantile proxy requires a difficulty table")
+        # Ranks are quantiles of the whole training set only if every training id is scored.
+        scored, known = {ex_id for ex_id, _ in table.entries}, train.id_set()
+        if scored != known:
+            raise ValueError(
+                f"difficulty table must score exactly the training ids: "
+                f"{len(known - scored)} unscored, {len(scored - known)} not in the training set"
+            )
         ids = quantile_slice(table, spec.lo, spec.hi)
         if not ids:
             raise ValueError(f"quantile ({spec.lo}, {spec.hi}) yields 0 examples")
-        known = train.id_set()
-        missing = [i for i in ids if i not in known]
-        if missing:
-            raise ValueError(
-                f"difficulty table ids not in training set: {sorted(missing)[:5]}"
-            )
         train_ids = sorted(ids)
         val_ids = all_val
     else:  # fewer_epochs
@@ -276,7 +280,7 @@ def save_manifest(manifest: ProxyManifest, path: str | Path) -> None:
         "epochs": manifest.epochs,
         "relative_cost": manifest.relative_cost,
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
 def load_manifest(path: str | Path) -> ProxyManifest:

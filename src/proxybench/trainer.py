@@ -457,7 +457,6 @@ def train_model(
     val: Dataset,
     config: HyperparamConfig,
     *,
-    dataset_id: str | None = None,
     proxy_id: str = "full",
     config_key: str | None = None,
     shuffle_seed: int | None = None,
@@ -537,7 +536,7 @@ def train_model(
 
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
     record = RunRecord(
-        dataset_id=dataset_id if dataset_id is not None else train.id,
+        dataset_id=train.id,
         proxy_id=proxy_id,
         config_id=config_key if config_key is not None else config_id(config),
         seed=config.seed,

@@ -123,7 +123,7 @@ def test_2_statistics_match_independent_oracles(capsys):
     worst_ls = 0.0
     for _ in range(100):
         n = int(rng.integers(30, 60))
-        p = int(rng.integers(2, 5))
+        p = int(rng.integers(1, 4))
         x = rng.normal(size=(n, p))
         y = x @ rng.normal(size=p) + rng.normal() + 0.1 * rng.normal(size=n)
         fit = lasso_cv(x, y, lambda_grid=[0.0])
@@ -386,7 +386,7 @@ def test_7_easier_half_tracks_the_target_better_exploratory(capsys):
             build_proxy(train, val, ProxySpec.quantile(0.5, 1.0), table=table, target_epochs=10),
             build_proxy(train, val, ProxySpec.quantile(0.0, 0.5), table=table, target_epochs=10),
         ]
-        store = run_matrix({d.id: (train, val)}, {d.id: manifests}, grid, global_seed=seed)
+        store = run_matrix(train, val, manifests, grid, global_seed=seed)
         r2 = {}
         for proxy_id in ("hard-0.5-1.0", "hard-0.0-0.5"):
             paired = pair_accuracies(store.records(), d.id, proxy_id)

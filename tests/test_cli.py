@@ -1,11 +1,14 @@
+import argparse
 import hashlib
 import json
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from proxybench.cli import main
+from proxybench.cli import _build_parser, main
 from proxybench.dataset import SynthSpec, load_csv, synth_generate
 from proxybench.metrics import reports_from_csv
 from proxybench.orchestrator import store_load
@@ -169,6 +172,64 @@ class TestMakeProxy:
         )
         assert code == 1
         assert "comma-separated" in capsys.readouterr().err
+
+    def test_flag_the_kind_does_not_take_is_usage_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = main(["make-proxy", "--data", str(pipeline["data"]), "--kind", "full", "--fraction", "0.5", "--out", str(out)])
+        assert code == 1
+        assert "full proxy does not take fraction" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncated_table_is_refused(self, pipeline, tmp_path, capsys):
+        # a table cut off mid-write must not pass for the whole training set
+        scores = tmp_path / "cut.csv"
+        lines = pipeline["scores"].read_text().splitlines(keepends=True)
+        scores.write_text("".join(lines[: len(lines) // 2]))
+        shutil.copy(pipeline["scores"].with_suffix(".json"), scores.with_suffix(".json"))
+        out = tmp_path / "m.json"
+        code = main(
+            ["make-proxy", "--data", str(pipeline["data"]), "--kind", "quantile", "--lo", "0.9", "--hi", "1.0",
+             "--scores", str(scores), "--out", str(out)]
+        )
+        assert code == 2
+        assert "must score exactly the training ids" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _fill_disk(monkeypatch):
+    """From here on, every Path.write_text writes half its text, then fails."""
+    real = Path.write_text
+
+    def half_then_fail(self, text, *args, **kwargs):
+        real(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+
+
+class TestFailedWrites:
+    """A write that fails part-way leaves the previous output whole and no temp file."""
+
+    def test_score_keeps_previous_table_and_sidecar(self, pipeline, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "scores.csv"
+        out.write_text("previous table\n")
+        out.with_suffix(".json").write_text("previous sidecar\n")
+        _fill_disk(monkeypatch)
+        assert main(["score", "--data", str(pipeline["data"]), "--out", str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+            "scores.csv": "previous table\n",
+            "scores.json": "previous sidecar\n",
+        }
+
+    def test_make_proxy_keeps_previous_manifest(self, pipeline, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "m.json"
+        out.write_text("previous manifest\n")
+        _fill_disk(monkeypatch)
+        code = main(["make-proxy", "--data", str(pipeline["data"]), "--kind", "random_all", "--fraction", "0.5", "--out", str(out)])
+        assert code == 2
+        assert "disk full" in capsys.readouterr().err
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"m.json": "previous manifest\n"}
 
 
 class TestRunGrid:
@@ -386,6 +447,26 @@ class TestReport:
         scatter = (out / "proxy_target_scatter.csv").read_text().strip().splitlines()
         assert scatter[0] == "dataset,strategy,config_id,proxy_acc_z,target_acc_z"
         assert len(scatter) == 1 + 4 * 4  # 4 non-target strategies x 4 configs
+
+
+class TestFlagSets:
+    def test_each_subcommand_takes_exactly_these_options(self):
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        common = {"--global-seed", "--val-fraction"}
+        flags = {
+            name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert flags == {
+            "gen-data": {"--spec", "--out"},
+            "score": {"--data", "--out"} | common,
+            "make-proxy": {"--data", "--scores", "--kind", "--lo", "--hi", "--fraction", "--classes", "--epochs",
+                           "--seed", "--target-epochs", "--out"} | common,
+            "run-grid": {"--data", "--grid", "--proxies", "--out", "--parallel", "--dry-run"} | common,
+            "analyze": {"--results", "--out", "--good-rule", "--epoch-corr", "--consistency"},
+            "report": {"--report", "--out", "--results"},
+        }
 
 
 class TestExitCodes:

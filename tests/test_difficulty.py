@@ -72,7 +72,7 @@ class TestScoreExamples:
         _, params = train_model(train, val, cfg)
         table = score_examples(params, train)
         flipped_in_train = flipped & train.id_set()
-        hardest = set(table.ids_in_rank_order()[: len(flipped_in_train)])
+        hardest = {ex_id for ex_id, _ in table.entries[: len(flipped_in_train)]}
         assert hardest == flipped_in_train
 
 
@@ -165,3 +165,10 @@ class TestPersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_table(tmp_path / "none.csv")
+
+    def test_missing_sidecar_is_named(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        save_table(_table([1.0, 2.0]), p)
+        p.with_suffix(".json").unlink()
+        with pytest.raises(FileNotFoundError, match=r"sidecar not found: .*scores\.json"):
+            load_table(p)

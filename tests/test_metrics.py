@@ -13,7 +13,6 @@ from proxybench.metrics import (
     epoch_correlation,
     lasso_cv,
     pair_accuracies,
-    pairwise_winrate,
     r2_no_intercept,
     reports_from_csv,
     reports_to_csv,
@@ -225,16 +224,16 @@ class TestLassoCV:
 
     def test_recovers_sparse_signal(self):
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(200, 5))
+        x = rng.normal(size=(200, 3))
         y = 3.0 * x[:, 1] + rng.normal(scale=0.05, size=200)
         fit = lasso_cv(x, y)
         assert abs(fit.coef[1] - 3.0) < 0.05
         assert np.all(np.abs(np.delete(fit.coef, 1)) < 0.05)
 
-    def test_predict(self):
-        x = np.arange(8.0)
-        fit = lasso_cv(x[:, None], 2.0 * x + 1.0, lambda_grid=[0.0])
-        assert np.allclose(fit.predict(x.reshape(-1, 1)), 2.0 * x + 1.0, atol=1e-6)
+    def test_more_than_three_columns_rejected(self):
+        x = np.random.default_rng(0).normal(size=(10, 4))
+        with pytest.raises(ValueError, match="at most 3 feature columns"):
+            lasso_cv(x, np.arange(10.0))
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
@@ -411,44 +410,6 @@ class TestEpochCorrelation:
     def test_too_few_records(self):
         with pytest.raises(ValueError):
             epoch_correlation([_rec([0.1]), _rec([0.2])])
-
-
-class TestPairwiseWinrate:
-    def test_perfect_agreement(self):
-        recs = [_rec([a], best=b) for a, b in zip([0.1, 0.2, 0.3], [0.4, 0.5, 0.6])]
-        assert pairwise_winrate(recs, 0) == 1.0
-
-    def test_perfect_disagreement(self):
-        recs = [_rec([a], best=b) for a, b in zip([0.1, 0.2], [0.2, 0.1])]
-        assert pairwise_winrate(recs, 0) == 0.0
-
-    def test_two_thirds(self):
-        recs = [_rec([a], best=b) for a, b in zip([0.1, 0.2, 0.3], [0.1, 0.3, 0.2])]
-        assert abs(pairwise_winrate(recs, 0) - 2.0 / 3.0) < 1e-12
-
-    def test_ties_excluded(self):
-        # tied pair at the epoch contributes nothing either way
-        recs = [_rec([a], best=b) for a, b in zip([0.1, 0.1, 0.3], [0.2, 0.1, 0.4])]
-        assert pairwise_winrate(recs, 0) == 1.0
-
-    def test_affine_invariance(self):
-        ep = [0.11, 0.27, 0.05, 0.4]
-        fin = [0.3, 0.5, 0.2, 0.45]
-        base = pairwise_winrate([_rec([a], best=b) for a, b in zip(ep, fin)], 0)
-        scaled = pairwise_winrate(
-            [_rec([2 * a + 1], best=3 * b + 2) for a, b in zip(ep, fin)], 0
-        )
-        assert base == scaled
-
-    def test_all_tied(self):
-        recs = [_rec([0.5], best=0.7), _rec([0.5], best=0.7)]
-        with pytest.raises(ValueError, match="tied"):
-            pairwise_winrate(recs, 0)
-
-    def test_epoch_out_of_range(self):
-        recs = [_rec([0.1]), _rec([0.2])]
-        with pytest.raises(ValueError, match="out of range"):
-            pairwise_winrate(recs, 3)
 
 
 class TestPairAccuracies:

@@ -213,7 +213,7 @@ class TestRunMatrix:
             build_proxy(train, val, ProxySpec.random_all(0.5, seed=0), target_epochs=2),
         ]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01], "optimizer": ["sgd"]}))
-        store = run_matrix({train.id: (train, val)}, {train.id: proxies}, grid)
+        store = run_matrix(train, val, proxies, grid)
         assert len(store) == len(proxies) * len(grid)
         cfg_ids = {config_id(c) for c in grid}
         for (ds, proxy, cfg), rec in zip(store.keys(), store.records()):
@@ -229,8 +229,8 @@ class TestRunMatrix:
             build_proxy(train, val, ProxySpec.fewer_epochs(1), target_epochs=2),
         ]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01, 0.001]}))
-        serial = run_matrix({train.id: (train, val)}, {train.id: proxies}, grid, parallelism=1)
-        parallel = run_matrix({train.id: (train, val)}, {train.id: proxies}, grid, parallelism=8)
+        serial = run_matrix(train, val, proxies, grid, parallelism=1)
+        parallel = run_matrix(train, val, proxies, grid, parallelism=8)
         assert list(serial.keys()) == list(parallel.keys())
         for a, b in zip(serial.records(), parallel.records()):
             assert a.epoch_val_acc == b.epoch_val_acc
@@ -243,11 +243,11 @@ class TestRunMatrix:
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01, 0.001]}))
         path = tmp_path / "results.jsonl"
 
-        full = run_matrix({train.id: (train, val)}, {train.id: proxies}, grid, store=ResultStore(path=path))
+        full = run_matrix(train, val, proxies, grid, store=ResultStore(path=path))
         # keep only the first line, then resume
         lines = path.read_text().splitlines()
         path.write_text(lines[0] + "\n")
-        resumed = run_matrix({train.id: (train, val)}, {train.id: proxies}, grid, store=store_load(path))
+        resumed = run_matrix(train, val, proxies, grid, store=store_load(path))
         assert list(resumed.keys()) == list(full.keys())
         for a, b in zip(resumed.records(), full.records()):
             assert a.best_val_acc == b.best_val_acc
@@ -257,29 +257,16 @@ class TestRunMatrix:
         proxies = [build_proxy(train, val, ProxySpec.full(), target_epochs=2)]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01]}))
         path = tmp_path / "results.jsonl"
-        run_matrix({train.id: (train, val)}, {train.id: proxies}, grid, store=ResultStore(path=path))
+        run_matrix(train, val, proxies, grid, store=ResultStore(path=path))
         path.write_text(path.read_text().splitlines()[0] + "\n")
         before = path.read_bytes()
         stored = store_load(path).records()[0]
         with pytest.raises(ValueError, match=f"used seed {stored.seed}.*global seed 5 gives seed"):
-            run_matrix({train.id: (train, val)}, {train.id: proxies}, grid, global_seed=5, store=store_load(path))
+            run_matrix(train, val, proxies, grid, global_seed=5, store=store_load(path))
         assert path.read_bytes() == before
         # the same seed still resumes
-        resumed = run_matrix({train.id: (train, val)}, {train.id: proxies}, grid, store=store_load(path))
+        resumed = run_matrix(train, val, proxies, grid, store=store_load(path))
         assert len(resumed) == 2
-
-    def test_resume_under_a_key_other_than_the_dataset_id(self, tmp_path):
-        # records carry train.id; the splits key only pairs splits with proxies
-        train, val = _tiny_split()
-        proxies = [build_proxy(train, val, ProxySpec.full(), target_epochs=2)]
-        grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01]}))
-        path = tmp_path / "results.jsonl"
-        first = run_matrix({"alias": (train, val)}, {"alias": proxies}, grid, store=ResultStore(path=path))
-        assert len(first) == 2 and all(r.dataset_id == train.id for r in first.records())
-        before = path.read_bytes()
-        again = run_matrix({"alias": (train, val)}, {"alias": proxies}, grid, store=store_load(path))
-        assert len(again) == 2  # nothing re-run, so no duplicate key either
-        assert path.read_bytes() == before
 
     def test_one_subset_per_manifest(self, monkeypatch):
         import proxybench.orchestrator as orchestrator
@@ -298,12 +285,12 @@ class TestRunMatrix:
             build_proxy(train, val, ProxySpec.random_all(0.5, seed=0), target_epochs=2),
         ]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01, 0.001]}))
-        store = run_matrix({train.id: (train, val)}, {train.id: proxies}, grid)
+        store = run_matrix(train, val, proxies, grid)
         assert len(store) == 6
         assert calls == [len(train), len(val), len(proxies[1].train_ids), len(val)]
         # a resume that has every cell of a manifest takes no subset of it
         calls.clear()
-        run_matrix({train.id: (train, val)}, {train.id: proxies}, grid, store=store)
+        run_matrix(train, val, proxies, grid, store=store)
         assert calls == []
 
     def test_reduced_epochs_keep_grid_config_identity(self):
@@ -313,7 +300,7 @@ class TestRunMatrix:
             build_proxy(train, val, ProxySpec.fewer_epochs(1), target_epochs=2),
         ]
         grid = [FAST]
-        store = run_matrix({train.id: (train, val)}, {train.id: proxies}, grid)
+        store = run_matrix(train, val, proxies, grid)
         cid = config_id(FAST)
         full_rec = store.get((train.id, "full", cid))
         ep_rec = store.get((train.id, "ep1", cid))
@@ -338,17 +325,12 @@ class TestRunMatrix:
         )
         proxies = [build_proxy(blown, val, ProxySpec.full(), target_epochs=2)]
         grid = [HyperparamConfig(epochs=2, stem_width_1=8, stem_width_2=8, optimizer="sgd", learning_rate=1e260)]
-        store = run_matrix({blown.id: (blown, val)}, {blown.id: proxies}, grid)
+        store = run_matrix(blown, val, proxies, grid)
         (rec,) = store.records()
         assert rec.status == "aborted"
         assert len(rec.epoch_val_acc) == 2
 
-    def test_mismatched_keys_rejected(self):
-        train, val = _tiny_split()
-        with pytest.raises(ValueError, match="same dataset ids"):
-            run_matrix({train.id: (train, val)}, {}, [FAST])
-
     def test_empty_grid_rejected(self):
         train, val = _tiny_split()
         with pytest.raises(ValueError, match="empty grid"):
-            run_matrix({train.id: (train, val)}, {train.id: []}, [])
+            run_matrix(train, val, [], [])

@@ -101,6 +101,15 @@ class TestBuildProxy:
         assert set(m.train_ids) == set(range(900, 1000))
         assert m.relative_cost == 0.1
 
+    def test_quantile_needs_a_table_of_exactly_the_training_ids(self):
+        table = _table_for(TRAIN)
+        cut = DifficultyTable(entries=table.entries[:400], dataset_id=TRAIN.id, scoring_config_id="c")
+        with pytest.raises(ValueError, match="600 unscored, 0 not in the training set"):
+            build_proxy(TRAIN, VAL, ProxySpec.quantile(0.9, 1.0), table=cut)
+        extra = DifficultyTable(entries=table.entries + ((5000, 0.0),), dataset_id=TRAIN.id, scoring_config_id="c")
+        with pytest.raises(ValueError, match="0 unscored, 1 not in the training set"):
+            build_proxy(TRAIN, VAL, ProxySpec.quantile(0.9, 1.0), table=extra)
+
     def test_quantile_without_table_rejected(self):
         with pytest.raises(ValueError, match="difficulty table"):
             build_proxy(TRAIN, VAL, ProxySpec.quantile(0.9, 1.0))
