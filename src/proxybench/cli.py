@@ -32,7 +32,7 @@ from .metrics import (
     zscore,
 )
 from .orchestrator import grid_from_json, generate_grid, run_matrix, store_load
-from .proxy import FULL_PROXY_ID, ProxySpec, build_proxy, load_manifest, save_manifest
+from .proxy import FULL_PROXY_ID, KIND_FIELDS, ProxySpec, build_proxy, load_manifest, save_manifest
 from .trainer import HyperparamConfig, config_id, train_model
 
 __all__ = ["main", "UsageError"]
@@ -63,9 +63,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _load_split(args):
+    """(dataset id, train, val); the parsed dataset itself is not kept past the split."""
     d = load_csv(args.data)
     train, val = split(d, args.val_fraction, _global_seed(args))
-    return d, train, val
+    return d.id, train, val
 
 
 def _dataset_csv_text(d: Dataset) -> str:
@@ -97,6 +98,10 @@ def _cmd_score(args) -> int:
     return 0
 
 
+# ProxySpec field -> the make-proxy flag that sets it
+_PROXY_FLAGS = {"fraction": "--fraction", "class_set": "--classes", "lo": "--lo", "hi": "--hi", "epochs": "--epochs"}
+
+
 def _parse_classes(text: str) -> tuple:
     try:
         return tuple(int(c) for c in text.split(",") if c.strip() != "")
@@ -106,20 +111,23 @@ def _parse_classes(text: str) -> tuple:
 
 def _cmd_make_proxy(args) -> int:
     classes = None if args.classes is None else _parse_classes(args.classes)
+    fields = {"fraction": args.fraction, "class_set": classes, "lo": args.lo, "hi": args.hi, "epochs": args.epochs}
+    for name, flag in _PROXY_FLAGS.items():
+        if fields[name] is not None and name not in KIND_FIELDS[args.kind]:
+            raise UsageError(f"{args.kind} proxy does not take {flag}")
     try:
-        spec = ProxySpec(kind=args.kind, fraction=args.fraction, class_set=classes, lo=args.lo, hi=args.hi,
-                         epochs=args.epochs, seed=args.seed)
+        spec = ProxySpec(kind=args.kind, seed=args.seed, **fields)
     except ValueError as e:
         raise UsageError(str(e)) from None
     if spec.kind == "quantile" and not args.scores:
         raise UsageError("quantile proxies require --scores")
-    d, train, val = _load_split(args)
+    dataset_id, train, val = _load_split(args)
     table = None
     if args.scores:
         table = load_table(args.scores)
-        if table.dataset_id != d.id:
+        if table.dataset_id != dataset_id:
             raise ValueError(
-                f"difficulty table is for dataset {table.dataset_id!r}, not {d.id!r}"
+                f"difficulty table is for dataset {table.dataset_id!r}, not {dataset_id!r}"
             )
     manifest = build_proxy(train, val, spec, table=table, target_epochs=args.target_epochs)
     save_manifest(manifest, args.out)
@@ -144,7 +152,7 @@ def _load_manifests(proxy_dir: Path):
 
 
 def _cmd_run_grid(args) -> int:
-    d, train, val = _load_split(args)
+    dataset_id, train, val = _load_split(args)
     grid_spec = grid_from_json(args.grid)
     grid = generate_grid(grid_spec)
     manifests, proxy_ids = _load_manifests(Path(args.proxies))
@@ -160,7 +168,7 @@ def _cmd_run_grid(args) -> int:
         n_cells = 0
         for m in manifests:
             for cfg in grid:
-                print(f"{d.id} {m.proxy_id} {config_id(cfg)} epochs={m.epochs} train={len(m.train_ids)}")
+                print(f"{dataset_id} {m.proxy_id} {config_id(cfg)} epochs={m.epochs} train={len(m.train_ids)}")
                 total_cost += len(m.train_ids) * m.epochs
                 n_cells += 1
         print(f"{n_cells} runs, {total_cost:g} example-epochs total")
@@ -288,7 +296,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("make-proxy", help="resolve a proxy spec into a manifest JSON")
     p.add_argument("--data", required=True)
     p.add_argument("--scores", help="difficulty CSV (required for quantile proxies)")
-    p.add_argument("--kind", required=True, choices=["full", "random_all", "half_classes", "quantile", "fewer_epochs"])
+    p.add_argument("--kind", required=True, choices=list(KIND_FIELDS))
     p.add_argument("--lo", type=float)
     p.add_argument("--hi", type=float)
     p.add_argument("--fraction", type=float)

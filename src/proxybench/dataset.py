@@ -88,7 +88,9 @@ class Dataset:
         return set(self.ids.tolist())
 
     def _take(self, mask: np.ndarray) -> "Dataset":
-        """The examples where mask is true, in source order."""
+        """The examples where mask is true, in source order; self itself when that is all of them."""
+        if mask.all():
+            return self
         return Dataset(self.features[mask], self.labels[mask], self.ids[mask], self.class_count, self.feature_dim, self.id)
 
 
@@ -294,7 +296,7 @@ def subset_by_ids(d: Dataset, ids) -> Dataset:
 
     Output order follows the source dataset's order, not the order of
     ``ids``, so any permutation of the same id set yields an identical
-    dataset.
+    dataset. Ids covering all of d give d itself, not a copy.
     """
     wanted = np.asarray(ids, dtype=np.int64)
     found = np.isin(wanted, d.ids)

@@ -3,7 +3,7 @@
 One-at-a-time grids: the default config, then one config per alternative
 value of a single field. The run matrix is embarrassingly parallel; every
 run's seed is a stable hash of its key, so the result of a cell never
-depends on scheduling, parallelism, or which cells ran before it.
+depends on scheduling, parallelism, stacking, or which cells ran before it.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .dataset import Dataset, subset_by_ids
-from .proxy import ProxyManifest
-from .trainer import HyperparamConfig, RunRecord, config_id, train_model
+from .trainer import HyperparamConfig, RunRecord, config_id, stack_key, train_model, train_stack
 
 __all__ = [
     "GridSpec",
@@ -30,6 +29,9 @@ __all__ = [
 ]
 
 _CONFIG_FIELDS = {f.name for f in fields(HyperparamConfig)}
+# Most cells a stack trains in lockstep. Five save most of the per-step
+# calls; larger stacks save little more and raise peak memory.
+_STACK_CAP = 5
 _MALFORMED = (json.JSONDecodeError, TypeError, KeyError)  # a line that is not a RunRecord
 
 
@@ -159,10 +161,17 @@ def run_seed(dataset_id: str, proxy_id: str, cfg_id: str, global_seed: int) -> i
     return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big")
 
 
-def _run_cell(sub_train: Dataset, sub_val: Dataset, manifest: ProxyManifest, cfg: HyperparamConfig, cfg_id: str, seed: int) -> RunRecord:
-    run_cfg = replace(cfg, seed=seed, epochs=manifest.epochs)
-    record, _ = train_model(sub_train, sub_val, run_cfg, proxy_id=manifest.proxy_id, config_key=cfg_id)
-    return record
+def _run_unit(sub_train: Dataset, sub_val: Dataset, proxy_id: str, cells: list) -> list:
+    """Trains one pool task's cells, (run config, config id) pairs, as a stack; returns their records.
+
+    A cell alone goes through train_model, the entry point that tracers
+    and tests follow run by run.
+    """
+    if len(cells) == 1:
+        (cfg, cfg_id), = cells
+        return [train_model(sub_train, sub_val, cfg, proxy_id=proxy_id, config_key=cfg_id)[0]]
+    configs, keys = zip(*cells)
+    return [record for record, _ in train_stack(sub_train, sub_val, configs, proxy_id=proxy_id, config_keys=keys)]
 
 
 def run_matrix(
@@ -180,7 +189,9 @@ def run_matrix(
     Records, and the lookup of stored cells, use train.id as the dataset id.
     grid: HyperparamConfigs; each cell overrides seed (hash of the key) and
     epochs (the manifest's budget), but keeps the grid config's identity so
-    results pair across proxies. Records are appended in submission order
+    results pair across proxies. A manifest's cells with equal stack_key
+    train in stacks of at most _STACK_CAP, one pool task each; a cell gets
+    the same record either way. Records are appended in cell order
     regardless of which worker finishes first. A stored record whose seed
     differs from the one global_seed gives its key raises ValueError before
     any cell runs: resuming would mix runs of two seeds.
@@ -192,7 +203,8 @@ def run_matrix(
     if store is None:
         store = ResultStore()
 
-    cells = []
+    units = []  # (train subset, val subset, proxy id, cells) per pool task
+    slots = []  # (unit, position in it) of every pending cell, in cell order
     for manifest in manifests:
         pending = []
         for cfg in grid:
@@ -201,18 +213,29 @@ def run_matrix(
             seed = run_seed(*key, global_seed)
             stored = store.get(key)
             if stored is None:
-                pending.append((cfg, cfg_id, seed))
+                pending.append((replace(cfg, seed=seed, epochs=manifest.epochs), cfg_id))
             elif stored.seed != seed:
                 raise ValueError(
                     f"stored run {key} used seed {stored.seed}, "
                     f"but global seed {global_seed} gives seed {seed}; refusing to resume"
                 )
-        if pending:  # one subset per manifest, shared by its cells
-            subsets = (subset_by_ids(train, manifest.train_ids), subset_by_ids(val, manifest.val_ids))
-            cells += [(*subsets, manifest, *cell) for cell in pending]
+        if not pending:
+            continue
+        subsets = (subset_by_ids(train, manifest.train_ids), subset_by_ids(val, manifest.val_ids))
+        stacks: dict = {}
+        for i, (run_cfg, _) in enumerate(pending):
+            stacks.setdefault(stack_key(run_cfg), []).append(i)
+        where = [None] * len(pending)
+        for members in stacks.values():
+            for lo in range(0, len(members), _STACK_CAP):
+                chunk = members[lo : lo + _STACK_CAP]
+                for pos, i in enumerate(chunk):
+                    where[i] = (len(units), pos)
+                units.append((*subsets, manifest.proxy_id, [pending[i] for i in chunk]))
+        slots += where
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(_run_cell, *cell) for cell in cells]
-        for future in futures:
-            store.append(future.result())
+        futures = [pool.submit(_run_unit, *unit) for unit in units]
+        for unit, pos in slots:
+            store.append(futures[unit].result()[pos])
     return store

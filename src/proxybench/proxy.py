@@ -22,6 +22,7 @@ from .difficulty import DifficultyTable, quantile_slice
 
 __all__ = [
     "FULL_PROXY_ID",
+    "KIND_FIELDS",
     "ProxySpec",
     "ProxyManifest",
     "build_proxy",
@@ -31,7 +32,14 @@ __all__ = [
 ]
 
 FULL_PROXY_ID = "full"  # the full-data run, the target every proxy is scored against
-_KINDS = ("full", "random_all", "half_classes", "quantile", "fewer_epochs")
+# kind -> the optional ProxySpec fields it takes
+KIND_FIELDS = {
+    "full": (),
+    "random_all": ("fraction",),
+    "half_classes": ("fraction", "class_set"),
+    "quantile": ("lo", "hi"),
+    "fewer_epochs": ("epochs",),
+}
 
 _STREAM_SAMPLE = 21
 _STREAM_CLASS_PICK = 22
@@ -58,17 +66,10 @@ class ProxySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        allowed = {
-            "full": set(),
-            "random_all": {"fraction"},
-            "half_classes": {"fraction", "class_set"},
-            "quantile": {"lo", "hi"},
-            "fewer_epochs": {"epochs"},
-        }[self.kind]
+        if self.kind not in KIND_FIELDS:
+            raise ValueError(f"kind must be one of {tuple(KIND_FIELDS)}, got {self.kind!r}")
         for name in ("fraction", "class_set", "lo", "hi", "epochs"):
-            if getattr(self, name) is not None and name not in allowed:
+            if getattr(self, name) is not None and name not in KIND_FIELDS[self.kind]:
                 raise ValueError(f"{self.kind} proxy does not take {name}")
         if self.kind in ("random_all", "half_classes"):
             f = self.fraction

@@ -177,7 +177,21 @@ class TestMakeProxy:
         out = tmp_path / "m.json"
         code = main(["make-proxy", "--data", str(pipeline["data"]), "--kind", "full", "--fraction", "0.5", "--out", str(out)])
         assert code == 1
-        assert "full proxy does not take fraction" in capsys.readouterr().err
+        assert "full proxy does not take --fraction" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, flags, named", [
+        ("random_all", ["--fraction", "0.5", "--classes", "0,1"], "--classes"),
+        ("full", ["--epochs", "3"], "--epochs"),
+        ("fewer_epochs", ["--epochs", "1", "--fraction", "0.5"], "--fraction"),
+        ("random_all", ["--fraction", "0.5", "--lo", "0.1"], "--lo"),
+        ("half_classes", ["--hi", "0.9"], "--hi"),
+    ])
+    def test_rejected_flag_is_named_as_typed(self, pipeline, tmp_path, capsys, kind, flags, named):
+        out = tmp_path / "m.json"
+        code = main(["make-proxy", "--data", str(pipeline["data"]), "--kind", kind, *flags, "--out", str(out)])
+        assert code == 1
+        assert f"{kind} proxy does not take {named}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_truncated_table_is_refused(self, pipeline, tmp_path, capsys):

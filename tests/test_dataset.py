@@ -271,6 +271,12 @@ class TestClassFilter:
 
 
 class TestSubsetByIds:
+    def test_all_ids_give_the_dataset_itself(self):
+        d = _toy()
+        assert subset_by_ids(d, d.ids) is d
+        assert subset_by_ids(d, d.ids[::-1]) is d
+        assert len(subset_by_ids(d, d.ids[1:])) == len(d) - 1
+
     def test_order_is_canonical(self):
         d = _toy()
         a = subset_by_ids(d, [7, 3, 11])

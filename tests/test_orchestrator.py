@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from proxybench.dataset import SynthSpec, split, synth_generate
+from proxybench.dataset import SynthSpec, split, subset_by_ids, synth_generate
 from proxybench.orchestrator import (
     GridSpec,
     ResultStore,
@@ -14,7 +15,7 @@ from proxybench.orchestrator import (
     store_load,
 )
 from proxybench.proxy import ProxySpec, build_proxy
-from proxybench.trainer import HyperparamConfig, RunRecord, config_id
+from proxybench.trainer import HyperparamConfig, RunRecord, config_id, train_model
 
 
 def _record(ds="d", proxy="full", cfg="c0", best=0.5):
@@ -329,6 +330,45 @@ class TestRunMatrix:
         (rec,) = store.records()
         assert rec.status == "aborted"
         assert len(rec.epoch_val_acc) == 2
+
+    def test_stacked_cells_append_in_cell_order_with_solo_records(self):
+        train, val = _tiny_split()
+        proxies = [
+            build_proxy(train, val, ProxySpec.full(), target_epochs=2),
+            build_proxy(train, val, ProxySpec.fewer_epochs(1), target_epochs=2),
+        ]
+        # stackable and lone configs interleaved in grid order
+        grid = generate_grid(GridSpec(defaults=FAST, variations={
+            "batch_size": [8], "learning_rate": [0.01], "depth": ["small"], "optimizer": ["sgd", "rmsprop"],
+        }))
+        store = run_matrix(train, val, proxies, grid, parallelism=2)
+        assert list(store.keys()) == [(train.id, m.proxy_id, config_id(c)) for m in proxies for c in grid]
+        for m in proxies:
+            sub_train, sub_val = subset_by_ids(train, m.train_ids), subset_by_ids(val, m.val_ids)
+            for cfg in grid:
+                rec = store.get((train.id, m.proxy_id, config_id(cfg)))
+                run_cfg = replace(cfg, seed=rec.seed, epochs=m.epochs)
+                solo, _ = train_model(sub_train, sub_val, run_cfg, proxy_id=m.proxy_id, config_key=config_id(cfg))
+                assert {**rec.to_dict(), "wall_ms": 0} == {**solo.to_dict(), "wall_ms": 0}
+
+    def test_stacks_never_exceed_the_cap(self, monkeypatch):
+        import proxybench.orchestrator as orchestrator
+
+        sizes = []
+        real = orchestrator.train_stack
+
+        def recording(train, val, configs, **kw):
+            sizes.append(len(configs))
+            return real(train, val, configs, **kw)
+
+        monkeypatch.setattr(orchestrator, "train_stack", recording)
+        train, val = _tiny_split()
+        proxies = [build_proxy(train, val, ProxySpec.full(), target_epochs=2)]
+        rates = [0.0005, 0.001, 0.002, 0.005, 0.007, 0.02, 0.03, 0.05, 0.1, 0.2, 0.3]
+        grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": rates, "depth": ["large"]}))
+        store = run_matrix(train, val, proxies, grid)
+        assert len(store) == 13
+        assert sizes == [orchestrator._STACK_CAP, orchestrator._STACK_CAP, 2]  # 12 compatible; the depth cell runs alone
 
     def test_empty_grid_rejected(self):
         train, val = _tiny_split()

@@ -22,7 +22,9 @@ from proxybench.trainer import (
     init_params,
     one_cycle_lr,
     optimizer_step,
+    stack_key,
     train_model,
+    train_stack,
 )
 
 
@@ -599,6 +601,98 @@ class TestCallContract:
         train, val = split(_small_data(per_class=500), 0.2, seed=0)  # 1200 rows: two blocks of batches
         train_model(train, val, _tiny_config(epochs=1, batch_size=100))
         assert counts == {"forward_backward": 12, "optimizer_step": 12, "evaluate_accuracy": 1}
+
+
+class TestStacks:
+    """A stack trains each model to the bits of its own train_model run."""
+
+    @staticmethod
+    def _assert_solo_bits(train, val, configs, stacked):
+        assert len(stacked) == len(configs)
+        for cfg, (rec, params) in zip(configs, stacked):
+            solo, solo_params = train_model(train, val, cfg)
+            assert (rec.status, rec.epoch_val_acc, rec.best_val_acc) == (solo.status, solo.epoch_val_acc, solo.best_val_acc)
+            assert (rec.config_id, rec.seed, rec.cost_units) == (solo.config_id, solo.seed, solo.cost_units)
+            assert _sha(params.flat) == _sha(solo_params.flat)
+
+    def test_mixed_stack_matches_solo_runs(self):
+        train, val = TestPinnedRuns._data("small")  # 36 rows: a partial last batch of 4
+        configs = [
+            _tiny_config(epochs=3, optimizer="sgd", learning_rate=0.1, augment_prob=1.0, seed=1),
+            _tiny_config(epochs=3, optimizer="adam", learning_rate=0.02, augment_prob=0.0, label_smoothing=False, seed=2),
+            _tiny_config(epochs=3, optimizer="rmsprop", learning_rate=0.005, seed=3),
+            _tiny_config(epochs=3, optimizer="adam", learning_rate=0.005, augment_prob=1.0, seed=4),
+            _tiny_config(epochs=3, optimizer="sgd", learning_rate=0.02, label_smoothing=False, seed=5),
+        ]
+        self._assert_solo_bits(train, val, configs, train_stack(train, val, configs))
+
+    def test_diverging_member_freezes_alone(self, monkeypatch):
+        import proxybench.trainer as trainer
+
+        sgd_steps = []
+
+        def counting(state, params, grads, lr):
+            if state.kind == "sgd":
+                sgd_steps.append(len(lr))
+            return optimizer_step(state, params, grads, lr)
+
+        monkeypatch.setattr(trainer, "optimizer_step", counting)
+        train, val = TestPinnedRuns._data("blocks")
+        configs = [
+            _tiny_config(epochs=2, batch_size=7, optimizer="adam", learning_rate=0.01, seed=1),
+            _tiny_config(epochs=2, batch_size=7, optimizer="sgd", learning_rate=1e30, seed=2),
+            _tiny_config(epochs=2, batch_size=7, optimizer="rmsprop", learning_rate=0.01, seed=3),
+        ]
+        stacked = train_stack(train, val, configs)
+        in_stack = list(sgd_steps)
+        sgd_steps.clear()
+        self._assert_solo_bits(train, val, configs, stacked)
+        assert stacked[1][0].status == "aborted"
+        assert 1 < len(in_stack) < 161  # it froze during epoch 0, after some steps
+        assert in_stack == sgd_steps == [1] * len(in_stack)  # and at the step its solo run did
+
+    def test_member_whose_gradient_alone_fails_freezes_alone(self, monkeypatch):
+        import proxybench.trainer as trainer
+
+        def poison(row, at):  # make one entry of a row's gradient inf at the at-th step
+            steps = []
+
+            def fb(params, x, y, smoothing, grads):
+                loss, grads = forward_backward(params, x, y, smoothing, grads)
+                steps.append(None)
+                if len(steps) == at:
+                    grads.flat[row, 0] = np.inf
+                return loss, grads
+
+            monkeypatch.setattr(trainer, "forward_backward", fb)
+
+        train, val = TestPinnedRuns._data("small")
+        configs = [_tiny_config(epochs=3, optimizer=opt, seed=seed) for opt, seed in [("sgd", 1), ("sgd", 2), ("adam", 3)]]
+        poison(row=1, at=7)  # rows are in optimizer order: adam, then the two sgd models
+        stacked = train_stack(train, val, configs)
+        poison(row=0, at=7)
+        solo, solo_params = train_model(train, val, configs[0])
+        assert solo.status == "aborted"
+        assert (stacked[0][0].status, stacked[0][0].epoch_val_acc, _sha(stacked[0][1].flat)) == (
+            solo.status, solo.epoch_val_acc, _sha(solo_params.flat))
+        monkeypatch.setattr(trainer, "forward_backward", forward_backward)
+        self._assert_solo_bits(train, val, configs[1:], stacked[1:])
+
+    def test_partial_batches_over_several_blocks(self):
+        train, val = TestPinnedRuns._data("blocks")  # 1125 rows: four gather blocks for three models, a last batch of 5
+        assert len(train) % 7 and len(train) > 1024
+        configs = [
+            _tiny_config(epochs=2, batch_size=7, learning_rate=lr, augment_prob=p, seed=seed)
+            for lr, p, seed in [(0.01, 0.5, 1), (0.003, 1.0, 2), (0.03, 0.0, 3)]
+        ]
+        self._assert_solo_bits(train, val, configs, train_stack(train, val, configs))
+
+    def test_incompatible_configs_are_refused(self):
+        train, val = split(_small_data(), 0.2, seed=0)
+        a, b = _tiny_config(), _tiny_config(batch_size=8)
+        assert stack_key(a) != stack_key(b)
+        with pytest.raises(ValueError, match="share layer sizes"):
+            train_stack(train, val, [a, b])
 
 
 class TestInit:
