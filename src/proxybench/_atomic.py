@@ -6,16 +6,21 @@ import os
 from pathlib import Path
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write text to a temp file beside path, then rename it over path.
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write text or bytes to a temp file beside path, then rename it over path.
 
-    A write that fails leaves any previous file at path untouched and
-    removes its temp file. Newlines are written as given.
+    Each call writes its own temp file, so concurrent writers of one path
+    never rename or remove each other's; the last rename wins. A write that
+    fails leaves any previous file at path untouched and removes its temp
+    file. Text is UTF-8 and its newlines are written as given.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8", newline="")
+        if isinstance(data, str):
+            tmp.write_text(data, encoding="utf-8", newline="")
+        else:
+            tmp.write_bytes(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -7,6 +7,10 @@ whole pipeline can be re-seeded without touching its invocations. Commands
 write single-file outputs atomically (temp file + rename), so a failed
 invocation never leaves a truncated output; the one deliberate exception is
 run-grid's results file, which must keep completed lines to be resumable.
+Every command that loads --data caches the parse, best-effort, in a
+``<data>.csv.npz`` sidecar keyed by the CSV's sha256 (see load_csv). score
+records that digest in its table's .json sidecar, and make-proxy refuses a
+table whose digest is not the one of its --data.
 """
 
 from __future__ import annotations
@@ -128,6 +132,13 @@ def _cmd_make_proxy(args) -> int:
         if table.dataset_id != dataset_id:
             raise ValueError(
                 f"difficulty table is for dataset {table.dataset_id!r}, not {dataset_id!r}"
+            )
+        if table.dataset_sha256 is None:
+            raise ValueError(f"difficulty table {args.scores} records no dataset digest; re-run score")
+        if table.dataset_sha256 != train.source_sha256:
+            raise ValueError(
+                f"difficulty table is for dataset sha256 {table.dataset_sha256}, "
+                f"not {train.source_sha256} of {args.data}"
             )
     manifest = build_proxy(train, val, spec, table=table, target_epochs=args.target_epochs)
     save_manifest(manifest, args.out)

@@ -8,10 +8,14 @@ across the whole pipeline.
 
 from __future__ import annotations
 
+import hashlib
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ._atomic import write_atomic
 
 __all__ = [
     "Dataset",
@@ -29,6 +33,11 @@ _STREAM_NOISE = 2
 _STREAM_FLIPS = 3
 _STREAM_SPLIT = 4
 
+# Bump when load_csv would parse the same bytes differently: older sidecars
+# then miss and are replaced.
+_PARSER_VERSION = 1
+_SIDECAR_KEYS = {"sha256", "parser_version", "features", "labels"}
+
 
 class Dataset:
     """Ordered, immutable examples held as three aligned read-only arrays.
@@ -37,10 +46,12 @@ class Dataset:
     are (n,) int64. class_count and feature_dim are properties of the
     label/feature space, not of the examples present: filtering away classes
     does not shrink class_count, so models keep the same output head across
-    subsets.
+    subsets. source_sha256 is the sha256 of the CSV the examples were loaded
+    from (None when they were not), kept by every subset.
     """
 
-    def __init__(self, features, labels, ids, class_count: int, feature_dim: int, id: str = "dataset"):
+    def __init__(self, features, labels, ids, class_count: int, feature_dim: int, id: str = "dataset",
+                 source_sha256: str | None = None):
         if class_count < 1:
             raise ValueError(f"class_count must be >= 1, got {class_count}")
         if feature_dim < 1:
@@ -74,6 +85,7 @@ class Dataset:
         self.class_count = int(class_count)
         self.feature_dim = int(feature_dim)
         self.id = str(id)
+        self.source_sha256 = source_sha256
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -91,7 +103,8 @@ class Dataset:
         """The examples where mask is true, in source order; self itself when that is all of them."""
         if mask.all():
             return self
-        return Dataset(self.features[mask], self.labels[mask], self.ids[mask], self.class_count, self.feature_dim, self.id)
+        return Dataset(self.features[mask], self.labels[mask], self.ids[mask], self.class_count, self.feature_dim,
+                       self.id, self.source_sha256)
 
 
 @dataclass(frozen=True)
@@ -154,6 +167,12 @@ def load_csv(path: str | Path, id: str | None = None) -> Dataset:
     same float bits as float() but rejects underscores and non-ASCII digits.
     Example ids are assigned by data-row order starting at 0.
 
+    The parse is cached beside the file in ``<name>.csv.npz``, keyed by the
+    file's sha256 (also the dataset's source_sha256) and _PARSER_VERSION: a
+    load of bytes already parsed reads the arrays back, bitwise the parse. A
+    missing, stale or malformed sidecar is a miss, which parses and rewrites
+    it; a sidecar that cannot be written is skipped.
+
     Raises FileNotFoundError for a missing file and ValueError naming the
     offending data row (1-based) for ragged rows, non-integer labels, or
     non-numeric or non-finite features.
@@ -161,45 +180,95 @@ def load_csv(path: str | Path, id: str | None = None) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
+    sidecar = path.with_name(path.name + ".npz")
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        labels = []
-        for n, line in enumerate(_data_rows(fh), start=1):
-            if n == 1:
-                feature_dim = line.count(",")
-                if feature_dim < 1:
-                    raise ValueError(f"{path}: row 1: expected a label and at least one feature")
-            if line.count(",") != feature_dim:
-                raise ValueError(f"{path}: row {n}: has {line.count(',')} features, expected {feature_dim}")
-            cell = line.partition(",")[0]
-            try:
-                labels.append(int(cell))
-            except ValueError:
-                raise ValueError(f"{path}: row {n}: non-integer label {cell!r}") from None
-        if not labels:
-            raise ValueError(f"{path}: no rows")
-        labels = np.array(labels, dtype=np.int64)
-        if (labels < 0).any():
-            n = int(np.argmax(labels < 0)) + 1
-            raise ValueError(f"{path}: row {n}: negative label {labels[n - 1]}")
+    with open(path, "rb") as raw:  # hash and parse the bytes of one open file
+        h = hashlib.sha256()
+        while chunk := raw.read(1 << 20):
+            h.update(chunk)
+        digest = h.hexdigest()
+        parsed = _read_sidecar(sidecar, digest)
+        if parsed is None:
+            raw.seek(0)
+            with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+                parsed = _parse_csv(fh, path)
+            _write_sidecar(sidecar, digest, *parsed)
+    feats, labels = parsed
+    return Dataset(feats, labels, np.arange(len(labels)), 1 + labels.max(), feats.shape[1],
+                   id=id or path.stem, source_sha256=digest)
 
-        columns = range(1, feature_dim + 1)
-        fh.seek(0)
+
+def _parse_csv(fh, path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) of the CSV text in fh; path names the file in errors."""
+    labels = []
+    for n, line in enumerate(_data_rows(fh), start=1):
+        if n == 1:
+            feature_dim = line.count(",")
+            if feature_dim < 1:
+                raise ValueError(f"{path}: row 1: expected a label and at least one feature")
+        if line.count(",") != feature_dim:
+            raise ValueError(f"{path}: row {n}: has {line.count(',')} features, expected {feature_dim}")
+        cell = line.partition(",")[0]
         try:
-            feats = np.loadtxt(_data_rows(fh), delimiter=",", usecols=columns, ndmin=2, comments=None)
+            labels.append(int(cell))
         except ValueError:
-            fh.seek(0)
-            for n, line in enumerate(_data_rows(fh), start=1):  # locate the row with the same parser
-                try:
-                    np.loadtxt([line], delimiter=",", usecols=columns, comments=None)
-                except ValueError:
-                    raise ValueError(f"{path}: row {n}: non-numeric feature") from None
-            raise
+            raise ValueError(f"{path}: row {n}: non-integer label {cell!r}") from None
+    if not labels:
+        raise ValueError(f"{path}: no rows")
+    labels = np.array(labels, dtype=np.int64)
+    if (labels < 0).any():
+        n = int(np.argmax(labels < 0)) + 1
+        raise ValueError(f"{path}: row {n}: negative label {labels[n - 1]}")
+
+    columns = range(1, feature_dim + 1)
+    fh.seek(0)
+    try:
+        feats = np.loadtxt(_data_rows(fh), delimiter=",", usecols=columns, ndmin=2, comments=None)
+    except ValueError:
+        fh.seek(0)
+        for n, line in enumerate(_data_rows(fh), start=1):  # locate the row with the same parser
+            try:
+                np.loadtxt([line], delimiter=",", usecols=columns, comments=None)
+            except ValueError:
+                raise ValueError(f"{path}: row {n}: non-numeric feature") from None
+        raise
     finite = np.isfinite(feats).all(axis=1)
     if not finite.all():
         raise ValueError(f"{path}: row {np.argmin(finite) + 1}: non-finite feature")
+    return feats, labels
 
-    return Dataset(feats, labels, np.arange(len(labels)), 1 + labels.max(), feature_dim, id=id or path.stem)
+
+def _read_sidecar(sidecar: Path, digest: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """(features, labels) from a sidecar keyed to digest and _PARSER_VERSION, None on a miss."""
+    try:
+        # np.load is handed an open file: on a truncated zip it would leak one it opened itself
+        with open(sidecar, "rb") as fh:
+            z = np.load(fh, allow_pickle=False)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                return None
+            with z:
+                if set(z.files) != _SIDECAR_KEYS:
+                    return None
+                key, version, feats, labels = (z[k] for k in ("sha256", "parser_version", "features", "labels"))
+    except Exception:  # the sidecar is only a cache: whatever np.load or zipfile raise, parse instead
+        return None
+    if not (
+        key.shape == () and key.dtype.kind == "U" and str(key) == digest
+        and version.shape == () and version.dtype.kind == "i" and int(version) == _PARSER_VERSION
+        and feats.dtype == np.float64 and feats.ndim == 2 and feats.shape[0] >= 1 and feats.shape[1] >= 1
+        and labels.dtype == np.int64 and labels.shape == feats.shape[:1] and labels.min() >= 0
+    ):
+        return None
+    return feats, labels
+
+
+def _write_sidecar(sidecar: Path, digest: str, feats: np.ndarray, labels: np.ndarray) -> None:
+    buf = io.BytesIO()
+    np.savez(buf, sha256=np.array(digest), parser_version=np.array(_PARSER_VERSION), features=feats, labels=labels)
+    try:
+        write_atomic(sidecar, buf.getvalue())
+    except OSError:
+        pass  # a read-only directory or a full disk: the next load parses again
 
 
 def _class_means(spec: SynthSpec) -> np.ndarray:

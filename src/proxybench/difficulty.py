@@ -42,6 +42,7 @@ class DifficultyTable:
     entries: tuple  # tuple of (example_id, loss) pairs, rank order
     dataset_id: str
     scoring_config_id: str
+    dataset_sha256: str | None = None  # of the CSV the scored examples came from
 
     def __post_init__(self):
         losses = [loss for _, loss in self.entries]
@@ -82,7 +83,8 @@ def score_examples(model: ModelParams, train: Dataset, scoring_config_id: str = 
         key=lambda e: (-e[1], e[0]),
     )
     return DifficultyTable(
-        entries=tuple(entries), dataset_id=train.id, scoring_config_id=scoring_config_id
+        entries=tuple(entries), dataset_id=train.id, scoring_config_id=scoring_config_id,
+        dataset_sha256=train.source_sha256,
     )
 
 
@@ -108,8 +110,8 @@ def save_table(table: DifficultyTable, path: str | Path) -> None:
 
     Each file is replaced atomically, so a failed write leaves its previous
     version whole. The table goes first: a failure between the two leaves
-    the old sidecar, whose dataset id make-proxy checks, beside the new
-    table, never a new sidecar vouching for an old table.
+    the old sidecar, whose dataset id and digest make-proxy checks, beside
+    the new table, never a new sidecar vouching for an old table.
     """
     path = Path(path)
     buf = io.StringIO()
@@ -119,6 +121,7 @@ def save_table(table: DifficultyTable, path: str | Path) -> None:
     sidecar = {
         "dataset_id": table.dataset_id,
         "scoring_config_id": table.scoring_config_id,
+        "dataset_sha256": table.dataset_sha256,
     }
     write_atomic(path, buf.getvalue())
     write_atomic(path.with_suffix(".json"), json.dumps(sidecar, indent=2) + "\n")
@@ -139,4 +142,5 @@ def load_table(path: str | Path) -> DifficultyTable:
         entries=entries,
         dataset_id=meta["dataset_id"],
         scoring_config_id=meta["scoring_config_id"],
+        dataset_sha256=meta.get("dataset_sha256"),
     )

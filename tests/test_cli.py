@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from proxybench import dataset as dataset_module
 from proxybench.cli import _build_parser, main
 from proxybench.dataset import SynthSpec, load_csv, synth_generate
 from proxybench.metrics import reports_from_csv
@@ -128,6 +129,10 @@ class TestScore:
         meta = json.loads(sidecar.read_text())
         assert meta["dataset_id"] == "toy"
 
+    def test_sidecar_records_the_data_digest(self, pipeline):
+        meta = json.loads(pipeline["scores"].with_suffix(".json").read_text())
+        assert meta["dataset_sha256"] == hashlib.sha256(pipeline["data"].read_bytes()).hexdigest()
+
     def test_global_seed_env_overrides_flag(self, pipeline, tmp_path, monkeypatch, capsys):
         data = pipeline["data"]
         a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
@@ -194,6 +199,38 @@ class TestMakeProxy:
         assert f"{kind} proxy does not take {named}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_table_from_another_dataset_with_the_same_stem_is_refused(self, tmp_path, capsys):
+        for name, seed in (("a", 17), ("b", 99)):
+            (tmp_path / name).mkdir()
+            spec = tmp_path / name / "spec.json"
+            spec.write_text(json.dumps({**SPEC, "seed": seed}))
+            assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / name / "data.csv")]) == 0
+        a, b = tmp_path / "a" / "data.csv", tmp_path / "b" / "data.csv"
+        scores = tmp_path / "a" / "diff.csv"
+        assert main(["score", "--data", str(a), "--out", str(scores)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "m.json"
+        code = main(["make-proxy", "--data", str(b), "--kind", "quantile", "--lo", "0.5", "--hi", "1.0",
+                     "--scores", str(scores), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert hashlib.sha256(a.read_bytes()).hexdigest() in err
+        assert hashlib.sha256(b.read_bytes()).hexdigest() in err
+        assert not out.exists()
+
+    def test_table_without_a_digest_is_refused(self, pipeline, tmp_path, capsys):
+        scores = tmp_path / "old.csv"
+        shutil.copy(pipeline["scores"], scores)
+        meta = json.loads(pipeline["scores"].with_suffix(".json").read_text())
+        del meta["dataset_sha256"]
+        scores.with_suffix(".json").write_text(json.dumps(meta))
+        out = tmp_path / "m.json"
+        code = main(["make-proxy", "--data", str(pipeline["data"]), "--kind", "quantile", "--lo", "0.5",
+                     "--hi", "1.0", "--scores", str(scores), "--out", str(out)])
+        assert code == 2
+        assert "records no dataset digest; re-run score" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truncated_table_is_refused(self, pipeline, tmp_path, capsys):
         # a table cut off mid-write must not pass for the whole training set
         scores = tmp_path / "cut.csv"
@@ -244,6 +281,43 @@ class TestFailedWrites:
         assert code == 2
         assert "disk full" in capsys.readouterr().err
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"m.json": "previous manifest\n"}
+
+
+class TestDataSidecar:
+    """Commands that load --data cache the parse in <data>.csv.npz, best-effort."""
+
+    def test_later_stages_read_the_sidecar(self, pipeline, tmp_path, monkeypatch, capsys):
+        assert pipeline["data"].with_name("toy.csv.npz").exists()
+
+        def refuse(fh, path):
+            raise AssertionError("parsed the CSV instead of reading its sidecar")
+
+        monkeypatch.setattr(dataset_module, "_parse_csv", refuse)
+        out = tmp_path / "m.json"
+        code = main(["make-proxy", "--data", str(pipeline["data"]), "--kind", "quantile", "--lo", "0.5",
+                     "--hi", "1.0", "--scores", str(pipeline["scores"]), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert out.exists()
+
+    def test_read_only_data_directory(self, pipeline, tmp_path, monkeypatch, capsys):
+        data_dir = tmp_path / "ro"
+        data_dir.mkdir()
+        data = data_dir / "toy.csv"
+        shutil.copy(pipeline["data"], data)
+        data_dir.chmod(0o555)
+
+        def refuse(self, data):  # root ignores mode bits
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "write_bytes", refuse)
+        try:
+            out = tmp_path / "scores.csv"
+            assert main(["score", "--data", str(data), "--out", str(out)]) == 0
+            assert out.read_bytes() == pipeline["scores"].read_bytes()
+            assert sorted(p.name for p in data_dir.iterdir()) == ["toy.csv"]
+        finally:
+            data_dir.chmod(0o755)
+        capsys.readouterr()
 
 
 class TestRunGrid:

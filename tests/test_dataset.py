@@ -1,6 +1,13 @@
+import hashlib
+import io
+import os
+import pickle
+import shutil
+
 import numpy as np
 import pytest
 
+from proxybench import dataset as dataset_module
 from proxybench.dataset import (
     Dataset,
     SynthSpec,
@@ -153,6 +160,153 @@ class TestLoadCsv:
         assert list(d.labels) == [0, 1]
         assert list(d.features[:, 0]) == [1.5, -2.5]
         assert list(d.ids) == [0, 1]
+
+
+def _sidecar(p):
+    return p.with_name(p.name + ".npz")
+
+
+def _fresh(p, tmp_path):
+    """load_csv of p's bytes under p's name in a directory with no sidecar: a miss."""
+    fresh = tmp_path / "fresh"
+    shutil.rmtree(fresh, ignore_errors=True)
+    fresh.mkdir()
+    shutil.copy(p, fresh / p.name)
+    return load_csv(fresh / p.name)
+
+
+def _assert_same(a, b):
+    assert a.features.dtype == b.features.dtype and a.features.shape == b.features.shape
+    assert a.features.tobytes() == b.features.tobytes()  # bitwise, -0.0 and subnormals included
+    assert a.labels.dtype == b.labels.dtype and np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.ids, b.ids)
+    assert (a.class_count, a.feature_dim, a.id) == (b.class_count, b.feature_dim, b.id)
+
+
+def _load_without_parsing(p, monkeypatch):
+    def refuse(fh, path):
+        raise AssertionError("parsed the CSV instead of reading its sidecar")
+
+    with monkeypatch.context() as m:
+        m.setattr(dataset_module, "_parse_csv", refuse)
+        return load_csv(p)
+
+
+def _npz(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _npy(a) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, a)
+    return buf.getvalue()
+
+
+_CSV = b"label,f0,f1\n0,1.5,-2.25\n1,0.1,-0.0\n2,5e-324,1e-310\n"
+
+
+class TestLoadCsvSidecar:
+    """A load of bytes already parsed reads <name>.csv.npz: bitwise what a parse gives.
+
+    Every hit below is loaded with the parser patched to raise, so it can only
+    have come from the sidecar.
+    """
+
+    @pytest.mark.parametrize("data", [
+        _CSV,
+        b"0,1.0,2.0\n,,\n , ,\n1,3.0,4.0\n",  # comma-only lines
+        b"label,f0\r\n\r\n0,1.5\r\n , \r\n1,-2.5\r\n",  # CRLF
+        b"0,0.1\n1,0.30000000000000004",  # no final newline
+        "".join(f"{i % 2},{c},{c}\n" for i, c in enumerate(TestLoadCsv.CELLS)).encode(),
+    ], ids=["header", "comma_only_lines", "crlf", "no_final_newline", "float_bits"])
+    def test_hit_is_bitwise_the_parse(self, tmp_path, monkeypatch, data):
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        miss = load_csv(p)
+        assert _sidecar(p).exists()
+        hit = _load_without_parsing(p, monkeypatch)
+        _assert_same(hit, miss)
+        _assert_same(hit, _fresh(p, tmp_path))
+
+    def test_key_is_the_file_sha256(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(_CSV)
+        d = load_csv(p)
+        digest = hashlib.sha256(_CSV).hexdigest()
+        assert d.source_sha256 == digest
+        assert class_filter(d, [0, 1]).source_sha256 == digest  # subsets keep it
+        with np.load(_sidecar(p), allow_pickle=False) as z:
+            assert set(z.files) == {"sha256", "parser_version", "features", "labels"}
+            assert str(z["sha256"]) == digest
+
+    def test_same_size_edit_is_reparsed(self, tmp_path, monkeypatch):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"0,1.25\n1,2.5\n")
+        before = load_csv(p)
+        stat = p.stat()
+        p.write_bytes(b"0,1.25\n1,2.7\n")
+        os.utime(p, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # same size, same mtime
+        after = load_csv(p)
+        assert after.features[1, 0] == 2.7 and before.features[1, 0] == 2.5
+        _assert_same(after, _fresh(p, tmp_path))
+        _assert_same(_load_without_parsing(p, monkeypatch), after)  # the stale sidecar was replaced
+
+    BAD = {
+        "truncated": lambda good, **_: good[: len(good) // 2],
+        "empty": lambda good, **_: b"",
+        "not_a_zip": lambda good, **_: b"label,f0\n0,1.0\n",
+        "plain_npy": lambda good, features, **_: _npy(features),
+        "pickled": lambda good, **_: pickle.dumps({"features": np.zeros((2, 1))}),
+        "object_array": lambda good, sha256, parser_version, features, labels: _npz(
+            sha256=sha256, parser_version=parser_version, features=features,
+            labels=np.array(list(labels), dtype=object)),
+        "foreign_key": lambda good, parser_version, features, labels, **_: _npz(
+            sha256=np.array(hashlib.sha256(b"other").hexdigest()), parser_version=parser_version,
+            features=features, labels=labels),
+        "old_parser_version": lambda good, sha256, features, labels, **_: _npz(
+            sha256=sha256, parser_version=np.array(0), features=features, labels=labels),
+        "missing_key": lambda good, sha256, parser_version, features, **_: _npz(
+            sha256=sha256, parser_version=parser_version, features=features),
+        "extra_key": lambda good, **arrays: _npz(**arrays, ids=np.arange(3)),
+        "float32_features": lambda good, features, **arrays: _npz(features=features.astype(np.float32), **arrays),
+        "int32_labels": lambda good, labels, **arrays: _npz(labels=labels.astype(np.int32), **arrays),
+        "short_labels": lambda good, labels, **arrays: _npz(labels=labels[:-1], **arrays),
+        "flat_features": lambda good, features, **arrays: _npz(features=features.ravel(), **arrays),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_bad_sidecar_is_ignored_and_replaced(self, tmp_path, monkeypatch, kind):
+        p = tmp_path / "d.csv"
+        p.write_bytes(_CSV)
+        load_csv(p)
+        good = _sidecar(p).read_bytes()
+        with np.load(_sidecar(p), allow_pickle=False) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["features"] = arrays["features"] + 1.0  # served by mistake, it would show
+        _sidecar(p).write_bytes(self.BAD[kind](good, **arrays))
+        loaded = load_csv(p)
+        _assert_same(loaded, _fresh(p, tmp_path))
+        _assert_same(_load_without_parsing(p, monkeypatch), loaded)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"0\n1\n", "row 1: expected a label and at least one feature"),
+        (b"0,1.0,2.0\n1,3.0\n", "row 2: has 1 features, expected 2"),
+        (b"0,1.0\nx,2.0\n", "row 2: non-integer label 'x'"),
+        (b"0,1.0\n-1,2.0\n", "row 2: negative label -1"),
+        (b"label,f0,f1\n0,1.0,2.0\n\n1,3.0,x\n", "row 2: non-numeric feature"),
+        (b"0,1.0\n1,inf\n", "row 2: non-finite feature"),
+        (b"label,f0\n , \n", "no rows"),
+    ])
+    def test_malformed_csv_error_leaves_no_sidecar(self, tmp_path, data, message):
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        for _ in range(2):
+            with pytest.raises(ValueError) as e:
+                load_csv(p)
+            assert str(e.value) == f"{p}: {message}"
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["d.csv"]
 
 
 class TestSynthGenerate:
