@@ -67,10 +67,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _load_split(args):
-    """(dataset id, train, val); the parsed dataset itself is not kept past the split."""
-    d = load_csv(args.data)
-    train, val = split(d, args.val_fraction, _global_seed(args))
-    return d.id, train, val
+    """(train, val); the parsed dataset itself is not kept past the split."""
+    return split(load_csv(args.data), args.val_fraction, _global_seed(args))
 
 
 def _dataset_csv_text(d: Dataset) -> str:
@@ -93,7 +91,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    _, train, val = _load_split(args)
+    train, val = _load_split(args)
     cfg = HyperparamConfig(seed=_global_seed(args))
     _, params = train_model(train, val, cfg)
     table = score_examples(params, train, scoring_config_id=config_id(cfg))
@@ -125,14 +123,10 @@ def _cmd_make_proxy(args) -> int:
         raise UsageError(str(e)) from None
     if spec.kind == "quantile" and not args.scores:
         raise UsageError("quantile proxies require --scores")
-    dataset_id, train, val = _load_split(args)
+    train, val = _load_split(args)
     table = None
     if args.scores:
         table = load_table(args.scores)
-        if table.dataset_id != dataset_id:
-            raise ValueError(
-                f"difficulty table is for dataset {table.dataset_id!r}, not {dataset_id!r}"
-            )
         if table.dataset_sha256 is None:
             raise ValueError(f"difficulty table {args.scores} records no dataset digest; re-run score")
         if table.dataset_sha256 != train.source_sha256:
@@ -163,7 +157,7 @@ def _load_manifests(proxy_dir: Path):
 
 
 def _cmd_run_grid(args) -> int:
-    dataset_id, train, val = _load_split(args)
+    train, val = _load_split(args)
     grid_spec = grid_from_json(args.grid)
     grid = generate_grid(grid_spec)
     manifests, proxy_ids = _load_manifests(Path(args.proxies))
@@ -171,7 +165,7 @@ def _cmd_run_grid(args) -> int:
         # The target task always runs; proxies are judged against it.
         manifests.insert(
             0,
-            build_proxy(train, val, ProxySpec.full(), target_epochs=grid_spec.defaults.epochs),
+            build_proxy(train, val, ProxySpec(kind="full"), target_epochs=grid_spec.defaults.epochs),
         )
 
     if args.dry_run:
@@ -179,7 +173,7 @@ def _cmd_run_grid(args) -> int:
         n_cells = 0
         for m in manifests:
             for cfg in grid:
-                print(f"{dataset_id} {m.proxy_id} {config_id(cfg)} epochs={m.epochs} train={len(m.train_ids)}")
+                print(f"{train.id} {m.proxy_id} {config_id(cfg)} epochs={m.epochs} train={len(m.train_ids)}")
                 total_cost += len(m.train_ids) * m.epochs
                 n_cells += 1
         print(f"{n_cells} runs, {total_cost:g} example-epochs total")
@@ -200,16 +194,15 @@ def _cmd_run_grid(args) -> int:
     return 0
 
 
+_GOOD_RULE_KINDS = {"top": "top_fraction", "min": "min_accuracy"}  # --good-rule prefix -> rule kind
+
+
 def _parse_good_rule(text: str) -> GoodConfigRule:
+    kind, _, value = text.partition(":")
     try:
-        kind, _, value = text.partition(":")
-        if kind == "top":
-            return GoodConfigRule.top_fraction(float(value))
-        if kind == "min":
-            return GoodConfigRule.min_accuracy(float(value))
-    except ValueError:
-        pass
-    raise UsageError(f"--good-rule must look like top:0.5 or min:0.9, got {text!r}")
+        return GoodConfigRule(_GOOD_RULE_KINDS[kind], float(value))
+    except (KeyError, ValueError):
+        raise UsageError(f"--good-rule must look like top:0.5 or min:0.9, got {text!r}") from None
 
 
 def _epoch_corr_csv(records) -> str:
@@ -236,11 +229,6 @@ def _cmd_analyze(args) -> int:
     reports_to_csv(reports, buf)
     write_atomic(out, buf.getvalue())
     print(f"{len(reports)} strategy rows -> {out}")
-
-    if args.epoch_corr:
-        ec_path = out.with_name(out.stem + "-epochs.csv")
-        write_atomic(ec_path, _epoch_corr_csv(records))
-        print(f"epoch correlations -> {ec_path}")
 
     if args.consistency:
         spec = args.consistency
@@ -333,7 +321,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--results", required=True, help="results JSONL from run-grid")
     p.add_argument("--out", required=True, help="output quality report CSV")
     p.add_argument("--good-rule", default="top:0.5", help="good-config rule: top:F or min:T")
-    p.add_argument("--epoch-corr", action="store_true", help="also write per-epoch correlation CSV")
     p.add_argument("--consistency", help="dsA,dsB[:metric] - correlation of a metric across two datasets")
     p.set_defaults(func=_cmd_analyze)
 

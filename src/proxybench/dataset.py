@@ -157,7 +157,7 @@ def _data_rows(fh):
     yield from rows
 
 
-def load_csv(path: str | Path, id: str | None = None) -> Dataset:
+def load_csv(path: str | Path) -> Dataset:
     """Load a dataset from CSV rows of the form ``label,f0,f1,...``.
 
     A header row is allowed and detected by a non-numeric first cell; lines
@@ -165,7 +165,8 @@ def load_csv(path: str | Path, id: str | None = None) -> Dataset:
     Labels must be non-negative integer literals; class_count is 1 + max
     label. The features are parsed by numpy in one pass, which reads the
     same float bits as float() but rejects underscores and non-ASCII digits.
-    Example ids are assigned by data-row order starting at 0.
+    Example ids are assigned by data-row order starting at 0; the dataset id
+    is the file stem.
 
     The parse is cached beside the file in ``<name>.csv.npz``, keyed by the
     file's sha256 (also the dataset's source_sha256) and _PARSER_VERSION: a
@@ -195,7 +196,7 @@ def load_csv(path: str | Path, id: str | None = None) -> Dataset:
             _write_sidecar(sidecar, digest, *parsed)
     feats, labels = parsed
     return Dataset(feats, labels, np.arange(len(labels)), 1 + labels.max(), feats.shape[1],
-                   id=id or path.stem, source_sha256=digest)
+                   id=path.stem, source_sha256=digest)
 
 
 def _parse_csv(fh, path: Path) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +38,6 @@ __all__ = [
     "reports_to_csv",
     "reports_from_csv",
 ]
-
-REPORT_COLUMNS = ("strategy", "dataset", "r2", "spearman_good", "cost_adjusted", "relative_cost", "n_configs")
-
 
 @dataclass(frozen=True)
 class PairedAccuracies:
@@ -76,12 +73,16 @@ class QualityReport:
     n_configs: int
 
 
+REPORT_COLUMNS = tuple(f.name for f in fields(QualityReport))
+
+
 @dataclass(frozen=True)
 class GoodConfigRule:
     """Which configs count as 'good' for the Spearman metric.
 
-    top_fraction(f): the ceil(f*n) configs with highest proxy accuracy.
-    min_accuracy(t): configs whose proxy accuracy is at least t.
+    GoodConfigRule("top_fraction", f): the ceil(f*n) configs with highest
+    proxy accuracy. GoodConfigRule("min_accuracy", t): configs whose proxy
+    accuracy is at least t.
     """
 
     kind: str
@@ -97,16 +98,8 @@ class GoodConfigRule:
         else:
             raise ValueError(f"unknown rule kind {self.kind!r}")
 
-    @classmethod
-    def top_fraction(cls, f: float) -> "GoodConfigRule":
-        return cls("top_fraction", f)
 
-    @classmethod
-    def min_accuracy(cls, threshold: float) -> "GoodConfigRule":
-        return cls("min_accuracy", threshold)
-
-
-DEFAULT_GOOD_RULE = GoodConfigRule.top_fraction(0.5)
+DEFAULT_GOOD_RULE = GoodConfigRule("top_fraction", 0.5)
 
 
 def zscore(values) -> np.ndarray:
@@ -456,18 +449,7 @@ def build_quality_reports(records, good_rule: GoodConfigRule = DEFAULT_GOOD_RULE
             )
         if len(ds_rows) >= 5:
             resid = cost_adjusted_quality([(r.relative_cost, r.r2) for r in ds_rows])
-            ds_rows = [
-                QualityReport(
-                    strategy=r.strategy,
-                    dataset=r.dataset,
-                    r2=r.r2,
-                    spearman_good=r.spearman_good,
-                    cost_adjusted=res,
-                    relative_cost=r.relative_cost,
-                    n_configs=r.n_configs,
-                )
-                for r, res in zip(ds_rows, resid)
-            ]
+            ds_rows = [replace(r, cost_adjusted=res) for r, res in zip(ds_rows, resid)]
         rows.extend(ds_rows)
     return rows
 
@@ -475,10 +457,7 @@ def build_quality_reports(records, good_rule: GoodConfigRule = DEFAULT_GOOD_RULE
 def reports_to_csv(reports, fh) -> None:
     w = csv.writer(fh)
     w.writerow(REPORT_COLUMNS)
-    for r in reports:
-        w.writerow(
-            [r.strategy, r.dataset, repr(r.r2), repr(r.spearman_good), repr(r.cost_adjusted), repr(r.relative_cost), r.n_configs]
-        )
+    w.writerows(map(astuple, reports))  # csv writes a float as str(), the shortest repr that round-trips
 
 
 def reports_from_csv(path: str | Path) -> list:
@@ -487,19 +466,5 @@ def reports_from_csv(path: str | Path) -> list:
         rows = list(csv.reader(fh))
     if not rows or tuple(rows[0]) != REPORT_COLUMNS:
         raise ValueError(f"{path}: not a quality report CSV")
-    out = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        out.append(
-            QualityReport(
-                strategy=row[0],
-                dataset=row[1],
-                r2=float(row[2]),
-                spearman_good=float(row[3]),
-                cost_adjusted=float(row[4]),
-                relative_cost=float(row[5]),
-                n_configs=int(row[6]),
-            )
-        )
-    return out
+    # columns in field order: two names, four floats, one count
+    return [QualityReport(row[0], row[1], *map(float, row[2:6]), int(row[6])) for row in rows[1:] if row]

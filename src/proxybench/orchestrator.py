@@ -12,7 +12,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .dataset import Dataset, subset_by_ids
@@ -37,7 +37,11 @@ _MALFORMED = (json.JSONDecodeError, TypeError, KeyError)  # a line that is not a
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Defaults plus per-field alternative values (one-at-a-time search)."""
+    """Defaults plus per-field alternative values (one-at-a-time search).
+
+    seed and epochs are not searched: each run's seed hashes its key, and
+    each proxy manifest sets its epochs.
+    """
 
     defaults: HyperparamConfig
     variations: dict
@@ -46,8 +50,8 @@ class GridSpec:
         for name, values in self.variations.items():
             if name not in _CONFIG_FIELDS:
                 raise ValueError(f"unknown config field {name!r}")
-            if name == "seed":
-                raise ValueError("seed is not a searchable field")
+            if name in ("seed", "epochs"):
+                raise ValueError(f"{name} is not a searchable field")
             if not values:
                 raise ValueError(f"empty variation list for {name!r}")
             default = getattr(self.defaults, name)
@@ -110,7 +114,7 @@ class ResultStore:
         self._records[key] = record
         if self._path is not None:
             with open(self._path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record.to_dict()) + "\n")
+                fh.write(json.dumps(asdict(record)) + "\n")
                 fh.flush()
 
 
@@ -192,14 +196,29 @@ def run_matrix(
     results pair across proxies. A manifest's cells with equal stack_key
     train in stacks of at most _STACK_CAP, one pool task each; a cell gets
     the same record either way. Records are appended in cell order
-    regardless of which worker finishes first. A stored record whose seed
-    differs from the one global_seed gives its key raises ValueError before
-    any cell runs: resuming would mix runs of two seeds.
+    regardless of which worker finishes first.
+
+    Raises ValueError before any cell runs if the grid configs' epochs
+    differ; if a manifest was built for another target budget (its epochs
+    must equal the grid's, or lie below them for fewer_epochs); or if a
+    stored record's seed differs from the one global_seed gives its key,
+    since resuming would mix runs of two seeds.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     if not grid:
         raise ValueError("empty grid")
+    budgets = sorted({cfg.epochs for cfg in grid})
+    if len(budgets) != 1:
+        raise ValueError(f"grid configs train for different epoch counts {budgets}")
+    epochs = budgets[0]
+    for m in manifests:
+        fewer = m.spec.kind == "fewer_epochs"
+        if not (m.epochs < epochs if fewer else m.epochs == epochs):
+            raise ValueError(
+                f"proxy manifest {m.proxy_id!r} trains {m.epochs} epochs, not {'fewer than ' if fewer else ''}"
+                f"the grid's {epochs}; rebuild it with make-proxy --target-epochs {epochs}"
+            )
     if store is None:
         store = ResultStore()
 

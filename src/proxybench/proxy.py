@@ -47,11 +47,13 @@ _STREAM_CLASS_PICK = 22
 
 @dataclass(frozen=True)
 class ProxySpec:
-    """A proxy recipe. Use the classmethod constructors; only the fields
-    relevant to `kind` may be set.
+    """A proxy recipe: ProxySpec(kind=..., ...), setting only the fields
+    KIND_FIELDS[kind] lists; the others stay None.
 
-    fraction: random_all and half_classes, in (0, 1].
-    class_set: half_classes; None means pick ceil(K/2) classes by seed.
+    fraction: random_all (required) and half_classes (None keeps all the
+    examples of the kept classes), in (0, 1].
+    class_set: half_classes; stored sorted and deduplicated; None means pick
+    ceil(K/2) classes by seed.
     lo/hi: quantile bounds on the hardest(0) to easiest(1) axis.
     epochs: fewer_epochs budget, must be below the target budget.
     seed: drives any sampling the kind performs.
@@ -92,31 +94,6 @@ class ProxySpec:
             object.__setattr__(self, "class_set", cs)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-    @classmethod
-    def full(cls) -> "ProxySpec":
-        return cls(kind="full")
-
-    @classmethod
-    def random_all(cls, fraction: float, seed: int = 0) -> "ProxySpec":
-        return cls(kind="random_all", fraction=fraction, seed=seed)
-
-    @classmethod
-    def half_classes(cls, class_set=None, fraction: float = 1.0, seed: int = 0) -> "ProxySpec":
-        return cls(
-            kind="half_classes",
-            class_set=tuple(class_set) if class_set is not None else None,
-            fraction=fraction,
-            seed=seed,
-        )
-
-    @classmethod
-    def quantile(cls, lo: float, hi: float) -> "ProxySpec":
-        return cls(kind="quantile", lo=lo, hi=hi)
-
-    @classmethod
-    def fewer_epochs(cls, epochs: int) -> "ProxySpec":
-        return cls(kind="fewer_epochs", epochs=epochs)
 
     def proxy_id(self) -> str:
         """Human-readable identity; quantile slices use hard-lo-hi notation."""
@@ -264,13 +241,7 @@ def build_proxy(
 
 def save_manifest(manifest: ProxyManifest, path: str | Path) -> None:
     spec = manifest.spec
-    params = {}
-    for name in ("fraction", "lo", "hi", "epochs"):
-        v = getattr(spec, name)
-        if v is not None:
-            params[name] = v
-    if spec.class_set is not None:
-        params["class_set"] = list(spec.class_set)
+    params = {name: getattr(spec, name) for name in KIND_FIELDS[spec.kind] if getattr(spec, name) is not None}
     payload = {
         "proxy_id": manifest.proxy_id,
         "kind": spec.kind,
@@ -289,10 +260,7 @@ def load_manifest(path: str | Path) -> ProxyManifest:
     if not path.exists():
         raise FileNotFoundError(f"proxy manifest not found: {path}")
     payload = json.loads(path.read_text(encoding="utf-8"))
-    params = dict(payload["params"])
-    if "class_set" in params:
-        params["class_set"] = tuple(params["class_set"])
-    spec = ProxySpec(kind=payload["kind"], seed=payload["seed"], **params)
+    spec = ProxySpec(kind=payload["kind"], seed=payload["seed"], **payload["params"])
     return ProxyManifest(
         proxy_id=payload["proxy_id"],
         spec=spec,

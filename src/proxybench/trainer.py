@@ -202,19 +202,6 @@ class RunRecord:
     wall_ms: int
     status: str = "ok"
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "proxy_id": self.proxy_id,
-            "config_id": self.config_id,
-            "seed": self.seed,
-            "epoch_val_acc": self.epoch_val_acc,
-            "best_val_acc": self.best_val_acc,
-            "cost_units": self.cost_units,
-            "wall_ms": self.wall_ms,
-            "status": self.status,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
         return cls(**d)
@@ -514,13 +501,12 @@ def train_model(
     *,
     proxy_id: str = "full",
     config_key: str | None = None,
-    shuffle_seed: int | None = None,
 ):
     """Train a fresh model; returns (RunRecord, ModelParams).
 
     Deterministic given (config, data): initialization is seeded from
     config.seed, and the per-epoch shuffle and augmentation draws from
-    (shuffle_seed or config.seed, epoch). Validation accuracy is measured
+    (config.seed, epoch). Validation accuracy is measured
     after every epoch and best_val_acc is the max over epochs.
 
     A non-finite loss or gradient aborts the run: the record comes back
@@ -528,7 +514,7 @@ def train_model(
     value (or the current model's accuracy if no epoch finished), and its
     nominal cost intact. The run is a stack of one (see train_stack).
     """
-    return train_stack(train, val, [config], proxy_id=proxy_id, config_keys=[config_key], shuffle_seeds=[shuffle_seed])[0]
+    return train_stack(train, val, [config], proxy_id=proxy_id, config_keys=[config_key])[0]
 
 
 def train_stack(
@@ -538,7 +524,6 @@ def train_stack(
     *,
     proxy_id: str = "full",
     config_keys: list | None = None,
-    shuffle_seeds: list | None = None,
 ) -> list:
     """Train configs of one stack_key in lockstep; returns a (RunRecord, ModelParams) per config, in order.
 
@@ -553,9 +538,8 @@ def train_stack(
     configs = list(configs)
     k = len(configs)
     config_keys = [None] * k if config_keys is None else list(config_keys)
-    shuffle_seeds = [None] * k if shuffle_seeds is None else list(shuffle_seeds)
-    if k == 0 or len(config_keys) != k or len(shuffle_seeds) != k:
-        raise ValueError("need one config key and shuffle seed per config, and at least one config")
+    if k == 0 or len(config_keys) != k:
+        raise ValueError("need one config key per config, and at least one config")
     if len({stack_key(c) for c in configs}) != 1:
         raise ValueError("configs of a stack must share layer sizes, batch size and epochs")
     if len(train) == 0 or len(val) == 0:
@@ -564,10 +548,7 @@ def train_stack(
         raise ValueError("train and val shapes disagree")
 
     t0 = time.perf_counter()
-    members = [
-        _Member(c, c.seed if seed is None else seed, config_id(c) if key is None else key)
-        for c, seed, key in zip(configs, shuffle_seeds, config_keys)
-    ]
+    members = [_Member(c, config_id(c) if key is None else key) for c, key in zip(configs, config_keys)]
     stack = _Stack(sorted(members, key=lambda m: _OPTIMIZERS.index(m.config.optimizer)), train, val)
     # Divergent configs overflow on purpose before the abort check catches
     # them, and a half-blown model can overflow again while being evaluated;
@@ -607,7 +588,6 @@ class _Member:
     """One model of a stack: what it trains with, and how it ended."""
 
     config: HyperparamConfig
-    order_seed: int
     config_key: str
     epoch_val_acc: list = field(default_factory=list)
     status: str = "ok"
@@ -668,11 +648,11 @@ class _Stack:
         if any(m.config.augment_prob > 0.0 for m in self.members):
             self.flips = np.zeros((k, n), dtype=bool)
         for i, m in enumerate(self.members):
-            self.order[i] = np.random.default_rng([m.order_seed, _STREAM_SHUFFLE, epoch]).permutation(n)
+            self.order[i] = np.random.default_rng([m.config.seed, _STREAM_SHUFFLE, epoch]).permutation(n)
             # One draw per row in visiting order: the numbers that one draw
             # per batch from the same generator would give.
             if m.config.augment_prob > 0.0:
-                self.flips[i] = np.random.default_rng([m.order_seed, _STREAM_AUG, epoch]).random(n) < m.config.augment_prob
+                self.flips[i] = np.random.default_rng([m.config.seed, _STREAM_AUG, epoch]).random(n) < m.config.augment_prob
         # Ascending row order within each batch keeps accumulation order
         # canonical, so full-batch runs ignore the shuffle.
         self.order[:, : full * batch].reshape(k, full, batch).sort(axis=2)

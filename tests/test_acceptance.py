@@ -254,8 +254,8 @@ def test_5_good_config_selection_keeps_the_top_pair(capsys):
         proxy_acc=(0.92, 0.93, 0.84, 0.86),
         target_acc=(0.95, 0.99, 0.85, 0.88),
     )
-    top = select_good_configs(paired, GoodConfigRule.top_fraction(0.5))
-    floor = select_good_configs(paired, GoodConfigRule.min_accuracy(0.9))
+    top = select_good_configs(paired, GoodConfigRule("top_fraction", 0.5))
+    floor = select_good_configs(paired, GoodConfigRule("min_accuracy", 0.9))
     corr = spearman([paired.proxy_acc[i] for i in top], [paired.target_acc[i] for i in top])
 
     ok = top == [0, 1] and floor == [0, 1] and abs(corr - 1.0) < 1e-12
@@ -382,9 +382,9 @@ def test_7_easier_half_tracks_the_target_better_exploratory(capsys):
         _, model = train_model(train, val, HyperparamConfig(epochs=10, stem_width_1=16, stem_width_2=16, seed=seed))
         table = score_examples(model, train)
         manifests = [
-            build_proxy(train, val, ProxySpec.full(), target_epochs=10),
-            build_proxy(train, val, ProxySpec.quantile(0.5, 1.0), table=table, target_epochs=10),
-            build_proxy(train, val, ProxySpec.quantile(0.0, 0.5), table=table, target_epochs=10),
+            build_proxy(train, val, ProxySpec(kind="full"), target_epochs=10),
+            build_proxy(train, val, ProxySpec(kind="quantile", lo=0.5, hi=1.0), table=table, target_epochs=10),
+            build_proxy(train, val, ProxySpec(kind="quantile", lo=0.0, hi=0.5), table=table, target_epochs=10),
         ]
         store = run_matrix(train, val, manifests, grid, global_seed=seed)
         r2 = {}

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -60,11 +61,13 @@ def pipeline(tmp_path_factory):
     for flags in [
         ["--kind", "random_all", "--fraction", "0.5"],
         ["--kind", "quantile", "--lo", "0.5", "--hi", "1.0", "--scores", str(scores)],
-        ["--kind", "fewer_epochs", "--epochs", "1", "--target-epochs", "3"],
+        ["--kind", "fewer_epochs", "--epochs", "1"],
         ["--kind", "half_classes", "--classes", "0,1"],
     ]:
         name = flags[1] + ".json"
-        assert main(["make-proxy", "--data", str(data), "--out", str(proxies / name), *flags]) == 0
+        # the grid trains 3 epochs, so every manifest is built for that budget
+        argv = ["make-proxy", "--data", str(data), "--out", str(proxies / name), "--target-epochs", "3", *flags]
+        assert main(argv) == 0
     assert (
         main(["run-grid", "--data", str(data), "--grid", str(grid_path), "--proxies", str(proxies), "--out", str(results)])
         == 0
@@ -161,15 +164,15 @@ class TestMakeProxy:
         assert code == 1
         assert "--scores" in capsys.readouterr().err
 
-    def test_table_dataset_mismatch(self, pipeline, tmp_path, capsys):
+    def test_renamed_copy_of_the_scored_data_is_accepted(self, pipeline, tmp_path, capsys):
+        # the table's sha256 names the bytes it scored; the file name is only a label
         other = tmp_path / "other.csv"
         other.write_bytes(pipeline["data"].read_bytes())
-        code = main(
-            ["make-proxy", "--data", str(other), "--kind", "quantile", "--lo", "0.5", "--hi", "1.0",
-             "--scores", str(pipeline["scores"]), "--out", str(tmp_path / "m.json")]
-        )
-        assert code == 2
-        assert "is for dataset" in capsys.readouterr().err
+        for data, out in ((pipeline["data"], tmp_path / "a.json"), (other, tmp_path / "b.json")):
+            code = main(["make-proxy", "--data", str(data), "--kind", "quantile", "--lo", "0.5", "--hi", "1.0",
+                         "--scores", str(pipeline["scores"]), "--out", str(out)])
+            assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_bad_classes_flag(self, pipeline, tmp_path, capsys):
         code = main(
@@ -399,6 +402,32 @@ class TestRunGrid:
         assert f"used seed {first.seed}, but global seed 5 gives seed" in err
         assert out.read_bytes() == pipeline["results"].read_bytes()
 
+    def test_epochs_variation_is_refused(self, pipeline, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({**GRID, "variations": {**GRID["variations"], "epochs": [1]}}))
+        out = tmp_path / "r.jsonl"
+        code = main(["run-grid", "--data", str(pipeline["data"]), "--grid", str(grid),
+                     "--proxies", str(pipeline["proxies"]), "--out", str(out)])
+        assert code == 2
+        assert "epochs is not a searchable field" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_for_another_epoch_budget_is_refused(self, pipeline, tmp_path, capsys):
+        # built for the default 20 epochs; the grid trains 3
+        proxies = tmp_path / "proxies"
+        proxies.mkdir()
+        assert main(["make-proxy", "--data", str(pipeline["data"]), "--kind", "random_all", "--fraction", "0.5",
+                     "--out", str(proxies / "random.json")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "r.jsonl"
+        code = main(["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
+                     "--proxies", str(proxies), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'random-0.5-s0' trains 20 epochs, not the grid's 3" in err
+        assert "--target-epochs 3" in err
+        assert not out.exists()
+
     def test_missing_proxy_dir(self, pipeline, tmp_path, capsys):
         code = main(
             ["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
@@ -425,16 +454,6 @@ class TestAnalyze:
         assert main(["analyze", "--results", str(pipeline["results"]), "--out", str(out)]) == 0
         capsys.readouterr()
         assert out.read_bytes() == pipeline["quality"].read_bytes()
-
-    def test_epoch_corr_output(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "q.csv"
-        assert main(["analyze", "--results", str(pipeline["results"]), "--out", str(out), "--epoch-corr"]) == 0
-        capsys.readouterr()
-        ec = tmp_path / "q-epochs.csv"
-        assert ec.exists()
-        lines = ec.read_text().strip().splitlines()
-        assert lines[0] == "dataset,epoch,pearson"
-        assert len(lines) == 4  # 3 full-proxy epochs
 
     def test_bad_good_rule(self, pipeline, tmp_path, capsys):
         code = main(["analyze", "--results", str(pipeline["results"]), "--out", str(tmp_path / "q.csv"), "--good-rule", "best:9"])
@@ -495,7 +514,7 @@ class TestConsistency:
         results = tmp_path / "r.jsonl"
         with open(results, "w") as fh:
             for rec in _synthetic_records():
-                fh.write(json.dumps(rec.to_dict()) + "\n")
+                fh.write(json.dumps(asdict(rec)) + "\n")
         out = tmp_path / "q.csv"
         code = main(["analyze", "--results", str(results), "--out", str(out), "--consistency", "dsa,dsb:r2"])
         assert code == 0
@@ -506,7 +525,7 @@ class TestConsistency:
         results = tmp_path / "r.jsonl"
         with open(results, "w") as fh:
             for rec in _synthetic_records(datasets=("dsa",)):
-                fh.write(json.dumps(rec.to_dict()) + "\n")
+                fh.write(json.dumps(asdict(rec)) + "\n")
         code = main(["analyze", "--results", str(results), "--out", str(tmp_path / "q.csv"), "--consistency", "only_one"])
         assert code == 1
         assert "--consistency" in capsys.readouterr().err
@@ -535,26 +554,43 @@ class TestReport:
         scatter = (out / "proxy_target_scatter.csv").read_text().strip().splitlines()
         assert scatter[0] == "dataset,strategy,config_id,proxy_acc_z,target_acc_z"
         assert len(scatter) == 1 + 4 * 4  # 4 non-target strategies x 4 configs
+        epochs = (out / "epoch_correlation.csv").read_text().strip().splitlines()
+        assert epochs[0] == "dataset,epoch,pearson"
+        assert len(epochs) == 1 + 3  # one row per epoch of the full runs
+
+
+def _subcommand_flags() -> dict:
+    """Subcommand name -> the options its parser accepts, less --help."""
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
 
 
 class TestFlagSets:
     def test_each_subcommand_takes_exactly_these_options(self):
-        parser = _build_parser()
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         common = {"--global-seed", "--val-fraction"}
-        flags = {
-            name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
-            for name, p in sub.choices.items()
-        }
-        assert flags == {
+        assert _subcommand_flags() == {
             "gen-data": {"--spec", "--out"},
             "score": {"--data", "--out"} | common,
             "make-proxy": {"--data", "--scores", "--kind", "--lo", "--hi", "--fraction", "--classes", "--epochs",
                            "--seed", "--target-epochs", "--out"} | common,
             "run-grid": {"--data", "--grid", "--proxies", "--out", "--parallel", "--dry-run"} | common,
-            "analyze": {"--results", "--out", "--good-rule", "--epoch-corr", "--consistency"},
+            "analyze": {"--results", "--out", "--good-rule", "--consistency"},
             "report": {"--report", "--out", "--results"},
         }
+
+    def test_readme_commands_use_only_accepted_flags(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = [line.strip() for line in readme.replace("\\\n", " ").splitlines()]  # join continued lines
+        commands = [line.split() for line in lines if line.startswith("proxybench ")]
+        assert len(commands) >= 9  # gen-data, score, four make-proxy, run-grid, analyze, report
+        accepted = _subcommand_flags()
+        for words in commands:
+            assert words[1] in accepted, words
+            used = {w.split("=")[0] for w in words if w.startswith("--")}
+            assert used <= accepted[words[1]], (words[1], used - accepted[words[1]])
 
 
 class TestExitCodes:

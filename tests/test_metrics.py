@@ -147,28 +147,28 @@ class TestSpearman:
 class TestSelectGoodConfigs:
     def test_top_half_of_four(self):
         paired = _paired([0.92, 0.93, 0.84, 0.86])
-        assert select_good_configs(paired, GoodConfigRule.top_fraction(0.5)) == [0, 1]
+        assert select_good_configs(paired, GoodConfigRule("top_fraction", 0.5)) == [0, 1]
 
     def test_min_accuracy_same_pick(self):
         paired = _paired([0.92, 0.93, 0.84, 0.86])
-        assert select_good_configs(paired, GoodConfigRule.min_accuracy(0.9)) == [0, 1]
+        assert select_good_configs(paired, GoodConfigRule("min_accuracy", 0.9)) == [0, 1]
 
     def test_top_everything(self):
         paired = _paired([0.3, 0.1, 0.2])
-        assert select_good_configs(paired, GoodConfigRule.top_fraction(1.0)) == [0, 1, 2]
+        assert select_good_configs(paired, GoodConfigRule("top_fraction", 1.0)) == [0, 1, 2]
 
     def test_tie_broken_by_config_id(self):
         paired = _paired([0.9, 0.9, 0.9, 0.1], ids=("cb", "ca", "cc", "cd"))
-        assert select_good_configs(paired, GoodConfigRule.top_fraction(0.5)) == [0, 1]
+        assert select_good_configs(paired, GoodConfigRule("top_fraction", 0.5)) == [0, 1]
 
     def test_too_few_good(self):
         paired = _paired([0.9, 0.1, 0.1, 0.1])
         with pytest.raises(ValueError, match="too few good configs"):
-            select_good_configs(paired, GoodConfigRule.min_accuracy(0.5))
+            select_good_configs(paired, GoodConfigRule("min_accuracy", 0.5))
 
     def test_rule_validation(self):
         with pytest.raises(ValueError):
-            GoodConfigRule.top_fraction(0.0)
+            GoodConfigRule("top_fraction", 0.0)
         with pytest.raises(ValueError):
             GoodConfigRule("median", 0.5)
 
@@ -176,7 +176,7 @@ class TestSelectGoodConfigs:
         proxy = [0.4, 0.9, 0.3, 0.7, 0.5]
         target = [0.5, 0.8, 0.2, 0.9, 0.4]
         paired = _paired(proxy, target)
-        good = select_good_configs(paired, GoodConfigRule.top_fraction(1.0))
+        good = select_good_configs(paired, GoodConfigRule("top_fraction", 1.0))
         sub = spearman([proxy[i] for i in good], [target[i] for i in good])
         assert abs(sub - spearman(proxy, target)) < 1e-12
 

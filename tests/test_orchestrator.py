@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -98,6 +98,11 @@ class TestGridGeneration:
         with pytest.raises(ValueError, match="seed"):
             GridSpec(defaults=FAST, variations={"seed": [1, 2]})
 
+    def test_epochs_not_searchable(self):
+        # each proxy manifest sets the epochs; a variation would retrain them under a new config id
+        with pytest.raises(ValueError, match="epochs is not a searchable field"):
+            GridSpec(defaults=FAST, variations={"epochs": [1]})
+
     def test_duplicate_values_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             GridSpec(defaults=FAST, variations={"learning_rate": [0.01, 0.01]})
@@ -141,20 +146,20 @@ class TestResultStore:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        path.write_text(json.dumps(_record().to_dict()) + "\n\n")
+        path.write_text(json.dumps(asdict(_record())) + "\n\n")
         assert len(store_load(path)) == 1
 
     def test_malformed_line_names_its_number(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        good = json.dumps(_record().to_dict())
+        good = json.dumps(asdict(_record()))
         path.write_text(good + "\n{not json}\n")
         with pytest.raises(ValueError, match="line 2"):
             store_load(path)
 
     def test_torn_last_line_is_dropped_and_cut(self, tmp_path, capsys):
         path = tmp_path / "results.jsonl"
-        good = json.dumps(_record(cfg="c0").to_dict()) + "\n"
-        torn = json.dumps(_record(cfg="c1").to_dict())[:40]
+        good = json.dumps(asdict(_record(cfg="c0"))) + "\n"
+        torn = json.dumps(asdict(_record(cfg="c1")))[:40]
         path.write_text(good + torn)
         store = store_load(path)
         assert list(store.keys()) == [("d", "full", "c0")]
@@ -165,7 +170,7 @@ class TestResultStore:
 
     def test_unterminated_whole_record_is_kept_and_terminated(self, tmp_path, capsys):
         path = tmp_path / "results.jsonl"
-        good = json.dumps(_record(cfg="c0").to_dict())
+        good = json.dumps(asdict(_record(cfg="c0")))
         path.write_text(good)
         store = store_load(path)
         assert len(store) == 1
@@ -176,7 +181,7 @@ class TestResultStore:
 
     def test_malformed_line_mid_file_raises_despite_torn_tail(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        good = json.dumps(_record(cfg="c0").to_dict())
+        good = json.dumps(asdict(_record(cfg="c0")))
         path.write_text(good + "\n{not json}\n" + good[:30])
         before = path.read_bytes()
         with pytest.raises(ValueError, match="line 2: malformed"):
@@ -210,8 +215,8 @@ class TestRunMatrix:
     def test_full_matrix_shape(self):
         train, val = _tiny_split()
         proxies = [
-            build_proxy(train, val, ProxySpec.full(), target_epochs=2),
-            build_proxy(train, val, ProxySpec.random_all(0.5, seed=0), target_epochs=2),
+            build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
+            build_proxy(train, val, ProxySpec(kind="random_all", fraction=0.5, seed=0), target_epochs=2),
         ]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01], "optimizer": ["sgd"]}))
         store = run_matrix(train, val, proxies, grid)
@@ -226,8 +231,8 @@ class TestRunMatrix:
     def test_parallel_matches_serial(self):
         train, val = _tiny_split()
         proxies = [
-            build_proxy(train, val, ProxySpec.full(), target_epochs=2),
-            build_proxy(train, val, ProxySpec.fewer_epochs(1), target_epochs=2),
+            build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
+            build_proxy(train, val, ProxySpec(kind="fewer_epochs", epochs=1), target_epochs=2),
         ]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01, 0.001]}))
         serial = run_matrix(train, val, proxies, grid, parallelism=1)
@@ -240,7 +245,7 @@ class TestRunMatrix:
 
     def test_resume_skips_existing_cells(self, tmp_path):
         train, val = _tiny_split()
-        proxies = [build_proxy(train, val, ProxySpec.full(), target_epochs=2)]
+        proxies = [build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2)]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01, 0.001]}))
         path = tmp_path / "results.jsonl"
 
@@ -255,7 +260,7 @@ class TestRunMatrix:
 
     def test_resume_under_another_seed_is_refused(self, tmp_path):
         train, val = _tiny_split()
-        proxies = [build_proxy(train, val, ProxySpec.full(), target_epochs=2)]
+        proxies = [build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2)]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01]}))
         path = tmp_path / "results.jsonl"
         run_matrix(train, val, proxies, grid, store=ResultStore(path=path))
@@ -282,8 +287,8 @@ class TestRunMatrix:
         monkeypatch.setattr(orchestrator, "subset_by_ids", counting)
         train, val = _tiny_split()
         proxies = [
-            build_proxy(train, val, ProxySpec.full(), target_epochs=2),
-            build_proxy(train, val, ProxySpec.random_all(0.5, seed=0), target_epochs=2),
+            build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
+            build_proxy(train, val, ProxySpec(kind="random_all", fraction=0.5, seed=0), target_epochs=2),
         ]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01, 0.001]}))
         store = run_matrix(train, val, proxies, grid)
@@ -297,8 +302,8 @@ class TestRunMatrix:
     def test_reduced_epochs_keep_grid_config_identity(self):
         train, val = _tiny_split()
         proxies = [
-            build_proxy(train, val, ProxySpec.full(), target_epochs=2),
-            build_proxy(train, val, ProxySpec.fewer_epochs(1), target_epochs=2),
+            build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
+            build_proxy(train, val, ProxySpec(kind="fewer_epochs", epochs=1), target_epochs=2),
         ]
         grid = [FAST]
         store = run_matrix(train, val, proxies, grid)
@@ -324,7 +329,7 @@ class TestRunMatrix:
             feature_dim=train.feature_dim,
             id=train.id,
         )
-        proxies = [build_proxy(blown, val, ProxySpec.full(), target_epochs=2)]
+        proxies = [build_proxy(blown, val, ProxySpec(kind="full"), target_epochs=2)]
         grid = [HyperparamConfig(epochs=2, stem_width_1=8, stem_width_2=8, optimizer="sgd", learning_rate=1e260)]
         store = run_matrix(blown, val, proxies, grid)
         (rec,) = store.records()
@@ -334,8 +339,8 @@ class TestRunMatrix:
     def test_stacked_cells_append_in_cell_order_with_solo_records(self):
         train, val = _tiny_split()
         proxies = [
-            build_proxy(train, val, ProxySpec.full(), target_epochs=2),
-            build_proxy(train, val, ProxySpec.fewer_epochs(1), target_epochs=2),
+            build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
+            build_proxy(train, val, ProxySpec(kind="fewer_epochs", epochs=1), target_epochs=2),
         ]
         # stackable and lone configs interleaved in grid order
         grid = generate_grid(GridSpec(defaults=FAST, variations={
@@ -349,7 +354,7 @@ class TestRunMatrix:
                 rec = store.get((train.id, m.proxy_id, config_id(cfg)))
                 run_cfg = replace(cfg, seed=rec.seed, epochs=m.epochs)
                 solo, _ = train_model(sub_train, sub_val, run_cfg, proxy_id=m.proxy_id, config_key=config_id(cfg))
-                assert {**rec.to_dict(), "wall_ms": 0} == {**solo.to_dict(), "wall_ms": 0}
+                assert {**asdict(rec), "wall_ms": 0} == {**asdict(solo), "wall_ms": 0}
 
     def test_stacks_never_exceed_the_cap(self, monkeypatch):
         import proxybench.orchestrator as orchestrator
@@ -363,7 +368,7 @@ class TestRunMatrix:
 
         monkeypatch.setattr(orchestrator, "train_stack", recording)
         train, val = _tiny_split()
-        proxies = [build_proxy(train, val, ProxySpec.full(), target_epochs=2)]
+        proxies = [build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2)]
         rates = [0.0005, 0.001, 0.002, 0.005, 0.007, 0.02, 0.03, 0.05, 0.1, 0.2, 0.3]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": rates, "depth": ["large"]}))
         store = run_matrix(train, val, proxies, grid)
@@ -374,3 +379,25 @@ class TestRunMatrix:
         train, val = _tiny_split()
         with pytest.raises(ValueError, match="empty grid"):
             run_matrix(train, val, [], [])
+
+    def test_grid_configs_of_unequal_epochs_rejected(self):
+        train, val = _tiny_split()
+        proxies = [build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2)]
+        with pytest.raises(ValueError, match=r"different epoch counts \[1, 2\]"):
+            run_matrix(train, val, proxies, [FAST, replace(FAST, epochs=1, learning_rate=0.01)])
+
+    @pytest.mark.parametrize("spec, target", [
+        (ProxySpec(kind="random_all", fraction=0.5), 20),  # would train 20 epochs against the full run's 2
+        (ProxySpec(kind="full"), 1),
+        (ProxySpec(kind="fewer_epochs", epochs=2), 3),  # not fewer than the grid's 2
+    ])
+    def test_manifest_for_another_target_budget_rejected(self, tmp_path, spec, target):
+        train, val = _tiny_split()
+        proxies = [
+            build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
+            build_proxy(train, val, spec, target_epochs=target),
+        ]
+        path = tmp_path / "results.jsonl"
+        with pytest.raises(ValueError, match=f"'{proxies[1].proxy_id}'.*--target-epochs 2"):
+            run_matrix(train, val, proxies, [FAST], store=ResultStore(path=path))
+        assert not path.exists()  # refused before any cell ran

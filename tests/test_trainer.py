@@ -388,20 +388,28 @@ class TestTrainModel:
         untrained = evaluate_accuracy(init_params(cfg, d.feature_dim, d.class_count), val)
         assert rec.epoch_val_acc == [untrained, untrained]
 
-    def test_full_batch_training_ignores_shuffle_seed(self):
+    # Moving the shuffle stream reshuffles every epoch and leaves the initialization alone.
+
+    def test_full_batch_training_ignores_shuffle_seed(self, monkeypatch):
+        import proxybench.trainer as trainer
+
         d = _small_data(seed=2)
         train, val = split(d, 0.2, seed=0)
         cfg = _tiny_config(batch_size=len(train), augment_prob=0.0, epochs=3)
-        r1, _ = train_model(train, val, cfg, shuffle_seed=111)
-        r2, _ = train_model(train, val, cfg, shuffle_seed=999)
+        r1, _ = train_model(train, val, cfg)
+        monkeypatch.setattr(trainer, "_STREAM_SHUFFLE", 99)
+        r2, _ = train_model(train, val, cfg)
         assert r1.epoch_val_acc == r2.epoch_val_acc
 
-    def test_minibatch_training_uses_shuffle_seed(self):
+    def test_minibatch_training_uses_shuffle_seed(self, monkeypatch):
+        import proxybench.trainer as trainer
+
         d = _small_data(seed=2)
         train, val = split(d, 0.2, seed=0)
         cfg = _tiny_config(batch_size=8, augment_prob=0.0, epochs=2, learning_rate=0.05)
-        _, p1 = train_model(train, val, cfg, shuffle_seed=111)
-        _, p2 = train_model(train, val, cfg, shuffle_seed=999)
+        _, p1 = train_model(train, val, cfg)
+        monkeypatch.setattr(trainer, "_STREAM_SHUFFLE", 99)
+        _, p2 = train_model(train, val, cfg)
         assert any(not np.array_equal(a, b) for a, b in zip(p1.weights, p2.weights))
 
     def test_gradient_explosion_is_recorded_not_raised(self):
