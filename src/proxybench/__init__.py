@@ -19,7 +19,7 @@ from .metrics import (
     zscore,
 )
 from .orchestrator import GridSpec, ResultStore, generate_grid, run_matrix, store_load
-from .proxy import ProxyManifest, ProxySpec, build_proxy, load_manifest, relative_cost, save_manifest
+from .proxy import ProxyManifest, ProxySpec, build_proxy, load_manifest, save_manifest
 from .trainer import (
     GradientExplosion,
     HyperparamConfig,

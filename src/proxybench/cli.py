@@ -35,7 +35,7 @@ from .metrics import (
     reports_to_csv,
     zscore,
 )
-from .orchestrator import grid_from_json, generate_grid, run_matrix, store_load
+from .orchestrator import check_epoch_budgets, grid_from_json, generate_grid, run_matrix, store_load
 from .proxy import FULL_PROXY_ID, KIND_FIELDS, ProxySpec, build_proxy, load_manifest, save_manifest
 from .trainer import HyperparamConfig, config_id, train_model
 
@@ -138,8 +138,7 @@ def _cmd_make_proxy(args) -> int:
     save_manifest(manifest, args.out)
     print(
         f"proxy {manifest.proxy_id}: {len(manifest.train_ids)} train ids, "
-        f"{len(manifest.val_ids)} val ids, {manifest.epochs} epochs, "
-        f"relative cost {manifest.relative_cost:g}"
+        f"{len(manifest.val_ids)} val ids, {manifest.epochs} epochs"
     )
     return 0
 
@@ -169,6 +168,7 @@ def _cmd_run_grid(args) -> int:
         )
 
     if args.dry_run:
+        check_epoch_budgets(manifests, grid)
         total_cost = 0.0
         n_cells = 0
         for m in manifests:
@@ -302,7 +302,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--classes", help="comma-separated class ids for half_classes")
     p.add_argument("--epochs", type=int, help="epoch budget for fewer_epochs")
     p.add_argument("--seed", type=int, default=0, help="sampling seed for the proxy itself")
-    p.add_argument("--target-epochs", type=int, default=20, help="full-run epoch budget used for cost accounting")
+    p.add_argument("--target-epochs", type=int, default=20, help="the grid's epoch budget, which every kind but fewer_epochs trains for")
     p.add_argument("--out", required=True, help="output manifest JSON")
     _add_common(p)
     p.set_defaults(func=_cmd_make_proxy)

@@ -24,6 +24,7 @@ __all__ = [
     "generate_grid",
     "run_matrix",
     "store_load",
+    "check_epoch_budgets",
     "run_seed",
     "grid_from_json",
 ]
@@ -32,7 +33,7 @@ _CONFIG_FIELDS = {f.name for f in fields(HyperparamConfig)}
 # Most cells a stack trains in lockstep. Five save most of the per-step
 # calls; larger stacks save little more and raise peak memory.
 _STACK_CAP = 5
-_MALFORMED = (json.JSONDecodeError, TypeError, KeyError)  # a line that is not a RunRecord
+_MALFORMED = (json.JSONDecodeError, TypeError, AttributeError)  # a line that is not a RunRecord
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def grid_from_json(path: str | Path) -> GridSpec:
     if not path.exists():
         raise FileNotFoundError(f"grid file not found: {path}")
     payload = json.loads(path.read_text(encoding="utf-8"))
-    defaults = HyperparamConfig.from_dict(payload.get("defaults", {}))
+    defaults = HyperparamConfig(**payload.get("defaults", {}))
     return GridSpec(defaults=defaults, variations=dict(payload.get("variations", {})))
 
 
@@ -118,6 +119,14 @@ class ResultStore:
                 fh.flush()
 
 
+def _parse_record(line: str) -> RunRecord:
+    """One results line as a RunRecord. Files written before records lost
+    their wall-clock field still carry a wall_ms key; it is dropped."""
+    d = json.loads(line)
+    d.pop("wall_ms", None)
+    return RunRecord(**d)
+
+
 def store_load(path: str | Path) -> ResultStore:
     """Load a JSONL results file; malformed lines are reported by number.
 
@@ -138,14 +147,14 @@ def store_load(path: str | Path) -> ResultStore:
             if not line.strip():
                 continue
             try:
-                record = RunRecord.from_dict(json.loads(line))
+                record = _parse_record(line)
             except _MALFORMED as e:
                 raise ValueError(f"{path}: line {n}: malformed record ({e})") from None
             store.append(record)
         tail = data[complete:].decode("utf-8", errors="replace")
         if tail.strip():
             try:
-                record = RunRecord.from_dict(json.loads(tail))
+                record = _parse_record(tail)
             except _MALFORMED:
                 print(f"warning: {path}: dropping an unterminated last line cut off mid-write", file=sys.stderr)
                 with open(path, "r+b") as fh:
@@ -178,6 +187,25 @@ def _run_unit(sub_train: Dataset, sub_val: Dataset, proxy_id: str, cells: list) 
     return [record for record, _ in train_stack(sub_train, sub_val, configs, proxy_id=proxy_id, config_keys=keys)]
 
 
+def check_epoch_budgets(manifests: list, grid: list) -> None:
+    """Raise ValueError if the grid is empty, if its configs' epochs differ,
+    or if a manifest was built for another target budget: its epochs must
+    equal the grid's, or lie below them for fewer_epochs."""
+    if not grid:
+        raise ValueError("empty grid")
+    budgets = sorted({cfg.epochs for cfg in grid})
+    if len(budgets) != 1:
+        raise ValueError(f"grid configs train for different epoch counts {budgets}")
+    epochs = budgets[0]
+    for m in manifests:
+        fewer = m.spec.kind == "fewer_epochs"
+        if not (m.epochs < epochs if fewer else m.epochs == epochs):
+            raise ValueError(
+                f"proxy manifest {m.proxy_id!r} trains {m.epochs} epochs, not {'fewer than ' if fewer else ''}"
+                f"the grid's {epochs}; rebuild it with make-proxy --target-epochs {epochs}"
+            )
+
+
 def run_matrix(
     train: Dataset,
     val: Dataset,
@@ -198,27 +226,14 @@ def run_matrix(
     the same record either way. Records are appended in cell order
     regardless of which worker finishes first.
 
-    Raises ValueError before any cell runs if the grid configs' epochs
-    differ; if a manifest was built for another target budget (its epochs
-    must equal the grid's, or lie below them for fewer_epochs); or if a
-    stored record's seed differs from the one global_seed gives its key,
-    since resuming would mix runs of two seeds.
+    Raises ValueError before any cell runs if check_epoch_budgets refuses
+    the manifests and grid, or if a stored record's seed differs from the
+    one global_seed gives its key, since resuming would mix runs of two
+    seeds.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    if not grid:
-        raise ValueError("empty grid")
-    budgets = sorted({cfg.epochs for cfg in grid})
-    if len(budgets) != 1:
-        raise ValueError(f"grid configs train for different epoch counts {budgets}")
-    epochs = budgets[0]
-    for m in manifests:
-        fewer = m.spec.kind == "fewer_epochs"
-        if not (m.epochs < epochs if fewer else m.epochs == epochs):
-            raise ValueError(
-                f"proxy manifest {m.proxy_id!r} trains {m.epochs} epochs, not {'fewer than ' if fewer else ''}"
-                f"the grid's {epochs}; rebuild it with make-proxy --target-epochs {epochs}"
-            )
+    check_epoch_budgets(manifests, grid)
     if store is None:
         store = ResultStore()
 

@@ -2,8 +2,8 @@
 
 A proxy is a cheaper stand-in for the full training task: a subset of the
 training examples, a subset of the classes, a difficulty slice, or the full
-data for fewer epochs. Its relative cost is measured in example-epochs as a
-fraction of the full run.
+data for fewer epochs. What a proxy run costs relative to the full run is
+measured from the run records (metrics), not stored here.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "ProxySpec",
     "ProxyManifest",
     "build_proxy",
-    "relative_cost",
     "save_manifest",
     "load_manifest",
 ]
@@ -119,29 +118,19 @@ class ProxySpec:
 
 @dataclass(frozen=True)
 class ProxyManifest:
-    """A resolved proxy: concrete example ids plus cost accounting."""
+    """A resolved proxy: concrete example ids plus the epochs to train them."""
 
     proxy_id: str
     spec: ProxySpec
     train_ids: tuple
     val_ids: tuple
     epochs: int
-    relative_cost: float
 
     def __post_init__(self):
         if len(self.train_ids) == 0:
             raise ValueError(f"proxy {self.proxy_id!r} resolved to 0 training examples")
         if len(self.val_ids) == 0:
             raise ValueError(f"proxy {self.proxy_id!r} resolved to 0 validation examples")
-        if not (0.0 < self.relative_cost <= 1.0):
-            raise ValueError(f"relative_cost must be in (0, 1], got {self.relative_cost}")
-
-
-def relative_cost(train_size: int, epochs: int, full_train_size: int, target_epochs: int) -> float:
-    """Example-epoch cost of a proxy run relative to the full run."""
-    if min(train_size, epochs, full_train_size, target_epochs) < 1:
-        raise ValueError("sizes and epoch counts must be positive")
-    return (train_size * epochs) / (full_train_size * target_epochs)
 
 
 def _pick_half_classes(class_count: int, seed: int) -> tuple:
@@ -228,14 +217,12 @@ def build_proxy(
         val_ids = all_val
         epochs = spec.epochs
 
-    cost = relative_cost(len(train_ids), epochs, len(all_train), target_epochs)
     return ProxyManifest(
         proxy_id=spec.proxy_id(),
         spec=spec,
         train_ids=tuple(train_ids),
         val_ids=tuple(val_ids),
         epochs=epochs,
-        relative_cost=cost,
     )
 
 
@@ -250,7 +237,6 @@ def save_manifest(manifest: ProxyManifest, path: str | Path) -> None:
         "train_ids": list(manifest.train_ids),
         "val_ids": list(manifest.val_ids),
         "epochs": manifest.epochs,
-        "relative_cost": manifest.relative_cost,
     }
     write_atomic(path, json.dumps(payload, indent=2) + "\n")
 
@@ -267,5 +253,4 @@ def load_manifest(path: str | Path) -> ProxyManifest:
         train_ids=tuple(payload["train_ids"]),
         val_ids=tuple(payload["val_ids"]),
         epochs=payload["epochs"],
-        relative_cost=payload["relative_cost"],
     )

@@ -21,8 +21,7 @@ import functools
 import hashlib
 import json
 import math
-import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -113,13 +112,6 @@ class HyperparamConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HyperparamConfig":
-        return cls(**d)
-
 
 def config_id(config: HyperparamConfig) -> str:
     """Stable 12-hex-char identity of a config, ignoring the seed field.
@@ -127,7 +119,7 @@ def config_id(config: HyperparamConfig) -> str:
     Two runs of the same settings under different seeds share an id, which
     is what lets results be paired config-by-config across proxies.
     """
-    d = config.to_dict()
+    d = asdict(config)
     d.pop("seed")
     blob = json.dumps(d, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
@@ -188,8 +180,7 @@ class RunRecord:
 
     cost_units is the budgeted cost |train| * epochs; an aborted run keeps
     its nominal cost, and its accuracy list is padded to full length with
-    the last observed value. wall_ms is the wall time of the run, or of the
-    whole stack for a model trained in one.
+    the last observed value.
     """
 
     dataset_id: str
@@ -199,12 +190,7 @@ class RunRecord:
     epoch_val_acc: list
     best_val_acc: float
     cost_units: float
-    wall_ms: int
     status: str = "ok"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        return cls(**d)
 
 
 @dataclass
@@ -533,7 +519,7 @@ def train_stack(
     frozen at that step and recorded as aborted; the others go on. Each step
     is one forward_backward over the stack and one optimizer_step per
     optimizer over that optimizer's rows; evaluation stays one model at a
-    time. Every record's wall_ms is the stack's wall time.
+    time.
     """
     configs = list(configs)
     k = len(configs)
@@ -547,7 +533,6 @@ def train_stack(
     if train.feature_dim != val.feature_dim or train.class_count != val.class_count:
         raise ValueError("train and val shapes disagree")
 
-    t0 = time.perf_counter()
     members = [_Member(c, config_id(c) if key is None else key) for c, key in zip(configs, config_keys)]
     stack = _Stack(sorted(members, key=lambda m: _OPTIMIZERS.index(m.config.optimizer)), train, val)
     # Divergent configs overflow on purpose before the abort check catches
@@ -563,7 +548,6 @@ def train_stack(
     for i, m in enumerate(stack.members):
         m.params = stack.model(i)
 
-    wall_ms = int(round((time.perf_counter() - t0) * 1000))
     return [
         (
             RunRecord(
@@ -574,7 +558,6 @@ def train_stack(
                 epoch_val_acc=m.epoch_val_acc,
                 best_val_acc=max(m.epoch_val_acc),
                 cost_units=float(len(train) * m.config.epochs),
-                wall_ms=wall_ms,
                 status=m.status,
             ),
             m.params,

@@ -333,6 +333,9 @@ def test_6_pipeline_is_deterministic_with_exact_cost_accounting(capsys, tmp_path
         and store_b.get(k).epoch_val_acc == r.epoch_val_acc
         for k, r in zip(store_a.keys(), store_a.records())
     )
+    same_bytes = (
+        results_a.read_bytes() == results_b.read_bytes() and quality_a.read_bytes() == quality_b.read_bytes()
+    )
 
     from proxybench.metrics import reports_from_csv
 
@@ -347,15 +350,16 @@ def test_6_pipeline_is_deterministic_with_exact_cost_accounting(capsys, tmp_path
     }
     costs_exact = costs == expected
 
-    ok = bitwise and costs_exact and elapsed < 600.0 and n_cells == 66
+    ok = bitwise and same_bytes and costs_exact and elapsed < 600.0 and n_cells == 66
     _verdict(
         capsys, 6,
         ok,
         f"two CLI pipelines (1000 examples, 6 proxies x 11 configs) in {elapsed:.1f}s: "
-        f"best_val_acc bitwise identical: {bitwise}; relative costs "
+        f"best_val_acc bitwise identical: {bitwise}; results.jsonl and quality.csv "
+        f"byte-identical: {same_bytes}; relative costs "
         f"{[costs.get(k) for k in expected]} == {list(expected.values())}: {costs_exact}",
     )
-    assert ok, (bitwise, costs, elapsed, n_cells)
+    assert ok, (bitwise, same_bytes, costs, elapsed, n_cells)
 
 
 def test_7_easier_half_tracks_the_target_better_exploratory(capsys):

@@ -420,13 +420,37 @@ class TestRunGrid:
                      "--out", str(proxies / "random.json")]) == 0
         capsys.readouterr()
         out = tmp_path / "r.jsonl"
+        for dry_run in (["--dry-run"], []):
+            code = main(["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
+                         "--proxies", str(proxies), "--out", str(out), *dry_run])
+            assert code == 2, dry_run
+            err = capsys.readouterr().err
+            assert "'random-0.5-s0' trains 20 epochs, not the grid's 3" in err
+            assert "--target-epochs 3" in err
+            assert not out.exists()
+
+    def test_results_with_wall_ms_load_analyze_and_resume(self, pipeline, tmp_path, capsys):
+        # earlier versions wrote each run's wall time as "wall_ms" before "status"
+        def with_wall_ms(line):
+            record = json.loads(line)
+            status = record.pop("status")
+            return json.dumps({**record, "wall_ms": 17, "status": status}) + "\n"
+
+        lines = pipeline["results"].read_text().splitlines()
+        old = tmp_path / "old.jsonl"
+        old.write_text("".join(map(with_wall_ms, lines)))
+        quality = tmp_path / "quality.csv"
+        assert main(["analyze", "--results", str(old), "--out", str(quality)]) == 0
+        assert quality.read_bytes() == pipeline["quality"].read_bytes()
+
+        old.write_text("".join(map(with_wall_ms, lines[:12])))
         code = main(["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
-                     "--proxies", str(proxies), "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "'random-0.5-s0' trains 20 epochs, not the grid's 3" in err
-        assert "--target-epochs 3" in err
-        assert not out.exists()
+                     "--proxies", str(pipeline["proxies"]), "--out", str(old)])
+        assert code == 0
+        assert "(12 pre-existing, 8 new)" in capsys.readouterr().out
+        resumed = old.read_text().splitlines()
+        assert resumed[12:] == lines[12:]  # appended as this version writes them: no wall_ms
+        assert store_load(old).records() == store_load(pipeline["results"]).records()
 
     def test_missing_proxy_dir(self, pipeline, tmp_path, capsys):
         code = main(
@@ -503,7 +527,6 @@ def _synthetic_records(datasets=("dsa", "dsb"), n_cfg=6, seed=3):
                         epoch_val_acc=[acc / 2, acc],
                         best_val_acc=acc,
                         cost_units=cost,
-                        wall_ms=1,
                     )
                 )
     return records

@@ -33,7 +33,6 @@ def _rec(epoch_accs, best=None, dataset="d", proxy="full", cfg="c0", cost=100.0)
         epoch_val_acc=list(epoch_accs),
         best_val_acc=max(epoch_accs) if best is None else best,
         cost_units=cost,
-        wall_ms=1,
     )
 
 

@@ -27,7 +27,6 @@ def _record(ds="d", proxy="full", cfg="c0", best=0.5):
         epoch_val_acc=[0.1, best],
         best_val_acc=best,
         cost_units=10.0,
-        wall_ms=3,
     )
 
 
@@ -354,7 +353,7 @@ class TestRunMatrix:
                 rec = store.get((train.id, m.proxy_id, config_id(cfg)))
                 run_cfg = replace(cfg, seed=rec.seed, epochs=m.epochs)
                 solo, _ = train_model(sub_train, sub_val, run_cfg, proxy_id=m.proxy_id, config_key=config_id(cfg))
-                assert {**asdict(rec), "wall_ms": 0} == {**asdict(solo), "wall_ms": 0}
+                assert rec == solo
 
     def test_stacks_never_exceed_the_cap(self, monkeypatch):
         import proxybench.orchestrator as orchestrator

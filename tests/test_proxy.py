@@ -5,7 +5,7 @@ import pytest
 
 from proxybench.dataset import Dataset
 from proxybench.difficulty import DifficultyTable
-from proxybench.proxy import ProxySpec, build_proxy, load_manifest, relative_cost, save_manifest
+from proxybench.proxy import ProxySpec, build_proxy, load_manifest, save_manifest
 
 
 def _balanced(classes=10, per_class=100, dim=3, id="bal"):
@@ -59,13 +59,12 @@ class TestBuildProxy:
         assert len(m.train_ids) == 1000
         assert len(m.val_ids) == 500
         assert m.epochs == 20
-        assert m.relative_cost == 1.0
 
     def test_random_all_counts(self):
         m = build_proxy(TRAIN, VAL, ProxySpec(kind="random_all", fraction=0.1, seed=1), target_epochs=20)
         assert len(m.train_ids) == 100  # ceil(0.1 * 1000)
         assert len(m.val_ids) == 500  # validation untouched
-        assert m.relative_cost == 0.1
+        assert m.epochs == 20
         assert set(m.train_ids) <= TRAIN.id_set()
 
     def test_random_all_is_seeded(self):
@@ -101,7 +100,7 @@ class TestBuildProxy:
         m = build_proxy(TRAIN, VAL, ProxySpec(kind="quantile", lo=0.9, hi=1.0), table=table)
         # easiest 10% = highest ids under this table
         assert set(m.train_ids) == set(range(900, 1000))
-        assert m.relative_cost == 0.1
+        assert (len(m.train_ids), m.epochs) == (100, 20)
 
     def test_quantile_needs_a_table_of_exactly_the_training_ids(self):
         table = _table_for(TRAIN)
@@ -120,7 +119,6 @@ class TestBuildProxy:
         m = build_proxy(TRAIN, VAL, ProxySpec(kind="fewer_epochs", epochs=1), target_epochs=20)
         assert len(m.train_ids) == 1000
         assert m.epochs == 1
-        assert m.relative_cost == 0.05
 
     def test_fewer_epochs_must_reduce(self):
         with pytest.raises(ValueError, match="below target"):
@@ -131,22 +129,6 @@ class TestBuildProxy:
         table = _table_for(small)
         with pytest.raises(ValueError, match="0 examples"):
             build_proxy(small, VAL, ProxySpec(kind="quantile", lo=0.0, hi=0.1), table=table)
-
-
-class TestRelativeCost:
-    def test_pinned_values(self):
-        assert relative_cost(1000, 20, 1000, 20) == 1.0
-        assert relative_cost(100, 20, 1000, 20) == 0.1
-        assert relative_cost(1000, 1, 1000, 20) == 0.05
-
-    def test_monotone_in_size_and_epochs(self):
-        base = relative_cost(500, 10, 1000, 20)
-        assert relative_cost(600, 10, 1000, 20) > base
-        assert relative_cost(500, 12, 1000, 20) > base
-
-    def test_positive_sizes_required(self):
-        with pytest.raises(ValueError):
-            relative_cost(0, 20, 1000, 20)
 
 
 class TestManifestPersistence:
@@ -179,6 +161,16 @@ class TestManifestPersistence:
             payload = json.loads(p.read_text())
             assert list(payload["params"].items()) == list(params.items())
             assert (payload["kind"], payload["seed"]) == (spec.kind, spec.seed)
+
+    def test_relative_cost_is_not_stored_and_an_old_one_is_ignored(self, tmp_path):
+        m = build_proxy(TRAIN, VAL, ProxySpec(kind="fewer_epochs", epochs=1), target_epochs=20)
+        p = tmp_path / "ep1.json"
+        save_manifest(m, p)
+        payload = json.loads(p.read_text())
+        assert "relative_cost" not in payload
+        # manifests written by earlier versions carry the cost against --target-epochs
+        p.write_text(json.dumps({**payload, "relative_cost": 0.05}))
+        assert load_manifest(p) == m
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -3,6 +3,7 @@ backprop and the determinism contracts train_model promises to the runner."""
 
 import hashlib
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = HyperparamConfig(depth="large", optimizer="sgd", seed=7)
-        assert HyperparamConfig.from_dict(cfg.to_dict()) == cfg
+        assert HyperparamConfig(**asdict(cfg)) == cfg
 
     def test_config_id_ignores_seed_only(self):
         a = HyperparamConfig(seed=0)
