@@ -21,14 +21,12 @@ from .metrics import (
 from .orchestrator import GridSpec, ResultStore, generate_grid, run_matrix, store_load
 from .proxy import ProxyManifest, ProxySpec, build_proxy, load_manifest, save_manifest
 from .trainer import (
-    GradientExplosion,
     HyperparamConfig,
     ModelParams,
     RunRecord,
     config_id,
     evaluate_accuracy,
     forward_backward,
-    gradient_check,
     one_cycle_lr,
     optimizer_step,
     train_model,

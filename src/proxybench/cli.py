@@ -26,6 +26,7 @@ from ._atomic import write_atomic
 from .dataset import Dataset, SynthSpec, load_csv, split, synth_generate
 from .difficulty import load_table, save_table, score_examples
 from .metrics import (
+    CONSISTENCY_METRICS,
     GoodConfigRule,
     build_quality_reports,
     epoch_correlation,
@@ -59,6 +60,17 @@ def _global_seed(args) -> int:
         except ValueError:
             raise UsageError(f"PROXYBENCH_SEED must be an integer, got {env!r}") from None
     return args.global_seed
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: refused like any count below 1
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -217,8 +229,22 @@ def _epoch_corr_csv(records) -> str:
     return buf.getvalue()
 
 
+def _parse_consistency(text: str) -> tuple:
+    """(dataset a, dataset b, metric) from dsA,dsB[:metric]; the metric defaults to r2."""
+    spec, metric = text, "r2"
+    if ":" in text:
+        spec, metric = text.rsplit(":", 1)
+    names = [s for s in spec.split(",") if s]
+    if len(names) != 2 or metric not in CONSISTENCY_METRICS:
+        raise UsageError(
+            f"--consistency must look like dsA,dsB[:metric], metric one of {', '.join(CONSISTENCY_METRICS)}; got {text!r}"
+        )
+    return names[0], names[1], metric
+
+
 def _cmd_analyze(args) -> int:
     rule = _parse_good_rule(args.good_rule)
+    consistency = _parse_consistency(args.consistency) if args.consistency else None
     store = store_load(args.results)
     records = store.records()
     if not records:
@@ -230,18 +256,12 @@ def _cmd_analyze(args) -> int:
     write_atomic(out, buf.getvalue())
     print(f"{len(reports)} strategy rows -> {out}")
 
-    if args.consistency:
-        spec = args.consistency
-        metric = "r2"
-        if ":" in spec:
-            spec, metric = spec.rsplit(":", 1)
-        names = [s for s in spec.split(",") if s]
-        if len(names) != 2:
-            raise UsageError(f"--consistency must look like dsA,dsB[:metric], got {args.consistency!r}")
-        a = [r for r in reports if r.dataset == names[0]]
-        b = [r for r in reports if r.dataset == names[1]]
+    if consistency:
+        name_a, name_b, metric = consistency
+        a = [r for r in reports if r.dataset == name_a]
+        b = [r for r in reports if r.dataset == name_b]
         value = consistency_correlation(a, b, metric)
-        print(f"consistency {metric} {names[0]} vs {names[1]}: {value:.6f}")
+        print(f"consistency {metric} {name_a} vs {name_b}: {value:.6f}")
     return 0
 
 
@@ -302,7 +322,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--classes", help="comma-separated class ids for half_classes")
     p.add_argument("--epochs", type=int, help="epoch budget for fewer_epochs")
     p.add_argument("--seed", type=int, default=0, help="sampling seed for the proxy itself")
-    p.add_argument("--target-epochs", type=int, default=20, help="the grid's epoch budget, which every kind but fewer_epochs trains for")
+    p.add_argument("--target-epochs", type=_positive_int, default=20, help="the grid's epoch budget, which every kind but fewer_epochs trains for")
     p.add_argument("--out", required=True, help="output manifest JSON")
     _add_common(p)
     p.set_defaults(func=_cmd_make_proxy)
@@ -312,7 +332,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", required=True, help='JSON file: {"defaults": {...}, "variations": {...}}')
     p.add_argument("--proxies", required=True, help="directory of proxy manifest JSONs")
     p.add_argument("--out", required=True, help="results JSONL (appended; completed runs are kept)")
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=_positive_int, default=1)
     p.add_argument("--dry-run", action="store_true", help="print the run matrix and estimated cost, train nothing")
     _add_common(p)
     p.set_defaults(func=_cmd_run_grid)

@@ -96,9 +96,6 @@ class Dataset:
             f"classes={self.class_count}, dim={self.feature_dim})"
         )
 
-    def id_set(self) -> set[int]:
-        return set(self.ids.tolist())
-
     def _take(self, mask: np.ndarray) -> "Dataset":
         """The examples where mask is true, in source order; self itself when that is all of them."""
         if mask.all():

@@ -297,7 +297,7 @@ def lasso_cv(features, y, lambda_grid=None) -> LassoFit:
     return LassoFit(coef=coef, intercept=intercept, lam=best_lam)
 
 
-def cost_adjusted_quality(points, degree: int | None = None) -> list:
+def cost_adjusted_quality(points) -> list:
     """Residual quality of each strategy after removing what cost explains.
 
     points: (relative_cost, quality) pairs, one per strategy. Polynomial
@@ -305,10 +305,7 @@ def cost_adjusted_quality(points, degree: int | None = None) -> list:
     zeroes out stops the growth. The kept terms are then refit by ordinary
     least squares with an intercept, and each strategy's residual
     quality - fit(cost) is returned in input order. Positive means better
-    than its cost predicts.
-
-    degree forces the polynomial degree (0 = intercept only), skipping the
-    Lasso selection.
+    than its cost predicts. With no term kept, the fit is the mean quality.
     """
     pts = [(float(c), float(q)) for c, q in points]
     if len(pts) < 5:
@@ -316,16 +313,13 @@ def cost_adjusted_quality(points, degree: int | None = None) -> list:
     cost = np.array([c for c, _ in pts])
     quality = np.array([q for _, q in pts])
 
-    if degree is None:
-        degree = 0
-        for d in range(1, 4):
-            cols = np.column_stack([cost**p for p in range(1, d + 1)])
-            fit = lasso_cv(cols, quality)
-            if fit.coef[d - 1] == 0.0:
-                break
-            degree = d
-    elif not (0 <= degree <= 3):
-        raise ValueError(f"degree must be in [0, 3], got {degree}")
+    degree = 0
+    for d in range(1, 4):
+        cols = np.column_stack([cost**p for p in range(1, d + 1)])
+        fit = lasso_cv(cols, quality)
+        if fit.coef[d - 1] == 0.0:
+            break
+        degree = d
 
     if degree == 0:
         fitted = np.full(len(pts), quality.mean())
@@ -336,10 +330,13 @@ def cost_adjusted_quality(points, degree: int | None = None) -> list:
     return [float(q - f) for q, f in zip(quality, fitted)]
 
 
+CONSISTENCY_METRICS = ("r2", "spearman_good", "cost_adjusted", "relative_cost")  # QualityReport fields
+
+
 def consistency_correlation(reports_a, reports_b, metric: str) -> float:
     """Pearson correlation of one metric across strategies shared by two
     independent report sets (different datasets, different config splits)."""
-    if metric not in ("r2", "spearman_good", "cost_adjusted", "relative_cost"):
+    if metric not in CONSISTENCY_METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     by_a = {r.strategy: getattr(r, metric) for r in reports_a}
     by_b = {r.strategy: getattr(r, metric) for r in reports_b}

@@ -33,7 +33,7 @@ _CONFIG_FIELDS = {f.name for f in fields(HyperparamConfig)}
 # Most cells a stack trains in lockstep. Five save most of the per-step
 # calls; larger stacks save little more and raise peak memory.
 _STACK_CAP = 5
-_MALFORMED = (json.JSONDecodeError, TypeError, AttributeError)  # a line that is not a RunRecord
+_MALFORMED = (UnicodeDecodeError, json.JSONDecodeError, TypeError, AttributeError)  # a line that is not a RunRecord
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,16 @@ def grid_from_json(path: str | Path) -> GridSpec:
 
 
 class ResultStore:
-    """Append-only run records keyed by (dataset_id, proxy_id, config_id).
+    """Append-only run records keyed by (dataset_id, proxy_id, config_id), backed by a JSONL file.
 
-    When bound to a path, every append lands as one JSON line, flushed
-    immediately so an interrupted matrix leaves a loadable prefix.
+    Every append lands in the file as one JSON line, flushed immediately so
+    an interrupted matrix leaves a loadable prefix. store_load reads a file
+    back into a store bound to it.
     """
 
-    def __init__(self, path: str | Path | None = None):
+    def __init__(self, path: str | Path):
         self._records: dict = {}
-        self._path = Path(path) if path is not None else None
+        self._path = Path(path)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -108,63 +109,61 @@ class ResultStore:
     def get(self, key) -> RunRecord | None:
         return self._records.get(key)
 
-    def append(self, record: RunRecord) -> None:
+    def _add(self, record: RunRecord) -> None:
         key = (record.dataset_id, record.proxy_id, record.config_id)
         if key in self._records:
             raise ValueError(f"duplicate result key {key}")
         self._records[key] = record
-        if self._path is not None:
-            with open(self._path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(asdict(record)) + "\n")
-                fh.flush()
+
+    def append(self, record: RunRecord) -> None:
+        self._add(record)
+        with open(self._path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(asdict(record)) + "\n")
+            fh.flush()
 
 
-def _parse_record(line: str) -> RunRecord:
+def _parse_record(line: bytes) -> RunRecord:
     """One results line as a RunRecord. Files written before records lost
     their wall-clock field still carry a wall_ms key; it is dropped."""
-    d = json.loads(line)
+    d = json.loads(line.decode("utf-8"))
     d.pop("wall_ms", None)
     return RunRecord(**d)
 
 
 def store_load(path: str | Path) -> ResultStore:
-    """Load a JSONL results file; malformed lines are reported by number.
+    """A store bound to a JSONL results file, holding its records; malformed
+    lines, including those that are not UTF-8, are reported by number.
 
     The one exception is an unterminated last line that does not parse: the
     tail a process killed mid-append leaves. It is dropped with a warning on
     stderr and cut from the file, so the next append starts a fresh line.
     """
     path = Path(path)
-    store = ResultStore(path=path)
+    store = ResultStore(path)
     if not path.exists():
         return store
     data = path.read_bytes()
     complete = data.rfind(b"\n") + 1  # end of the last newline-terminated line
-    bound_path = store._path
-    store._path = None  # don't re-append while loading
-    try:
-        for n, line in enumerate(data[:complete].decode("utf-8").splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = _parse_record(line)
-            except _MALFORMED as e:
-                raise ValueError(f"{path}: line {n}: malformed record ({e})") from None
-            store.append(record)
-        tail = data[complete:].decode("utf-8", errors="replace")
-        if tail.strip():
-            try:
-                record = _parse_record(tail)
-            except _MALFORMED:
-                print(f"warning: {path}: dropping an unterminated last line cut off mid-write", file=sys.stderr)
-                with open(path, "r+b") as fh:
-                    fh.truncate(complete)
-            else:  # a whole record whose newline was never written
-                store.append(record)
-                with open(path, "ab") as fh:
-                    fh.write(b"\n")
-    finally:
-        store._path = bound_path
+    for n, line in enumerate(data[:complete].split(b"\n")[:-1], start=1):
+        if not line.strip():
+            continue
+        try:
+            record = _parse_record(line)
+        except _MALFORMED as e:
+            raise ValueError(f"{path}: line {n}: malformed record ({e})") from None
+        store._add(record)
+    tail = data[complete:]
+    if tail.strip():
+        try:
+            record = _parse_record(tail)
+        except _MALFORMED:
+            print(f"warning: {path}: dropping an unterminated last line cut off mid-write", file=sys.stderr)
+            with open(path, "r+b") as fh:
+                fh.truncate(complete)
+        else:  # a whole record whose newline was never written
+            store._add(record)
+            with open(path, "ab") as fh:
+                fh.write(b"\n")
     return store
 
 
@@ -214,9 +213,9 @@ def run_matrix(
     *,
     parallelism: int = 1,
     global_seed: int = 0,
-    store: ResultStore | None = None,
+    store: ResultStore,
 ) -> ResultStore:
-    """Run every (proxy, config) cell on one train/val split not already in the store.
+    """Run every (proxy, config) cell on one train/val split not already in store; returns store.
 
     Records, and the lookup of stored cells, use train.id as the dataset id.
     grid: HyperparamConfigs; each cell overrides seed (hash of the key) and
@@ -234,8 +233,6 @@ def run_matrix(
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     check_epoch_budgets(manifests, grid)
-    if store is None:
-        store = ResultStore()
 
     units = []  # (train subset, val subset, proxy id, cells) per pool task
     slots = []  # (unit, position in it) of every pending cell, in cell order

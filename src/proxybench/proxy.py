@@ -197,11 +197,12 @@ def build_proxy(
         if table is None:
             raise ValueError("quantile proxy requires a difficulty table")
         # Ranks are quantiles of the whole training set only if every training id is scored.
-        scored, known = {ex_id for ex_id, _ in table.entries}, train.id_set()
-        if scored != known:
+        scored = np.array([ex_id for ex_id, _ in table.entries], dtype=np.int64)
+        unscored, unknown = np.setdiff1d(train.ids, scored), np.setdiff1d(scored, train.ids)
+        if unscored.size or unknown.size:
             raise ValueError(
                 f"difficulty table must score exactly the training ids: "
-                f"{len(known - scored)} unscored, {len(scored - known)} not in the training set"
+                f"{unscored.size} unscored, {unknown.size} not in the training set"
             )
         ids = quantile_slice(table, spec.lo, spec.hi)
         if not ids:

@@ -21,7 +21,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,8 +32,6 @@ __all__ = [
     "ModelParams",
     "RunRecord",
     "OptState",
-    "GradCheckReport",
-    "GradientExplosion",
     "DEPTH_EXTRA_LAYERS",
     "forward_backward",
     "optimizer_step",
@@ -44,14 +42,12 @@ __all__ = [
     "train_model",
     "train_stack",
     "stack_key",
-    "gradient_check",
     "config_id",
 ]
 
 _STREAM_INIT = 11
 _STREAM_SHUFFLE = 12
 _STREAM_AUG = 13
-_STREAM_GRADCHECK = 14
 
 # Extra hidden layers (width stem_width_2) appended after the two stems.
 DEPTH_EXTRA_LAYERS = {"small": 0, "default": 1, "large": 2}
@@ -67,10 +63,6 @@ _EPS = 1e-8
 _SMOOTH_TARGET = 0.9  # probability mass placed on the labeled class
 
 _BLOCK_ROWS = 1024  # rows per gather, over all models of a stack (see _Stack)
-
-
-class GradientExplosion(RuntimeError):
-    """Raised when a loss or gradient goes non-finite during training."""
 
 
 @dataclass(frozen=True)
@@ -119,8 +111,7 @@ def config_id(config: HyperparamConfig) -> str:
     Two runs of the same settings under different seeds share an id, which
     is what lets results be paired config-by-config across proxies.
     """
-    d = asdict(config)
-    d.pop("seed")
+    d = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "seed"}
     blob = json.dumps(d, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
@@ -132,7 +123,7 @@ class ModelParams:
     every weight matrix (row-major, layer order) and then every bias vector;
     weights[i] and biases[i] are reshaped views into it, so writing through
     either side changes both. Gradients use the same class and layout, which
-    lets the optimizer and the gradient check work on flat alone.
+    lets the optimizer work on flat alone.
 
     A stack of k models of the same sizes has a (k, P) flat, one model per
     row. Its weights[i] are then (k, fan_in, fan_out) and its biases[i]
@@ -166,13 +157,6 @@ class ModelParams:
         """The model of a one-model stack as a model of its own, sharing flat."""
         return ModelParams(self.sizes, self.flat[0])
 
-    def n_params(self) -> int:
-        """Parameters per model."""
-        return self.flat.shape[-1]
-
-    def all_finite(self) -> bool:
-        return bool(np.logical_and.reduce(np.isfinite(self.flat), axis=None))  # .all() without its wrapper
-
 
 @dataclass
 class RunRecord:
@@ -205,15 +189,6 @@ class OptState:
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     scratch: tuple | None = None
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    passed: bool
-    max_rel_err: float
-    n_coords: int
-    tolerance: float
-    n_skipped: int = 0  # coordinates straddling a rectifier kink
 
 
 @functools.lru_cache(maxsize=None)
@@ -308,7 +283,7 @@ class _Scratch:
         self.labels = np.empty(rows, dtype=np.int64)
 
 
-def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarray, smoothing, grads: ModelParams | None = None):
+def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarray, smoothing, grads: ModelParams):
     """Mean batch loss and exact analytic gradients, laid out like params.
 
     For one model, features is (n, d), labels (n,), smoothing a bool, and
@@ -317,8 +292,7 @@ def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarr
     the loss a list of k floats: row i is model i's batch, and model i's
     loss and gradient are bitwise those of its own call.
 
-    grads, when given, is overwritten and returned; otherwise a new buffer
-    is allocated, so results kept from earlier calls stay intact. The
+    grads, laid out like params, is overwritten and returned. The
     activations and deltas go to buffers kept in grads.scratch, so a run that
     passes the same grads every step allocates them once per batch size.
 
@@ -334,8 +308,6 @@ def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarr
         raise ValueError(f"need non-empty ({rows}, {params.sizes[0]}) features and ({rows}) labels, got shapes {x.shape} and {y.shape}")
     if lead and len(smoothing) != lead[0]:
         raise ValueError(f"{len(smoothing)} smoothing flags for a stack of {lead[0]}")
-    if grads is None:
-        grads = ModelParams(params.sizes, np.zeros_like(params.flat))
     if lead == (1,):  # numpy's 2-D calls cost less than their stacked form, for the same bits
         loss, _ = _forward_backward(params.solo, x[0], y[0], smoothing[0], grads.solo)
         return [loss], grads
@@ -390,11 +362,10 @@ def optimizer_step(state: OptState, params: ModelParams, grads: ModelParams, lr:
     For a stack, params and grads hold the rows of the models this state
     updates, and lr is a (rows, 1) column: every row steps together.
     SGD: p -= lr*g. Adam: bias-corrected, beta1=0.9, beta2=0.999, eps=1e-8.
-    RMSProp: rho=0.99, eps=1e-8, no momentum. A non-finite gradient raises
-    GradientExplosion so the caller can record the run as aborted.
+    RMSProp: rho=0.99, eps=1e-8, no momentum. The gradient is not checked:
+    the trainer freezes a model whose gradient is not finite before it
+    steps.
     """
-    if not grads.all_finite():
-        raise GradientExplosion("non-finite gradient")
     state.t += 1
     p, g, m, v = params.flat, grads.flat, state.m, state.v
     # Adam and RMSProp evaluate one operation of the textbook expression per
@@ -649,13 +620,19 @@ class _Stack:
         s = 0
         for start in range(0, n, self.block):
             self._gather(start)
-            for lo in range(0, self.x.shape[1], batch):
-                losses, _ = forward_backward(self.params, self.x[:, lo : lo + batch], self.y[:, lo : lo + batch], self.smoothing, self.grads)
-                if not all(map(math.isfinite, losses)):
-                    self.freeze([i for i, loss in enumerate(losses) if not math.isfinite(loss)])
-                self._step(s)
-                if not self.members:
-                    return
+            for at in range(0, self.x.shape[1], batch):
+                losses, _ = forward_backward(self.params, self.x[:, at : at + batch], self.y[:, at : at + batch], self.smoothing, self.grads)
+                # The abort check: one reduction over the whole gradient
+                # buffer, and per-row results only when it fails. A model
+                # whose loss or gradient is not finite freezes before any
+                # optimizer steps; every other row then steps.
+                if not (all(map(math.isfinite, losses)) and np.logical_and.reduce(np.isfinite(self.grads.flat), axis=None)):
+                    rows_ok = np.logical_and.reduce(np.isfinite(self.grads.flat), axis=1).tolist()
+                    self.freeze([i for i, (loss, ok) in enumerate(zip(losses, rows_ok)) if not (ok and math.isfinite(loss))])
+                    if not self.members:
+                        return
+                for lo, hi, state, params, grads in self.groups:
+                    optimizer_step(state, params, grads, self.lrs[lo:hi, s])
                 s += 1
 
     def _gather(self, start: int) -> None:
@@ -666,22 +643,6 @@ class _Stack:
         flip = None if self.flips is None else self.flips[:, start : start + m].reshape(-1)
         self.x = _gather_rows(self.train.features, rows.reshape(-1), flip, self.x_buf[: k * m * d].reshape(-1, d)).reshape(k, m, d)
         self.y = np.take(self.train.labels, rows, out=self.y_buf[: k * m].reshape(k, m))
-
-    def _step(self, s: int, first: int = 0) -> None:
-        """One optimizer_step per optimizer from group first on, at this epoch's step s.
-
-        If a step raises GradientExplosion, the rows of that call whose
-        gradient is not finite freeze (all of them if none is: the failure
-        came from elsewhere), and the call is made again for the rest.
-        """
-        for g, (lo, hi, state, params, grads) in enumerate(self.groups[first:], first):
-            try:
-                optimizer_step(state, params, grads, self.lrs[lo:hi, s])
-            except GradientExplosion:
-                bad = np.flatnonzero(~np.logical_and.reduce(np.isfinite(grads.flat), axis=1)).tolist()
-                self.freeze([lo + r for r in bad or range(hi - lo)])
-                # groups before g are unchanged; g now holds this optimizer's other rows, or the next optimizer's
-                return self._step(s, g)
 
     def freeze(self, rows: list) -> None:
         """Stops the models in these rows where they stand and records them aborted."""
@@ -709,62 +670,3 @@ class _Stack:
         if self.flips is not None:
             self.flips = self.flips[keep]
         self._regroup(states)
-
-
-def gradient_check(
-    config: HyperparamConfig,
-    d: Dataset,
-    tolerance: float = 1e-4,
-    n_coords: int = 100,
-    seed: int = 0,
-    grad_fn=forward_backward,
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    Perturbs n_coords randomly chosen parameter coordinates by h=1e-4 and
-    reports the max relative error |analytic - fd| / max(|a|, |fd|, 1e-6).
-    A coordinate whose perturbation flips a rectifier on or off is skipped:
-    central differences are meaningless across the kink. grad_fn is
-    injectable so a corrupted gradient can be shown to fail. Restricted to
-    networks of at most 1e4 parameters to keep it quick.
-    """
-    params = init_params(config, d.feature_dim, d.class_count)
-    if params.n_params() > 10_000:
-        raise ValueError(f"network too large for gradient check: {params.n_params()} params")
-
-    x, y = d.features, d.labels
-    _, grads = grad_fn(params, x, y, config.label_smoothing)
-
-    def relu_masks():
-        outs = _layer_outputs(params.sizes, len(x))
-        _forward(params, x, outs)
-        return [h > 0 for h in outs[:-1]]
-
-    h = 1e-4
-    rng = np.random.default_rng([seed, _STREAM_GRADCHECK])
-    coords = rng.integers(0, params.n_params(), size=n_coords)
-    max_rel = 0.0
-    n_skipped = 0
-    for i in coords:
-        orig = params.flat[i]
-        params.flat[i] = orig + h
-        loss_plus, _ = grad_fn(params, x, y, config.label_smoothing)
-        masks_plus = relu_masks()
-        params.flat[i] = orig - h
-        loss_minus, _ = grad_fn(params, x, y, config.label_smoothing)
-        masks_minus = relu_masks()
-        params.flat[i] = orig
-        if any(not np.array_equal(mp, mm) for mp, mm in zip(masks_plus, masks_minus)):
-            n_skipped += 1
-            continue
-        fd = (loss_plus - loss_minus) / (2.0 * h)
-        a = grads.flat[i]
-        rel = float(abs(a - fd) / max(abs(a), abs(fd), 1e-6))
-        max_rel = max(max_rel, rel)
-    return GradCheckReport(
-        passed=bool(max_rel < tolerance),
-        max_rel_err=max_rel,
-        n_coords=n_coords,
-        tolerance=tolerance,
-        n_skipped=n_skipped,
-    )

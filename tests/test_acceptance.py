@@ -28,9 +28,10 @@ from proxybench.metrics import (
     spearman,
     zscore,
 )
-from proxybench.orchestrator import GridSpec, generate_grid, run_matrix, store_load
+from proxybench.orchestrator import GridSpec, ResultStore, generate_grid, run_matrix, store_load
 from proxybench.proxy import ProxySpec, build_proxy
-from proxybench.trainer import HyperparamConfig, gradient_check, train_model
+from proxybench.trainer import HyperparamConfig, train_model
+from gradcheck import gradient_check
 
 
 def _verdict(capsys, number: int, ok: bool, detail: str) -> None:
@@ -362,7 +363,7 @@ def test_6_pipeline_is_deterministic_with_exact_cost_accounting(capsys, tmp_path
     assert ok, (bitwise, same_bytes, costs, elapsed, n_cells)
 
 
-def test_7_easier_half_tracks_the_target_better_exploratory(capsys):
+def test_7_easier_half_tracks_the_target_better_exploratory(capsys, tmp_path):
     spec_base = dict(
         class_count=6, feature_dim=10, examples_per_class=60, class_separation=5.0,
         noise_scale_lo=0.5, noise_scale_hi=1.0, label_flip_fraction=0.08,
@@ -390,7 +391,7 @@ def test_7_easier_half_tracks_the_target_better_exploratory(capsys):
             build_proxy(train, val, ProxySpec(kind="quantile", lo=0.5, hi=1.0), table=table, target_epochs=10),
             build_proxy(train, val, ProxySpec(kind="quantile", lo=0.0, hi=0.5), table=table, target_epochs=10),
         ]
-        store = run_matrix(train, val, manifests, grid, global_seed=seed)
+        store = run_matrix(train, val, manifests, grid, global_seed=seed, store=ResultStore(tmp_path / f"seed{seed}.jsonl"))
         r2 = {}
         for proxy_id in ("hard-0.5-1.0", "hard-0.0-0.5"):
             paired = pair_accuracies(store.records(), d.id, proxy_id)

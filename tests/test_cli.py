@@ -202,6 +202,16 @@ class TestMakeProxy:
         assert f"{kind} proxy does not take {named}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_target_epochs_must_be_positive(self, tmp_path, capsys, value):
+        # refused while parsing flags: the --data file is never opened
+        out = tmp_path / "m.json"
+        code = main(["make-proxy", "--data", str(tmp_path / "absent.csv"), "--kind", "random_all", "--fraction", "0.5",
+                     "--target-epochs", value, "--out", str(out)])
+        assert code == 1
+        assert f"--target-epochs: must be a positive integer, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_table_from_another_dataset_with_the_same_stem_is_refused(self, tmp_path, capsys):
         for name, seed in (("a", 17), ("b", 99)):
             (tmp_path / name).mkdir()
@@ -452,6 +462,16 @@ class TestRunGrid:
         assert resumed[12:] == lines[12:]  # appended as this version writes them: no wall_ms
         assert store_load(old).records() == store_load(pipeline["results"]).records()
 
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    def test_parallel_must_be_positive(self, pipeline, tmp_path, capsys, dry_run):
+        # refused while parsing flags, with or without --dry-run: the --data file is never opened
+        out = tmp_path / "r.jsonl"
+        code = main(["run-grid", "--data", str(tmp_path / "absent.csv"), "--grid", str(pipeline["grid"]),
+                     "--proxies", str(pipeline["proxies"]), "--out", str(out), "--parallel", "0", *dry_run])
+        assert code == 1
+        assert "--parallel: must be a positive integer, got '0'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_proxy_dir(self, pipeline, tmp_path, capsys):
         code = main(
             ["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
@@ -549,9 +569,12 @@ class TestConsistency:
         with open(results, "w") as fh:
             for rec in _synthetic_records(datasets=("dsa",)):
                 fh.write(json.dumps(asdict(rec)) + "\n")
-        code = main(["analyze", "--results", str(results), "--out", str(tmp_path / "q.csv"), "--consistency", "only_one"])
-        assert code == 1
-        assert "--consistency" in capsys.readouterr().err
+        out = tmp_path / "q.csv"
+        for spec in ("only_one", "dsa,dsb:bogus"):
+            code = main(["analyze", "--results", str(results), "--out", str(out), "--consistency", spec])
+            assert code == 1, spec
+            assert "--consistency" in capsys.readouterr().err
+            assert not out.exists()  # refused before the report is written
 
 
 class TestReport:

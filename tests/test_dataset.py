@@ -379,16 +379,16 @@ class TestSplit:
     def test_partition_of_ids(self):
         d = _toy(n_per_class=20)
         train, val = split(d, 0.25, seed=1)
-        assert train.id_set() | val.id_set() == d.id_set()
-        assert train.id_set() & val.id_set() == set()
+        assert set(train.ids.tolist()) | set(val.ids.tolist()) == set(d.ids.tolist())
+        assert set(train.ids.tolist()) & set(val.ids.tolist()) == set()
 
     def test_deterministic_and_seed_sensitive(self):
         d = _toy(n_per_class=40)
         t1, v1 = split(d, 0.25, seed=3)
         t2, v2 = split(d, 0.25, seed=3)
         t3, v3 = split(d, 0.25, seed=4)
-        assert v1.id_set() == v2.id_set()
-        assert v1.id_set() != v3.id_set()
+        assert set(v1.ids.tolist()) == set(v2.ids.tolist())
+        assert set(v1.ids.tolist()) != set(v3.ids.tolist())
 
     def test_preserves_dataset_id_and_class_count(self):
         d = _toy()

@@ -71,7 +71,7 @@ class TestScoreExamples:
         cfg = HyperparamConfig(epochs=10, stem_width_1=16, stem_width_2=16)
         _, params = train_model(train, val, cfg)
         table = score_examples(params, train)
-        flipped_in_train = flipped & train.id_set()
+        flipped_in_train = flipped & set(train.ids.tolist())
         hardest = {ex_id for ex_id, _ in table.entries[: len(flipped_in_train)]}
         assert hardest == flipped_in_train
 

@@ -289,9 +289,12 @@ class TestCostAdjustedQuality:
 
     def test_degree_one_matches_least_squares(self):
         points = [(0.1, 0.4), (0.2, 0.5), (0.4, 0.55), (0.6, 0.8), (0.8, 0.75), (1.0, 0.95)]
-        resid = cost_adjusted_quality(points, degree=1)
         c = np.array([p[0] for p in points])
         q = np.array([p[1] for p in points])
+        # Lasso-CV keeps cost and zeroes cost², so the refit has degree one
+        assert lasso_cv(c[:, None], q).coef[0] != 0.0
+        assert lasso_cv(np.column_stack([c, c**2]), q).coef[1] == 0.0
+        resid = cost_adjusted_quality(points)
         design = np.column_stack([np.ones(len(c)), c])
         coef, *_ = np.linalg.lstsq(design, q, rcond=None)
         assert np.allclose(resid, q - design @ coef, atol=1e-10)
@@ -311,10 +314,14 @@ class TestCostAdjustedQuality:
         with pytest.raises(ValueError, match="too few strategies"):
             cost_adjusted_quality([(0.1, 0.2), (0.5, 0.6), (0.9, 0.8), (1.0, 1.0)])
 
-    def test_bad_degree(self):
-        points = [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6), (0.7, 0.8), (1.0, 1.0)]
-        with pytest.raises(ValueError, match="degree"):
-            cost_adjusted_quality(points, degree=4)
+
+def _cubic_refit_residuals(points) -> list:
+    """cost_adjusted_quality's least-squares refit with all three cost terms kept."""
+    cost = np.array([float(c) for c, _ in points])
+    quality = np.array([float(q) for _, q in points])
+    design = np.column_stack([np.ones(len(points)), cost, cost**2, cost**3])
+    coef, *_ = np.linalg.lstsq(design, quality, rcond=None)
+    return [float(q - f) for q, f in zip(quality, design @ coef)]
 
 
 class TestCostModelSelection:
@@ -332,7 +339,7 @@ class TestCostModelSelection:
         ],
     )
     def test_selection_is_pinned(self, points, lams):
-        assert cost_adjusted_quality(points) == cost_adjusted_quality(points, degree=3)
+        assert cost_adjusted_quality(points) == _cubic_refit_residuals(points)
         cost = np.array([c for c, _ in points])
         quality = np.array([q for _, q in points])
         for d, lam in zip((1, 2, 3), lams):

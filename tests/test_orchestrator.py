@@ -133,8 +133,8 @@ class TestResultStore:
         assert loaded.get(("d", "full", "c1")).best_val_acc == 1 / 3
         assert loaded.records() == store.records()
 
-    def test_duplicate_key_rejected(self):
-        store = ResultStore()
+    def test_duplicate_key_rejected(self, tmp_path):
+        store = ResultStore(tmp_path / "results.jsonl")
         store.append(_record())
         with pytest.raises(ValueError, match="duplicate result key"):
             store.append(_record())
@@ -154,6 +154,15 @@ class TestResultStore:
         path.write_text(good + "\n{not json}\n")
         with pytest.raises(ValueError, match="line 2"):
             store_load(path)
+
+    def test_line_that_is_not_utf8_names_its_number(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        good = json.dumps(asdict(_record(cfg="c0"))).encode()
+        path.write_bytes(good + b"\n" + good.replace(b"c0", b"c\xff") + b"\n" + good[:30])
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="line 2: malformed record"):
+            store_load(path)
+        assert path.read_bytes() == before
 
     def test_torn_last_line_is_dropped_and_cut(self, tmp_path, capsys):
         path = tmp_path / "results.jsonl"
@@ -211,14 +220,14 @@ class TestRunSeed:
 
 
 class TestRunMatrix:
-    def test_full_matrix_shape(self):
+    def test_full_matrix_shape(self, tmp_path):
         train, val = _tiny_split()
         proxies = [
             build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
             build_proxy(train, val, ProxySpec(kind="random_all", fraction=0.5, seed=0), target_epochs=2),
         ]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01], "optimizer": ["sgd"]}))
-        store = run_matrix(train, val, proxies, grid)
+        store = run_matrix(train, val, proxies, grid, store=ResultStore(tmp_path / "results.jsonl"))
         assert len(store) == len(proxies) * len(grid)
         cfg_ids = {config_id(c) for c in grid}
         for (ds, proxy, cfg), rec in zip(store.keys(), store.records()):
@@ -227,15 +236,15 @@ class TestRunMatrix:
             assert rec.cost_units > 0
             assert len(rec.epoch_val_acc) == 2
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, tmp_path):
         train, val = _tiny_split()
         proxies = [
             build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
             build_proxy(train, val, ProxySpec(kind="fewer_epochs", epochs=1), target_epochs=2),
         ]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01, 0.001]}))
-        serial = run_matrix(train, val, proxies, grid, parallelism=1)
-        parallel = run_matrix(train, val, proxies, grid, parallelism=8)
+        serial = run_matrix(train, val, proxies, grid, parallelism=1, store=ResultStore(tmp_path / "serial.jsonl"))
+        parallel = run_matrix(train, val, proxies, grid, parallelism=8, store=ResultStore(tmp_path / "parallel.jsonl"))
         assert list(serial.keys()) == list(parallel.keys())
         for a, b in zip(serial.records(), parallel.records()):
             assert a.epoch_val_acc == b.epoch_val_acc
@@ -273,7 +282,7 @@ class TestRunMatrix:
         resumed = run_matrix(train, val, proxies, grid, store=store_load(path))
         assert len(resumed) == 2
 
-    def test_one_subset_per_manifest(self, monkeypatch):
+    def test_one_subset_per_manifest(self, monkeypatch, tmp_path):
         import proxybench.orchestrator as orchestrator
 
         calls = []
@@ -290,7 +299,7 @@ class TestRunMatrix:
             build_proxy(train, val, ProxySpec(kind="random_all", fraction=0.5, seed=0), target_epochs=2),
         ]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01, 0.001]}))
-        store = run_matrix(train, val, proxies, grid)
+        store = run_matrix(train, val, proxies, grid, store=ResultStore(tmp_path / "results.jsonl"))
         assert len(store) == 6
         assert calls == [len(train), len(val), len(proxies[1].train_ids), len(val)]
         # a resume that has every cell of a manifest takes no subset of it
@@ -298,14 +307,14 @@ class TestRunMatrix:
         run_matrix(train, val, proxies, grid, store=store)
         assert calls == []
 
-    def test_reduced_epochs_keep_grid_config_identity(self):
+    def test_reduced_epochs_keep_grid_config_identity(self, tmp_path):
         train, val = _tiny_split()
         proxies = [
             build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
             build_proxy(train, val, ProxySpec(kind="fewer_epochs", epochs=1), target_epochs=2),
         ]
         grid = [FAST]
-        store = run_matrix(train, val, proxies, grid)
+        store = run_matrix(train, val, proxies, grid, store=ResultStore(tmp_path / "results.jsonl"))
         cid = config_id(FAST)
         full_rec = store.get((train.id, "full", cid))
         ep_rec = store.get((train.id, "ep1", cid))
@@ -314,7 +323,7 @@ class TestRunMatrix:
         assert len(ep_rec.epoch_val_acc) == 1  # manifest budget applied
         assert ep_rec.config_id == cid  # but identity is the grid config's
 
-    def test_divergent_run_lands_in_store_as_aborted(self):
+    def test_divergent_run_lands_in_store_as_aborted(self, tmp_path):
         from proxybench.dataset import Dataset
 
         train, val = _tiny_split()
@@ -330,12 +339,12 @@ class TestRunMatrix:
         )
         proxies = [build_proxy(blown, val, ProxySpec(kind="full"), target_epochs=2)]
         grid = [HyperparamConfig(epochs=2, stem_width_1=8, stem_width_2=8, optimizer="sgd", learning_rate=1e260)]
-        store = run_matrix(blown, val, proxies, grid)
+        store = run_matrix(blown, val, proxies, grid, store=ResultStore(tmp_path / "results.jsonl"))
         (rec,) = store.records()
         assert rec.status == "aborted"
         assert len(rec.epoch_val_acc) == 2
 
-    def test_stacked_cells_append_in_cell_order_with_solo_records(self):
+    def test_stacked_cells_append_in_cell_order_with_solo_records(self, tmp_path):
         train, val = _tiny_split()
         proxies = [
             build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
@@ -345,7 +354,7 @@ class TestRunMatrix:
         grid = generate_grid(GridSpec(defaults=FAST, variations={
             "batch_size": [8], "learning_rate": [0.01], "depth": ["small"], "optimizer": ["sgd", "rmsprop"],
         }))
-        store = run_matrix(train, val, proxies, grid, parallelism=2)
+        store = run_matrix(train, val, proxies, grid, parallelism=2, store=ResultStore(tmp_path / "results.jsonl"))
         assert list(store.keys()) == [(train.id, m.proxy_id, config_id(c)) for m in proxies for c in grid]
         for m in proxies:
             sub_train, sub_val = subset_by_ids(train, m.train_ids), subset_by_ids(val, m.val_ids)
@@ -355,7 +364,7 @@ class TestRunMatrix:
                 solo, _ = train_model(sub_train, sub_val, run_cfg, proxy_id=m.proxy_id, config_key=config_id(cfg))
                 assert rec == solo
 
-    def test_stacks_never_exceed_the_cap(self, monkeypatch):
+    def test_stacks_never_exceed_the_cap(self, monkeypatch, tmp_path):
         import proxybench.orchestrator as orchestrator
 
         sizes = []
@@ -370,20 +379,21 @@ class TestRunMatrix:
         proxies = [build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2)]
         rates = [0.0005, 0.001, 0.002, 0.005, 0.007, 0.02, 0.03, 0.05, 0.1, 0.2, 0.3]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": rates, "depth": ["large"]}))
-        store = run_matrix(train, val, proxies, grid)
+        store = run_matrix(train, val, proxies, grid, store=ResultStore(tmp_path / "results.jsonl"))
         assert len(store) == 13
         assert sizes == [orchestrator._STACK_CAP, orchestrator._STACK_CAP, 2]  # 12 compatible; the depth cell runs alone
 
-    def test_empty_grid_rejected(self):
+    def test_empty_grid_rejected(self, tmp_path):
         train, val = _tiny_split()
         with pytest.raises(ValueError, match="empty grid"):
-            run_matrix(train, val, [], [])
+            run_matrix(train, val, [], [], store=ResultStore(tmp_path / "results.jsonl"))
 
-    def test_grid_configs_of_unequal_epochs_rejected(self):
+    def test_grid_configs_of_unequal_epochs_rejected(self, tmp_path):
         train, val = _tiny_split()
         proxies = [build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2)]
         with pytest.raises(ValueError, match=r"different epoch counts \[1, 2\]"):
-            run_matrix(train, val, proxies, [FAST, replace(FAST, epochs=1, learning_rate=0.01)])
+            run_matrix(train, val, proxies, [FAST, replace(FAST, epochs=1, learning_rate=0.01)],
+                       store=ResultStore(tmp_path / "results.jsonl"))
 
     @pytest.mark.parametrize("spec, target", [
         (ProxySpec(kind="random_all", fraction=0.5), 20),  # would train 20 epochs against the full run's 2

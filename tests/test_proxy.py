@@ -65,7 +65,7 @@ class TestBuildProxy:
         assert len(m.train_ids) == 100  # ceil(0.1 * 1000)
         assert len(m.val_ids) == 500  # validation untouched
         assert m.epochs == 20
-        assert set(m.train_ids) <= TRAIN.id_set()
+        assert set(m.train_ids) <= set(TRAIN.ids.tolist())
 
     def test_random_all_is_seeded(self):
         a = build_proxy(TRAIN, VAL, ProxySpec(kind="random_all", fraction=0.2, seed=1))
