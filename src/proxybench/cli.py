@@ -8,9 +8,11 @@ write single-file outputs atomically (temp file + rename), so a failed
 invocation never leaves a truncated output; the one deliberate exception is
 run-grid's results file, which must keep completed lines to be resumable.
 Every command that loads --data caches the parse, best-effort, in a
-``<data>.csv.npz`` sidecar keyed by the CSV's sha256 (see load_csv). score
-records that digest in its table's .json sidecar, and make-proxy refuses a
-table whose digest is not the one of its --data.
+``<data>.csv.npz`` sidecar keyed by the CSV's sha256 (see load_csv), and
+gen-data writes that sidecar for the CSV it writes. score records the digest
+in its table's .json sidecar, and make-proxy refuses a table whose digest is
+not the one of its --data. Every command runs on one OpenBLAS thread (see
+_blas) and gives the caller's thread count back when it returns.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import sys
 from pathlib import Path
 
 from ._atomic import write_atomic
-from .dataset import Dataset, SynthSpec, load_csv, split, synth_generate
+from ._blas import one_blas_thread
+from .dataset import SynthSpec, load_csv, save_csv, split, synth_generate
 from .difficulty import load_table, save_table, score_examples
 from .metrics import (
     CONSISTENCY_METRICS,
@@ -73,21 +76,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _open_fraction(text: str) -> float:
+    """argparse type of a fraction strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0  # not a number: refused like any value outside (0, 1)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--global-seed", type=int, default=0, help="seed for splits, training, and run hashing (PROXYBENCH_SEED overrides)")
-    p.add_argument("--val-fraction", type=float, default=0.1, help="validation fraction of the stratified split")
+    p.add_argument("--val-fraction", type=_open_fraction, default=0.1, help="validation fraction of the stratified split, in (0, 1)")
 
 
 def _load_split(args):
     """(train, val); the parsed dataset itself is not kept past the split."""
     return split(load_csv(args.data), args.val_fraction, _global_seed(args))
-
-
-def _dataset_csv_text(d: Dataset) -> str:
-    return "".join(
-        f"{label},{','.join(map(repr, row))}\n"
-        for label, row in zip(d.labels.tolist(), d.features.tolist())
-    )
 
 
 def _cmd_gen_data(args) -> int:
@@ -97,7 +104,7 @@ def _cmd_gen_data(args) -> int:
     except TypeError as e:
         raise UsageError(f"bad synth spec: {e}") from None
     d = synth_generate(spec)
-    write_atomic(args.out, _dataset_csv_text(d))
+    save_csv(d, args.out)
     print(f"wrote {len(d)} examples ({d.class_count} classes, dim {d.feature_dim}) to {args.out}")
     return 0
 
@@ -353,18 +360,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    except SystemExit as e:  # argparse --help
-        code = e.code if e.code is not None else 0
-        return int(code)
-    except Exception as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    with one_blas_thread():
+        try:
+            args = _build_parser().parse_args(argv)
+            return args.func(args)
+        except UsageError as e:
+            print(f"usage error: {e}", file=sys.stderr)
+            return 1
+        except SystemExit as e:  # argparse --help
+            code = e.code if e.code is not None else 0
+            return int(code)
+        except Exception as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

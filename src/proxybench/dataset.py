@@ -21,6 +21,7 @@ __all__ = [
     "Dataset",
     "SynthSpec",
     "load_csv",
+    "save_csv",
     "synth_generate",
     "split",
     "class_filter",
@@ -178,7 +179,7 @@ def load_csv(path: str | Path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    sidecar = path.with_name(path.name + ".npz")
+    sidecar = _sidecar_path(path)
 
     with open(path, "rb") as raw:  # hash and parse the bytes of one open file
         h = hashlib.sha256()
@@ -194,6 +195,27 @@ def load_csv(path: str | Path) -> Dataset:
     feats, labels = parsed
     return Dataset(feats, labels, np.arange(len(labels)), 1 + labels.max(), feats.shape[1],
                    id=path.stem, source_sha256=digest)
+
+
+def save_csv(d: Dataset, path: str | Path) -> None:
+    """Write d as the CSV load_csv reads, atomically, with its parse cache.
+
+    Rows are ``label,f0,f1,...`` with each feature as repr(float), which
+    parses back to the same bits, so the sidecar holds d's own arrays, keyed
+    by the sha256 of the bytes written: the next load_csv of the file does
+    not parse. The sidecar is best-effort, as in load_csv.
+    """
+    path = Path(path)
+    data = "".join(
+        f"{label},{','.join(map(repr, row))}\n"
+        for label, row in zip(d.labels.tolist(), d.features.tolist())
+    ).encode("utf-8")
+    write_atomic(path, data)
+    _write_sidecar(_sidecar_path(path), hashlib.sha256(data).hexdigest(), d.features, d.labels)
+
+
+def _sidecar_path(path: Path) -> Path:
+    return path.with_name(path.name + ".npz")
 
 
 def _parse_csv(fh, path: Path) -> tuple[np.ndarray, np.ndarray]:

@@ -3,12 +3,17 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import proxybench
+from proxybench import _blas
+from proxybench import cli as cli_module
 from proxybench import dataset as dataset_module
 from proxybench.cli import _build_parser, main
 from proxybench.dataset import SynthSpec, load_csv, synth_generate
@@ -122,6 +127,57 @@ class TestGenData:
         assert main(["gen-data", "--spec", str(spec_path), "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def _gen_data(self, tmp_path, spec, out):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["gen-data", "--spec", str(spec_path), "--out", str(out)]) == 0
+
+    def test_next_load_reads_the_cache(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "toy.csv"
+        self._gen_data(tmp_path, SPEC, out)
+        capsys.readouterr()
+        monkeypatch.setattr(dataset_module, "_parse_csv", lambda fh, path: pytest.fail("parsed the CSV"))
+        assert main(["score", "--data", str(out), "--out", str(tmp_path / "scores.csv")]) == 0, capsys.readouterr().err
+
+    def test_cache_is_bitwise_a_fresh_parse(self, tmp_path, capsys):
+        out = tmp_path / "toy.csv"
+        self._gen_data(tmp_path, {**SPEC, "label_flip_fraction": 0.2}, out)
+        capsys.readouterr()
+        cached = load_csv(out)
+        out.with_name("toy.csv.npz").unlink()
+        parsed = load_csv(out)
+        assert cached.features.dtype == parsed.features.dtype and cached.features.shape == parsed.features.shape
+        assert cached.features.tobytes() == parsed.features.tobytes()
+        assert cached.labels.dtype == parsed.labels.dtype and cached.labels.tobytes() == parsed.labels.tobytes()
+        assert (cached.class_count, cached.source_sha256) == (parsed.class_count, parsed.source_sha256)
+
+    def test_cache_of_an_earlier_csv_is_replaced(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "toy.csv"
+        self._gen_data(tmp_path, SPEC, out)
+        load_csv(out)  # a cache of the first CSV's bytes, whichever command wrote it
+        self._gen_data(tmp_path, {**SPEC, "seed": 10}, out)
+        capsys.readouterr()
+        monkeypatch.setattr(dataset_module, "_parse_csv", lambda fh, path: pytest.fail("parsed the CSV"))
+        loaded = load_csv(out)
+        direct = synth_generate(SynthSpec(**{**SPEC, "seed": 10}))
+        assert loaded.features.tobytes() == direct.features.tobytes()
+        assert loaded.source_sha256 == hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_failed_cache_write_is_skipped(self, tmp_path, monkeypatch, capsys):
+        write_atomic = dataset_module.write_atomic
+
+        def no_room_for_the_cache(path, data):
+            if Path(path).suffix == ".npz":
+                raise OSError(28, "No space left on device", str(path))
+            write_atomic(path, data)
+
+        monkeypatch.setattr(dataset_module, "write_atomic", no_room_for_the_cache)
+        out = tmp_path / "toy.csv"
+        self._gen_data(tmp_path, SPEC, out)
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json", "toy.csv"]
+        assert load_csv(out).features.tobytes() == synth_generate(SynthSpec(**SPEC)).features.tobytes()
 
 
 class TestScore:
@@ -639,6 +695,70 @@ class TestFlagSets:
             assert used <= accepted[words[1]], (words[1], used - accepted[words[1]])
 
 
+@pytest.fixture
+def blas_at_two():
+    """The getter of numpy's OpenBLAS thread count, with the count set to 2 for the test."""
+    blas = _blas.openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread setter in this numpy")
+    setter, getter = blas
+    before = getter()
+    setter(2)
+    yield getter
+    setter(before)
+
+
+class TestBlasThreads:
+    def test_command_runs_on_one_blas_thread(self, blas_at_two, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def generate(spec):
+            seen.append(blas_at_two())
+            return synth_generate(spec)
+
+        monkeypatch.setattr(cli_module, "synth_generate", generate)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC))
+        assert main(["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "toy.csv")]) == 0
+        capsys.readouterr()
+        assert seen == [1]
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_caller_count_is_back_after_the_command(self, blas_at_two, tmp_path, capsys, code):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC))
+        argv = {
+            0: ["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "toy.csv")],
+            1: ["score", "--data", str(tmp_path / "toy.csv"), "--out", str(tmp_path / "s.csv"), "--val-fraction", "2"],
+            2: ["score", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "s.csv")],
+        }[code]
+        assert main(argv) == code
+        capsys.readouterr()
+        assert blas_at_two() == 2
+
+    def test_import_leaves_the_count_alone(self):
+        if _blas.openblas_threads() is None:
+            pytest.skip("no OpenBLAS thread setter in this numpy")
+        # _blas is loaded from its file, outside the package, so that the
+        # count is set before proxybench is first imported
+        probe = (
+            "import importlib.util, sys\n"
+            "spec = importlib.util.spec_from_file_location('probe', sys.argv[1])\n"
+            "probe = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(probe)\n"
+            "setter, getter = probe.openblas_threads()\n"
+            "setter(2)\n"
+            "assert 'proxybench' not in sys.modules\n"
+            "import proxybench, proxybench.cli\n"
+            "print(getter())\n"
+        )
+        src = Path(proxybench.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", probe, _blas.__file__], env=env, capture_output=True, text=True,
+                             timeout=60, check=True)
+        assert out.stdout.strip() == "2"
+
+
 class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["defragment"]) == 1
@@ -652,6 +772,23 @@ class TestExitCodes:
         code = main(["score", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "s.csv")])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["0", "1", "1.5", "nan"])
+    @pytest.mark.parametrize("command", ["score", "make-proxy", "run-grid", "run-grid --dry-run"])
+    def test_val_fraction_outside_the_open_unit_interval(self, tmp_path, capsys, command, value):
+        # refused while parsing flags: the --data file is never opened
+        out = tmp_path / "out"
+        extra = {
+            "score": [],
+            "make-proxy": ["--kind", "random_all", "--fraction", "0.5"],
+            "run-grid": ["--grid", str(tmp_path / "g.json"), "--proxies", str(tmp_path)],
+            "run-grid --dry-run": ["--grid", str(tmp_path / "g.json"), "--proxies", str(tmp_path), "--dry-run"],
+        }[command]
+        argv = [command.split()[0], "--data", str(tmp_path / "absent.csv"), "--out", str(out), *extra,
+                "--val-fraction", value]
+        assert main(argv) == 1
+        assert f"--val-fraction: must be in (0, 1), got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
