@@ -3,24 +3,31 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 
-def write_atomic(path: str | Path, data: str | bytes) -> None:
-    """Write text or bytes to a temp file beside path, then rename it over path.
+@contextmanager
+def atomic_writer(path: str | Path):
+    """Yield a binary handle on a temp file beside path; rename it over path on a clean exit.
 
     Each call writes its own temp file, so concurrent writers of one path
-    never rename or remove each other's; the last rename wins. A write that
-    fails leaves any previous file at path untouched and removes its temp
-    file. Text is UTF-8 and its newlines are written as given.
+    never rename or remove each other's; the last rename wins. A write or a
+    with-body that raises leaves any previous file at path untouched and
+    removes the temp file. Output can be streamed: nothing needs to be held
+    in memory whole.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        if isinstance(data, str):
-            tmp.write_text(data, encoding="utf-8", newline="")
-        else:
-            tmp.write_bytes(data)
+        with open(tmp, "xb") as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write text or bytes through atomic_writer. Text is UTF-8 and its newlines are written as given."""
+    with atomic_writer(path) as fh:
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)

@@ -7,6 +7,8 @@ whole pipeline can be re-seeded without touching its invocations. Commands
 write single-file outputs atomically (temp file + rename), so a failed
 invocation never leaves a truncated output; the one deliberate exception is
 run-grid's results file, which must keep completed lines to be resumable.
+A run-grid holds a lock on ``<results>.lock`` while it reads and appends the
+results file; a second run-grid on the same file exits 2.
 Every command that loads --data caches the parse, best-effort, in a
 ``<data>.csv.npz`` sidecar keyed by the CSV's sha256 (see load_csv), and
 gen-data writes that sidecar for the CSV it writes. score records the digest
@@ -18,10 +20,12 @@ _blas) and gives the caller's thread count back when it returns.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from ._atomic import write_atomic
@@ -174,6 +178,23 @@ def _load_manifests(proxy_dir: Path):
     return manifests, seen
 
 
+@contextmanager
+def _results_lock(results: str):
+    """Hold an exclusive lock on <results>.lock, or fail at once if another process holds it.
+
+    The lock is taken on a file of its own, so a refused run leaves no
+    results file. The file is never deleted: deleting it would race with a
+    writer about to lock it. The lock ends with the process that holds it.
+    """
+    lock = Path(results).with_name(Path(results).name + ".lock")
+    with open(lock, "ab") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise RuntimeError(f"{results} is being written by another run-grid (it holds {lock})") from None
+        yield
+
+
 def _cmd_run_grid(args) -> int:
     train, val = _load_split(args)
     grid_spec = grid_from_json(args.grid)
@@ -198,17 +219,18 @@ def _cmd_run_grid(args) -> int:
         print(f"{n_cells} runs, {total_cost:g} example-epochs total")
         return 0
 
-    store = store_load(args.out)
-    already = len(store)
-    run_matrix(
-        train,
-        val,
-        manifests,
-        grid,
-        parallelism=args.parallel,
-        global_seed=_global_seed(args),
-        store=store,
-    )
+    with _results_lock(args.out):
+        store = store_load(args.out)
+        already = len(store)
+        run_matrix(
+            train,
+            val,
+            manifests,
+            grid,
+            parallelism=args.parallel,
+            global_seed=_global_seed(args),
+            store=store,
+        )
     print(f"{len(store)} records in {args.out} ({already} pre-existing, {len(store) - already} new)")
     return 0
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import write_atomic
+from ._atomic import atomic_writer
 
 __all__ = [
     "Dataset",
@@ -38,6 +38,8 @@ _STREAM_SPLIT = 4
 # then miss and are replaced.
 _PARSER_VERSION = 1
 _SIDECAR_KEYS = {"sha256", "parser_version", "features", "labels"}
+# save_csv formats and writes this many feature values at a time.
+_CSV_BLOCK_VALUES = 1 << 14
 
 
 class Dataset:
@@ -203,15 +205,22 @@ def save_csv(d: Dataset, path: str | Path) -> None:
     Rows are ``label,f0,f1,...`` with each feature as repr(float), which
     parses back to the same bits, so the sidecar holds d's own arrays, keyed
     by the sha256 of the bytes written: the next load_csv of the file does
-    not parse. The sidecar is best-effort, as in load_csv.
+    not parse. The sidecar is best-effort, as in load_csv. The text is
+    streamed in blocks of whole rows and about _CSV_BLOCK_VALUES features,
+    so it is never held whole.
     """
     path = Path(path)
-    data = "".join(
-        f"{label},{','.join(map(repr, row))}\n"
-        for label, row in zip(d.labels.tolist(), d.features.tolist())
-    ).encode("utf-8")
-    write_atomic(path, data)
-    _write_sidecar(_sidecar_path(path), hashlib.sha256(data).hexdigest(), d.features, d.labels)
+    h = hashlib.sha256()
+    rows = max(1, _CSV_BLOCK_VALUES // d.feature_dim)
+    with atomic_writer(path) as fh:
+        for at in range(0, len(d), rows):
+            block = "".join(
+                f"{label},{','.join(map(repr, row))}\n"
+                for label, row in zip(d.labels[at : at + rows].tolist(), d.features[at : at + rows].tolist())
+            ).encode("utf-8")
+            h.update(block)
+            fh.write(block)
+    _write_sidecar(_sidecar_path(path), h.hexdigest(), d.features, d.labels)
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -283,10 +292,9 @@ def _read_sidecar(sidecar: Path, digest: str) -> tuple[np.ndarray, np.ndarray] |
 
 
 def _write_sidecar(sidecar: Path, digest: str, feats: np.ndarray, labels: np.ndarray) -> None:
-    buf = io.BytesIO()
-    np.savez(buf, sha256=np.array(digest), parser_version=np.array(_PARSER_VERSION), features=feats, labels=labels)
     try:
-        write_atomic(sidecar, buf.getvalue())
+        with atomic_writer(sidecar) as fh:
+            np.savez(fh, sha256=np.array(digest), parser_version=np.array(_PARSER_VERSION), features=feats, labels=labels)
     except OSError:
         pass  # a read-only directory or a full disk: the next load parses again
 
@@ -313,8 +321,10 @@ def synth_generate(spec: SynthSpec) -> Dataset:
     labels = np.repeat(np.arange(spec.class_count), spec.examples_per_class)
     g_noise = np.random.default_rng([spec.seed, _STREAM_NOISE])
     sigmas = g_noise.uniform(spec.noise_scale_lo, spec.noise_scale_hi, size=n_total)
-    noise = g_noise.standard_normal((n_total, spec.feature_dim))
-    feats = means[labels] + sigmas[:, None] * noise
+    feats = g_noise.standard_normal((n_total, spec.feature_dim))
+    feats *= sigmas[:, None]
+    by_class = feats.reshape(spec.class_count, spec.examples_per_class, spec.feature_dim)
+    by_class += means[:, None, :]  # means[labels] + sigmas * noise in place: each class is a block of rows
 
     if spec.label_flip_fraction > 0:
         n_flip = int(spec.label_flip_fraction * n_total)

@@ -19,7 +19,7 @@ import numpy as np
 from ._atomic import write_atomic
 from ._exact import exact_floor
 from .dataset import Dataset
-from .trainer import ModelParams, _forward, _layer_outputs, _log_softmax
+from .trainer import ModelParams, _log_softmax, _logits
 
 __all__ = [
     "DifficultyTable",
@@ -66,7 +66,8 @@ def score_examples(model: ModelParams, train: Dataset, scoring_config_id: str = 
 
     The loss is plain (unsmoothed) cross entropy regardless of how the model
     was trained, so scores are comparable across objective variants, and no
-    augmentation is applied. Forward pass only.
+    augmentation is applied. Forward pass only, holding two layers' outputs
+    at a time.
     """
     if len(train) == 0:
         raise ValueError("cannot score an empty dataset")
@@ -75,7 +76,7 @@ def score_examples(model: ModelParams, train: Dataset, scoring_config_id: str = 
             f"feature dim {train.feature_dim} does not match model fan-in {model.weights[0].shape[0]}"
         )
     n = len(train)
-    logits = _forward(model, train.features, _layer_outputs(model.sizes, n))
+    logits = _logits(model, train.features)
     logp = _log_softmax(logits, np.empty((n, 1)), np.empty_like(logits))
     losses = -logp[np.arange(n), train.labels]
     entries = sorted(

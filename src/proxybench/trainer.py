@@ -239,16 +239,29 @@ def _layer_outputs(sizes, *rows) -> list:
 
 
 def _forward(params: ModelParams, x: np.ndarray, outs: list) -> np.ndarray:
-    """Writes each layer's output to outs (rectified, but logits for the last); returns the logits."""
+    """Writes each layer's output to outs (rectified, but logits for the last); returns the logits.
+
+    A None in outs allocates that layer's output, which is dropped once the
+    layer above it is computed.
+    """
     h = x
     last = len(outs) - 1
     for i, (w, b, out) in enumerate(zip(params.weights, params.biases, outs)):
-        np.matmul(h, w, out=out)
+        out = np.matmul(h, w, out=out)
         out += b
         if i < last:
             np.maximum(out, 0.0, out=out)
         h = out
     return h
+
+
+def _logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """The logits of every row of x, holding two layers' outputs at a time.
+
+    Each layer is one product over all rows: a product over fewer rows may
+    round differently, so rows are never split into chunks.
+    """
+    return _forward(params, x, [None] * len(params.weights))
 
 
 # The per-step code calls ufunc reductions and ndarray.take directly: np.max,
@@ -442,8 +455,7 @@ def evaluate_accuracy(params: ModelParams, d: Dataset) -> float:
     """Fraction of examples whose argmax logit matches the label."""
     if len(d) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    logits = _forward(params, d.features, _layer_outputs(params.sizes, len(d)))
-    return float(np.mean(np.argmax(logits, axis=1) == d.labels))
+    return float(np.mean(np.argmax(_logits(params, d.features), axis=1) == d.labels))
 
 
 def stack_key(config: HyperparamConfig) -> tuple:

@@ -1,38 +1,56 @@
-"""Atomic whole-file writes: temp file beside the target, then a rename."""
+"""Atomic whole-file writes: temp file beside the target, then a rename.
+
+Every test runs through both entry points: write_atomic, and a body that
+streams into atomic_writer's handle.
+"""
 
 import os
 
 import pytest
 
-from proxybench._atomic import write_atomic
+from proxybench import _atomic
+from proxybench._atomic import atomic_writer, write_atomic
 
 
-def test_text_and_bytes_round_trip(tmp_path):
+def _streamed(path, data):
+    """Write data through atomic_writer, one byte per write."""
+    data = data.encode("utf-8") if isinstance(data, str) else data
+    with atomic_writer(path) as fh:
+        for i in range(len(data)):
+            fh.write(data[i : i + 1])
+
+
+@pytest.fixture(params=[write_atomic, _streamed], ids=["write_atomic", "atomic_writer"])
+def write(request):
+    return request.param
+
+
+def test_text_and_bytes_round_trip(tmp_path, write):
     out = tmp_path / "out"
-    write_atomic(out, "a\r\nb\n")
+    write(out, "a\r\nb\n")
     assert out.read_bytes() == b"a\r\nb\n"  # newlines as given
-    write_atomic(out, b"\x00\xff")
+    write(out, b"\x00\xff")
     assert out.read_bytes() == b"\x00\xff"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
-def test_second_writer_of_the_same_path_keeps_its_own_temp(tmp_path, monkeypatch):
+def test_second_writer_of_the_same_path_keeps_its_own_temp(tmp_path, monkeypatch, write):
     # another writer of out runs to completion between this write and its rename
     out = tmp_path / "out.txt"
     real_replace = os.replace
 
     def replace_after_another_writer(src, dst):
         monkeypatch.setattr(os, "replace", real_replace)
-        write_atomic(out, "second\n")
+        write(out, "second\n")
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace_after_another_writer)
-    write_atomic(out, "first\n")
+    write(out, "first\n")
     assert out.read_text() == "first\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
-def test_failed_rename_keeps_the_previous_file_and_no_temp(tmp_path, monkeypatch):
+def test_failed_rename_keeps_the_previous_file_and_no_temp(tmp_path, monkeypatch, write):
     out = tmp_path / "out.txt"
     out.write_text("previous\n")
 
@@ -41,5 +59,46 @@ def test_failed_rename_keeps_the_previous_file_and_no_temp(tmp_path, monkeypatch
 
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
-        write_atomic(out, b"new\n")
+        write(out, b"new\n")
+    assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [("out.txt", "previous\n")]
+
+
+class _FullAfter:
+    """A file whose writes fail once it holds `room` bytes, with the bytes that fit written."""
+
+    def __init__(self, fh, room):
+        self._fh, self._room = fh, room
+
+    def write(self, data):
+        if len(data) > self._room:
+            self._fh.write(data[: self._room])
+            self._room = 0
+            raise OSError(28, "No space left on device")
+        self._room -= len(data)
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_failed_write_mid_stream_keeps_the_previous_file_and_no_temp(tmp_path, monkeypatch, write):
+    out = tmp_path / "out.txt"
+    out.write_text("previous\n")
+    real_open = open
+    monkeypatch.setattr(_atomic, "open", lambda file, mode: _FullAfter(real_open(file, mode), 3), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write(out, b"new text\n")
+    assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [("out.txt", "previous\n")]
+
+
+def test_exception_in_the_body_keeps_the_previous_file_and_no_temp(tmp_path):
+    out = tmp_path / "out.txt"
+    out.write_text("previous\n")
+    with pytest.raises(KeyboardInterrupt):
+        with atomic_writer(out) as fh:
+            fh.write(b"half of the new ")
+            raise KeyboardInterrupt
     assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [("out.txt", "previous\n")]

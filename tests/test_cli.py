@@ -1,10 +1,12 @@
 import argparse
+import fcntl
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import proxybench
-from proxybench import _blas
+from proxybench import _atomic, _blas
 from proxybench import cli as cli_module
 from proxybench import dataset as dataset_module
 from proxybench.cli import _build_parser, main
@@ -164,15 +166,28 @@ class TestGenData:
         assert loaded.features.tobytes() == direct.features.tobytes()
         assert loaded.source_sha256 == hashlib.sha256(out.read_bytes()).hexdigest()
 
+    def test_memory_beyond_the_dataset_is_at_most_twice_its_features(self, tmp_path, capsys):
+        # the CSV text and the cache are streamed to disk, not built in memory
+        spec = {**SPEC, "class_count": 4, "feature_dim": 32, "examples_per_class": 2_500}
+        features_bytes = 10_000 * 32 * 8
+        tracemalloc.start()
+        try:
+            self._gen_data(tmp_path, spec, tmp_path / "big.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 3 * features_bytes, f"peak {peak / features_bytes:.2f}x the feature array"
+
     def test_failed_cache_write_is_skipped(self, tmp_path, monkeypatch, capsys):
-        write_atomic = dataset_module.write_atomic
+        real_open = open
 
-        def no_room_for_the_cache(path, data):
-            if Path(path).suffix == ".npz":
-                raise OSError(28, "No space left on device", str(path))
-            write_atomic(path, data)
+        def no_room_for_the_cache(file, mode):
+            if Path(file).name.startswith("toy.csv.npz."):
+                raise OSError(28, "No space left on device", str(file))
+            return real_open(file, mode)
 
-        monkeypatch.setattr(dataset_module, "write_atomic", no_room_for_the_cache)
+        monkeypatch.setattr(_atomic, "open", no_room_for_the_cache, raising=False)
         out = tmp_path / "toy.csv"
         self._gen_data(tmp_path, SPEC, out)
         capsys.readouterr()
@@ -316,15 +331,27 @@ class TestMakeProxy:
         assert not out.exists()
 
 
-def _fill_disk(monkeypatch):
-    """From here on, every Path.write_text writes half its text, then fails."""
-    real = Path.write_text
+class _HalfThenFail:
+    """A file whose every write writes half its bytes, then fails."""
 
-    def half_then_fail(self, text, *args, **kwargs):
-        real(self, text[: len(text) // 2], *args, **kwargs)
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
         raise OSError("disk full")
 
-    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _fill_disk(monkeypatch):
+    """From here on, every atomic write writes half of each chunk, then fails."""
+    real_open = open
+    monkeypatch.setattr(_atomic, "open", lambda file, mode: _HalfThenFail(real_open(file, mode)), raising=False)
 
 
 class TestFailedWrites:
@@ -375,10 +402,14 @@ class TestDataSidecar:
         shutil.copy(pipeline["data"], data)
         data_dir.chmod(0o555)
 
-        def refuse(self, data):  # root ignores mode bits
-            raise PermissionError(13, "Permission denied", str(self))
+        real_open = open
 
-        monkeypatch.setattr(Path, "write_bytes", refuse)
+        def refuse(file, mode):  # root ignores mode bits
+            if Path(file).parent == data_dir:
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, mode)
+
+        monkeypatch.setattr(_atomic, "open", refuse, raising=False)
         try:
             out = tmp_path / "scores.csv"
             assert main(["score", "--data", str(data), "--out", str(out)]) == 0
@@ -397,7 +428,7 @@ class TestRunGrid:
              "--proxies", str(pipeline["proxies"]), "--out", str(out), "--dry-run"]
         )
         assert code == 0
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []  # neither the results file nor its lock
         lines = capsys.readouterr().out.strip().splitlines()
         # 5 proxies (4 manifests + synthesized full) x 4 configs, plus a total line
         assert len(lines) == 21
@@ -420,6 +451,24 @@ class TestRunGrid:
         assert code == 0
         assert "(20 pre-existing, 0 new)" in capsys.readouterr().out
         assert len(store_load(pipeline["results"])) == 20
+
+    def test_second_writer_of_one_results_file_is_refused(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        first_12 = b"".join(pipeline["results"].read_bytes().splitlines(keepends=True)[:12])
+        out.write_bytes(first_12)
+        argv = ["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
+                "--proxies", str(pipeline["proxies"]), "--out", str(out)]
+        with open(tmp_path / "r.jsonl.lock", "ab") as held:  # another run-grid, mid-run
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert main(argv) == 2
+            assert f"{out} is being written by another run-grid" in capsys.readouterr().err
+            assert out.read_bytes() == first_12
+        assert main(argv) == 0
+        assert "(12 pre-existing, 8 new)" in capsys.readouterr().out
+        full, resumed = store_load(pipeline["results"]), store_load(out)
+        assert {k: full.get(k).epoch_val_acc for k in full.keys()} == {
+            k: resumed.get(k).epoch_val_acc for k in resumed.keys()
+        }
 
     def test_parallel_rerun_is_identical(self, pipeline, tmp_path, capsys):
         out = tmp_path / "par.jsonl"

@@ -2,6 +2,7 @@
 sort oracle that recomputes everything from first principles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,21 @@ class TestScoreExamples:
         flipped_in_train = flipped & set(train.ids.tolist())
         hardest = {ex_id for ex_id, _ in table.entries[: len(flipped_in_train)]}
         assert hardest == flipped_in_train
+
+
+    def test_peak_memory_is_below_all_layer_outputs(self):
+        # a whole-set forward pass holds a layer's output and the one below it, never all of them
+        d = synth_generate(SynthSpec(class_count=4, feature_dim=8, examples_per_class=1_250, class_separation=3.0,
+                                     noise_scale_lo=0.3, noise_scale_hi=0.6))
+        params = init_params(HyperparamConfig(depth="large", stem_width_1=64, stem_width_2=64), 8, 4)
+        all_outputs = len(d) * sum(params.sizes[1:]) * 8
+        tracemalloc.start()
+        try:
+            score_examples(params, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < all_outputs, f"peak {peak} bytes, all layer outputs {all_outputs}"
 
 
 class TestTableInvariants:
