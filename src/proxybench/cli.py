@@ -8,13 +8,14 @@ write single-file outputs atomically (temp file + rename), so a failed
 invocation never leaves a truncated output; the one deliberate exception is
 run-grid's results file, which must keep completed lines to be resumable.
 A run-grid holds a lock on ``<results>.lock`` while it reads and appends the
-results file; a second run-grid on the same file exits 2.
+results file; a second run-grid on the same file exits 2. Only run-grid cuts
+a torn last line; analyze and report read past it and leave the file as is.
 Every command that loads --data caches the parse, best-effort, in a
 ``<data>.csv.npz`` sidecar keyed by the CSV's sha256 (see load_csv), and
 gen-data writes that sidecar for the CSV it writes. score records the digest
-in its table's .json sidecar, and make-proxy refuses a table whose digest is
-not the one of its --data. Every command runs on one OpenBLAS thread (see
-_blas) and gives the caller's thread count back when it returns.
+in its table's .json sidecar, and make-proxy (build_proxy) refuses a table
+whose digest is not the one of its --data. Every command runs on one OpenBLAS
+thread (see _blas) and gives the caller's thread count back when it returns.
 """
 
 from __future__ import annotations
@@ -147,16 +148,7 @@ def _cmd_make_proxy(args) -> int:
     if spec.kind == "quantile" and not args.scores:
         raise UsageError("quantile proxies require --scores")
     train, val = _load_split(args)
-    table = None
-    if args.scores:
-        table = load_table(args.scores)
-        if table.dataset_sha256 is None:
-            raise ValueError(f"difficulty table {args.scores} records no dataset digest; re-run score")
-        if table.dataset_sha256 != train.source_sha256:
-            raise ValueError(
-                f"difficulty table is for dataset sha256 {table.dataset_sha256}, "
-                f"not {train.source_sha256} of {args.data}"
-            )
+    table = load_table(args.scores) if args.scores else None
     manifest = build_proxy(train, val, spec, table=table, target_epochs=args.target_epochs)
     save_manifest(manifest, args.out)
     print(

@@ -30,35 +30,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DifficultyTable:
-    """(example_id, loss) entries held in canonical rank order.
+    """Aligned example ids and losses, read-only arrays held in canonical rank order.
 
     Rank order is loss descending with ties broken by ascending example id,
     so rank 0 is the hardest example. Quantile slices are contiguous rank
-    ranges over this list.
+    ranges over these arrays.
     """
 
-    entries: tuple  # tuple of (example_id, loss) pairs, rank order
+    ids: np.ndarray  # (n,) int64, rank order
+    losses: np.ndarray  # (n,) float64, the loss of each id
     dataset_id: str
     scoring_config_id: str
     dataset_sha256: str | None = None  # of the CSV the scored examples came from
 
     def __post_init__(self):
-        losses = [loss for _, loss in self.entries]
-        if not all(np.isfinite(losses)):
-            raise ValueError("non-finite difficulty loss")
-        if any(loss < 0 for loss in losses):
-            raise ValueError("negative difficulty loss")
-        keys = [(-loss, ex_id) for ex_id, loss in self.entries]
-        if keys != sorted(keys):
+        ids = np.array(self.ids, dtype=np.int64)
+        losses = np.array(self.losses, dtype=np.float64)
+        if ids.ndim != 1 or losses.shape != ids.shape:
+            raise ValueError(f"need aligned (n,) ids and losses, got shapes {ids.shape}, {losses.shape}")
+        if not (np.isfinite(losses) & (losses >= 0)).all():
+            raise ValueError("difficulty losses must be finite and non-negative")
+        tied = losses[1:] == losses[:-1]
+        if ((losses[1:] > losses[:-1]) | (tied & (ids[1:] < ids[:-1]))).any():
             raise ValueError("entries not in rank order (loss desc, id asc)")
-        ids = [ex_id for ex_id, _ in self.entries]
-        if len(set(ids)) != len(ids):
+        if len(np.unique(ids)) != len(ids):
             raise ValueError("duplicate example ids in difficulty table")
+        for name, a in (("ids", ids), ("losses", losses)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
 
 def score_examples(model: ModelParams, train: Dataset, scoring_config_id: str = "default") -> DifficultyTable:
@@ -79,22 +83,19 @@ def score_examples(model: ModelParams, train: Dataset, scoring_config_id: str = 
     logits = _logits(model, train.features)
     logp = _log_softmax(logits, np.empty((n, 1)), np.empty_like(logits))
     losses = -logp[np.arange(n), train.labels]
-    entries = sorted(
-        zip((int(i) for i in train.ids), (float(l) for l in losses)),
-        key=lambda e: (-e[1], e[0]),
-    )
+    order = np.lexsort((train.ids, -losses))
     return DifficultyTable(
-        entries=tuple(entries), dataset_id=train.id, scoring_config_id=scoring_config_id,
+        ids=train.ids[order], losses=losses[order], dataset_id=train.id, scoring_config_id=scoring_config_id,
         dataset_sha256=train.source_sha256,
     )
 
 
-def quantile_slice(table: DifficultyTable, lo: float, hi: float) -> list:
+def quantile_slice(table: DifficultyTable, lo: float, hi: float) -> np.ndarray:
     """Example ids whose hardness rank quantile falls in [lo, hi).
 
     With N entries, the slice holds ranks floor(lo*N) <= r < floor(hi*N)
     (hi=1 meaning r < N), computed with decimal semantics so floor(0.3*10)
-    is 3. Ids come back in rank order, hardest first.
+    is 3. Ids come back in rank order, hardest first, as a view of table.ids.
     """
     if len(table) == 0:
         raise ValueError("empty difficulty table")
@@ -103,7 +104,7 @@ def quantile_slice(table: DifficultyTable, lo: float, hi: float) -> list:
     n = len(table)
     r_lo = exact_floor(lo, n)
     r_hi = exact_floor(hi, n)
-    return [ex_id for ex_id, _ in table.entries[r_lo:r_hi]]
+    return table.ids[r_lo:r_hi]
 
 
 def save_table(table: DifficultyTable, path: str | Path) -> None:
@@ -118,7 +119,7 @@ def save_table(table: DifficultyTable, path: str | Path) -> None:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["example_id", "loss"])
-    w.writerows((ex_id, repr(loss)) for ex_id, loss in table.entries)
+    w.writerows((ex_id, repr(loss)) for ex_id, loss in zip(table.ids.tolist(), table.losses.tolist()))
     sidecar = {
         "dataset_id": table.dataset_id,
         "scoring_config_id": table.scoring_config_id,
@@ -133,14 +134,14 @@ def load_table(path: str | Path) -> DifficultyTable:
     if not path.exists():
         raise FileNotFoundError(f"difficulty table not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    entries = tuple((int(r[0]), float(r[1])) for r in rows[1:] if r)
+        rows = [r for r in list(csv.reader(fh))[1:] if r]
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise FileNotFoundError(f"difficulty table sidecar not found: {sidecar_path}")
     meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
     return DifficultyTable(
-        entries=entries,
+        ids=[int(r[0]) for r in rows],
+        losses=[float(r[1]) for r in rows],
         dataset_id=meta["dataset_id"],
         scoring_config_id=meta["scoring_config_id"],
         dataset_sha256=meta.get("dataset_sha256"),

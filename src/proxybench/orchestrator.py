@@ -90,12 +90,14 @@ class ResultStore:
 
     Every append lands in the file as one JSON line, flushed immediately so
     an interrupted matrix leaves a loadable prefix. store_load reads a file
-    back into a store bound to it.
+    back into a store bound to it. Its first append mends an unterminated last
+    line store_load found: a torn fragment is cut, a whole record terminated.
     """
 
     def __init__(self, path: str | Path):
         self._records: dict = {}
         self._path = Path(path)
+        self._tail = None  # (length to cut the file to, text to write first) before the first append
 
     def __len__(self) -> int:
         return len(self._records)
@@ -118,6 +120,10 @@ class ResultStore:
     def append(self, record: RunRecord) -> None:
         self._add(record)
         with open(self._path, "a", encoding="utf-8") as fh:
+            if self._tail is not None:
+                fh.truncate(self._tail[0])
+                fh.write(self._tail[1])
+                self._tail = None
             fh.write(json.dumps(asdict(record)) + "\n")
             fh.flush()
 
@@ -136,7 +142,8 @@ def store_load(path: str | Path) -> ResultStore:
 
     The one exception is an unterminated last line that does not parse: the
     tail a process killed mid-append leaves. It is dropped with a warning on
-    stderr and cut from the file, so the next append starts a fresh line.
+    stderr. Loading never changes the file: the store's first append cuts
+    the fragment, and only run-grid appends, holding the file's lock.
     """
     path = Path(path)
     store = ResultStore(path)
@@ -158,12 +165,10 @@ def store_load(path: str | Path) -> ResultStore:
             record = _parse_record(tail)
         except _MALFORMED:
             print(f"warning: {path}: dropping an unterminated last line cut off mid-write", file=sys.stderr)
-            with open(path, "r+b") as fh:
-                fh.truncate(complete)
+            store._tail = (complete, "")
         else:  # a whole record whose newline was never written
             store._add(record)
-            with open(path, "ab") as fh:
-                fh.write(b"\n")
+            store._tail = (len(data), "\n")
     return store
 
 

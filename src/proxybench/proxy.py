@@ -116,14 +116,15 @@ class ProxySpec:
         return f"ep{self.epochs}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProxyManifest:
-    """A resolved proxy: concrete example ids plus the epochs to train them."""
+    """A resolved proxy: the example ids to train and validate on, as sorted
+    read-only int64 arrays, plus the epochs to train them."""
 
     proxy_id: str
     spec: ProxySpec
-    train_ids: tuple
-    val_ids: tuple
+    train_ids: np.ndarray
+    val_ids: np.ndarray
     epochs: int
 
     def __post_init__(self):
@@ -131,13 +132,18 @@ class ProxyManifest:
             raise ValueError(f"proxy {self.proxy_id!r} resolved to 0 training examples")
         if len(self.val_ids) == 0:
             raise ValueError(f"proxy {self.proxy_id!r} resolved to 0 validation examples")
+        self.train_ids.setflags(write=False)
+        self.val_ids.setflags(write=False)
 
 
-def _pick_half_classes(class_count: int, seed: int) -> tuple:
-    rng = np.random.default_rng([seed, _STREAM_CLASS_PICK])
-    k = math.ceil(class_count / 2)
-    picked = rng.choice(class_count, size=k, replace=False)
-    return tuple(sorted(int(c) for c in picked))
+def _sample(ids: np.ndarray, fraction: float, seed: int) -> np.ndarray:
+    """ceil(fraction * len(ids)) of the sorted ids, drawn uniformly without
+    replacement and returned sorted; the ids themselves when that is all of them."""
+    n_keep = exact_ceil(fraction, len(ids))
+    if n_keep == len(ids):
+        return ids
+    rng = np.random.default_rng([seed, _STREAM_SAMPLE])
+    return np.sort(rng.choice(ids, size=n_keep, replace=False))
 
 
 def build_proxy(
@@ -154,77 +160,57 @@ def build_proxy(
     val to the class set, then sample the fraction of remaining train ids.
     quantile: difficulty-slice ids (table required), val untouched.
     fewer_epochs: everything, reduced epochs. All sampling is deterministic
-    given spec.seed, and id lists are stored in ascending order.
+    given spec.seed, and ids are stored in ascending order.
+
+    A table, whatever the kind, must have scored the bytes train was loaded
+    from (its dataset_sha256); a quantile table must score exactly the
+    training ids.
     """
     if target_epochs < 1:
         raise ValueError("target_epochs must be >= 1")
-    all_train = sorted(int(i) for i in train.ids)
-    all_val = sorted(int(i) for i in val.ids)
-    epochs = target_epochs
+    if table is not None and table.dataset_sha256 != train.source_sha256:
+        if table.dataset_sha256 is None:
+            raise ValueError("difficulty table records no dataset digest; re-run score")
+        raise ValueError(
+            f"difficulty table is for dataset sha256 {table.dataset_sha256}, "
+            f"not {train.source_sha256} of the training set"
+        )
+    train_ids, val_ids, epochs = np.sort(train.ids), np.sort(val.ids), target_epochs
 
-    if spec.kind == "full":
-        train_ids = all_train
-        val_ids = all_val
-    elif spec.kind == "random_all":
-        n_keep = exact_ceil(spec.fraction, len(all_train))
-        if n_keep == 0:
-            raise ValueError(f"fraction {spec.fraction} yields 0 examples")
-        rng = np.random.default_rng([spec.seed, _STREAM_SAMPLE])
-        picked = rng.choice(np.asarray(all_train), size=n_keep, replace=False)
-        train_ids = sorted(int(i) for i in picked)
-        val_ids = all_val
+    if spec.kind == "random_all":
+        train_ids = _sample(train_ids, spec.fraction, spec.seed)
     elif spec.kind == "half_classes":
         class_set = spec.class_set
         if class_set is None:
-            class_set = _pick_half_classes(train.class_count, spec.seed)
+            rng = np.random.default_rng([spec.seed, _STREAM_CLASS_PICK])
+            k = math.ceil(train.class_count / 2)
+            class_set = tuple(sorted(rng.choice(train.class_count, size=k, replace=False).tolist()))
         kept_train = class_filter(train, class_set)
         kept_val = class_filter(val, class_set)
         if len(kept_train) == 0 or len(kept_val) == 0:
             raise ValueError(f"class set {class_set} leaves an empty split")
-        pool = sorted(int(i) for i in kept_train.ids)
         fraction = spec.fraction if spec.fraction is not None else 1.0
-        n_keep = exact_ceil(fraction, len(pool))
-        if n_keep == 0:
-            raise ValueError(f"fraction {fraction} yields 0 examples")
-        if n_keep == len(pool):
-            train_ids = pool
-        else:
-            rng = np.random.default_rng([spec.seed, _STREAM_SAMPLE])
-            picked = rng.choice(np.asarray(pool), size=n_keep, replace=False)
-            train_ids = sorted(int(i) for i in picked)
-        val_ids = sorted(int(i) for i in kept_val.ids)
+        train_ids = _sample(np.sort(kept_train.ids), fraction, spec.seed)
+        val_ids = np.sort(kept_val.ids)
     elif spec.kind == "quantile":
         if table is None:
             raise ValueError("quantile proxy requires a difficulty table")
         # Ranks are quantiles of the whole training set only if every training id is scored.
-        scored = np.array([ex_id for ex_id, _ in table.entries], dtype=np.int64)
-        unscored, unknown = np.setdiff1d(train.ids, scored), np.setdiff1d(scored, train.ids)
+        unscored, unknown = np.setdiff1d(train.ids, table.ids), np.setdiff1d(table.ids, train.ids)
         if unscored.size or unknown.size:
             raise ValueError(
                 f"difficulty table must score exactly the training ids: "
                 f"{unscored.size} unscored, {unknown.size} not in the training set"
             )
-        ids = quantile_slice(table, spec.lo, spec.hi)
-        if not ids:
+        train_ids = np.sort(quantile_slice(table, spec.lo, spec.hi))
+        if train_ids.size == 0:
             raise ValueError(f"quantile ({spec.lo}, {spec.hi}) yields 0 examples")
-        train_ids = sorted(ids)
-        val_ids = all_val
-    else:  # fewer_epochs
+    elif spec.kind == "fewer_epochs":
         if spec.epochs >= target_epochs:
-            raise ValueError(
-                f"fewer_epochs budget {spec.epochs} must be below target {target_epochs}"
-            )
-        train_ids = all_train
-        val_ids = all_val
+            raise ValueError(f"fewer_epochs budget {spec.epochs} must be below target {target_epochs}")
         epochs = spec.epochs
 
-    return ProxyManifest(
-        proxy_id=spec.proxy_id(),
-        spec=spec,
-        train_ids=tuple(train_ids),
-        val_ids=tuple(val_ids),
-        epochs=epochs,
-    )
+    return ProxyManifest(spec.proxy_id(), spec, train_ids, val_ids, epochs)
 
 
 def save_manifest(manifest: ProxyManifest, path: str | Path) -> None:
@@ -235,11 +221,22 @@ def save_manifest(manifest: ProxyManifest, path: str | Path) -> None:
         "kind": spec.kind,
         "params": params,
         "seed": spec.seed,
-        "train_ids": list(manifest.train_ids),
-        "val_ids": list(manifest.val_ids),
+        "train_ids": manifest.train_ids.tolist(),
+        "val_ids": manifest.val_ids.tolist(),
         "epochs": manifest.epochs,
     }
     write_atomic(path, json.dumps(payload, indent=2) + "\n")
+
+
+def _manifest_ids(path: Path, payload: dict, field: str) -> np.ndarray:
+    """payload[field], a list of distinct JSON integers, as a sorted int64 array."""
+    values = payload[field]
+    if not isinstance(values, list) or not all(type(v) is int and -(2**63) <= v < 2**63 for v in values):
+        raise ValueError(f"{path}: {field} must be a list of integer example ids")
+    ids = np.unique(np.array(values, dtype=np.int64))
+    if len(ids) != len(values):
+        raise ValueError(f"{path}: {field} lists an example id more than once")
+    return ids
 
 
 def load_manifest(path: str | Path) -> ProxyManifest:
@@ -247,11 +244,14 @@ def load_manifest(path: str | Path) -> ProxyManifest:
     if not path.exists():
         raise FileNotFoundError(f"proxy manifest not found: {path}")
     payload = json.loads(path.read_text(encoding="utf-8"))
+    epochs = payload["epochs"]
+    if type(epochs) is not int or epochs < 1:
+        raise ValueError(f"{path}: epochs must be a positive integer, got {epochs!r}")
     spec = ProxySpec(kind=payload["kind"], seed=payload["seed"], **payload["params"])
     return ProxyManifest(
         proxy_id=payload["proxy_id"],
         spec=spec,
-        train_ids=tuple(payload["train_ids"]),
-        val_ids=tuple(payload["val_ids"]),
-        epochs=payload["epochs"],
+        train_ids=_manifest_ids(path, payload, "train_ids"),
+        val_ids=_manifest_ids(path, payload, "val_ids"),
+        epochs=epochs,
     )

@@ -153,6 +153,12 @@ def _oracle_slice(entries, lo, hi):
     return [i for i, _ in ranked[start:stop]]
 
 
+def _table_of(entries):
+    """The table of (id, loss) pairs already in rank order."""
+    return DifficultyTable(ids=[i for i, _ in entries], losses=[l for _, l in entries],
+                           dataset_id="d", scoring_config_id="c")
+
+
 def test_3_quantile_slices_match_brute_force_oracle(capsys):
     rng = np.random.default_rng(303)
     failures = []
@@ -166,7 +172,7 @@ def test_3_quantile_slices_match_brute_force_oracle(capsys):
         entries = tuple(
             sorted(((int(i), float(l)) for i, l in zip(ids, losses)), key=lambda e: (-e[1], e[0]))
         )
-        table = DifficultyTable(entries=entries, dataset_id="d", scoring_config_id="c")
+        table = _table_of(entries)
 
         cuts = sorted({round(float(rng.uniform(0, 1)), 3) for _ in range(3)} | {0.0, 1.0})
         if len(cuts) < 3:
@@ -185,7 +191,7 @@ def test_3_quantile_slices_match_brute_force_oracle(capsys):
             failures.append((n, lo, hi, "cardinality off"))
         # positive rescaling of losses must not move any boundary
         scaled = tuple((i, l * 73.5) for i, l in entries)
-        stable = DifficultyTable(entries=scaled, dataset_id="d", scoring_config_id="c")
+        stable = _table_of(scaled)
         if list(quantile_slice(stable, lo, hi)) != got:
             failures.append((n, lo, hi, "scale variance"))
 

@@ -227,6 +227,48 @@ class TestScore:
         assert "PROXYBENCH_SEED" in capsys.readouterr().err
 
 
+class TestPinnedSetUp:
+    """sha256s of score's table and sidecar and of one manifest per make-proxy
+    kind on a fixed tiny spec: a change to how ids are ranked, sampled or
+    written must keep every byte."""
+
+    SPEC = {"class_count": 4, "feature_dim": 3, "examples_per_class": 12, "class_separation": 2.0,
+            "noise_scale_lo": 0.2, "noise_scale_hi": 1.0, "label_flip_fraction": 0.1, "seed": 13}
+    KINDS = {
+        "full": ["--kind", "full"],
+        "random": ["--kind", "random_all", "--fraction", "0.4", "--seed", "3"],
+        "random-all": ["--kind", "random_all", "--fraction", "1.0"],
+        "half": ["--kind", "half_classes", "--classes", "0,2", "--fraction", "0.6", "--seed", "5"],
+        "half-pick": ["--kind", "half_classes", "--seed", "7"],
+        "quantile": ["--kind", "quantile", "--lo", "0.25", "--hi", "0.75"],
+        "ep": ["--kind", "fewer_epochs", "--epochs", "2"],
+    }
+    DIGESTS = {
+        "d.csv": "d4177ec5208b785f12fde341ca8fbd8693f88062d2b55f9379f8f6b62376bee7",
+        "s.csv": "aee3087a537c6ad6172ee9278391a92506d1b82d35ecf682a4c2660cf743eeeb",
+        "s.json": "900996b629b0c840d025627e46a08205a774e7f6ccb12156af26fe6ac998e5b6",
+        "full.json": "207b0ef6c2c052190312369502d119f68350b4fc9cb341d54292ea92f744db82",
+        "random.json": "f20e9ad88bc7537949afbc5449673a139b2dde8b923b0eb20cabe9ced0c78eec",
+        "random-all.json": "4312d21d0a4518f5728726ec643ad912079863e282fce1581af355c475695a5f",
+        "half.json": "9bcc5c85446e5cc7691206ef4a5df41db3a3341a62cdcb7da9b28430dd0ceaae",
+        "half-pick.json": "de90113aa46a88e50a76cbcb18d11926b6ea26eeca63f4169aca8db6dfbc02fd",
+        "quantile.json": "2b12dff54eac8774f8fa809c70ebc55d4f230c55a92ae27618d35c334c5b87b6",
+        "ep.json": "991252e90495c62a69ad633b2c1a9802137914addcdc93f3adaa5ae8da2c2723",
+    }
+
+    def test_table_and_manifest_bytes_are_pinned(self, tmp_path, capsys):
+        (tmp_path / "spec.json").write_text(json.dumps(self.SPEC))
+        data, scores = str(tmp_path / "d.csv"), str(tmp_path / "s.csv")
+        assert main(["gen-data", "--spec", str(tmp_path / "spec.json"), "--out", data]) == 0
+        assert main(["score", "--data", data, "--out", scores]) == 0
+        for name, flags in self.KINDS.items():
+            argv = ["make-proxy", "--data", data, "--scores", scores, "--target-epochs", "5",
+                    "--out", str(tmp_path / f"{name}.json"), *flags]
+            assert main(argv) == 0, capsys.readouterr().err
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.DIGESTS}
+        assert digests == self.DIGESTS
+
+
 class TestMakeProxy:
     def test_quantile_without_scores_is_usage_error(self, pipeline, tmp_path, capsys):
         code = main(
@@ -300,6 +342,18 @@ class TestMakeProxy:
         err = capsys.readouterr().err
         assert hashlib.sha256(a.read_bytes()).hexdigest() in err
         assert hashlib.sha256(b.read_bytes()).hexdigest() in err
+        assert not out.exists()
+
+    def test_table_from_another_dataset_is_refused_for_every_kind(self, pipeline, tmp_path, capsys):
+        scores = tmp_path / "other.csv"
+        shutil.copy(pipeline["scores"], scores)
+        meta = json.loads(pipeline["scores"].with_suffix(".json").read_text())
+        scores.with_suffix(".json").write_text(json.dumps({**meta, "dataset_sha256": "0" * 64}))
+        out = tmp_path / "m.json"
+        code = main(["make-proxy", "--data", str(pipeline["data"]), "--kind", "random_all", "--fraction", "0.5",
+                     "--scores", str(scores), "--out", str(out)])
+        assert code == 2
+        assert f"dataset sha256 {'0' * 64}, not {meta['dataset_sha256']}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_table_without_a_digest_is_refused(self, pipeline, tmp_path, capsys):
@@ -501,6 +555,35 @@ class TestRunGrid:
             k: resumed.get(k).epoch_val_acc for k in resumed.keys()
         }
 
+    def test_unterminated_last_record_is_terminated(self, pipeline, tmp_path, capsys):
+        # a run killed between a record and its newline leaves 12 whole records, the last one unterminated
+        lines = pipeline["results"].read_text().splitlines(keepends=True)
+        out = tmp_path / "unterminated.jsonl"
+        out.write_text("".join(lines[:12]).rstrip("\n"))
+        code = main(
+            ["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
+             "--proxies", str(pipeline["proxies"]), "--out", str(out)]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "(12 pre-existing, 8 new)" in captured.out
+        assert captured.err == ""
+        assert out.read_text().startswith("".join(lines[:12]))
+        assert len(store_load(out)) == 20
+
+    def test_manifest_ids_that_are_not_integers_are_refused(self, pipeline, tmp_path, capsys):
+        proxies = tmp_path / "proxies"
+        proxies.mkdir()
+        payload = json.loads((pipeline["proxies"] / "random_all.json").read_text())
+        manifest = proxies / "random_all.json"
+        manifest.write_text(json.dumps({**payload, "train_ids": [1.5] + payload["train_ids"][1:]}))
+        out = tmp_path / "r.jsonl"
+        code = main(["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
+                     "--proxies", str(proxies), "--out", str(out)])
+        assert code == 2
+        assert f"{manifest}: train_ids must be a list of integer example ids" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_under_another_seed_is_refused(self, pipeline, tmp_path, capsys, monkeypatch):
         out = tmp_path / "seed0.jsonl"
         out.write_bytes(pipeline["results"].read_bytes())
@@ -627,6 +710,18 @@ class TestAnalyze:
         assert "disk full" in capsys.readouterr().err
         assert out.read_text() == "previous report\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["q.csv"]
+
+    def test_torn_results_file_is_left_as_it_is(self, pipeline, tmp_path, capsys):
+        # only run-grid, holding the results lock, cuts a torn tail; readers drop it in memory
+        lines = pipeline["results"].read_text().splitlines(keepends=True)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("".join(lines[:12]) + lines[12][: len(lines[12]) // 2])
+        before = torn.read_bytes()
+        assert main(["analyze", "--results", str(torn), "--out", str(tmp_path / "q.csv")]) == 0
+        assert main(["report", "--report", str(tmp_path / "q.csv"), "--out", str(tmp_path / "plots"),
+                     "--results", str(torn)]) == 0
+        assert capsys.readouterr().err.count("unterminated last line") == 2
+        assert torn.read_bytes() == before
 
     def test_empty_results_file_is_runtime_error(self, tmp_path, capsys):
         missing = tmp_path / "none.jsonl"

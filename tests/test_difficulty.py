@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from proxybench.dataset import SynthSpec, split, synth_generate
+from proxybench.dataset import Dataset, SynthSpec, split, synth_generate
 from proxybench.difficulty import DifficultyTable, load_table, quantile_slice, save_table, score_examples
 from proxybench.trainer import HyperparamConfig, init_params, train_model
 
@@ -16,7 +16,8 @@ from proxybench.trainer import HyperparamConfig, init_params, train_model
 def _table(losses, ids=None):
     ids = ids if ids is not None else range(len(losses))
     entries = sorted(zip(ids, losses), key=lambda e: (-e[1], e[0]))
-    return DifficultyTable(entries=tuple(entries), dataset_id="d", scoring_config_id="c")
+    return DifficultyTable(ids=[i for i, _ in entries], losses=[l for _, l in entries],
+                           dataset_id="d", scoring_config_id="c")
 
 
 def _oracle_slice(ids, losses, lo, hi):
@@ -38,7 +39,8 @@ class TestScoreExamples:
         for w in params.weights:
             w[:] = 0.0
         table = score_examples(params, d)
-        assert all(loss == pytest.approx(math.log(5), abs=1e-12) for _, loss in table.entries)
+        assert np.allclose(table.losses, math.log(5), rtol=0, atol=1e-12)
+        assert np.array_equal(table.ids, np.sort(d.ids))  # all tied, so ranked by ascending id
         assert table.dataset_id == d.id
 
     def test_scoring_is_deterministic(self):
@@ -47,7 +49,23 @@ class TestScoreExamples:
                       class_separation=3.0, noise_scale_lo=0.1, noise_scale_hi=1.0, seed=2)
         )
         params = init_params(HyperparamConfig(stem_width_1=8, stem_width_2=8, seed=4), 4, 3)
-        assert score_examples(params, d).entries == score_examples(params, d).entries
+        a, b = score_examples(params, d), score_examples(params, d)
+        assert np.array_equal(a.ids, b.ids)
+        assert a.losses.tobytes() == b.losses.tobytes()
+
+    def test_ranking_matches_a_sort_of_id_loss_pairs(self):
+        # every example appears twice under two shuffled ids, so every loss is tied
+        base = synth_generate(SynthSpec(class_count=3, feature_dim=4, examples_per_class=20, class_separation=1.0,
+                                        noise_scale_lo=0.3, noise_scale_hi=1.5, seed=6))
+        ids = np.random.default_rng(1).permutation(2 * len(base)) * 7
+        d = Dataset(np.concatenate([base.features] * 2), np.concatenate([base.labels] * 2), ids,
+                    class_count=3, feature_dim=4)
+        params = init_params(HyperparamConfig(stem_width_1=8, stem_width_2=8, seed=2), 4, 3)
+        table = score_examples(params, d)
+        loss_of = dict(zip(table.ids.tolist(), table.losses.tolist()))
+        ranked = sorted(loss_of.items(), key=lambda e: (-e[1], e[0]))
+        assert sorted(loss_of) == sorted(ids.tolist())
+        assert table.ids.tolist() == [i for i, _ in ranked]
 
     def test_feature_dim_mismatch_rejected(self):
         d = synth_generate(
@@ -73,7 +91,7 @@ class TestScoreExamples:
         _, params = train_model(train, val, cfg)
         table = score_examples(params, train)
         flipped_in_train = flipped & set(train.ids.tolist())
-        hardest = {ex_id for ex_id, _ in table.entries[: len(flipped_in_train)]}
+        hardest = set(table.ids[: len(flipped_in_train)].tolist())
         assert hardest == flipped_in_train
 
 
@@ -95,11 +113,27 @@ class TestScoreExamples:
 class TestTableInvariants:
     def test_rejects_unsorted_entries(self):
         with pytest.raises(ValueError, match="rank order"):
-            DifficultyTable(entries=((0, 1.0), (1, 2.0)), dataset_id="d", scoring_config_id="c")
+            DifficultyTable(ids=(0, 1), losses=(1.0, 2.0), dataset_id="d", scoring_config_id="c")
+        with pytest.raises(ValueError, match="rank order"):  # a tie must list the lower id first
+            DifficultyTable(ids=(1, 0), losses=(1.0, 1.0), dataset_id="d", scoring_config_id="c")
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
-            DifficultyTable(entries=((0, 2.0), (0, 1.0)), dataset_id="d", scoring_config_id="c")
+            DifficultyTable(ids=(0, 0), losses=(2.0, 1.0), dataset_id="d", scoring_config_id="c")
+        with pytest.raises(ValueError, match="duplicate"):
+            DifficultyTable(ids=(0, 0), losses=(1.0, 1.0), dataset_id="d", scoring_config_id="c")
+
+    def test_rejects_misaligned_ids_and_losses(self):
+        with pytest.raises(ValueError, match="aligned"):
+            DifficultyTable(ids=(0, 1), losses=(1.0,), dataset_id="d", scoring_config_id="c")
+
+    def test_arrays_are_read_only_copies(self):
+        losses = np.array([2.0, 1.0])
+        table = DifficultyTable(ids=[0, 1], losses=losses, dataset_id="d", scoring_config_id="c")
+        losses[0] = 0.0
+        assert table.losses.tolist() == [2.0, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            table.ids[0] = 5
 
     def test_rejects_non_finite_or_negative_losses(self):
         with pytest.raises(ValueError):
@@ -111,18 +145,18 @@ class TestTableInvariants:
 class TestQuantileSlice:
     def test_easiest_ten_percent_of_ten(self):
         table = _table(losses=[10, 9, 8, 7, 6, 5, 4, 3, 2, 1])
-        assert quantile_slice(table, 0.9, 1.0) == [9]  # the id of loss 1
+        assert quantile_slice(table, 0.9, 1.0).tolist() == [9]  # the id of loss 1
 
     def test_full_range_returns_everything(self):
         table = _table(losses=[3.0, 1.0, 2.0])
-        assert set(quantile_slice(table, 0.0, 1.0)) == {0, 1, 2}
+        assert set(quantile_slice(table, 0.0, 1.0).tolist()) == {0, 1, 2}
 
     def test_halves_partition_the_ids(self):
         table = _table(losses=list(np.random.default_rng(0).random(17)))
-        a = quantile_slice(table, 0.0, 0.5)
-        b = quantile_slice(table, 0.5, 1.0)
-        assert set(a) & set(b) == set()
-        assert set(a) | set(b) == set(range(17))
+        a = set(quantile_slice(table, 0.0, 0.5).tolist())
+        b = set(quantile_slice(table, 0.5, 1.0).tolist())
+        assert a & b == set()
+        assert a | b == set(range(17))
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(42)
@@ -135,7 +169,7 @@ class TestQuantileSlice:
             lo, hi = sorted(float(v) for v in rng.integers(0, 101, size=2) / 100.0)
             if lo == hi:
                 continue
-            assert quantile_slice(table, lo, hi) == _oracle_slice(ids, losses, lo, hi)
+            assert quantile_slice(table, lo, hi).tolist() == _oracle_slice(ids, losses, lo, hi)
 
     def test_cardinality_is_exact(self):
         # floor must use the decimal value of the bound, not its binary float
@@ -149,11 +183,11 @@ class TestQuantileSlice:
         a = _table(losses)
         b = _table([l * 73.5 for l in losses])
         for lo, hi in [(0.0, 0.25), (0.1, 0.9), (0.5, 1.0)]:
-            assert quantile_slice(a, lo, hi) == quantile_slice(b, lo, hi)
+            assert np.array_equal(quantile_slice(a, lo, hi), quantile_slice(b, lo, hi))
 
     def test_ties_break_by_ascending_id(self):
         table = _table(losses=[1.0, 1.0, 1.0, 1.0], ids=[30, 10, 20, 40])
-        assert quantile_slice(table, 0.0, 0.5) == [10, 20]
+        assert quantile_slice(table, 0.0, 0.5).tolist() == [10, 20]
 
     def test_bad_bounds_rejected(self):
         table = _table(losses=[1.0, 2.0])
@@ -162,7 +196,7 @@ class TestQuantileSlice:
                 quantile_slice(table, lo, hi)
 
     def test_empty_table_rejected(self):
-        empty = DifficultyTable(entries=(), dataset_id="d", scoring_config_id="c")
+        empty = DifficultyTable(ids=(), losses=(), dataset_id="d", scoring_config_id="c")
         with pytest.raises(ValueError, match="empty"):
             quantile_slice(empty, 0.0, 1.0)
 
@@ -174,7 +208,8 @@ class TestPersistence:
         p = tmp_path / "scores.csv"
         save_table(table, p)
         loaded = load_table(p)
-        assert loaded.entries == table.entries  # bitwise float equality
+        assert np.array_equal(loaded.ids, table.ids)
+        assert loaded.losses.tobytes() == table.losses.tobytes()  # bitwise float equality
         assert loaded.dataset_id == "d"
         assert loaded.scoring_config_id == "c"
 

@@ -172,9 +172,11 @@ class TestResultStore:
         store = store_load(path)
         assert list(store.keys()) == [("d", "full", "c0")]
         assert "line cut off mid-write" in capsys.readouterr().err
-        assert path.read_text() == good  # the fragment is gone before any append
+        assert path.read_text() == good + torn  # loading is read-only
         store.append(_record(cfg="c2"))
+        assert path.read_text() == good + json.dumps(asdict(_record(cfg="c2"))) + "\n"  # the first append cuts it
         assert [k[2] for k in store_load(path).keys()] == ["c0", "c2"]
+        assert capsys.readouterr().err == ""
 
     def test_unterminated_whole_record_is_kept_and_terminated(self, tmp_path, capsys):
         path = tmp_path / "results.jsonl"
@@ -183,8 +185,9 @@ class TestResultStore:
         store = store_load(path)
         assert len(store) == 1
         assert capsys.readouterr().err == ""
-        assert path.read_text() == good + "\n"
+        assert path.read_text() == good  # loading is read-only
         store.append(_record(cfg="c1"))
+        assert path.read_text() == good + "\n" + json.dumps(asdict(_record(cfg="c1"))) + "\n"
         assert len(store_load(path)) == 2
 
     def test_malformed_line_mid_file_raises_despite_torn_tail(self, tmp_path):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +19,16 @@ def _balanced(classes=10, per_class=100, dim=3, id="bal"):
 
 def _table_for(d: Dataset):
     # difficulty descending by id, no ties: id 0 is hardest
-    entries = tuple((int(i), float(len(d) - i)) for i in d.ids)
-    return DifficultyTable(entries=entries, dataset_id=d.id, scoring_config_id="c")
+    return DifficultyTable(ids=d.ids, losses=len(d) - d.ids, dataset_id=d.id, scoring_config_id="c",
+                           dataset_sha256=d.source_sha256)
+
+
+def _same_manifest(a, b) -> bool:
+    return (
+        (a.proxy_id, a.spec, a.epochs) == (b.proxy_id, b.spec, b.epochs)
+        and np.array_equal(a.train_ids, b.train_ids)
+        and np.array_equal(a.val_ids, b.val_ids)
+    )
 
 
 TRAIN = _balanced(classes=10, per_class=100)  # 1000 examples
@@ -65,14 +75,27 @@ class TestBuildProxy:
         assert len(m.train_ids) == 100  # ceil(0.1 * 1000)
         assert len(m.val_ids) == 500  # validation untouched
         assert m.epochs == 20
-        assert set(m.train_ids) <= set(TRAIN.ids.tolist())
+        assert set(m.train_ids.tolist()) <= set(TRAIN.ids.tolist())
+
+    def test_ids_are_sorted_read_only_int64_arrays(self):
+        m = build_proxy(TRAIN, VAL, ProxySpec(kind="random_all", fraction=0.3, seed=4))
+        for ids in (m.train_ids, m.val_ids):
+            assert ids.dtype == np.int64
+            assert (np.diff(ids) > 0).all()
+            assert not ids.flags.writeable
+
+    def test_sampling_every_id_keeps_them_all(self):
+        shuffled = Dataset(TRAIN.features[::-1], TRAIN.labels[::-1], TRAIN.ids[::-1], class_count=10,
+                           feature_dim=3, id="bal")
+        m = build_proxy(shuffled, VAL, ProxySpec(kind="random_all", fraction=1.0, seed=3))
+        assert np.array_equal(m.train_ids, np.arange(1000))
 
     def test_random_all_is_seeded(self):
         a = build_proxy(TRAIN, VAL, ProxySpec(kind="random_all", fraction=0.2, seed=1))
         b = build_proxy(TRAIN, VAL, ProxySpec(kind="random_all", fraction=0.2, seed=1))
         c = build_proxy(TRAIN, VAL, ProxySpec(kind="random_all", fraction=0.2, seed=2))
-        assert a.train_ids == b.train_ids
-        assert a.train_ids != c.train_ids
+        assert np.array_equal(a.train_ids, b.train_ids)
+        assert not np.array_equal(a.train_ids, c.train_ids)
 
     def test_half_classes_balanced_counts(self):
         m = build_proxy(TRAIN, VAL, ProxySpec(kind="half_classes", class_set=tuple(range(5))), target_epochs=20)
@@ -93,23 +116,37 @@ class TestBuildProxy:
         labels = set(TRAIN.labels[np.isin(TRAIN.ids, m.train_ids)].tolist())
         assert len(labels) == 5  # ceil(10 / 2)
         again = build_proxy(TRAIN, VAL, ProxySpec(kind="half_classes", seed=7))
-        assert m.train_ids == again.train_ids
+        assert np.array_equal(m.train_ids, again.train_ids)
 
     def test_quantile_uses_the_table(self):
         table = _table_for(TRAIN)
         m = build_proxy(TRAIN, VAL, ProxySpec(kind="quantile", lo=0.9, hi=1.0), table=table)
         # easiest 10% = highest ids under this table
-        assert set(m.train_ids) == set(range(900, 1000))
+        assert m.train_ids.tolist() == list(range(900, 1000))
         assert (len(m.train_ids), m.epochs) == (100, 20)
 
     def test_quantile_needs_a_table_of_exactly_the_training_ids(self):
         table = _table_for(TRAIN)
-        cut = DifficultyTable(entries=table.entries[:400], dataset_id=TRAIN.id, scoring_config_id="c")
+        cut = DifficultyTable(ids=table.ids[:400], losses=table.losses[:400], dataset_id=TRAIN.id,
+                              scoring_config_id="c")
         with pytest.raises(ValueError, match="600 unscored, 0 not in the training set"):
             build_proxy(TRAIN, VAL, ProxySpec(kind="quantile", lo=0.9, hi=1.0), table=cut)
-        extra = DifficultyTable(entries=table.entries + ((5000, 0.0),), dataset_id=TRAIN.id, scoring_config_id="c")
+        extra = DifficultyTable(ids=np.append(table.ids, 5000), losses=np.append(table.losses, 0.0),
+                                dataset_id=TRAIN.id, scoring_config_id="c")
         with pytest.raises(ValueError, match="0 unscored, 1 not in the training set"):
             build_proxy(TRAIN, VAL, ProxySpec(kind="quantile", lo=0.9, hi=1.0), table=extra)
+
+    @pytest.mark.parametrize("spec", [ProxySpec(kind="quantile", lo=0.9, hi=1.0), ProxySpec(kind="full")])
+    def test_table_must_have_scored_the_bytes_of_the_training_set(self, spec):
+        loaded = Dataset(TRAIN.features, TRAIN.labels, TRAIN.ids, class_count=10, feature_dim=3, id="bal",
+                         source_sha256="a" * 64)
+        other = dataclasses.replace(_table_for(TRAIN), dataset_sha256="b" * 64)
+        with pytest.raises(ValueError, match=f"sha256 {'b' * 64}, not {'a' * 64}"):
+            build_proxy(loaded, VAL, spec, table=other)
+        with pytest.raises(ValueError, match="records no dataset digest; re-run score"):
+            build_proxy(loaded, VAL, spec, table=_table_for(TRAIN))
+        mine = dataclasses.replace(_table_for(TRAIN), dataset_sha256="a" * 64)
+        assert len(build_proxy(loaded, VAL, spec, table=mine).train_ids) > 0
 
     def test_quantile_without_table_rejected(self):
         with pytest.raises(ValueError, match="difficulty table"):
@@ -144,8 +181,7 @@ class TestManifestPersistence:
             m = build_proxy(TRAIN, VAL, spec, table=table, target_epochs=20)
             p = tmp_path / f"{m.proxy_id}.json"
             save_manifest(m, p)
-            loaded = load_manifest(p)
-            assert loaded == m
+            assert _same_manifest(load_manifest(p), m)
 
     def test_params_are_the_set_fields_of_the_kind(self, tmp_path):
         table = _table_for(TRAIN)
@@ -170,8 +206,35 @@ class TestManifestPersistence:
         assert "relative_cost" not in payload
         # manifests written by earlier versions carry the cost against --target-epochs
         p.write_text(json.dumps({**payload, "relative_cost": 0.05}))
-        assert load_manifest(p) == m
+        assert _same_manifest(load_manifest(p), m)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_manifest(tmp_path / "none.json")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("train_ids", [1.5, 2], "train_ids must be a list of integer example ids"),
+            ("train_ids", [True, 2], "train_ids must be a list of integer example ids"),
+            ("val_ids", ["1", 2], "val_ids must be a list of integer example ids"),
+            ("val_ids", 3, "val_ids must be a list of integer example ids"),
+            ("train_ids", [2**63, 2], "train_ids must be a list of integer example ids"),
+            ("train_ids", [1, 2, 1], "train_ids lists an example id more than once"),
+            ("epochs", 0, "epochs must be a positive integer, got 0"),
+            ("epochs", 2.0, "epochs must be a positive integer, got 2.0"),
+            ("epochs", True, "epochs must be a positive integer, got True"),
+        ],
+    )
+    def test_bad_field_is_named_with_the_file(self, tmp_path, field, value, message):
+        p = tmp_path / "m.json"
+        save_manifest(build_proxy(TRAIN, VAL, ProxySpec(kind="full")), p)
+        p.write_text(json.dumps({**json.loads(p.read_text()), field: value}))
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}: {re.escape(message)}"):
+            load_manifest(p)
+
+    def test_ids_load_sorted(self, tmp_path):
+        p = tmp_path / "m.json"
+        save_manifest(build_proxy(TRAIN, VAL, ProxySpec(kind="full")), p)
+        p.write_text(json.dumps({**json.loads(p.read_text()), "train_ids": [7, 3, 5]}))
+        assert load_manifest(p).train_ids.tolist() == [3, 5, 7]
