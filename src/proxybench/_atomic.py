@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import stat
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -16,8 +17,19 @@ def atomic_writer(path: str | Path):
     with-body that raises leaves any previous file at path untouched and
     removes the temp file. Output can be streamed: nothing needs to be held
     in memory whole.
+
+    A path that exists and is neither a regular file nor a symlink (a FIFO,
+    a directory, a device) is refused with ValueError before the temp file
+    is made. A symlink is itself replaced by the new file; its target is
+    left as it was.
     """
     path = Path(path)
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = stat.S_IFREG
+    if not (stat.S_ISREG(mode) or stat.S_ISLNK(mode)):
+        raise ValueError(f"{path} exists and is not a regular file; refusing to replace it")
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:

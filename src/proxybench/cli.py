@@ -10,6 +10,9 @@ run-grid's results file, which must keep completed lines to be resumable.
 A run-grid holds a lock on ``<results>.lock`` while it reads and appends the
 results file; a second run-grid on the same file exits 2. Only run-grid cuts
 a torn last line; analyze and report read past it and leave the file as is.
+run-grid --dry-run prints the pending units of the plan run-grid would train
+(plan_runs), and the cells already stored, or exits 2 with the run's refusal,
+a resume under another seed included; it takes no lock and writes nothing.
 Every command that loads --data caches the parse, best-effort, in a
 ``<data>.csv.npz`` sidecar keyed by the CSV's sha256 (see load_csv), and
 gen-data writes that sidecar for the CSV it writes. score records the digest
@@ -44,7 +47,7 @@ from .metrics import (
     reports_to_csv,
     zscore,
 )
-from .orchestrator import check_epoch_budgets, grid_from_json, generate_grid, run_matrix, store_load
+from .orchestrator import grid_from_json, generate_grid, plan_runs, run_matrix, store_load
 from .proxy import FULL_PROXY_ID, KIND_FIELDS, ProxySpec, build_proxy, load_manifest, save_manifest
 from .trainer import HyperparamConfig, config_id, train_model
 
@@ -199,30 +202,21 @@ def _cmd_run_grid(args) -> int:
             build_proxy(train, val, ProxySpec(kind="full"), target_epochs=grid_spec.defaults.epochs),
         )
 
+    seed = _global_seed(args)
     if args.dry_run:
-        check_epoch_budgets(manifests, grid)
-        total_cost = 0.0
-        n_cells = 0
-        for m in manifests:
-            for cfg in grid:
-                print(f"{train.id} {m.proxy_id} {config_id(cfg)} epochs={m.epochs} train={len(m.train_ids)}")
-                total_cost += len(m.train_ids) * m.epochs
-                n_cells += 1
-        print(f"{n_cells} runs, {total_cost:g} example-epochs total")
+        units = plan_runs(train.id, manifests, grid, store_load(args.out), seed)
+        for m, cells in units:
+            print(f"{m.proxy_id} epochs={m.epochs} train={len(m.train_ids)} configs={','.join(c for _, c in cells)}")
+        pending = sum(len(cells) for _, cells in units)
+        cost = sum(len(m.train_ids) * m.epochs * len(cells) for m, cells in units)
+        print(f"{len(manifests) * len(grid) - pending} cells stored, {pending} pending runs in {len(units)} units, "
+              f"{cost} pending example-epochs")
         return 0
 
     with _results_lock(args.out):
         store = store_load(args.out)
         already = len(store)
-        run_matrix(
-            train,
-            val,
-            manifests,
-            grid,
-            parallelism=args.parallel,
-            global_seed=_global_seed(args),
-            store=store,
-        )
+        run_matrix(train, val, manifests, grid, parallelism=args.parallel, global_seed=seed, store=store)
     print(f"{len(store)} records in {args.out} ({already} pre-existing, {len(store) - already} new)")
     return 0
 
@@ -354,7 +348,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--proxies", required=True, help="directory of proxy manifest JSONs")
     p.add_argument("--out", required=True, help="results JSONL (appended; completed runs are kept)")
     p.add_argument("--parallel", type=_positive_int, default=1)
-    p.add_argument("--dry-run", action="store_true", help="print the run matrix and estimated cost, train nothing")
+    p.add_argument("--dry-run", action="store_true", help="print the pending runs and their cost, train nothing")
     _add_common(p)
     p.set_defaults(func=_cmd_run_grid)
 

@@ -130,18 +130,33 @@ def save_table(table: DifficultyTable, path: str | Path) -> None:
 
 
 def load_table(path: str | Path) -> DifficultyTable:
+    """Read a table save_table wrote. A file that does not end with a newline
+    was cut off mid-write and is refused, as is a row that is not an integer
+    id and a loss; both errors name the file."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"difficulty table not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in list(csv.reader(fh))[1:] if r]
+        text = fh.read()
+    if not text.endswith("\n"):
+        raise ValueError(f"{path}: does not end with a newline, so it was cut off mid-write; re-run score")
+    ids, losses = [], []
+    for n, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if n == 1 or not row:  # the header, or a blank line
+            continue
+        try:
+            example_id, loss = row
+            ids.append(int(example_id))
+            losses.append(float(loss))
+        except ValueError:
+            raise ValueError(f"{path}: line {n}: expected example_id,loss, got {row!r}") from None
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise FileNotFoundError(f"difficulty table sidecar not found: {sidecar_path}")
     meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
     return DifficultyTable(
-        ids=[int(r[0]) for r in rows],
-        losses=[float(r[1]) for r in rows],
+        ids=ids,
+        losses=losses,
         dataset_id=meta["dataset_id"],
         scoring_config_id=meta["scoring_config_id"],
         dataset_sha256=meta.get("dataset_sha256"),

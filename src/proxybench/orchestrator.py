@@ -4,6 +4,8 @@ One-at-a-time grids: the default config, then one config per alternative
 value of a single field. The run matrix is embarrassingly parallel; every
 run's seed is a stable hash of its key, so the result of a cell never
 depends on scheduling, parallelism, stacking, or which cells ran before it.
+plan_runs is the one plan of a matrix: the units of cells a store still
+lacks. run_matrix trains it; run-grid --dry-run previews it, refusals too.
 """
 
 from __future__ import annotations
@@ -18,16 +20,8 @@ from pathlib import Path
 from .dataset import Dataset, subset_by_ids
 from .trainer import HyperparamConfig, RunRecord, config_id, stack_key, train_model, train_stack
 
-__all__ = [
-    "GridSpec",
-    "ResultStore",
-    "generate_grid",
-    "run_matrix",
-    "store_load",
-    "check_epoch_budgets",
-    "run_seed",
-    "grid_from_json",
-]
+__all__ = ["GridSpec", "ResultStore", "generate_grid", "grid_from_json", "plan_runs", "run_matrix", "run_seed",
+           "store_load"]
 
 _CONFIG_FIELDS = {f.name for f in fields(HyperparamConfig)}
 # Most cells a stack trains in lockstep. Five save most of the per-step
@@ -191,7 +185,7 @@ def _run_unit(sub_train: Dataset, sub_val: Dataset, proxy_id: str, cells: list) 
     return [record for record, _ in train_stack(sub_train, sub_val, configs, proxy_id=proxy_id, config_keys=keys)]
 
 
-def check_epoch_budgets(manifests: list, grid: list) -> None:
+def _check_epoch_budgets(manifests: list, grid: list) -> None:
     """Raise ValueError if the grid is empty, if its configs' epochs differ,
     or if a manifest was built for another target budget: its epochs must
     equal the grid's, or lie below them for fewer_epochs."""
@@ -210,6 +204,41 @@ def check_epoch_budgets(manifests: list, grid: list) -> None:
             )
 
 
+def plan_runs(dataset_id: str, manifests: list, grid: list, store: ResultStore, global_seed: int) -> list:
+    """The (proxy, config) cells not yet in store, as units in submission order.
+
+    A unit is (manifest, cells), its cells (run config, config id) pairs in
+    grid order, all of one stack_key and at most _STACK_CAP of them. A run
+    config is its grid config with the seed its key hashes to and the
+    manifest's epochs, keeping the grid config's identity so results pair
+    across proxies. Nothing is trained or copied.
+
+    Raises ValueError if _check_epoch_budgets refuses the manifests and
+    grid, or if a stored record's seed differs from the one global_seed
+    gives its key, since resuming would mix runs of two seeds.
+    """
+    _check_epoch_budgets(manifests, grid)
+    units = []
+    for manifest in manifests:
+        stacks: dict = {}
+        for cfg in grid:
+            cfg_id = config_id(cfg)
+            key = (dataset_id, manifest.proxy_id, cfg_id)
+            seed = run_seed(*key, global_seed)
+            stored = store.get(key)
+            if stored is None:
+                run_cfg = replace(cfg, seed=seed, epochs=manifest.epochs)
+                stacks.setdefault(stack_key(run_cfg), []).append((run_cfg, cfg_id))
+            elif stored.seed != seed:
+                raise ValueError(
+                    f"stored run {key} used seed {stored.seed}, "
+                    f"but global seed {global_seed} gives seed {seed}; refusing to resume"
+                )
+        for cells in stacks.values():
+            units += [(manifest, cells[lo : lo + _STACK_CAP]) for lo in range(0, len(cells), _STACK_CAP)]
+    return units
+
+
 def run_matrix(
     train: Dataset,
     val: Dataset,
@@ -222,56 +251,30 @@ def run_matrix(
 ) -> ResultStore:
     """Run every (proxy, config) cell on one train/val split not already in store; returns store.
 
-    Records, and the lookup of stored cells, use train.id as the dataset id.
-    grid: HyperparamConfigs; each cell overrides seed (hash of the key) and
-    epochs (the manifest's budget), but keeps the grid config's identity so
-    results pair across proxies. A manifest's cells with equal stack_key
-    train in stacks of at most _STACK_CAP, one pool task each; a cell gets
-    the same record either way. Records are appended in cell order
-    regardless of which worker finishes first.
-
-    Raises ValueError before any cell runs if check_epoch_budgets refuses
-    the manifests and grid, or if a stored record's seed differs from the
-    one global_seed gives its key, since resuming would mix runs of two
-    seeds.
+    Trains the units of plan_runs(train.id, ...), which raises its refusals
+    before any cell runs; records use train.id as the dataset id. Each unit
+    is one pool task, training its cells as a stack; a cell gets the same
+    record either way. Records are appended in cell order (manifest, then
+    grid config) regardless of which worker finishes first.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    check_epoch_budgets(manifests, grid)
-
-    units = []  # (train subset, val subset, proxy id, cells) per pool task
-    slots = []  # (unit, position in it) of every pending cell, in cell order
-    for manifest in manifests:
-        pending = []
-        for cfg in grid:
-            cfg_id = config_id(cfg)
-            key = (train.id, manifest.proxy_id, cfg_id)
-            seed = run_seed(*key, global_seed)
-            stored = store.get(key)
-            if stored is None:
-                pending.append((replace(cfg, seed=seed, epochs=manifest.epochs), cfg_id))
-            elif stored.seed != seed:
-                raise ValueError(
-                    f"stored run {key} used seed {stored.seed}, "
-                    f"but global seed {global_seed} gives seed {seed}; refusing to resume"
-                )
-        if not pending:
-            continue
-        subsets = (subset_by_ids(train, manifest.train_ids), subset_by_ids(val, manifest.val_ids))
-        stacks: dict = {}
-        for i, (run_cfg, _) in enumerate(pending):
-            stacks.setdefault(stack_key(run_cfg), []).append(i)
-        where = [None] * len(pending)
-        for members in stacks.values():
-            for lo in range(0, len(members), _STACK_CAP):
-                chunk = members[lo : lo + _STACK_CAP]
-                for pos, i in enumerate(chunk):
-                    where[i] = (len(units), pos)
-                units.append((*subsets, manifest.proxy_id, [pending[i] for i in chunk]))
-        slots += where
+    units = plan_runs(train.id, manifests, grid, store, global_seed)
+    rank = {config_id(cfg): i for i, cfg in enumerate(grid)}
+    slots = sorted(  # (cell order, unit, position in it) of every pending cell
+        ((manifests.index(manifest), rank[cfg_id]), u, pos)
+        for u, (manifest, cells) in enumerate(units)
+        for pos, (_, cfg_id) in enumerate(cells)
+    )
+    tasks, last = [], None  # (train subset, val subset, proxy id, cells) per unit
+    for manifest, cells in units:
+        if manifest is not last:
+            subsets = (subset_by_ids(train, manifest.train_ids), subset_by_ids(val, manifest.val_ids))
+            last = manifest
+        tasks.append((*subsets, manifest.proxy_id, cells))
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(_run_unit, *unit) for unit in units]
-        for unit, pos in slots:
-            store.append(futures[unit].result()[pos])
+        futures = [pool.submit(_run_unit, *task) for task in tasks]
+        for _, u, pos in slots:
+            store.append(futures[u].result()[pos])
     return store

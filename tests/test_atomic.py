@@ -5,6 +5,7 @@ streams into atomic_writer's handle.
 """
 
 import os
+import re
 
 import pytest
 
@@ -102,3 +103,31 @@ def test_exception_in_the_body_keeps_the_previous_file_and_no_temp(tmp_path):
             fh.write(b"half of the new ")
             raise KeyboardInterrupt
     assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [("out.txt", "previous\n")]
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+def test_a_target_that_is_not_a_regular_file_is_refused_before_the_temp(tmp_path, monkeypatch, write, kind):
+    out = tmp_path / "out"
+    os.mkfifo(out) if kind == "fifo" else out.mkdir()
+    before = os.lstat(out)
+
+    def no_temp(file, mode):
+        raise AssertionError(f"made a temp file {file}")
+
+    monkeypatch.setattr(_atomic, "open", no_temp, raising=False)
+    with pytest.raises(ValueError, match=re.escape(f"{out} exists and is not a regular file")):
+        write(out, b"new\n")
+    after = os.lstat(out)
+    assert (after.st_mode, after.st_ino) == (before.st_mode, before.st_ino)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_a_symlink_is_itself_replaced_and_its_target_kept(tmp_path, write):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("target\n")
+    link.symlink_to(target)
+    write(link, b"new\n")
+    assert not link.is_symlink()
+    assert link.read_bytes() == b"new\n"
+    assert target.read_text() == "target\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]

@@ -16,11 +16,13 @@ import pytest
 import proxybench
 from proxybench import _atomic, _blas
 from proxybench import cli as cli_module
+from proxybench import orchestrator
 from proxybench import dataset as dataset_module
 from proxybench.cli import _build_parser, main
 from proxybench.dataset import SynthSpec, load_csv, synth_generate
 from proxybench.metrics import reports_from_csv
 from proxybench.orchestrator import store_load
+from proxybench.proxy import load_manifest
 from proxybench.trainer import RunRecord
 
 SPEC = {
@@ -38,6 +40,17 @@ GRID = {
     "defaults": {"epochs": 3, "stem_width_1": 8, "stem_width_2": 8, "batch_size": 16},
     "variations": {"learning_rate": [0.01, 0.001], "optimizer": ["sgd"]},
 }
+
+
+def _dry_run_units(out: str):
+    """(proxy id, epochs, train size, config ids) of each unit a dry run printed, and its last line."""
+    *lines, total = out.splitlines()
+    units = []
+    for line in lines:
+        proxy, epochs, train, configs = line.split(" ")
+        units.append((proxy, int(epochs.removeprefix("epochs=")), int(train.removeprefix("train=")),
+                      tuple(configs.removeprefix("configs=").split(","))))
+    return units, total
 
 
 @pytest.fixture(autouse=True)
@@ -384,6 +397,20 @@ class TestMakeProxy:
         assert "must score exactly the training ids" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_table_cut_inside_its_last_value_is_refused(self, pipeline, tmp_path, capsys):
+        # every id is still there and the shortened last loss still ranks last: only the missing newline shows the cut
+        scores = tmp_path / "cut.csv"
+        scores.write_bytes(pipeline["scores"].read_bytes()[:-8])
+        shutil.copy(pipeline["scores"].with_suffix(".json"), scores.with_suffix(".json"))
+        out = tmp_path / "m.json"
+        code = main(
+            ["make-proxy", "--data", str(pipeline["data"]), "--kind", "quantile", "--lo", "0.0", "--hi", "1.0",
+             "--scores", str(scores), "--out", str(out)]
+        )
+        assert code == 2
+        assert f"{scores}: does not end with a newline, so it was cut off mid-write" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class _HalfThenFail:
     """A file whose every write writes half its bytes, then fails."""
@@ -483,10 +510,71 @@ class TestRunGrid:
         )
         assert code == 0
         assert list(tmp_path.iterdir()) == []  # neither the results file nor its lock
-        lines = capsys.readouterr().out.strip().splitlines()
-        # 5 proxies (4 manifests + synthesized full) x 4 configs, plus a total line
-        assert len(lines) == 21
-        assert "20 runs" in lines[-1]
+        units, total = _dry_run_units(capsys.readouterr().out)
+        # the synthesized full, then the 4 manifests by file name; each one stack of its 4 configs (all one stack_key)
+        assert [proxy for proxy, *_ in units] == ["full", "ep1", "half-0+1-f1.0", "hard-0.5-1.0", "random-0.5-s0"]
+        assert all(len(configs) == 4 for *_, configs in units)
+        manifests = {m.proxy_id: m for m in map(load_manifest, pipeline["proxies"].glob("*.json"))}
+        for proxy, epochs, train, _ in units[1:]:
+            assert (epochs, train) == (manifests[proxy].epochs, len(manifests[proxy].train_ids))
+        cost = sum(epochs * train * len(configs) for _, epochs, train, configs in units)
+        assert total == f"0 cells stored, 20 pending runs in 5 units, {cost} pending example-epochs"
+
+    def test_dry_run_plans_what_run_grid_trains(self, pipeline, tmp_path, capsys, monkeypatch):
+        # batch_size 32 comes before the learning rates in cell order, but trains alone
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({**GRID, "variations": {"batch_size": [32], "learning_rate": [0.01, 0.001]}}))
+        trained = []
+
+        def recording(fn, one):
+            def train(sub_train, sub_val, configs, *, proxy_id, **keys):
+                cfgs, ids = ([configs], [keys["config_key"]]) if one else (configs, keys["config_keys"])
+                trained.append((proxy_id, cfgs[0].epochs, len(sub_train), tuple(ids)))
+                return fn(sub_train, sub_val, configs, proxy_id=proxy_id, **keys)
+            return train
+
+        monkeypatch.setattr(orchestrator, "train_model", recording(orchestrator.train_model, True))
+        monkeypatch.setattr(orchestrator, "train_stack", recording(orchestrator.train_stack, False))
+        proxies = tmp_path / "proxies"
+        proxies.mkdir()
+        out = tmp_path / "r.jsonl"
+        argv = ["run-grid", "--data", str(pipeline["data"]), "--grid", str(grid), "--proxies", str(proxies), "--out", str(out)]
+        for added, stored, pending in (("random_all.json", 0, 8), ("quantile.json", 8, 4)):  # a fresh file, then a resume
+            shutil.copy(pipeline["proxies"] / added, proxies / added)
+            assert main(argv + ["--dry-run"]) == 0
+            units, total = _dry_run_units(capsys.readouterr().out)
+            assert not trained
+            assert total.startswith(f"{stored} cells stored, {pending} pending runs in {len(units)} units, ")
+            assert main(argv) == 0
+            assert f"({stored} pre-existing, {pending} new)" in capsys.readouterr().out
+            assert trained == units
+            assert [len(configs) for *_, configs in units] == [3, 1] * (pending // 4)
+            trained.clear()
+
+    def test_dry_run_after_a_complete_run_has_nothing_pending(self, pipeline, capsys):
+        before = pipeline["results"].read_bytes()
+        code = main(
+            ["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
+             "--proxies", str(pipeline["proxies"]), "--out", str(pipeline["results"]), "--dry-run"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "20 cells stored, 0 pending runs in 0 units, 0 pending example-epochs\n"
+        assert pipeline["results"].read_bytes() == before
+
+    def test_dry_run_under_another_seed_is_refused_like_the_run(self, pipeline, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "seed0.jsonl"
+        out.write_bytes(pipeline["results"].read_bytes())
+        monkeypatch.setenv("PROXYBENCH_SEED", "7")
+        argv = ["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
+                "--proxies", str(pipeline["proxies"]), "--out", str(out)]
+        assert main(argv + ["--dry-run"]) == 2
+        dry = capsys.readouterr()
+        assert [p.name for p in tmp_path.iterdir()] == ["seed0.jsonl"]  # no lock taken
+        assert main(argv) == 2
+        real = capsys.readouterr()
+        assert "refusing to resume" in dry.err
+        assert (dry.out, dry.err) == (real.out, real.err)
+        assert out.read_bytes() == pipeline["results"].read_bytes()
 
     def test_results_cover_full_matrix(self, pipeline):
         store = store_load(pipeline["results"])

@@ -2,6 +2,7 @@
 sort oracle that recomputes everything from first principles."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -216,6 +217,14 @@ class TestPersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_table(tmp_path / "none.csv")
+
+    def test_row_without_two_fields_is_named_with_the_file(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        save_table(_table([1.0, 2.0, 3.0]), p)
+        lines = p.read_bytes().split(b"\r\n")
+        p.write_bytes(b"\r\n".join(lines[:2] + [lines[2].split(b",")[0]] + lines[3:]))
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3: expected example_id,loss, got ['1']")):
+            load_table(p)
 
     def test_missing_sidecar_is_named(self, tmp_path):
         p = tmp_path / "scores.csv"
