@@ -8,6 +8,21 @@ from contextlib import contextmanager
 from pathlib import Path
 
 
+def check_target(path: str | Path) -> None:
+    """Raise ValueError if path exists and is neither a regular file nor a symlink.
+
+    Such a path is not an output file, and a rename over it would replace it
+    (run as root, even /dev/null). The CLI calls this on each output path
+    before it does any work, so a bad --out is refused at once.
+    """
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        return
+    if not (stat.S_ISREG(mode) or stat.S_ISLNK(mode)):
+        raise ValueError(f"{path} exists and is not a regular file; refusing to replace it")
+
+
 @contextmanager
 def atomic_writer(path: str | Path):
     """Yield a binary handle on a temp file beside path; rename it over path on a clean exit.
@@ -19,17 +34,12 @@ def atomic_writer(path: str | Path):
     in memory whole.
 
     A path that exists and is neither a regular file nor a symlink (a FIFO,
-    a directory, a device) is refused with ValueError before the temp file
+    a directory, a device) is refused by check_target before the temp file
     is made. A symlink is itself replaced by the new file; its target is
     left as it was.
     """
     path = Path(path)
-    try:
-        mode = os.lstat(path).st_mode
-    except FileNotFoundError:
-        mode = stat.S_IFREG
-    if not (stat.S_ISREG(mode) or stat.S_ISLNK(mode)):
-        raise ValueError(f"{path} exists and is not a regular file; refusing to replace it")
+    check_target(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:

@@ -7,6 +7,9 @@ whole pipeline can be re-seeded without touching its invocations. Commands
 write single-file outputs atomically (temp file + rename), so a failed
 invocation never leaves a truncated output; the one deliberate exception is
 run-grid's results file, which must keep completed lines to be resumable.
+The --out of gen-data, score, make-proxy and analyze is refused before any
+input is read if it exists and is not a regular file (a FIFO, a directory),
+and a results file that is not one is refused, never read.
 A run-grid holds a lock on ``<results>.lock`` while it reads and appends the
 results file; a second run-grid on the same file exits 2. Only run-grid cuts
 a torn last line; analyze and report read past it and leave the file as is.
@@ -32,7 +35,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from ._atomic import write_atomic
+from ._atomic import check_target, write_atomic
 from ._blas import one_blas_thread
 from .dataset import SynthSpec, load_csv, save_csv, split, synth_generate
 from .difficulty import load_table, save_table, score_examples
@@ -106,6 +109,7 @@ def _load_split(args):
 
 
 def _cmd_gen_data(args) -> int:
+    check_target(args.out)
     spec_payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     try:
         spec = SynthSpec(**spec_payload)
@@ -118,6 +122,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    check_target(args.out)
+    check_target(Path(args.out).with_suffix(".json"))  # the table's sidecar (save_table)
     train, val = _load_split(args)
     cfg = HyperparamConfig(seed=_global_seed(args))
     _, params = train_model(train, val, cfg)
@@ -150,6 +156,7 @@ def _cmd_make_proxy(args) -> int:
         raise UsageError(str(e)) from None
     if spec.kind == "quantile" and not args.scores:
         raise UsageError("quantile proxies require --scores")
+    check_target(args.out)
     train, val = _load_split(args)
     table = load_table(args.scores) if args.scores else None
     manifest = build_proxy(train, val, spec, table=table, target_epochs=args.target_epochs)
@@ -260,6 +267,7 @@ def _parse_consistency(text: str) -> tuple:
 def _cmd_analyze(args) -> int:
     rule = _parse_good_rule(args.good_rule)
     consistency = _parse_consistency(args.consistency) if args.consistency else None
+    check_target(args.out)
     store = store_load(args.results)
     records = store.records()
     if not records:

@@ -204,30 +204,32 @@ class LassoFit:
     lam: float
 
 
-def _lasso_exact(xs: np.ndarray, yc: np.ndarray, lam: float) -> np.ndarray:
-    """Minimize (1/2n)||yc - xs b||^2 + lam ||b||_1 exactly: try all 3^p sign patterns.
+def _lasso_path(xs: np.ndarray, yc: np.ndarray, lams) -> np.ndarray:
+    """Minimize (1/2n)||yc - xs b||^2 + lam ||b||_1 exactly at each lam: try all 3^p sign patterns.
 
     On its support A with signs s_A, some minimizer solves G_AA b_A = c_A - lam s_A
-    (G = xs'xs/n, c = xs'yc/n). Solutions with other signs are skipped; the lowest
-    objective wins, b = 0 first, so inactive entries are exactly 0.0.
+    (G = xs'xs/n, c = xs'yc/n), so b_A = G_AA^-1 c_A - lam G_AA^-1 s_A: one solve per
+    pattern gives every lam. Solutions with other signs are skipped; the lowest
+    objective wins, b = 0 first, so inactive entries are exactly 0.0. Returns (len(lams), p).
     """
     n, p = xs.shape
+    lams = np.asarray(lams, dtype=np.float64)
     gram, corr = xs.T @ xs / n, xs.T @ yc / n
-    best, best_obj = np.zeros(p), 0.5 * float(yc @ yc) / n
+    best = np.zeros((len(lams), p))
+    best_obj = np.full(len(lams), 0.5 * np.sum(yc * yc) / n)  # summed like each pattern's, so b = 0 ties itself
     for s in map(np.array, itertools.product((-1.0, 0.0, 1.0), repeat=p)):
         active = s != 0.0
+        rhs = np.column_stack([corr[active], s[active]])
         try:
-            b_active = np.linalg.solve(gram[np.ix_(active, active)], corr[active] - lam * s[active])
+            base, slope = np.linalg.solve(gram[np.ix_(active, active)], rhs).T
         except np.linalg.LinAlgError:
             continue
-        if not np.array_equal(np.sign(b_active), s[active]):
-            continue
-        b = np.zeros(p)
-        b[active] = b_active
-        resid = yc - xs @ b
-        obj = 0.5 * float(resid @ resid) / n + lam * float(np.abs(b_active).sum())
-        if obj < best_obj:
-            best, best_obj = b, obj
+        b = np.zeros((len(lams), p))
+        b[:, active] = base - lams[:, None] * slope
+        resid = yc - b @ xs.T
+        obj = 0.5 * np.sum(resid * resid, axis=1) / n + lams * np.abs(b).sum(axis=1)
+        wins = np.all(np.sign(b[:, active]) == s[active], axis=1) & (obj < best_obj)
+        best[wins], best_obj[wins] = b[wins], obj[wins]
     return best
 
 
@@ -238,19 +240,20 @@ def _standardize(x: np.ndarray):
     return (x - mean) / safe, mean, std, safe
 
 
-def lasso_cv(features, y, lambda_grid=None) -> LassoFit:
+def lasso_cv(features, y) -> LassoFit:
     """Lasso on (n, p <= 3) features, the penalty weight chosen by k-fold cross-validation.
 
     Features are standardized internally and the intercept is never
-    penalized; returned coefficients are on the original scale. The default
-    grid is 50 log-spaced values from 1e-4*lam_max up to lam_max (the
-    smallest penalty that zeroes every coefficient); folds are min(5, n)
-    contiguous unshuffled blocks; ties prefer the larger lambda.
+    penalized; returned coefficients are on the original scale. The grid is
+    50 log-spaced values from 1e-4*lam_max up to lam_max (the smallest
+    penalty that zeroes every coefficient); a constant target gets lam = 0.
+    Folds are min(5, n) contiguous unshuffled blocks, each solved along the
+    whole grid at once (3^p solves per fold); ties prefer the larger lambda.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"features must be an (n, p) array, got shape {x.shape}")
-    if x.shape[1] > 3:  # the exact solver costs 3^p solves per fit
+    if x.shape[1] > 3:  # the exact solver costs 3^p solves per fold
         raise ValueError(f"at most 3 feature columns, got {x.shape[1]}")
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
@@ -264,34 +267,24 @@ def lasso_cv(features, y, lambda_grid=None) -> LassoFit:
     y_mean = float(y.mean())
     yc = y - y_mean
 
-    if lambda_grid is None:
-        lam_max = float(np.max(np.abs(xs.T @ yc))) / n
-        if lam_max == 0.0:  # constant target: any penalty gives all-zero coefs
-            lambda_grid = [0.0]
-        else:
-            lambda_grid = np.geomspace(1e-4 * lam_max, lam_max, num=50)
-    lambda_grid = sorted(set(float(l) for l in lambda_grid), reverse=True)
-
-    if len(lambda_grid) == 1:
-        best_lam = lambda_grid[0]
+    lam_max = float(np.max(np.abs(xs.T @ yc))) / n
+    if lam_max == 0.0:  # constant target: any penalty gives all-zero coefs
+        best_lam = 0.0
     else:
+        lams = np.geomspace(1e-4 * lam_max, lam_max, num=50)[::-1]
         bounds = [round(i * n / folds) for i in range(folds + 1)]
-        cv_err = np.zeros(len(lambda_grid))
+        cv_err = np.zeros(len(lams))
         for k in range(folds):
             test = np.arange(bounds[k], bounds[k + 1])
             train = np.concatenate([np.arange(0, bounds[k]), np.arange(bounds[k + 1], n)])
             xtr, m, _, s = _standardize(x[train])
             ytr_mean = float(y[train].mean())
-            ytr = y[train] - ytr_mean
-            xte = (x[test] - m) / s
-            for li, lam in enumerate(lambda_grid):
-                beta = _lasso_exact(xtr, ytr, lam)
-                pred = xte @ beta + ytr_mean
-                cv_err[li] += float(np.mean((y[test] - pred) ** 2))
+            pred = _lasso_path(xtr, y[train] - ytr_mean, lams) @ ((x[test] - m) / s).T + ytr_mean
+            cv_err += np.mean((y[test] - pred) ** 2, axis=1)
         # grid is descending, so argmin lands on the largest tied lambda
-        best_lam = lambda_grid[int(np.argmin(cv_err / folds))]
+        best_lam = float(lams[int(np.argmin(cv_err / folds))])
 
-    beta_std = _lasso_exact(xs, yc, best_lam)
+    beta_std = _lasso_path(xs, yc, [best_lam])[0]
     coef = np.where(x_std == 0.0, 0.0, beta_std / x_safe)
     intercept = y_mean - float(coef @ x_mean)
     return LassoFit(coef=coef, intercept=intercept, lam=best_lam)

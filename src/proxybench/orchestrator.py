@@ -137,12 +137,16 @@ def store_load(path: str | Path) -> ResultStore:
     The one exception is an unterminated last line that does not parse: the
     tail a process killed mid-append leaves. It is dropped with a warning on
     stderr. Loading never changes the file: the store's first append cuts
-    the fragment, and only run-grid appends, holding the file's lock.
+    the fragment, and only run-grid appends, holding the file's lock. A path
+    that exists and is not a regular file (a FIFO, a directory) is refused
+    with ValueError, never read: a FIFO would block until a writer came.
     """
     path = Path(path)
     store = ResultStore(path)
     if not path.exists():
         return store
+    if not path.is_file():
+        raise ValueError(f"{path} exists and is not a regular file")
     data = path.read_bytes()
     complete = data.rfind(b"\n") + 1  # end of the last newline-terminated line
     for n, line in enumerate(data[:complete].split(b"\n")[:-1], start=1):

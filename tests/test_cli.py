@@ -460,6 +460,53 @@ class TestFailedWrites:
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"m.json": "previous manifest\n"}
 
 
+def _cli_process(argv, timeout=20):
+    """The CLI in a child process, killed after timeout seconds: a command that blocks fails the test, not hangs it."""
+    src = Path(proxybench.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "proxybench.cli", *map(str, argv)], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+class TestPathsThatAreNotFiles:
+    """A FIFO or directory given as a results file or an output is refused before any work."""
+
+    @pytest.mark.parametrize("command", ["run-grid", "run-grid --dry-run", "analyze", "report"])
+    def test_results_fifo_is_refused_not_read(self, pipeline, tmp_path, command):
+        fifo = tmp_path / "r.jsonl"
+        os.mkfifo(fifo)
+        grid_args = ["--data", pipeline["data"], "--grid", pipeline["grid"], "--proxies", pipeline["proxies"], "--out", fifo]
+        argv = {
+            "run-grid": ["run-grid", *grid_args],
+            "run-grid --dry-run": ["run-grid", *grid_args, "--dry-run"],
+            "analyze": ["analyze", "--results", fifo, "--out", tmp_path / "q.csv"],
+            "report": ["report", "--report", pipeline["quality"], "--out", tmp_path / "plots", "--results", fifo],
+        }[command]
+        out = _cli_process(argv)
+        assert out.returncode == 2
+        assert f"{fifo} exists and is not a regular file" in out.stderr
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    @pytest.mark.parametrize("command", ["gen-data", "score", "score sidecar", "make-proxy", "analyze"])
+    def test_bad_out_is_refused_before_the_work(self, pipeline, tmp_path, capsys, monkeypatch, command, kind):
+        bad = tmp_path / ("scores.json" if command == "score sidecar" else "out")
+        os.mkfifo(bad) if kind == "fifo" else bad.mkdir()
+        argv = {
+            "gen-data": ["gen-data", "--spec", pipeline["spec"], "--out", bad],
+            "score": ["score", "--data", pipeline["data"], "--out", bad],
+            "score sidecar": ["score", "--data", pipeline["data"], "--out", tmp_path / "scores.csv"],
+            "make-proxy": ["make-proxy", "--data", pipeline["data"], "--kind", "random_all", "--fraction", "0.5",
+                           "--out", bad],
+            "analyze": ["analyze", "--results", pipeline["results"], "--out", bad],
+        }[command]
+        called = []
+        for name in ("synth_generate", "load_csv", "train_model", "build_proxy", "store_load"):
+            monkeypatch.setattr(cli_module, name, lambda *a, _name=name, **k: called.append(_name))
+        assert main([str(a) for a in argv]) == 2
+        assert f"{bad} exists and is not a regular file" in capsys.readouterr().err
+        assert called == []
+
+
 class TestDataSidecar:
     """Commands that load --data cache the parse in <data>.csv.npz, best-effort."""
 

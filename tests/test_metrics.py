@@ -11,6 +11,7 @@ from proxybench.metrics import (
     consistency_correlation,
     cost_adjusted_quality,
     epoch_correlation,
+    _lasso_path,
     lasso_cv,
     pair_accuracies,
     r2_no_intercept,
@@ -192,34 +193,57 @@ ACCEPT6_SEED0_POINTS = [
 REFERENCE_POINTS = [(cost, r2) for _, cost, r2, _ in _REFERENCE_STRATEGIES]
 
 
+def _standardized(x, y):
+    """lasso_cv's standardized problem: z-scored columns and a centered target."""
+    return (x - x.mean(axis=0)) / x.std(axis=0), y - y.mean()
+
+
+def _lambda_grid(x, y) -> np.ndarray:
+    """lasso_cv's 50 penalty weights for (x, y), largest first."""
+    xs, yc = _standardized(x, y)
+    lam_max = float(np.max(np.abs(xs.T @ yc))) / len(yc)
+    return np.geomspace(1e-4 * lam_max, lam_max, num=50)[::-1]
+
+
+def _fit_at(x, y, lam):
+    """(coef, intercept) on the original scale of the exact Lasso fit at one lambda."""
+    xs, yc = _standardized(x, y)
+    coef = _lasso_path(xs, yc, [lam])[0] / x.std(axis=0)
+    return coef, y.mean() - float(coef @ x.mean(axis=0))
+
+
 class TestLassoCV:
     def test_zero_penalty_matches_least_squares(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(30, 3))
         y = x @ np.array([1.5, -2.0, 0.7]) + 0.3 + rng.normal(scale=0.1, size=30)
-        fit = lasso_cv(x, y, lambda_grid=[0.0])
+        coef, intercept = _fit_at(x, y, 0.0)
         design = np.column_stack([np.ones(30), x])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        assert abs(fit.intercept - coef[0]) < 1e-6
-        assert np.allclose(fit.coef, coef[1:], atol=1e-6)
+        lstsq, *_ = np.linalg.lstsq(design, y, rcond=None)
+        assert abs(intercept - lstsq[0]) < 1e-6
+        assert np.allclose(coef, lstsq[1:], atol=1e-6)
 
     def test_constant_target(self):
         x = np.arange(12.0).reshape(6, 2)
         fit = lasso_cv(x, np.full(6, 2.5))
         assert np.allclose(fit.coef, 0.0)
         assert abs(fit.intercept - 2.5) < 1e-12
+        assert fit.lam == 0.0
 
     def test_single_feature_soft_threshold(self):
         x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         y = 2.0 * x
         lam = 0.3
-        fit = lasso_cv(x[:, None], y, lambda_grid=[lam])
-        assert abs(fit.coef[0] - (2.0 - lam / x.std())) < 1e-8
+        coef, _ = _fit_at(x[:, None], y, lam)
+        assert abs(coef[0] - (2.0 - lam / x.std())) < 1e-8
 
     def test_tied_cv_error_prefers_larger_lambda(self):
-        x = np.arange(10.0).reshape(10, 1)
-        fit = lasso_cv(x, np.zeros(10), lambda_grid=[0.1, 0.2])
-        assert fit.lam == 0.2
+        # two rows, so two folds, each training on one row: its column is
+        # constant and standardizes to zero, so all 50 lambdas fit b = 0 and tie
+        x, y = np.array([[0.0], [1.0]]), np.array([0.0, 1.0])
+        lams = _lambda_grid(x, y)
+        assert lams[0] == 0.5 and lams[-1] < lams[0]
+        assert lasso_cv(x, y).lam == lams[0]
 
     def test_recovers_sparse_signal(self):
         rng = np.random.default_rng(11)
@@ -245,27 +269,27 @@ class TestLassoCV:
             lasso_cv(x, np.arange(6.0))
 
     @staticmethod
-    def _kkt_gaps(x, y, lam):
-        """Stationarity gaps of lasso_cv's fit at one lambda, on its standardized problem.
+    def _kkt_gaps(x, y, lams):
+        """Stationarity gaps of the exact fits along lams, on lasso_cv's standardized problem.
 
         Active coordinates: |x_j'r/n - lam sign(b_j)|; inactive ones: how far
-        |x_j'r/n| exceeds lam (0 when it does not).
+        |x_j'r/n| exceeds lam (0 when it does not). One row per lambda.
         """
-        fit = lasso_cv(x, y, lambda_grid=[lam])
-        std = x.std(axis=0)
-        xs = (x - x.mean(axis=0)) / std
-        b = fit.coef * std
-        grad = xs.T @ (y - y.mean() - xs @ b) / len(y)
-        active = b != 0.0
-        return np.where(active, np.abs(grad - lam * np.sign(b)), np.maximum(np.abs(grad) - lam, 0.0))
+        xs, yc = _standardized(x, y)
+        b = _lasso_path(xs, yc, lams)
+        grad = (yc - b @ xs.T) @ xs / len(y)
+        lam = np.asarray(lams)[:, None]
+        return np.where(b != 0.0, np.abs(grad - lam * np.sign(b)), np.maximum(np.abs(grad) - lam, 0.0))
 
     def test_fold_fit_satisfies_kkt(self):
-        # accept6 seed 0, degree 3, CV fold 0 (rows 1-5), 42nd grid lambda:
-        # coordinate descent stopped at max_iter here with a gap of 1.9e-5
-        cost = np.array([c for c, _ in ACCEPT6_SEED0_POINTS[1:]])
-        quality = np.array([q for _, q in ACCEPT6_SEED0_POINTS[1:]])
+        # accept6 seed 0, degree 3, CV fold 0 (rows 1-5) along the grid of all 6 rows:
+        # at its 42nd lambda coordinate descent stopped at max_iter with a gap of 1.9e-5
+        cost = np.array([c for c, _ in ACCEPT6_SEED0_POINTS])
+        quality = np.array([q for _, q in ACCEPT6_SEED0_POINTS])
         x = np.column_stack([cost, cost**2, cost**3])
-        assert np.max(self._kkt_gaps(x, quality, 0.00010861330903787541)) <= 1e-12
+        lams = _lambda_grid(x, quality)
+        assert 0.00010861330903787541 in lams
+        assert np.max(self._kkt_gaps(x[1:], quality[1:], lams)) <= 1e-12
 
     def test_random_fits_satisfy_kkt(self):
         rng = np.random.default_rng(8)
@@ -274,10 +298,7 @@ class TestLassoCV:
             # correlated columns, like the cost polynomial's
             x = rng.normal(size=(n, p)) @ (np.eye(p) + rng.uniform(0.0, 2.0, size=(p, p)))
             y = x @ rng.normal(size=p) + rng.normal(scale=0.5, size=n)
-            xs = (x - x.mean(axis=0)) / x.std(axis=0)
-            lam_max = float(np.max(np.abs(xs.T @ (y - y.mean())))) / n
-            lam = lam_max * float(rng.uniform(1e-4, 1.0))
-            assert np.max(self._kkt_gaps(x, y, lam)) <= 1e-12
+            assert np.max(self._kkt_gaps(x, y, _lambda_grid(x, y))) <= 1e-12
 
 
 class TestCostAdjustedQuality:
@@ -315,36 +336,93 @@ class TestCostAdjustedQuality:
             cost_adjusted_quality([(0.1, 0.2), (0.5, 0.6), (0.9, 0.8), (1.0, 1.0)])
 
 
-def _cubic_refit_residuals(points) -> list:
-    """cost_adjusted_quality's least-squares refit with all three cost terms kept."""
+def _refit_residuals(points, degree) -> list:
+    """cost_adjusted_quality's least-squares refit with the first `degree` cost terms kept."""
     cost = np.array([float(c) for c, _ in points])
     quality = np.array([float(q) for _, q in points])
-    design = np.column_stack([np.ones(len(points)), cost, cost**2, cost**3])
+    if degree == 0:
+        return [float(q - quality.mean()) for q in quality]
+    design = np.column_stack([np.ones(len(points))] + [cost**p for p in range(1, degree + 1)])
     coef, *_ = np.linalg.lstsq(design, quality, rcond=None)
     return [float(q - f) for q, f in zip(quality, design @ coef)]
 
 
-class TestCostModelSelection:
-    """The degree and the lambdas Lasso-CV picks on two fixed point sets.
+# (points, degree kept, lambda Lasso-CV picks at degrees 1-3) of 20 seeded
+# point sets: the full run's (1.0, 1.0) and 4-7 strategies with costs in
+# [0.02, 0.9] and r2 in [0.05, 0.98], recorded with the per-lambda solver
+SEEDED_SELECTIONS = [
+    ([(1.0, 1.0), (0.54, 0.69), (0.27, 0.227), (0.06, 0.963), (0.88, 0.315), (0.54, 0.635), (0.72, 0.59), (0.82, 0.608)],
+     0, (0.0002204734433684012, 0.03319838678708157, 0.05100281991720298)),
+    ([(1.0, 1.0), (0.34, 0.858), (0.71, 0.389), (0.54, 0.955), (0.28, 0.259), (0.83, 0.799)],
+     0, (0.12460769813565203, 0.12460769813565203, 0.12598161166725944)),
+    ([(1.0, 1.0), (0.54, 0.879), (0.74, 0.575), (0.28, 0.974), (0.62, 0.276), (0.43, 0.152)],
+     0, (0.06499247518399931, 0.10173564844873406, 0.1256417418040842)),
+    ([(1.0, 1.0), (0.22, 0.665), (0.18, 0.702), (0.78, 0.458), (0.77, 0.498), (0.11, 0.738), (0.27, 0.458)],
+     0, (0.0292370363120556, 5.60546395480991e-06, 0.0007150236978059067)),
+    ([(1.0, 1.0), (0.63, 0.434), (0.21, 0.65), (0.13, 0.817), (0.35, 0.112), (0.68, 0.551), (0.67, 0.753)],
+     0, (0.0858796202014879, 0.011140690894732854, 0.018892277630481312)),
+    ([(1.0, 1.0), (0.89, 0.872), (0.11, 0.553), (0.47, 0.619), (0.37, 0.315), (0.2, 0.567)],
+     3, (1.8499408242985282e-05, 0.0038388432477141684, 0.009996632966084953)),
+    ([(1.0, 1.0), (0.06, 0.228), (0.13, 0.349), (0.43, 0.101), (0.87, 0.641), (0.14, 0.114), (0.31, 0.957)],
+     3, (2.259655348644965e-05, 0.009261365645647597, 0.011274614294124529)),
+    ([(1.0, 1.0), (0.44, 0.121), (0.46, 0.437), (0.67, 0.97), (0.45, 0.206)],
+     2, (0.1823329255128147, 0.0005373445585637929, 0.1823329255128147)),
+    ([(1.0, 1.0), (0.58, 0.121), (0.12, 0.493), (0.33, 0.881), (0.23, 0.46)],
+     0, (0.12138701161803808, 0.14972530353286537, 0.1706675734310868)),
+    ([(1.0, 1.0), (0.76, 0.519), (0.68, 0.555), (0.31, 0.979), (0.55, 0.965), (0.19, 0.534), (0.15, 0.669)],
+     0, (0.0451992869030204, 0.04953009624585413, 0.05862531173090286)),
+    ([(1.0, 1.0), (0.47, 0.703), (0.65, 0.141), (0.46, 0.464), (0.23, 0.538), (0.79, 0.296), (0.08, 0.11)],
+     0, (0.1421607923575824, 0.1523574735708136, 0.00027941568294769377)),
+    ([(1.0, 1.0), (0.17, 0.792), (0.47, 0.951), (0.6, 0.28), (0.7, 0.234), (0.12, 0.365)],
+     0, (0.0603503142885789, 0.08818342735891367, 0.0004909602761440561)),
+    ([(1.0, 1.0), (0.76, 0.512), (0.72, 0.819), (0.04, 0.294), (0.09, 0.341)],
+     3, (2.4535678861553592e-05, 0.007052175932115892, 0.007052175932115892)),
+    ([(1.0, 1.0), (0.15, 0.512), (0.15, 0.209), (0.56, 0.092), (0.42, 0.71), (0.9, 0.504)],
+     0, (0.1544005027899029, 0.1731009344061948, 0.0008022269493030339)),
+    ([(1.0, 1.0), (0.15, 0.65), (0.4, 0.454), (0.64, 0.527), (0.56, 0.88)],
+     0, (0.1270414117326128, 0.14322049504967138, 0.1480586564774777)),
+    ([(1.0, 1.0), (0.55, 0.431), (0.5, 0.252), (0.74, 0.452), (0.02, 0.19), (0.12, 0.218), (0.57, 0.476)],
+     3, (0.04101848340175279, 0.0010526827904009121, 0.0012845822827565697)),
+    ([(1.0, 1.0), (0.79, 0.606), (0.86, 0.329), (0.86, 0.559), (0.47, 0.341)],
+     3, (0.13696044508462454, 0.12196902069691878, 0.10732306895327669)),
+    ([(1.0, 1.0), (0.16, 0.331), (0.55, 0.699), (0.34, 0.414), (0.47, 0.219)],
+     2, (2.4133124938019417e-05, 0.025992649191858338, 0.06652943124447878)),
+    ([(1.0, 1.0), (0.85, 0.676), (0.26, 0.913), (0.21, 0.457), (0.49, 0.865), (0.05, 0.118)],
+     1, (2.016378002970734e-05, 0.03077835612351444, 0.00040803216527123036)),
+    ([(1.0, 1.0), (0.66, 0.574), (0.74, 0.066), (0.15, 0.571), (0.69, 0.959), (0.04, 0.176)],
+     3, (1.7341538747938506e-05, 0.013131976909951937, 0.02392257160391447)),
+]
 
-    The lambdas were recorded with the earlier coordinate-descent solver;
-    the exact solver picks the same grid values.
+
+class TestCostModelSelection:
+    """The degree and the lambdas Lasso-CV picks on fixed point sets.
+
+    The first two sets' lambdas were recorded with the earlier
+    coordinate-descent solver, the other 20 with an exact solver that solved
+    each lambda on its own; the path solver picks the same grid values.
     """
 
     @pytest.mark.parametrize(
-        "points, lams",
+        "points, degree, lams",
         [
-            (REFERENCE_POINTS, (2.1845988080844983e-05, 0.003495049451954984, 0.000533490627963004)),
-            (ACCEPT6_SEED0_POINTS, (0.113839035746599, 0.0038628109458693043, 0.006788931279170688)),
+            pytest.param(*case, id=f"points{i}-lams{i}")
+            for i, case in enumerate([
+                (REFERENCE_POINTS, 3, (2.1845988080844983e-05, 0.003495049451954984, 0.000533490627963004)),
+                (ACCEPT6_SEED0_POINTS, 3, (0.113839035746599, 0.0038628109458693043, 0.006788931279170688)),
+                *SEEDED_SELECTIONS,
+            ])
         ],
     )
-    def test_selection_is_pinned(self, points, lams):
-        assert cost_adjusted_quality(points) == _cubic_refit_residuals(points)
+    def test_selection_is_pinned(self, points, degree, lams):
+        assert cost_adjusted_quality(points) == _refit_residuals(points, degree)
         cost = np.array([c for c, _ in points])
         quality = np.array([q for _, q in points])
         for d, lam in zip((1, 2, 3), lams):
             cols = np.column_stack([cost**k for k in range(1, d + 1)])
-            assert lasso_cv(cols, quality).lam == lam
+            fit = lasso_cv(cols, quality)
+            assert fit.lam == lam
+            if d <= degree + 1:  # the terms kept, then the one zeroed out
+                assert (fit.coef[-1] != 0.0) == (d <= degree)
 
     @pytest.mark.parametrize(
         "points",
