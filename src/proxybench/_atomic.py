@@ -1,11 +1,28 @@
-"""Whole-file writes that never leave a truncated file at the target path."""
+"""Whole-file reads and writes: JSON inputs whose errors name the file, and
+writes that never leave a truncated file at the target path."""
 
 from __future__ import annotations
 
+import json
 import os
 import stat
 from contextlib import contextmanager
 from pathlib import Path
+
+
+def read_json(path: str | Path, build):
+    """build(the JSON value in the file at path), with "<path>: " at the head of any error it raises.
+
+    A KeyError becomes ValueError "missing key 'name'"; a TypeError or ValueError keeps its type.
+    """
+    try:
+        return build(json.loads(Path(path).read_text(encoding="utf-8")))
+    except KeyError as e:
+        raise ValueError(f"{path}: missing key {e}") from None
+    except TypeError as e:
+        raise TypeError(f"{path}: {e}") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def check_target(path: str | Path) -> None:

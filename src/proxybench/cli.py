@@ -7,9 +7,10 @@ whole pipeline can be re-seeded without touching its invocations. Commands
 write single-file outputs atomically (temp file + rename), so a failed
 invocation never leaves a truncated output; the one deliberate exception is
 run-grid's results file, which must keep completed lines to be resumable.
-The --out of gen-data, score, make-proxy and analyze is refused before any
-input is read if it exists and is not a regular file (a FIFO, a directory),
-and a results file that is not one is refused, never read.
+The --out of every command but report is refused before any input is read
+if it exists and is not a regular file (a FIFO, a directory), and a results
+file that is not one is refused, never read. An error in a JSON input (spec,
+grid, manifest) starts with the file's path.
 A run-grid holds a lock on ``<results>.lock`` while it reads and appends the
 results file; a second run-grid on the same file exits 2. Only run-grid cuts
 a torn last line; analyze and report read past it and leave the file as is.
@@ -29,13 +30,12 @@ from __future__ import annotations
 import argparse
 import fcntl
 import io
-import json
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from ._atomic import check_target, write_atomic
+from ._atomic import check_target, read_json, write_atomic
 from ._blas import one_blas_thread
 from .dataset import SynthSpec, load_csv, save_csv, split, synth_generate
 from .difficulty import load_table, save_table, score_examples
@@ -110,11 +110,10 @@ def _load_split(args):
 
 def _cmd_gen_data(args) -> int:
     check_target(args.out)
-    spec_payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     try:
-        spec = SynthSpec(**spec_payload)
-    except TypeError as e:
-        raise UsageError(f"bad synth spec: {e}") from None
+        spec = read_json(args.spec, lambda payload: SynthSpec(**payload))
+    except TypeError as e:  # a field SynthSpec does not take, or one it lacks
+        raise UsageError(str(e)) from None
     d = synth_generate(spec)
     save_csv(d, args.out)
     print(f"wrote {len(d)} examples ({d.class_count} classes, dim {d.feature_dim}) to {args.out}")
@@ -198,6 +197,7 @@ def _results_lock(results: str):
 
 
 def _cmd_run_grid(args) -> int:
+    check_target(args.out)
     train, val = _load_split(args)
     grid_spec = grid_from_json(args.grid)
     grid = generate_grid(grid_spec)

@@ -1,8 +1,8 @@
-"""Labeled datasets: CSV loading, synthetic generation, splitting, filtering.
+"""Labeled datasets: CSV loading, synthetic generation, splitting, subsets by id.
 
 Feature vectors are float64 throughout, labels are non-negative class ids.
 A Dataset is immutable once constructed, and every derived dataset (split,
-filter, subset) preserves the original example ids, so rows stay traceable
+subset) preserves the original example ids, so rows stay traceable
 across the whole pipeline.
 """
 
@@ -24,7 +24,6 @@ __all__ = [
     "save_csv",
     "synth_generate",
     "split",
-    "class_filter",
     "subset_by_ids",
 ]
 
@@ -45,30 +44,31 @@ _CSV_BLOCK_VALUES = 1 << 14
 class Dataset:
     """Ordered, immutable examples held as three aligned read-only arrays.
 
-    features is a C-contiguous (n, feature_dim) float64 copy, labels and ids
-    are (n,) int64. class_count and feature_dim are properties of the
-    label/feature space, not of the examples present: filtering away classes
-    does not shrink class_count, so models keep the same output head across
-    subsets. source_sha256 is the sha256 of the CSV the examples were loaded
-    from (None when they were not), kept by every subset.
+    features is a C-contiguous (n, feature_dim) float64 array, labels and ids
+    are (n,) int64. An argument that already has its dtype (and, for
+    features, C layout) is kept, not copied, and is made read-only for the
+    caller too; anything else (a list, another dtype, a strided view) is
+    copied. feature_dim is features.shape[1]. class_count and feature_dim are
+    properties of the label/feature space, not of the examples present: a
+    subset does not shrink class_count, so models keep the same output head
+    across subsets. source_sha256 is the sha256 of the CSV the examples were
+    loaded from (None when they were not), kept by every subset.
     """
 
-    def __init__(self, features, labels, ids, class_count: int, feature_dim: int, id: str = "dataset",
+    def __init__(self, features, labels, ids, class_count: int, *, id: str = "dataset",
                  source_sha256: str | None = None):
         if class_count < 1:
             raise ValueError(f"class_count must be >= 1, got {class_count}")
-        if feature_dim < 1:
-            raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
-        ids = np.array(ids, dtype=np.int64)
-        labels = np.array(labels, dtype=np.int64)
-        feats = np.array(features, dtype=np.float64, order="C")
+        ids = np.asarray(ids, dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
+        feats = np.ascontiguousarray(features, dtype=np.float64)
         if ids.ndim != 1 or labels.shape != ids.shape or feats.ndim != 2 or len(feats) != len(ids):
             raise ValueError(
                 f"need (n,) ids and labels and (n, feature_dim) features, "
                 f"got shapes {ids.shape}, {labels.shape}, {feats.shape}"
             )
-        if feats.shape[1] != feature_dim:
-            raise ValueError(f"feature length {feats.shape[1]} != {feature_dim}")
+        if feats.shape[1] < 1:
+            raise ValueError("features must have at least one column")
         if (ids < 0).any():
             raise ValueError(f"example id must be >= 0, got {ids.min()}")
         bad_label = (labels < 0) | (labels >= class_count)
@@ -86,7 +86,7 @@ class Dataset:
             a.setflags(write=False)
         self.features, self.labels, self.ids = feats, labels, ids
         self.class_count = int(class_count)
-        self.feature_dim = int(feature_dim)
+        self.feature_dim = feats.shape[1]
         self.id = str(id)
         self.source_sha256 = source_sha256
 
@@ -103,8 +103,8 @@ class Dataset:
         """The examples where mask is true, in source order; self itself when that is all of them."""
         if mask.all():
             return self
-        return Dataset(self.features[mask], self.labels[mask], self.ids[mask], self.class_count, self.feature_dim,
-                       self.id, self.source_sha256)
+        return Dataset(self.features[mask], self.labels[mask], self.ids[mask], self.class_count, id=self.id,
+                       source_sha256=self.source_sha256)
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,7 @@ def load_csv(path: str | Path) -> Dataset:
                 parsed = _parse_csv(fh, path)
             _write_sidecar(sidecar, digest, *parsed)
     feats, labels = parsed
-    return Dataset(feats, labels, np.arange(len(labels)), 1 + labels.max(), feats.shape[1],
-                   id=path.stem, source_sha256=digest)
+    return Dataset(feats, labels, np.arange(len(labels)), 1 + labels.max(), id=path.stem, source_sha256=digest)
 
 
 def save_csv(d: Dataset, path: str | Path) -> None:
@@ -340,7 +339,7 @@ def synth_generate(spec: SynthSpec) -> Dataset:
         f"synth_k{spec.class_count}_d{spec.feature_dim}"
         f"_n{spec.examples_per_class}_s{spec.seed}"
     )
-    return Dataset(feats, labels, np.arange(n_total), spec.class_count, spec.feature_dim, id=ds_id)
+    return Dataset(feats, labels, np.arange(n_total), spec.class_count, id=ds_id)
 
 
 def split(d: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -373,21 +372,6 @@ def split(d: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]
 
     in_val = np.isin(d.ids, np.concatenate(picked))
     return d._take(~in_val), d._take(in_val)
-
-
-def class_filter(d: Dataset, classes) -> Dataset:
-    """Keep only examples whose label is in ``classes``.
-
-    Labels are not renumbered and class_count is unchanged, so a model's
-    output head stays comparable across filtered and unfiltered data.
-    """
-    classes = set(int(c) for c in classes)
-    if not classes:
-        raise ValueError("class set is empty")
-    bad = [c for c in classes if not (0 <= c < d.class_count)]
-    if bad:
-        raise ValueError(f"unknown class ids {sorted(bad)} for class_count {d.class_count}")
-    return d._take(np.isin(d.labels, sorted(classes)))
 
 
 def subset_by_ids(d: Dataset, ids) -> Dataset:

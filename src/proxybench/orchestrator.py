@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
+from ._atomic import read_json
 from .dataset import Dataset, subset_by_ids
 from .trainer import HyperparamConfig, RunRecord, config_id, stack_key, train_model, train_stack
 
@@ -70,13 +71,8 @@ def generate_grid(spec: GridSpec) -> list:
 
 
 def grid_from_json(path: str | Path) -> GridSpec:
-    """Read {"defaults": {...}, "variations": {...}} from a JSON file."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"grid file not found: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    defaults = HyperparamConfig(**payload.get("defaults", {}))
-    return GridSpec(defaults=defaults, variations=dict(payload.get("variations", {})))
+    """Read {"defaults": {...}, "variations": {...}} from a JSON file; its errors start with the path."""
+    return read_json(path, lambda p: GridSpec(HyperparamConfig(**p.get("defaults", {})), dict(p.get("variations", {}))))
 
 
 class ResultStore:

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import write_atomic
+from ._atomic import read_json, write_atomic
 from ._exact import exact_ceil
-from .dataset import Dataset, class_filter
+from .dataset import Dataset
 from .difficulty import DifficultyTable, quantile_slice
 
 __all__ = [
@@ -156,8 +156,8 @@ def build_proxy(
     """Resolve a ProxySpec against a train/val split.
 
     full: everything, target epochs. random_all: ceil(fraction*N) train ids
-    sampled uniformly without replacement. half_classes: filter train and
-    val to the class set, then sample the fraction of remaining train ids.
+    sampled uniformly without replacement. half_classes: the train and val
+    ids whose label is in the class set, then the fraction of those train ids.
     quantile: difficulty-slice ids (table required), val untouched.
     fewer_epochs: everything, reduced epochs. All sampling is deterministic
     given spec.seed, and ids are stored in ascending order.
@@ -185,13 +185,14 @@ def build_proxy(
             rng = np.random.default_rng([spec.seed, _STREAM_CLASS_PICK])
             k = math.ceil(train.class_count / 2)
             class_set = tuple(sorted(rng.choice(train.class_count, size=k, replace=False).tolist()))
-        kept_train = class_filter(train, class_set)
-        kept_val = class_filter(val, class_set)
-        if len(kept_train) == 0 or len(kept_val) == 0:
+        unknown = [c for c in class_set if not 0 <= c < train.class_count]
+        if unknown:
+            raise ValueError(f"unknown class ids {unknown} for class_count {train.class_count}")
+        train_ids = np.sort(train.ids[np.isin(train.labels, class_set)])
+        val_ids = np.sort(val.ids[np.isin(val.labels, class_set)])
+        if len(train_ids) == 0 or len(val_ids) == 0:
             raise ValueError(f"class set {class_set} leaves an empty split")
-        fraction = spec.fraction if spec.fraction is not None else 1.0
-        train_ids = _sample(np.sort(kept_train.ids), fraction, spec.seed)
-        val_ids = np.sort(kept_val.ids)
+        train_ids = _sample(train_ids, spec.fraction if spec.fraction is not None else 1.0, spec.seed)
     elif spec.kind == "quantile":
         if table is None:
             raise ValueError("quantile proxy requires a difficulty table")
@@ -228,30 +229,31 @@ def save_manifest(manifest: ProxyManifest, path: str | Path) -> None:
     write_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _manifest_ids(path: Path, payload: dict, field: str) -> np.ndarray:
+def _manifest_ids(payload: dict, field: str) -> np.ndarray:
     """payload[field], a list of distinct JSON integers, as a sorted int64 array."""
     values = payload[field]
     if not isinstance(values, list) or not all(type(v) is int and -(2**63) <= v < 2**63 for v in values):
-        raise ValueError(f"{path}: {field} must be a list of integer example ids")
+        raise ValueError(f"{field} must be a list of integer example ids")
     ids = np.unique(np.array(values, dtype=np.int64))
     if len(ids) != len(values):
-        raise ValueError(f"{path}: {field} lists an example id more than once")
+        raise ValueError(f"{field} lists an example id more than once")
     return ids
 
 
-def load_manifest(path: str | Path) -> ProxyManifest:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"proxy manifest not found: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+def _manifest(payload: dict) -> ProxyManifest:
     epochs = payload["epochs"]
     if type(epochs) is not int or epochs < 1:
-        raise ValueError(f"{path}: epochs must be a positive integer, got {epochs!r}")
+        raise ValueError(f"epochs must be a positive integer, got {epochs!r}")
     spec = ProxySpec(kind=payload["kind"], seed=payload["seed"], **payload["params"])
     return ProxyManifest(
         proxy_id=payload["proxy_id"],
         spec=spec,
-        train_ids=_manifest_ids(path, payload, "train_ids"),
-        val_ids=_manifest_ids(path, payload, "val_ids"),
+        train_ids=_manifest_ids(payload, "train_ids"),
+        val_ids=_manifest_ids(payload, "val_ids"),
         epochs=epochs,
     )
+
+
+def load_manifest(path: str | Path) -> ProxyManifest:
+    """The manifest save_manifest wrote at path; an error in it starts with the path (read_json)."""
+    return read_json(path, _manifest)

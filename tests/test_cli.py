@@ -300,6 +300,14 @@ class TestMakeProxy:
             assert code == 0, capsys.readouterr().err
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_unknown_class_is_refused(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = main(["make-proxy", "--data", str(pipeline["data"]), "--kind", "half_classes", "--classes", "0,99",
+                     "--out", str(out)])
+        assert code == 2
+        assert "unknown class ids [99] for class_count 3\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_classes_flag(self, pipeline, tmp_path, capsys):
         code = main(
             ["make-proxy", "--data", str(pipeline["data"]), "--kind", "half_classes", "--classes", "0,x", "--out", str(tmp_path / "m.json")]
@@ -487,7 +495,9 @@ class TestPathsThatAreNotFiles:
         assert f"{fifo} exists and is not a regular file" in out.stderr
 
     @pytest.mark.parametrize("kind", ["fifo", "directory"])
-    @pytest.mark.parametrize("command", ["gen-data", "score", "score sidecar", "make-proxy", "analyze"])
+    @pytest.mark.parametrize(
+        "command", ["gen-data", "score", "score sidecar", "make-proxy", "analyze", "run-grid", "run-grid --dry-run"]
+    )
     def test_bad_out_is_refused_before_the_work(self, pipeline, tmp_path, capsys, monkeypatch, command, kind):
         bad = tmp_path / ("scores.json" if command == "score sidecar" else "out")
         os.mkfifo(bad) if kind == "fifo" else bad.mkdir()
@@ -498,13 +508,45 @@ class TestPathsThatAreNotFiles:
             "make-proxy": ["make-proxy", "--data", pipeline["data"], "--kind", "random_all", "--fraction", "0.5",
                            "--out", bad],
             "analyze": ["analyze", "--results", pipeline["results"], "--out", bad],
-        }[command]
+            "run-grid": ["run-grid", "--data", pipeline["data"], "--grid", pipeline["grid"],
+                         "--proxies", pipeline["proxies"], "--out", bad],
+        }
+        argv = argv["run-grid"] + ["--dry-run"] if command == "run-grid --dry-run" else argv[command]
         called = []
         for name in ("synth_generate", "load_csv", "train_model", "build_proxy", "store_load"):
             monkeypatch.setattr(cli_module, name, lambda *a, _name=name, **k: called.append(_name))
         assert main([str(a) for a in argv]) == 2
         assert f"{bad} exists and is not a regular file" in capsys.readouterr().err
         assert called == []
+        assert not list(tmp_path.glob("*.lock"))  # run-grid took no results lock
+
+
+class TestJsonInputErrors:
+    """A malformed JSON input is reported once, as "<path>: <what is wrong>"."""
+
+    @pytest.mark.parametrize("name, text, code, message", [
+        ("spec", '{"class_count": 3', 2, "Expecting ',' delimiter: line 1 column 18 (char 17)"),
+        ("spec", json.dumps({**SPEC, "bogus": 1}), 1, "unexpected keyword argument 'bogus'"),
+        ("spec", json.dumps({**SPEC, "class_count": 1}), 2, "class_count must be >= 2"),
+        ("grid", '{"defaults": {"epochs": 2}\n', 2, "Expecting ',' delimiter: line 2 column 1 (char 27)"),
+        ("manifest", '{"proxy_id": "x"}', 2, "missing key 'epochs'"),
+        ("manifest", json.dumps({"proxy_id": "x", "kind": "full", "params": {}, "seed": 0, "epochs": 3,
+                                 "train_ids": [0], "val_ids": "all"}), 2, "val_ids must be a list of integer example ids"),
+    ])
+    def test_error_starts_with_the_path(self, pipeline, tmp_path, capsys, name, text, code, message):
+        proxies = tmp_path / "proxies"
+        proxies.mkdir()
+        path = {"spec": tmp_path / "spec.json", "grid": tmp_path / "grid.json", "manifest": proxies / "x.json"}[name]
+        path.write_text(text)
+        if name == "spec":
+            argv = ["gen-data", "--spec", path, "--out", tmp_path / "toy.csv"]
+        else:
+            argv = ["run-grid", "--data", pipeline["data"], "--grid", pipeline["grid"] if name == "manifest" else path,
+                    "--proxies", proxies, "--out", tmp_path / "r.jsonl"]
+        assert main([str(a) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{'usage error' if code == 1 else 'error'}: {path}: ") and err.endswith(f"{message}\n")
+        assert err.count(str(path)) == 1
 
 
 class TestDataSidecar:

@@ -11,7 +11,6 @@ from proxybench import dataset as dataset_module
 from proxybench.dataset import (
     Dataset,
     SynthSpec,
-    class_filter,
     load_csv,
     split,
     subset_by_ids,
@@ -22,45 +21,62 @@ from proxybench.dataset import (
 def _toy(n_per_class=5, classes=3, dim=2):
     labels = np.repeat(np.arange(classes), n_per_class)
     features = np.repeat(labels[:, None].astype(float), dim, axis=1)
-    return Dataset(features, labels, np.arange(len(labels)), class_count=classes, feature_dim=dim, id="toy")
+    return Dataset(features, labels, np.arange(len(labels)), class_count=classes, id="toy")
 
 
 class TestDatasetConstruction:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="unique"):
-            Dataset([np.zeros(2), np.ones(2)], [0, 1], [0, 0], class_count=2, feature_dim=2)
+            Dataset([np.zeros(2), np.ones(2)], [0, 1], [0, 0], class_count=2)
 
     def test_rejects_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
-            Dataset([np.zeros(2)], [5], [0], class_count=2, feature_dim=2)
+            Dataset([np.zeros(2)], [5], [0], class_count=2)
 
-    def test_rejects_wrong_feature_dim(self):
-        with pytest.raises(ValueError, match="feature length"):
-            Dataset([np.zeros(3)], [0], [0], class_count=2, feature_dim=2)
+    def test_rejects_zero_width_features(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            Dataset(np.zeros((2, 0)), [0, 1], [0, 1], class_count=2)
+
+    def test_stale_positional_feature_dim_is_a_type_error(self):
+        # feature_dim, once the fifth parameter, is gone; id is keyword-only so it cannot land there
+        with pytest.raises(TypeError):
+            Dataset(np.zeros((2, 3)), [0, 1], [0, 1], 2, 3)
+        with pytest.raises(TypeError):
+            Dataset(np.zeros((2, 3)), [0, 1], [0, 1], 2, 3, "toy")
 
     def test_rejects_non_finite_features(self):
         with pytest.raises(ValueError, match="non-finite"):
-            Dataset([np.array([1.0, np.inf])], [0], [0], class_count=2, feature_dim=2)
+            Dataset([np.array([1.0, np.inf])], [0], [0], class_count=2)
 
     def test_arrays_are_contiguous_copies(self):
         feats = np.arange(12, dtype=float).reshape(3, 4)[:, ::2]  # a strided view
-        d = Dataset(feats, [0, 1, 0], [5, 6, 7], class_count=2, feature_dim=2)
+        d = Dataset(feats, [0, 1, 0], [5, 6, 7], class_count=2)
         assert d.features.flags.c_contiguous and d.features.dtype == np.float64
         assert d.labels.dtype == np.int64 and d.ids.dtype == np.int64
         feats[0, 0] = 99.0
         assert d.features[0, 0] == 0.0
 
+    def test_arrays_of_the_right_dtype_and_layout_are_kept_read_only(self):
+        feats = np.arange(6, dtype=np.float64).reshape(3, 2)
+        labels = np.array([0, 1, 0], dtype=np.int64)
+        ids = np.array([5, 6, 7], dtype=np.int64)
+        d = Dataset(feats, labels, ids, class_count=2)
+        for given, held in ((feats, d.features), (labels, d.labels), (ids, d.ids)):
+            assert np.shares_memory(given, held)
+            assert not given.flags.writeable
+        assert d.feature_dim == 2
+
     def test_error_names_the_offending_example(self):
         feats = np.zeros((4, 2))
         feats[2, 1] = np.nan
         with pytest.raises(ValueError, match="example 12: non-finite"):
-            Dataset(feats, [0, 0, 0, 0], [10, 11, 12, 13], class_count=1, feature_dim=2)
+            Dataset(feats, [0, 0, 0, 0], [10, 11, 12, 13], class_count=1)
         with pytest.raises(ValueError, match="example 11: label 3 outside"):
-            Dataset(np.zeros((4, 2)), [0, 3, 0, 0], [10, 11, 12, 13], class_count=2, feature_dim=2)
+            Dataset(np.zeros((4, 2)), [0, 3, 0, 0], [10, 11, 12, 13], class_count=2)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
-            Dataset(np.zeros((3, 2)), [0, 1], [0, 1, 2], class_count=2, feature_dim=2)
+            Dataset(np.zeros((3, 2)), [0, 1], [0, 1, 2], class_count=2)
 
     def test_arrays_are_read_only_and_aligned(self):
         d = _toy()
@@ -236,7 +252,7 @@ class TestLoadCsvSidecar:
         d = load_csv(p)
         digest = hashlib.sha256(_CSV).hexdigest()
         assert d.source_sha256 == digest
-        assert class_filter(d, [0, 1]).source_sha256 == digest  # subsets keep it
+        assert subset_by_ids(d, d.ids[:1]).source_sha256 == digest  # subsets keep it
         with np.load(_sidecar(p), allow_pickle=False) as z:
             assert set(z.files) == {"sha256", "parser_version", "features", "labels"}
             assert str(z["sha256"]) == digest
@@ -405,23 +421,6 @@ class TestSplit:
         # 0.1 of 4 rounds to 0 validation examples for every class
         with pytest.raises(ValueError):
             split(d, 0.1, seed=0)
-
-
-class TestClassFilter:
-    def test_keeps_only_requested_classes(self):
-        d = _toy()
-        f = class_filter(d, {0, 2})
-        assert set(int(l) for l in f.labels) == {0, 2}
-        assert f.class_count == d.class_count  # label space unchanged
-        assert len(f) == 10
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError, match="unknown class"):
-            class_filter(_toy(), {7})
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            class_filter(_toy(), set())
 
 
 class TestSubsetByIds:

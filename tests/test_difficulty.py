@@ -60,7 +60,7 @@ class TestScoreExamples:
                                         noise_scale_lo=0.3, noise_scale_hi=1.5, seed=6))
         ids = np.random.default_rng(1).permutation(2 * len(base)) * 7
         d = Dataset(np.concatenate([base.features] * 2), np.concatenate([base.labels] * 2), ids,
-                    class_count=3, feature_dim=4)
+                    class_count=3)
         params = init_params(HyperparamConfig(stem_width_1=8, stem_width_2=8, seed=2), 4, 3)
         table = score_examples(params, d)
         loss_of = dict(zip(table.ids.tolist(), table.losses.tolist()))

@@ -121,6 +121,30 @@ class TestGridGeneration:
         with pytest.raises(FileNotFoundError):
             grid_from_json(tmp_path / "none.json")
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ('{"defaults": {"epochs": 2}\n', ValueError, "Expecting ',' delimiter: line 2 column 1 (char 27)"),
+            ('{"defaults": {"momentum": 0.9}}', TypeError, "unexpected keyword argument 'momentum'"),
+            ('{"defaults": {"epochs": 0}}', ValueError, "epochs must be >= 1"),
+            ('{"variations": {"learning_rate": []}}', ValueError, "empty variation list for 'learning_rate'"),
+        ],
+    )
+    def test_malformed_grid_file_is_named(self, tmp_path, text, error, message):
+        p = tmp_path / "grid.json"
+        p.write_text(text)
+        with pytest.raises(error) as info:
+            grid_from_json(p)
+        assert str(info.value).startswith(f"{p}: ") and str(info.value).endswith(message)
+
+    def test_nan_default_and_variation_give_duplicate_configs(self, tmp_path):
+        # nan != nan, so GridSpec takes the variation for a new value, but both
+        # configs have one config_id; HyperparamConfig does not refuse a nan stem width
+        p = tmp_path / "grid.json"
+        p.write_text('{"defaults": {"stem_width_1": NaN}, "variations": {"stem_width_1": [NaN]}}')
+        with pytest.raises(ValueError, match="grid contains duplicate configs"):
+            generate_grid(grid_from_json(p))
+
 
 class TestResultStore:
     def test_jsonl_round_trip_bitwise(self, tmp_path):
@@ -337,7 +361,6 @@ class TestRunMatrix:
             train.labels,
             train.ids,
             class_count=train.class_count,
-            feature_dim=train.feature_dim,
             id=train.id,
         )
         proxies = [build_proxy(blown, val, ProxySpec(kind="full"), target_epochs=2)]

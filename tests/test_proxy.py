@@ -14,7 +14,7 @@ def _balanced(classes=10, per_class=100, dim=3, id="bal"):
     n = classes * per_class
     features = np.repeat(np.arange(n, dtype=float)[:, None], dim, axis=1)
     labels = np.repeat(np.arange(classes), per_class)
-    return Dataset(features, labels, np.arange(n), class_count=classes, feature_dim=dim, id=id)
+    return Dataset(features, labels, np.arange(n), class_count=classes, id=id)
 
 
 def _table_for(d: Dataset):
@@ -85,8 +85,7 @@ class TestBuildProxy:
             assert not ids.flags.writeable
 
     def test_sampling_every_id_keeps_them_all(self):
-        shuffled = Dataset(TRAIN.features[::-1], TRAIN.labels[::-1], TRAIN.ids[::-1], class_count=10,
-                           feature_dim=3, id="bal")
+        shuffled = Dataset(TRAIN.features[::-1], TRAIN.labels[::-1], TRAIN.ids[::-1], class_count=10, id="bal")
         m = build_proxy(shuffled, VAL, ProxySpec(kind="random_all", fraction=1.0, seed=3))
         assert np.array_equal(m.train_ids, np.arange(1000))
 
@@ -110,6 +109,16 @@ class TestBuildProxy:
         assert len(m.val_ids) == 250  # val filtered but never sampled
         labels = set(TRAIN.labels[np.isin(TRAIN.ids, m.train_ids)].tolist())
         assert labels <= set(range(5))
+
+    def test_half_classes_keeps_only_requested_classes(self):
+        m = build_proxy(TRAIN, VAL, ProxySpec(kind="half_classes", class_set=(0, 2)))
+        assert set(TRAIN.labels[np.isin(TRAIN.ids, m.train_ids)].tolist()) == {0, 2}
+        assert set(VAL.labels[np.isin(VAL.ids, m.val_ids)].tolist()) == {0, 2}
+        assert (len(m.train_ids), len(m.val_ids)) == (200, 100)
+
+    def test_half_classes_unknown_class_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown class ids \[10, 12\] for class_count 10"):
+            build_proxy(TRAIN, VAL, ProxySpec(kind="half_classes", class_set=(12, 0, 10)))
 
     def test_half_classes_auto_pick(self):
         m = build_proxy(TRAIN, VAL, ProxySpec(kind="half_classes", seed=7))
@@ -138,7 +147,7 @@ class TestBuildProxy:
 
     @pytest.mark.parametrize("spec", [ProxySpec(kind="quantile", lo=0.9, hi=1.0), ProxySpec(kind="full")])
     def test_table_must_have_scored_the_bytes_of_the_training_set(self, spec):
-        loaded = Dataset(TRAIN.features, TRAIN.labels, TRAIN.ids, class_count=10, feature_dim=3, id="bal",
+        loaded = Dataset(TRAIN.features, TRAIN.labels, TRAIN.ids, class_count=10, id="bal",
                          source_sha256="a" * 64)
         other = dataclasses.replace(_table_for(TRAIN), dataset_sha256="b" * 64)
         with pytest.raises(ValueError, match=f"sha256 {'b' * 64}, not {'a' * 64}"):
@@ -232,6 +241,24 @@ class TestManifestPersistence:
         p.write_text(json.dumps({**json.loads(p.read_text()), field: value}))
         with pytest.raises(ValueError, match=f"{re.escape(str(p))}: {re.escape(message)}"):
             load_manifest(p)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"proxy_id": "x"}', "missing key 'epochs'"),
+            ('{"proxy_id": "x", "epochs": 2', "Expecting ',' delimiter"),
+            ('{"proxy_id": "x", "kind": "full", "params": {"bogus": 1}, "seed": 0, "epochs": 2}', "unexpected keyword"),
+            ('{"proxy_id": "x", "kind": "nope", "params": {}, "seed": 0, "epochs": 2}', "kind must be one of"),
+            ('[1, 2]', "list indices must be integers"),
+        ],
+    )
+    def test_malformed_manifest_is_named_once(self, tmp_path, text, message):
+        p = tmp_path / "m.json"
+        p.write_text(text)
+        with pytest.raises((ValueError, TypeError)) as info:
+            load_manifest(p)
+        assert str(info.value).startswith(f"{p}: ") and message in str(info.value)
+        assert str(info.value).count(str(p)) == 1
 
     def test_ids_load_sorted(self, tmp_path):
         p = tmp_path / "m.json"

@@ -195,7 +195,6 @@ class TestGradientCheckHarness:
             d.labels[:10],
             d.ids[:10],
             d.class_count,
-            d.feature_dim,
         )
         params = init_params(_tiny_config(), d.feature_dim, d.class_count)
         _, grads = fresh_forward_backward(params, zero.features, zero.labels, False)
@@ -409,7 +408,6 @@ class TestTrainModel:
             d.labels,
             d.ids,
             d.class_count,
-            d.feature_dim,
         )
         train, val = split(big, 0.2, seed=0)
         cfg = _tiny_config(optimizer="sgd", learning_rate=1e30, epochs=3, batch_size=8)
@@ -539,7 +537,7 @@ class TestPinnedRuns:
 
     def test_diverging_run_matches_recorded_bits(self):
         d = _small_data()
-        big = Dataset(d.features * 1e60, d.labels, d.ids, d.class_count, d.feature_dim)
+        big = Dataset(d.features * 1e60, d.labels, d.ids, d.class_count)
         train, val = split(big, 0.2, seed=0)
         rec, params = train_model(train, val, _tiny_config(optimizer="sgd", learning_rate=1e30, epochs=3, batch_size=8))
         assert rec.status == "aborted"
