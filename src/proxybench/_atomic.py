@@ -11,12 +11,16 @@ from pathlib import Path
 
 
 def read_json(path: str | Path, build):
-    """build(the JSON value in the file at path), with "<path>: " at the head of any error it raises.
+    """build(the JSON object in the file at path), with "<path>: " at the head of any error it raises.
 
-    A KeyError becomes ValueError "missing key 'name'"; a TypeError or ValueError keeps its type.
+    A JSON value that is not an object is refused with a ValueError. A KeyError
+    becomes ValueError "missing key 'name'"; a TypeError or ValueError keeps its type.
     """
     try:
-        return build(json.loads(Path(path).read_text(encoding="utf-8")))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+        return build(payload)
     except KeyError as e:
         raise ValueError(f"{path}: missing key {e}") from None
     except TypeError as e:

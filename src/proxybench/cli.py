@@ -10,7 +10,10 @@ run-grid's results file, which must keep completed lines to be resumable.
 The --out of every command but report is refused before any input is read
 if it exists and is not a regular file (a FIFO, a directory), and a results
 file that is not one is refused, never read. An error in a JSON input (spec,
-grid, manifest) starts with the file's path.
+grid, manifest, a difficulty table's .json sidecar) starts with the file's
+path, and each must hold a JSON object. run-grid reads its grid and
+manifests before its --data, so a bad one is refused before the data load.
+main builds the subparser of the command it runs alone.
 A run-grid holds a lock on ``<results>.lock`` while it reads and appends the
 results file; a second run-grid on the same file exits 2. Only run-grid cuts
 a torn last line; analyze and report read past it and leave the file as is.
@@ -198,10 +201,10 @@ def _results_lock(results: str):
 
 def _cmd_run_grid(args) -> int:
     check_target(args.out)
-    train, val = _load_split(args)
     grid_spec = grid_from_json(args.grid)
     grid = generate_grid(grid_spec)
     manifests, proxy_ids = _load_manifests(Path(args.proxies))
+    train, val = _load_split(args)
     if FULL_PROXY_ID not in proxy_ids:
         # The target task always runs; proxies are judged against it.
         manifests.insert(
@@ -320,22 +323,18 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="proxybench", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV from a spec JSON")
+def _gen_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True, help="JSON file with SynthSpec fields")
     p.add_argument("--out", required=True, help="output dataset CSV")
-    p.set_defaults(func=_cmd_gen_data)
 
-    p = sub.add_parser("score", help="train the default config and score example difficulty")
+
+def _score_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out", required=True, help="output difficulty CSV (json sidecar written alongside)")
     _add_common(p)
-    p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("make-proxy", help="resolve a proxy spec into a manifest JSON")
+
+def _make_proxy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--scores", help="difficulty CSV (required for quantile proxies)")
     p.add_argument("--kind", required=True, choices=list(KIND_FIELDS))
@@ -348,9 +347,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--target-epochs", type=_positive_int, default=20, help="the grid's epoch budget, which every kind but fewer_epochs trains for")
     p.add_argument("--out", required=True, help="output manifest JSON")
     _add_common(p)
-    p.set_defaults(func=_cmd_make_proxy)
 
-    p = sub.add_parser("run-grid", help="run the (proxy x config) matrix; resumable")
+
+def _run_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--grid", required=True, help='JSON file: {"defaults": {...}, "variations": {...}}')
     p.add_argument("--proxies", required=True, help="directory of proxy manifest JSONs")
@@ -358,27 +357,55 @@ def _build_parser() -> _Parser:
     p.add_argument("--parallel", type=_positive_int, default=1)
     p.add_argument("--dry-run", action="store_true", help="print the pending runs and their cost, train nothing")
     _add_common(p)
-    p.set_defaults(func=_cmd_run_grid)
 
-    p = sub.add_parser("analyze", help="compute per-strategy quality metrics from results")
+
+def _analyze_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--results", required=True, help="results JSONL from run-grid")
     p.add_argument("--out", required=True, help="output quality report CSV")
     p.add_argument("--good-rule", default="top:0.5", help="good-config rule: top:F or min:T")
     p.add_argument("--consistency", help="dsA,dsB[:metric] - correlation of a metric across two datasets")
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("report", help="emit plot-ready CSVs from a quality report")
+
+def _report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--report", required=True, help="quality report CSV from analyze")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--results", help="results JSONL; enables scatter and epoch-correlation CSVs")
-    p.set_defaults(func=_cmd_report)
+
+
+# command -> (its help line, its handler, the function that adds its flags), in --help order
+_COMMANDS = {
+    "gen-data": ("generate a synthetic dataset CSV from a spec JSON", _cmd_gen_data, _gen_data_flags),
+    "score": ("train the default config and score example difficulty", _cmd_score, _score_flags),
+    "make-proxy": ("resolve a proxy spec into a manifest JSON", _cmd_make_proxy, _make_proxy_flags),
+    "run-grid": ("run the (proxy x config) matrix; resumable", _cmd_run_grid, _run_grid_flags),
+    "analyze": ("compute per-strategy quality metrics from results", _cmd_analyze, _analyze_flags),
+    "report": ("emit plot-ready CSVs from a quality report", _cmd_report, _report_flags),
+}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The proxybench parser with the subparser of command alone, or of every command when command is None.
+
+    Building all six subparsers costs several times what one alone does, so
+    main builds only the one its argv names.
+    """
+    parser = _Parser(prog="proxybench", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, handler, add_flags) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_flags(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # no command, --help, or an unknown word: the full parser, which lists every command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     with one_blas_thread():
         try:
-            args = _build_parser().parse_args(argv)
+            args = _build_parser(command).parse_args(argv)
             return args.func(args)
         except UsageError as e:
             print(f"usage error: {e}", file=sys.stderr)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import write_atomic
+from ._atomic import read_json, write_atomic
 from ._exact import exact_floor
 from .dataset import Dataset
 from .trainer import ModelParams, _log_softmax, _logits
@@ -132,7 +132,8 @@ def save_table(table: DifficultyTable, path: str | Path) -> None:
 def load_table(path: str | Path) -> DifficultyTable:
     """Read a table save_table wrote. A file that does not end with a newline
     was cut off mid-write and is refused, as is a row that is not an integer
-    id and a loss; both errors name the file."""
+    id and a loss; both errors name the file. An error in the .json sidecar
+    starts with the sidecar's path (read_json)."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"difficulty table not found: {path}")
@@ -153,11 +154,13 @@ def load_table(path: str | Path) -> DifficultyTable:
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise FileNotFoundError(f"difficulty table sidecar not found: {sidecar_path}")
-    meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    dataset_id, scoring_config_id, digest = read_json(
+        sidecar_path, lambda meta: (meta["dataset_id"], meta["scoring_config_id"], meta.get("dataset_sha256"))
+    )
     return DifficultyTable(
         ids=ids,
         losses=losses,
-        dataset_id=meta["dataset_id"],
-        scoring_config_id=meta["scoring_config_id"],
-        dataset_sha256=meta.get("dataset_sha256"),
+        dataset_id=dataset_id,
+        scoring_config_id=scoring_config_id,
+        dataset_sha256=digest,
     )

@@ -54,6 +54,7 @@ class GridSpec:
             for v in values:
                 if v == default:
                     raise ValueError(f"variation {name}={v!r} equals the default")
+                replace(self.defaults, **{name: v})  # HyperparamConfig refuses a value its field does not take
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate variation values for {name!r}")
 
@@ -64,9 +65,6 @@ def generate_grid(spec: GridSpec) -> list:
     for name, values in spec.variations.items():
         for v in values:
             configs.append(replace(spec.defaults, **{name: v}))
-    ids = [config_id(c) for c in configs]
-    if len(set(ids)) != len(ids):
-        raise ValueError("grid contains duplicate configs")
     return configs
 
 

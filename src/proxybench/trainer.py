@@ -85,6 +85,10 @@ class HyperparamConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("stem_width_1", "stem_width_2", "epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.depth not in DEPTH_EXTRA_LAYERS:
             raise ValueError(f"depth must be one of {sorted(DEPTH_EXTRA_LAYERS)}, got {self.depth!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):

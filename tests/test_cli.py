@@ -528,7 +528,10 @@ class TestJsonInputErrors:
         ("spec", '{"class_count": 3', 2, "Expecting ',' delimiter: line 1 column 18 (char 17)"),
         ("spec", json.dumps({**SPEC, "bogus": 1}), 1, "unexpected keyword argument 'bogus'"),
         ("spec", json.dumps({**SPEC, "class_count": 1}), 2, "class_count must be >= 2"),
+        ("spec", "[1]", 2, "expected a JSON object, got list"),
         ("grid", '{"defaults": {"epochs": 2}\n', 2, "Expecting ',' delimiter: line 2 column 1 (char 27)"),
+        ("grid", "[1]", 2, "expected a JSON object, got list"),
+        ("grid", json.dumps({"defaults": {"batch_size": 16.5}}), 2, "batch_size must be an integer, got 16.5"),
         ("manifest", '{"proxy_id": "x"}', 2, "missing key 'epochs'"),
         ("manifest", json.dumps({"proxy_id": "x", "kind": "full", "params": {}, "seed": 0, "epochs": 3,
                                  "train_ids": [0], "val_ids": "all"}), 2, "val_ids must be a list of integer example ids"),
@@ -547,6 +550,29 @@ class TestJsonInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"{'usage error' if code == 1 else 'error'}: {path}: ") and err.endswith(f"{message}\n")
         assert err.count(str(path)) == 1
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+@pytest.mark.parametrize("bad", ["grid", "manifest"])
+def test_run_grid_refuses_a_bad_grid_or_manifest_before_loading_data(pipeline, tmp_path, capsys, monkeypatch,
+                                                                       bad, dry_run):
+    loads = []
+    monkeypatch.setattr(cli_module, "load_csv", lambda path: loads.append(path))
+    proxies = tmp_path / "proxies"
+    proxies.mkdir()
+    grid = pipeline["grid"]
+    if bad == "grid":
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"defaults": {"batch_size": 16.5}}')
+        bad_path = grid
+    else:
+        bad_path = proxies / "x.json"
+        bad_path.write_text("[1, 2]")
+    argv = ["run-grid", "--data", pipeline["data"], "--grid", grid, "--proxies", proxies,
+            "--out", tmp_path / "r.jsonl", *dry_run]
+    assert main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad_path}: ")
+    assert loads == []
 
 
 class TestDataSidecar:
@@ -1014,6 +1040,44 @@ class TestFlagSets:
             assert words[1] in accepted, words
             used = {w.split("=")[0] for w in words if w.startswith("--")}
             assert used <= accepted[words[1]], (words[1], used - accepted[words[1]])
+
+
+def _subparsers(parser) -> dict:
+    """Subcommand name -> its subparser, in the order --help lists them."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestParserPerCommand:
+    @pytest.mark.parametrize("command", list(_subparsers(_build_parser())))
+    def test_subparser_built_alone_matches_the_full_parser(self, command):
+        alone, full = _subparsers(_build_parser(command))[command], _subparsers(_build_parser())[command]
+
+        def flags(p):
+            return [(a.option_strings, a.dest, a.default, a.required, a.choices, a.type, a.help) for a in p._actions]
+
+        assert flags(alone) == flags(full)
+        assert alone.format_help() == full.format_help()
+        assert alone.get_default("func") is full.get_default("func")
+
+    def test_one_command_builds_one_subparser(self):
+        assert list(_subparsers(_build_parser("analyze"))) == ["analyze"]
+
+    @pytest.mark.parametrize("argv, command", [
+        (["analyze", "--help"], "analyze"), (["run-grid", "--help"], "run-grid"),
+        (["--help"], None), (["bogus"], None), ([], None),
+    ])
+    def test_main_builds_the_parser_of_the_command_it_runs(self, monkeypatch, capsys, argv, command):
+        built = []
+
+        def build(name=None):
+            built.append(name)
+            return _build_parser(name)
+
+        monkeypatch.setattr(cli_module, "_build_parser", build)
+        main(argv)
+        capsys.readouterr()
+        assert built == [command]
 
 
 @pytest.fixture

@@ -226,6 +226,18 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(f"{p}: line 3: expected example_id,loss, got ['1']")):
             load_table(p)
 
+    @pytest.mark.parametrize("sidecar, message", [
+        ('{"scoring_config_id": "c"}', "missing key 'dataset_id'"),
+        ('["d", "c"]', "expected a JSON object, got list"),
+    ])
+    def test_malformed_sidecar_is_named(self, tmp_path, sidecar, message):
+        p = tmp_path / "scores.csv"
+        save_table(_table([1.0, 2.0]), p)
+        p.with_suffix(".json").write_text(sidecar)
+        with pytest.raises(ValueError) as info:
+            load_table(p)
+        assert str(info.value) == f"{p.with_suffix('.json')}: {message}"
+
     def test_missing_sidecar_is_named(self, tmp_path):
         p = tmp_path / "scores.csv"
         save_table(_table([1.0, 2.0]), p)

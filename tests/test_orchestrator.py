@@ -128,6 +128,10 @@ class TestGridGeneration:
             ('{"defaults": {"momentum": 0.9}}', TypeError, "unexpected keyword argument 'momentum'"),
             ('{"defaults": {"epochs": 0}}', ValueError, "epochs must be >= 1"),
             ('{"variations": {"learning_rate": []}}', ValueError, "empty variation list for 'learning_rate'"),
+            ('[1]', ValueError, "expected a JSON object, got list"),
+            ('{"defaults": {"batch_size": 16.5}}', ValueError, "batch_size must be an integer, got 16.5"),
+            ('{"defaults": {"seed": 1.5}}', ValueError, "seed must be an integer, got 1.5"),
+            ('{"variations": {"stem_width_1": [8.5]}}', ValueError, "stem_width_1 must be an integer, got 8.5"),
         ],
     )
     def test_malformed_grid_file_is_named(self, tmp_path, text, error, message):
@@ -137,13 +141,13 @@ class TestGridGeneration:
             grid_from_json(p)
         assert str(info.value).startswith(f"{p}: ") and str(info.value).endswith(message)
 
-    def test_nan_default_and_variation_give_duplicate_configs(self, tmp_path):
-        # nan != nan, so GridSpec takes the variation for a new value, but both
-        # configs have one config_id; HyperparamConfig does not refuse a nan stem width
+    def test_nan_stem_width_grid_is_refused_at_load(self, tmp_path):
+        # nan != nan would let the variation pass as a new value with the default's config_id
         p = tmp_path / "grid.json"
         p.write_text('{"defaults": {"stem_width_1": NaN}, "variations": {"stem_width_1": [NaN]}}')
-        with pytest.raises(ValueError, match="grid contains duplicate configs"):
-            generate_grid(grid_from_json(p))
+        with pytest.raises(ValueError) as info:
+            grid_from_json(p)
+        assert str(info.value) == f"{p}: stem_width_1 must be an integer, got nan"
 
 
 class TestResultStore:

@@ -249,7 +249,7 @@ class TestManifestPersistence:
             ('{"proxy_id": "x", "epochs": 2', "Expecting ',' delimiter"),
             ('{"proxy_id": "x", "kind": "full", "params": {"bogus": 1}, "seed": 0, "epochs": 2}', "unexpected keyword"),
             ('{"proxy_id": "x", "kind": "nope", "params": {}, "seed": 0, "epochs": 2}', "kind must be one of"),
-            ('[1, 2]', "list indices must be integers"),
+            ('[1, 2]', "expected a JSON object, got list"),
         ],
     )
     def test_malformed_manifest_is_named_once(self, tmp_path, text, message):

@@ -69,6 +69,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             HyperparamConfig(epochs=0)
 
+    @pytest.mark.parametrize("value", [True, 2.5, math.nan])
+    @pytest.mark.parametrize("field", ["stem_width_1", "stem_width_2", "epochs", "batch_size", "seed"])
+    def test_integer_fields_take_only_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            HyperparamConfig(**{field: value})
+
     def test_dict_round_trip(self):
         cfg = HyperparamConfig(depth="large", optimizer="sgd", seed=7)
         assert HyperparamConfig(**asdict(cfg)) == cfg
