@@ -1,13 +1,71 @@
-"""Whole-file reads and writes: JSON inputs whose errors name the file, and
-writes that never leave a truncated file at the target path."""
+"""Whole-file reads and writes: JSON inputs whose errors name the file, the one type
+check of what they hold, and writes that never leave a truncated file at the target path."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import math
 import os
 import stat
+import typing
 from contextlib import contextmanager
 from pathlib import Path
+
+# annotation -> (test of a value it takes, what it takes)
+_ATOMS = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) is int or (isinstance(v, float) and math.isfinite(v)), "a finite number"),
+    bool: (lambda v: type(v) is bool, "a boolean"),
+    str: (lambda v: type(v) is str, "a string"),
+}
+
+
+@functools.cache
+def _rule(tp):
+    """(test of a value, is a list type, test of an item, what an item is) for annotation tp; None if unchecked."""
+    optional = type(None) in typing.get_args(tp)
+    tp = typing.get_args(tp)[0] if optional else tp  # X | None
+    many = typing.get_origin(tp) in (list, tuple)  # list[X] or tuple[X, ...]
+    takes, what = _ATOMS.get(typing.get_args(tp)[0] if many else tp, (None, None))
+    if takes is None:
+        return None
+    test = (lambda v: (type(v) is list or type(v) is tuple) and all(map(takes, v))) if many else takes
+    return (lambda v: v is None or test(v)) if optional else test, many, takes, what
+
+
+def check_value(name: str, value, tp) -> None:
+    """Raise ValueError "<name> must be ..., got <repr>" unless annotation tp takes value.
+
+    The package's one type policy: int takes only an int; float an int or a finite float, numpy's
+    too, never a bool; bool and str exactly their type; X | None also None; list[X] and tuple[X, ...]
+    a list or tuple of what X takes, the first refused item named <name>[i]; anything else anything.
+    """
+    rule = _rule(tp)
+    if rule is None or rule[0](value):
+        return
+    _, many, takes, what = rule
+    if many and (type(value) is list or type(value) is tuple):
+        i = next(i for i, v in enumerate(value) if not takes(v))
+        name, value = f"{name}[{i}]", value[i]
+    elif many:
+        what = "a list"
+    raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+@functools.cache
+def _field_tests(cls) -> tuple:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], rule[0]) for f in dataclasses.fields(cls) if (rule := _rule(hints[f.name])))
+
+
+def check_fields(cls, values: dict) -> dict:
+    """check_value on values[name] for each field name of dataclass cls, in field order; returns values."""
+    for name, tp, test in _field_tests(cls):
+        if not test(values[name]):
+            check_value(name, values[name], tp)
+    return values
 
 
 def read_json(path: str | Path, build):

@@ -3,7 +3,8 @@ run the grid, analyze quality, and emit plot-ready CSVs.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure. The environment
 variable PROXYBENCH_SEED overrides the --global-seed flag everywhere, so a
-whole pipeline can be re-seeded without touching its invocations. Commands
+whole pipeline can be re-seeded without touching its invocations; either
+must be a non-negative integer, checked before any input is read. Commands
 write single-file outputs atomically (temp file + rename), so a failed
 invocation never leaves a truncated output; the one deliberate exception is
 run-grid's results file, which must keep completed lines to be resumable.
@@ -11,8 +12,11 @@ The --out of every command but report is refused before any input is read
 if it exists and is not a regular file (a FIFO, a directory), and a results
 file that is not one is refused, never read. An error in a JSON input (spec,
 grid, manifest, a difficulty table's .json sidecar) starts with the file's
-path, and each must hold a JSON object. run-grid reads its grid and
-manifests before its --data, so a bad one is refused before the data load.
+path, and each must hold a JSON object. Their values, and each results
+line's, pass one type check (_atomic.check_value: an int field takes only an
+int, a float field a finite number but no bool, a bool or str field exactly
+its type) or exit 2 naming the file and the field. run-grid reads its grid
+and manifests before its --data, so a bad one is refused before the data load.
 main builds the subparser of the command it runs alone.
 A run-grid holds a lock on ``<results>.lock`` while it reads and appends the
 results file; a second run-grid on the same file exits 2. Only run-grid cuts
@@ -69,46 +73,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _global_seed(args) -> int:
-    env = os.environ.get("PROXYBENCH_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"PROXYBENCH_SEED must be an integer, got {env!r}") from None
-    return args.global_seed
+def _flag_type(what: str, ok=lambda value: True):
+    """Decorator: convert(text) as an argparse type, refused as "must be <what>" on a ValueError or a false ok(value)."""
+    def wrap(convert):
+        def parse(text: str):
+            try:
+                value = convert(text)
+                if ok(value):
+                    return value
+            except ValueError:
+                pass
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return parse
+    return wrap
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0  # not an integer: refused like any count below 1
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
-def _open_fraction(text: str) -> float:
-    """argparse type of a fraction strictly between 0 and 1."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0  # not a number: refused like any value outside (0, 1)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text!r}")
-    return value
+_positive_int = _flag_type("a positive integer", lambda v: v >= 1)(int)
+_seed_int = _flag_type("a non-negative integer", lambda v: v >= 0)(int)
+_open_fraction = _flag_type("in (0, 1)", lambda v: 0 < v < 1)(float)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--global-seed", type=int, default=0, help="seed for splits, training, and run hashing (PROXYBENCH_SEED overrides)")
+    p.add_argument("--global-seed", type=_seed_int, default=0, help="seed for splits, training, and run hashing (PROXYBENCH_SEED overrides)")
     p.add_argument("--val-fraction", type=_open_fraction, default=0.1, help="validation fraction of the stratified split, in (0, 1)")
 
 
 def _load_split(args):
     """(train, val); the parsed dataset itself is not kept past the split."""
-    return split(load_csv(args.data), args.val_fraction, _global_seed(args))
+    return split(load_csv(args.data), args.val_fraction, args.global_seed)
 
 
 def _cmd_gen_data(args) -> int:
@@ -127,7 +119,7 @@ def _cmd_score(args) -> int:
     check_target(args.out)
     check_target(Path(args.out).with_suffix(".json"))  # the table's sidecar (save_table)
     train, val = _load_split(args)
-    cfg = HyperparamConfig(seed=_global_seed(args))
+    cfg = HyperparamConfig(seed=args.global_seed)
     _, params = train_model(train, val, cfg)
     table = score_examples(params, train, scoring_config_id=config_id(cfg))
     save_table(table, args.out)
@@ -139,16 +131,13 @@ def _cmd_score(args) -> int:
 _PROXY_FLAGS = {"fraction": "--fraction", "class_set": "--classes", "lo": "--lo", "hi": "--hi", "epochs": "--epochs"}
 
 
-def _parse_classes(text: str) -> tuple:
-    try:
-        return tuple(int(c) for c in text.split(",") if c.strip() != "")
-    except ValueError:
-        raise UsageError(f"--classes must be comma-separated integers, got {text!r}") from None
+@_flag_type("comma-separated integers")
+def _class_ids(text: str) -> tuple:
+    return tuple(int(c) for c in text.split(",") if c.strip() != "")
 
 
 def _cmd_make_proxy(args) -> int:
-    classes = None if args.classes is None else _parse_classes(args.classes)
-    fields = {"fraction": args.fraction, "class_set": classes, "lo": args.lo, "hi": args.hi, "epochs": args.epochs}
+    fields = {"fraction": args.fraction, "class_set": args.classes, "lo": args.lo, "hi": args.hi, "epochs": args.epochs}
     for name, flag in _PROXY_FLAGS.items():
         if fields[name] is not None and name not in KIND_FIELDS[args.kind]:
             raise UsageError(f"{args.kind} proxy does not take {flag}")
@@ -212,9 +201,8 @@ def _cmd_run_grid(args) -> int:
             build_proxy(train, val, ProxySpec(kind="full"), target_epochs=grid_spec.defaults.epochs),
         )
 
-    seed = _global_seed(args)
     if args.dry_run:
-        units = plan_runs(train.id, manifests, grid, store_load(args.out), seed)
+        units = plan_runs(train.id, manifests, grid, store_load(args.out), args.global_seed)
         for m, cells in units:
             print(f"{m.proxy_id} epochs={m.epochs} train={len(m.train_ids)} configs={','.join(c for _, c in cells)}")
         pending = sum(len(cells) for _, cells in units)
@@ -226,7 +214,7 @@ def _cmd_run_grid(args) -> int:
     with _results_lock(args.out):
         store = store_load(args.out)
         already = len(store)
-        run_matrix(train, val, manifests, grid, parallelism=args.parallel, global_seed=seed, store=store)
+        run_matrix(train, val, manifests, grid, parallelism=args.parallel, global_seed=args.global_seed, store=store)
     print(f"{len(store)} records in {args.out} ({already} pre-existing, {len(store) - already} new)")
     return 0
 
@@ -234,12 +222,10 @@ def _cmd_run_grid(args) -> int:
 _GOOD_RULE_KINDS = {"top": "top_fraction", "min": "min_accuracy"}  # --good-rule prefix -> rule kind
 
 
-def _parse_good_rule(text: str) -> GoodConfigRule:
+@_flag_type("top:F or min:T")
+def _good_rule(text: str) -> GoodConfigRule:
     kind, _, value = text.partition(":")
-    try:
-        return GoodConfigRule(_GOOD_RULE_KINDS[kind], float(value))
-    except (KeyError, ValueError):
-        raise UsageError(f"--good-rule must look like top:0.5 or min:0.9, got {text!r}") from None
+    return GoodConfigRule(_GOOD_RULE_KINDS.get(kind), float(value))  # GoodConfigRule refuses a kind of None
 
 
 def _epoch_corr_csv(records) -> str:
@@ -254,36 +240,33 @@ def _epoch_corr_csv(records) -> str:
     return buf.getvalue()
 
 
-def _parse_consistency(text: str) -> tuple:
+@_flag_type(f"dsA,dsB[:metric], metric one of {', '.join(CONSISTENCY_METRICS)}")
+def _consistency(text: str) -> tuple:
     """(dataset a, dataset b, metric) from dsA,dsB[:metric]; the metric defaults to r2."""
     spec, metric = text, "r2"
     if ":" in text:
         spec, metric = text.rsplit(":", 1)
     names = [s for s in spec.split(",") if s]
     if len(names) != 2 or metric not in CONSISTENCY_METRICS:
-        raise UsageError(
-            f"--consistency must look like dsA,dsB[:metric], metric one of {', '.join(CONSISTENCY_METRICS)}; got {text!r}"
-        )
+        raise ValueError(text)
     return names[0], names[1], metric
 
 
 def _cmd_analyze(args) -> int:
-    rule = _parse_good_rule(args.good_rule)
-    consistency = _parse_consistency(args.consistency) if args.consistency else None
     check_target(args.out)
     store = store_load(args.results)
     records = store.records()
     if not records:
         raise ValueError(f"no records in {args.results}")
-    reports = build_quality_reports(records, good_rule=rule)
+    reports = build_quality_reports(records, good_rule=args.good_rule)
     out = Path(args.out)
     buf = io.StringIO()
     reports_to_csv(reports, buf)
     write_atomic(out, buf.getvalue())
     print(f"{len(reports)} strategy rows -> {out}")
 
-    if consistency:
-        name_a, name_b, metric = consistency
+    if args.consistency:
+        name_a, name_b, metric = args.consistency
         a = [r for r in reports if r.dataset == name_a]
         b = [r for r in reports if r.dataset == name_b]
         value = consistency_correlation(a, b, metric)
@@ -341,7 +324,7 @@ def _make_proxy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lo", type=float)
     p.add_argument("--hi", type=float)
     p.add_argument("--fraction", type=float)
-    p.add_argument("--classes", help="comma-separated class ids for half_classes")
+    p.add_argument("--classes", type=_class_ids, help="comma-separated class ids for half_classes")
     p.add_argument("--epochs", type=int, help="epoch budget for fewer_epochs")
     p.add_argument("--seed", type=int, default=0, help="sampling seed for the proxy itself")
     p.add_argument("--target-epochs", type=_positive_int, default=20, help="the grid's epoch budget, which every kind but fewer_epochs trains for")
@@ -362,8 +345,8 @@ def _run_grid_flags(p: argparse.ArgumentParser) -> None:
 def _analyze_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--results", required=True, help="results JSONL from run-grid")
     p.add_argument("--out", required=True, help="output quality report CSV")
-    p.add_argument("--good-rule", default="top:0.5", help="good-config rule: top:F or min:T")
-    p.add_argument("--consistency", help="dsA,dsB[:metric] - correlation of a metric across two datasets")
+    p.add_argument("--good-rule", type=_good_rule, default="top:0.5", help="good-config rule: top:F or min:T")
+    p.add_argument("--consistency", type=_consistency, help="dsA,dsB[:metric] - correlation of a metric across two datasets")
 
 
 def _report_flags(p: argparse.ArgumentParser) -> None:
@@ -406,6 +389,12 @@ def main(argv=None) -> int:
     with one_blas_thread():
         try:
             args = _build_parser(command).parse_args(argv)
+            env = os.environ.get("PROXYBENCH_SEED")
+            if env is not None and "global_seed" in vars(args):  # it overrides --global-seed
+                try:
+                    args.global_seed = _seed_int(env)
+                except argparse.ArgumentTypeError as e:
+                    raise UsageError(f"PROXYBENCH_SEED {e}") from None
             return args.func(args)
         except UsageError as e:
             print(f"usage error: {e}", file=sys.stderr)

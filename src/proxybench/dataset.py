@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import atomic_writer
+from ._atomic import atomic_writer, check_fields
 
 __all__ = [
     "Dataset",
@@ -128,6 +128,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(SynthSpec, vars(self))
         if self.class_count < 2:
             raise ValueError("class_count must be >= 2")
         if self.feature_dim < 1:

@@ -28,7 +28,7 @@ _CONFIG_FIELDS = {f.name for f in fields(HyperparamConfig)}
 # Most cells a stack trains in lockstep. Five save most of the per-step
 # calls; larger stacks save little more and raise peak memory.
 _STACK_CAP = 5
-_MALFORMED = (UnicodeDecodeError, json.JSONDecodeError, TypeError, AttributeError)  # a line that is not a RunRecord
+_MALFORMED = (ValueError, TypeError, AttributeError)  # a line that is not a RunRecord; decode errors are ValueErrors
 
 
 @dataclass(frozen=True)
@@ -255,8 +255,6 @@ def run_matrix(
     record either way. Records are appended in cell order (manifest, then
     grid config) regardless of which worker finishes first.
     """
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
     units = plan_runs(train.id, manifests, grid, store, global_seed)
     rank = {config_id(cfg): i for i, cfg in enumerate(grid)}
     slots = sorted(  # (cell order, unit, position in it) of every pending cell

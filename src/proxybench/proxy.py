@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import read_json, write_atomic
+from ._atomic import check_fields, check_value, read_json, write_atomic
 from ._exact import exact_ceil
 from .dataset import Dataset
 from .difficulty import DifficultyTable, quantile_slice
@@ -60,13 +60,14 @@ class ProxySpec:
 
     kind: str
     fraction: float | None = None
-    class_set: tuple | None = None
+    class_set: tuple[int, ...] | None = None
     lo: float | None = None
     hi: float | None = None
     epochs: int | None = None
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(ProxySpec, vars(self))
         if self.kind not in KIND_FIELDS:
             raise ValueError(f"kind must be one of {tuple(KIND_FIELDS)}, got {self.kind!r}")
         for name in ("fraction", "class_set", "lo", "hi", "epochs"):
@@ -87,7 +88,7 @@ class ProxySpec:
             if self.epochs is None or self.epochs < 1:
                 raise ValueError("fewer_epochs requires a positive epoch count")
         if self.class_set is not None:
-            cs = tuple(sorted(set(int(c) for c in self.class_set)))
+            cs = tuple(sorted(set(self.class_set)))
             if not cs:
                 raise ValueError("class_set must be non-empty when given")
             object.__setattr__(self, "class_set", cs)
@@ -119,7 +120,7 @@ class ProxySpec:
 @dataclass(frozen=True, eq=False)
 class ProxyManifest:
     """A resolved proxy: the example ids to train and validate on, as sorted
-    read-only int64 arrays, plus the epochs to train them."""
+    read-only int64 arrays, plus the epochs (at least 1) to train them."""
 
     proxy_id: str
     spec: ProxySpec
@@ -128,6 +129,9 @@ class ProxyManifest:
     epochs: int
 
     def __post_init__(self):
+        check_fields(ProxyManifest, vars(self))
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
         if len(self.train_ids) == 0:
             raise ValueError(f"proxy {self.proxy_id!r} resolved to 0 training examples")
         if len(self.val_ids) == 0:
@@ -166,8 +170,6 @@ def build_proxy(
     from (its dataset_sha256); a quantile table must score exactly the
     training ids.
     """
-    if target_epochs < 1:
-        raise ValueError("target_epochs must be >= 1")
     if table is not None and table.dataset_sha256 != train.source_sha256:
         if table.dataset_sha256 is None:
             raise ValueError("difficulty table records no dataset digest; re-run score")
@@ -230,10 +232,11 @@ def save_manifest(manifest: ProxyManifest, path: str | Path) -> None:
 
 
 def _manifest_ids(payload: dict, field: str) -> np.ndarray:
-    """payload[field], a list of distinct JSON integers, as a sorted int64 array."""
+    """payload[field], a list of distinct int64 JSON integers, as a sorted int64 array."""
     values = payload[field]
-    if not isinstance(values, list) or not all(type(v) is int and -(2**63) <= v < 2**63 for v in values):
-        raise ValueError(f"{field} must be a list of integer example ids")
+    check_value(field, values, list[int])
+    if not all(-(2**63) <= v < 2**63 for v in values):
+        raise ValueError(f"{field} holds an example id outside the int64 range")
     ids = np.unique(np.array(values, dtype=np.int64))
     if len(ids) != len(values):
         raise ValueError(f"{field} lists an example id more than once")
@@ -242,8 +245,6 @@ def _manifest_ids(payload: dict, field: str) -> np.ndarray:
 
 def _manifest(payload: dict) -> ProxyManifest:
     epochs = payload["epochs"]
-    if type(epochs) is not int or epochs < 1:
-        raise ValueError(f"epochs must be a positive integer, got {epochs!r}")
     spec = ProxySpec(kind=payload["kind"], seed=payload["seed"], **payload["params"])
     return ProxyManifest(
         proxy_id=payload["proxy_id"],

@@ -25,25 +25,11 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from ._atomic import check_fields
 from .dataset import Dataset
 
-__all__ = [
-    "HyperparamConfig",
-    "ModelParams",
-    "RunRecord",
-    "OptState",
-    "DEPTH_EXTRA_LAYERS",
-    "forward_backward",
-    "optimizer_step",
-    "init_opt_state",
-    "one_cycle_lr",
-    "init_params",
-    "evaluate_accuracy",
-    "train_model",
-    "train_stack",
-    "stack_key",
-    "config_id",
-]
+# What the rest of the package imports; tests and tracers reach the per-step functions by name.
+__all__ = ["HyperparamConfig", "ModelParams", "RunRecord", "config_id", "stack_key", "train_model", "train_stack"]
 
 _STREAM_INIT = 11
 _STREAM_SHUFFLE = 12
@@ -85,22 +71,17 @@ class HyperparamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("stem_width_1", "stem_width_2", "epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_fields(HyperparamConfig, vars(self))
         if self.depth not in DEPTH_EXTRA_LAYERS:
             raise ValueError(f"depth must be one of {sorted(DEPTH_EXTRA_LAYERS)}, got {self.depth!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.stem_width_1 < 1 or self.stem_width_2 < 1:
             raise ValueError("stem widths must be positive")
         if not (0.0 <= self.augment_prob <= 1.0):
             raise ValueError(f"augment_prob must be in [0, 1], got {self.augment_prob}")
         if self.optimizer not in _OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}")
-        if not isinstance(self.label_smoothing, bool):
-            raise ValueError("label_smoothing must be a boolean")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -175,10 +156,13 @@ class RunRecord:
     proxy_id: str
     config_id: str
     seed: int
-    epoch_val_acc: list
+    epoch_val_acc: list[float]
     best_val_acc: float
     cost_units: float
     status: str = "ok"
+
+    def __post_init__(self):
+        check_fields(RunRecord, vars(self))
 
 
 @dataclass
@@ -315,29 +299,19 @@ def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarr
 
     The loss is label-smoothed cross-entropy (see _target_table); the
     gradient of each row's loss with respect to its logits is
-    softmax(logits) - target.
+    softmax(logits) - target. The arguments are not checked: train_stack
+    checks its datasets once, and cuts every batch from them.
     """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
-    lead = params.flat.shape[:-1]  # () for one model, (k,) for a stack
-    if x.shape[:-2] != lead or y.shape != x.shape[:-1] or x.shape[-1] != params.sizes[0] or x.shape[-2] == 0:
-        rows = ", ".join(map(str, (*lead, "n")))
-        raise ValueError(f"need non-empty ({rows}, {params.sizes[0]}) features and ({rows}) labels, got shapes {x.shape} and {y.shape}")
-    if lead and len(smoothing) != lead[0]:
-        raise ValueError(f"{len(smoothing)} smoothing flags for a stack of {lead[0]}")
-    if lead == (1,):  # numpy's 2-D calls cost less than their stacked form, for the same bits
-        loss, _ = _forward_backward(params.solo, x[0], y[0], smoothing[0], grads.solo)
-        return [loss], grads
-    return _forward_backward(params, x, y, smoothing, grads)
-
-
-def _forward_backward(params: ModelParams, x: np.ndarray, y: np.ndarray, smoothing, grads: ModelParams):
-    """forward_backward on checked arguments."""
+    solo = params.flat.shape[:-1] == (1,)  # numpy's 2-D calls cost less than their stacked form, for the same bits
+    if solo:
+        params, x, y, smoothing, out = params.solo, features[0], labels[0], smoothing[0], grads.solo
+    else:
+        x, y, out = features, labels, grads
     lead = params.flat.shape[:-1]
     n = x.shape[-2]
-    s = grads.scratch.get(n)
+    s = out.scratch.get(n)
     if s is None:
-        s = grads.scratch[n] = _Scratch(params.sizes, x.shape[:-1])
+        s = out.scratch[n] = _Scratch(params.sizes, x.shape[:-1])
     acts, probs, target = s.acts, s.probs, s.target
     classes = params.sizes[-1]
 
@@ -353,18 +327,17 @@ def _forward_backward(params: ModelParams, x: np.ndarray, y: np.ndarray, smoothi
     delta /= n  # dloss/dlogits
 
     for i in range(len(params.weights) - 1, -1, -1):
-        np.matmul(s.acts_t[i - 1] if i > 0 else x.swapaxes(-1, -2), delta, out=grads.weights[i])
-        np.add.reduce(delta, axis=-2, keepdims=bool(lead), out=grads.biases[i])
+        np.matmul(s.acts_t[i - 1] if i > 0 else x.swapaxes(-1, -2), delta, out=out.weights[i])
+        np.add.reduce(delta, axis=-2, keepdims=bool(lead), out=out.biases[i])
         if i > 0:
             below = np.matmul(delta, params.weights[i].swapaxes(-1, -2), out=s.deltas[i - 1])
             below *= np.greater(acts[i - 1], 0.0, out=s.live[i - 1])
             delta = below
-    return loss, grads
+    return ([loss] if solo else loss), grads
 
 
 def init_opt_state(optimizer: str, params: ModelParams) -> OptState:
-    if optimizer not in _OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
+    """Fresh slots of one of _OPTIMIZERS, the names HyperparamConfig takes."""
     if optimizer == "sgd":
         return OptState(kind="sgd")
     scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
@@ -421,12 +394,8 @@ def one_cycle_lr(step: int, total_steps: int, lr_max: float) -> float:
     """One-cycle schedule: cosine warmup for the first quarter, cosine anneal after.
 
     Starts at lr_max/25, peaks at lr_max when step = round(0.25*total_steps),
-    ends at lr_max/1e4.
+    ends at lr_max/1e4. step must lie in [0, total_steps); it is not checked.
     """
-    if total_steps < 1:
-        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
-    if not (0 <= step < total_steps):
-        raise ValueError(f"step {step} outside [0, {total_steps})")
     warm = round(0.25 * total_steps)
     if warm > 0 and step <= warm:
         t = step / warm
@@ -456,9 +425,7 @@ def _gather_rows(features: np.ndarray, rows: np.ndarray, flip: np.ndarray | None
 
 
 def evaluate_accuracy(params: ModelParams, d: Dataset) -> float:
-    """Fraction of examples whose argmax logit matches the label."""
-    if len(d) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
+    """Fraction of examples whose argmax logit matches the label; d is not empty (train_stack refuses an empty val)."""
     return float(np.mean(np.argmax(_logits(params, d.features), axis=1) == d.labels))
 
 

@@ -1,16 +1,20 @@
 """Atomic whole-file writes: temp file beside the target, then a rename.
 
-Every test runs through both entry points: write_atomic, and a body that
-streams into atomic_writer's handle.
+Every write test runs through both entry points: write_atomic, and a body
+that streams into atomic_writer's handle. The last tests pin the one type
+policy of what input files hold (check_value, check_fields).
 """
 
+import math
 import os
 import re
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from proxybench import _atomic
-from proxybench._atomic import atomic_writer, write_atomic
+from proxybench._atomic import atomic_writer, check_fields, check_value, write_atomic
 
 
 def _streamed(path, data):
@@ -131,3 +135,57 @@ def test_a_symlink_is_itself_replaced_and_its_target_kept(tmp_path, write):
     assert link.read_bytes() == b"new\n"
     assert target.read_text() == "target\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
+@pytest.mark.parametrize("tp, value, message", [
+    (int, 3, None),
+    (int, True, "f must be an integer, got True"),
+    (int, 3.0, "f must be an integer, got 3.0"),
+    (int, np.int64(3), f"f must be an integer, got {np.int64(3)!r}"),
+    (float, 3, None),
+    (float, 10**400, None),
+    (float, 0.5, None),
+    (float, np.float64(0.5), None),
+    (float, np.float64(math.nan), f"f must be a finite number, got {np.float64(math.nan)!r}"),
+    (float, False, "f must be a finite number, got False"),
+    (float, math.nan, "f must be a finite number, got nan"),
+    (float, -math.inf, "f must be a finite number, got -inf"),
+    (float, "0.5", "f must be a finite number, got '0.5'"),
+    (bool, True, None),
+    (bool, 1, "f must be a boolean, got 1"),
+    (str, "a", None),
+    (str, 5, "f must be a string, got 5"),
+    (str | None, None, None),
+    (str, None, "f must be a string, got None"),
+    (float | None, "x", "f must be a finite number, got 'x'"),
+    (list[float], [1, 0.5], None),
+    (list[float], (0.5,), None),
+    (list[float], 0.5, "f must be a list, got 0.5"),
+    (list[float], [0.5, None], "f[1] must be a finite number, got None"),
+    (tuple[int, ...] | None, [0, 2], None),
+    (tuple[int, ...] | None, [0, True], "f[1] must be an integer, got True"),
+    (np.ndarray, "anything", None),
+])
+def test_check_value_is_the_one_type_policy(tp, value, message):
+    if message is None:
+        check_value("f", value, tp)
+    else:
+        with pytest.raises(ValueError) as info:
+            check_value("f", value, tp)
+        assert str(info.value) == message
+
+
+@dataclass
+class _Fields:
+    count: int
+    rate: float | None
+    rows: np.ndarray
+
+
+def test_check_fields_checks_every_field_in_field_order():
+    with pytest.raises(ValueError, match=r"^count must be an integer, got 1\.5$"):
+        check_fields(_Fields, {"rows": "not checked", "rate": math.nan, "count": 1.5})
+    with pytest.raises(ValueError, match=r"^rate must be a finite number, got nan$"):
+        check_fields(_Fields, {"rows": "not checked", "rate": math.nan, "count": 1})
+    values = {"count": 1, "rate": None}  # rows is not checked, so it may be absent
+    assert check_fields(_Fields, values) is values

@@ -2,6 +2,7 @@ import argparse
 import fcntl
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -231,6 +232,23 @@ class TestScore:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
+
+    @pytest.mark.parametrize("command", ["score", "run-grid"])
+    @pytest.mark.parametrize("env, flags, message", [
+        ("-1", [], "PROXYBENCH_SEED must be a non-negative integer, got '-1'"),
+        (None, ["--global-seed", "-3"], "argument --global-seed: must be a non-negative integer, got '-3'"),
+    ])
+    def test_negative_seed_is_a_usage_error_before_any_input_is_read(self, pipeline, tmp_path, monkeypatch, capsys,
+                                                                     command, env, flags, message):
+        monkeypatch.setattr(cli_module, "load_csv", lambda path: pytest.fail("read --data"))
+        monkeypatch.setattr(cli_module, "grid_from_json", lambda path: pytest.fail("read --grid"))
+        if env is not None:
+            monkeypatch.setenv("PROXYBENCH_SEED", env)
+        inputs = {"score": [], "run-grid": ["--grid", pipeline["grid"], "--proxies", pipeline["proxies"]]}[command]
+        argv = [command, "--data", pipeline["data"], *inputs, "--out", tmp_path / "out", *flags]
+        assert main([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_integer_env_seed(self, pipeline, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PROXYBENCH_SEED", "abc")
@@ -521,6 +539,9 @@ class TestPathsThatAreNotFiles:
         assert not list(tmp_path.glob("*.lock"))  # run-grid took no results lock
 
 
+_MANIFEST = {"proxy_id": "x", "kind": "full", "params": {}, "seed": 0, "epochs": 3, "train_ids": [0], "val_ids": [0]}
+
+
 class TestJsonInputErrors:
     """A malformed JSON input is reported once, as "<path>: <what is wrong>"."""
 
@@ -534,7 +555,14 @@ class TestJsonInputErrors:
         ("grid", json.dumps({"defaults": {"batch_size": 16.5}}), 2, "batch_size must be an integer, got 16.5"),
         ("manifest", '{"proxy_id": "x"}', 2, "missing key 'epochs'"),
         ("manifest", json.dumps({"proxy_id": "x", "kind": "full", "params": {}, "seed": 0, "epochs": 3,
-                                 "train_ids": [0], "val_ids": "all"}), 2, "val_ids must be a list of integer example ids"),
+                                 "train_ids": [0], "val_ids": "all"}), 2, "val_ids must be a list, got 'all'"),
+        ("spec", json.dumps({**SPEC, "class_count": 2.5}), 2, "class_count must be an integer, got 2.5"),
+        ("spec", json.dumps({**SPEC, "class_separation": math.nan}), 2, "class_separation must be a finite number, got nan"),
+        ("spec", json.dumps({**SPEC, "noise_scale_hi": math.inf}), 2, "noise_scale_hi must be a finite number, got inf"),
+        ("grid", json.dumps({"defaults": {"learning_rate": True}}), 2, "learning_rate must be a finite number, got True"),
+        ("grid", json.dumps({"variations": {"augment_prob": ["x"]}}), 2, "augment_prob must be a finite number, got 'x'"),
+        ("grid", json.dumps({"defaults": {"label_smoothing": 1}}), 2, "label_smoothing must be a boolean, got 1"),
+        ("manifest", json.dumps({**_MANIFEST, "proxy_id": 5}), 2, "proxy_id must be a string, got 5"),
     ])
     def test_error_starts_with_the_path(self, pipeline, tmp_path, capsys, name, text, code, message):
         proxies = tmp_path / "proxies"
@@ -573,6 +601,55 @@ def test_run_grid_refuses_a_bad_grid_or_manifest_before_loading_data(pipeline, t
     assert main([str(a) for a in argv]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad_path}: ")
     assert loads == []
+
+
+class TestFieldTypes:
+    """A field of the wrong type exits 2 with a message that starts with the file's path (and, for
+    a results line, its number) and names the field; TestJsonInputErrors holds the spec and grid cases."""
+
+    @staticmethod
+    def _refused(argv, path, message, capsys):
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("change, message", [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"kind": "random_all", "params": {"fraction": True}}, "fraction must be a finite number, got True"),
+        ({"kind": "random_all", "params": {"fraction": "0.5"}}, "fraction must be a finite number, got '0.5'"),
+        ({"proxy_id": 5}, "proxy_id must be a string, got 5"),
+    ])
+    def test_manifest_in_a_dry_run(self, pipeline, tmp_path, capsys, monkeypatch, change, message):
+        monkeypatch.setattr(cli_module, "load_csv", lambda path: pytest.fail("read --data"))
+        proxies = tmp_path / "proxies"
+        proxies.mkdir()
+        manifest = proxies / "x.json"
+        manifest.write_text(json.dumps({**_MANIFEST, **change}))
+        self._refused(["run-grid", "--data", pipeline["data"], "--grid", pipeline["grid"], "--proxies", proxies,
+                       "--out", tmp_path / "r.jsonl", "--dry-run"], manifest, message, capsys)
+        assert not list(tmp_path.glob("*.lock"))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"best_val_acc": "x"}, "best_val_acc must be a finite number, got 'x'"),
+        ({"epoch_val_acc": ["x"]}, "epoch_val_acc[0] must be a finite number, got 'x'"),
+    ])
+    def test_results_line(self, pipeline, tmp_path, capsys, change, message):
+        lines = pipeline["results"].read_text().splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), **change}) + "\n"
+        path = tmp_path / "r.jsonl"
+        path.write_text("".join(lines))
+        self._refused(["analyze", "--results", path, "--out", tmp_path / "q.csv"], path,
+                      f"line 2: malformed record ({message})", capsys)
+
+    def test_table_sidecar(self, pipeline, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        shutil.copy(pipeline["scores"], scores)
+        sidecar = scores.with_suffix(".json")
+        sidecar.write_text(json.dumps({**json.loads(pipeline["scores"].with_suffix(".json").read_text()),
+                                       "dataset_id": 5}))
+        self._refused(["make-proxy", "--data", pipeline["data"], "--kind", "quantile", "--lo", "0.5", "--hi", "1.0",
+                       "--scores", scores, "--target-epochs", "3", "--out", tmp_path / "m.json"],
+                      sidecar, "dataset_id must be a string, got 5", capsys)
 
 
 class TestDataSidecar:
@@ -784,7 +861,7 @@ class TestRunGrid:
         code = main(["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
                      "--proxies", str(proxies), "--out", str(out)])
         assert code == 2
-        assert f"{manifest}: train_ids must be a list of integer example ids" in capsys.readouterr().err
+        assert f"{manifest}: train_ids[0] must be an integer, got 1.5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_resume_under_another_seed_is_refused(self, pipeline, tmp_path, capsys, monkeypatch):

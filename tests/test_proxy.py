@@ -224,15 +224,21 @@ class TestManifestPersistence:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("train_ids", [1.5, 2], "train_ids must be a list of integer example ids"),
-            ("train_ids", [True, 2], "train_ids must be a list of integer example ids"),
-            ("val_ids", ["1", 2], "val_ids must be a list of integer example ids"),
-            ("val_ids", 3, "val_ids must be a list of integer example ids"),
-            ("train_ids", [2**63, 2], "train_ids must be a list of integer example ids"),
+            ("train_ids", [1.5, 2], "train_ids[0] must be an integer, got 1.5"),
+            ("train_ids", [True, 2], "train_ids[0] must be an integer, got True"),
+            ("val_ids", ["1", 2], "val_ids[0] must be an integer, got '1'"),
+            ("val_ids", 3, "val_ids must be a list, got 3"),
+            ("train_ids", [2**63, 2], "train_ids holds an example id outside the int64 range"),
             ("train_ids", [1, 2, 1], "train_ids lists an example id more than once"),
             ("epochs", 0, "epochs must be a positive integer, got 0"),
-            ("epochs", 2.0, "epochs must be a positive integer, got 2.0"),
-            ("epochs", True, "epochs must be a positive integer, got True"),
+            ("epochs", 2.0, "epochs must be an integer, got 2.0"),
+            ("epochs", True, "epochs must be an integer, got True"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("proxy_id", 5, "proxy_id must be a string, got 5"),
+            ("params", {"fraction": True}, "fraction must be a finite number, got True"),
+            ("params", {"fraction": "0.5"}, "fraction must be a finite number, got '0.5'"),
+            ("params", {"class_set": [0, 1.0]}, "class_set[1] must be an integer, got 1.0"),
         ],
     )
     def test_bad_field_is_named_with_the_file(self, tmp_path, field, value, message):
