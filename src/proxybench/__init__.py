@@ -20,6 +20,12 @@ from .metrics import (
 )
 from .orchestrator import GridSpec, ResultStore, generate_grid, run_matrix, store_load
 from .proxy import ProxyManifest, ProxySpec, build_proxy, load_manifest, save_manifest
-from .trainer import HyperparamConfig, ModelParams, RunRecord, config_id, train_model
+from .trainer import (
+    HyperparamConfig,
+    ModelParams,
+    RunRecord,
+    config_id,
+    train_model,
+)
 
 __version__ = "0.1.0"

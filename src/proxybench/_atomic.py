@@ -3,69 +3,81 @@ check of what they hold, and writes that never leave a truncated file at the tar
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
 import os
 import stat
+import sys
 import typing
 from contextlib import contextmanager
 from pathlib import Path
 
-# annotation -> (test of a value it takes, what it takes)
+# annotation -> (test of a value it takes, what it takes): the package's one type policy
 _ATOMS = {
     int: (lambda v: type(v) is int, "an integer"),
-    float: (lambda v: type(v) is int or (isinstance(v, float) and math.isfinite(v)), "a finite number"),
+    float: (
+        lambda v: (isinstance(v, float) and math.isfinite(v)) or (type(v) is int and abs(v) <= sys.float_info.max),
+        "a finite number",
+    ),
     bool: (lambda v: type(v) is bool, "a boolean"),
     str: (lambda v: type(v) is str, "a string"),
 }
 
 
 @functools.cache
-def _rule(tp):
-    """(test of a value, is a list type, test of an item, what an item is) for annotation tp; None if unchecked."""
-    optional = type(None) in typing.get_args(tp)
-    tp = typing.get_args(tp)[0] if optional else tp  # X | None
-    many = typing.get_origin(tp) in (list, tuple)  # list[X] or tuple[X, ...]
-    takes, what = _ATOMS.get(typing.get_args(tp)[0] if many else tp, (None, None))
-    if takes is None:
-        return None
-    test = (lambda v: (type(v) is list or type(v) is tuple) and all(map(takes, v))) if many else takes
-    return (lambda v: v is None or test(v)) if optional else test, many, takes, what
+def _rule(tp) -> tuple | None:
+    """(test of a value, test of one item or None, what a value or item must be) for annotation tp.
+
+    None when the policy does not check tp. Built once per annotation, so a check costs one call.
+    """
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        rule = _rule(args[0])
+        return rule and ((lambda v, test=rule[0]: v is None or test(v)), *rule[1:])
+    if typing.get_origin(tp) in (list, tuple):  # list[X] or tuple[X, ...]
+        item, what = _ATOMS.get(args[0], (None, None))
+        return item and ((lambda v: (type(v) is list or type(v) is tuple) and all(map(item, v))), item, what)
+    test, what = _ATOMS.get(tp, (None, None))
+    return test and (test, None, what)
 
 
 def check_value(name: str, value, tp) -> None:
     """Raise ValueError "<name> must be ..., got <repr>" unless annotation tp takes value.
 
-    The package's one type policy: int takes only an int; float an int or a finite float, numpy's
-    too, never a bool; bool and str exactly their type; X | None also None; list[X] and tuple[X, ...]
-    a list or tuple of what X takes, the first refused item named <name>[i]; anything else anything.
+    int takes only an int; float an int within the float range or a finite float, numpy's too,
+    never a bool; bool and str exactly their type; X | None also None; list[X] and tuple[X, ...]
+    a list or tuple of what X takes, the first refused item named <name>[i]; any other
+    annotation anything.
     """
     rule = _rule(tp)
     if rule is None or rule[0](value):
         return
-    _, many, takes, what = rule
-    if many and (type(value) is list or type(value) is tuple):
-        i = next(i for i, v in enumerate(value) if not takes(v))
-        name, value = f"{name}[{i}]", value[i]
-    elif many:
-        what = "a list"
-    raise ValueError(f"{name} must be {what}, got {value!r}")
+    _, item, what = rule
+    if item is None:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if type(value) is not list and type(value) is not tuple:
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    i = next(i for i, v in enumerate(value) if not item(v))
+    raise ValueError(f"{name}[{i}] must be {what}, got {value[i]!r}")
 
 
 @functools.cache
-def _field_tests(cls) -> tuple:
+def _field_rules(cls) -> tuple:
+    """(name, annotation, test) of each field of dataclass cls that the policy checks, in field order."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name], rule[0]) for f in dataclasses.fields(cls) if (rule := _rule(hints[f.name])))
+    return tuple((name, tp, _rule(tp)[0]) for name, tp in hints.items() if _rule(tp) is not None)
 
 
-def check_fields(cls, values: dict) -> dict:
-    """check_value on values[name] for each field name of dataclass cls, in field order; returns values."""
-    for name, tp, test in _field_tests(cls):
-        if not test(values[name]):
-            check_value(name, values[name], tp)
-    return values
+def check_fields(cls, obj) -> None:
+    """check_value on each field of dataclass cls that the policy checks, read as an attribute of obj.
+
+    Attributes, not vars(obj): on CPython 3.11+ reading an instance's __dict__ builds it, which
+    slows every later attribute read of that instance.
+    """
+    for name, tp, test in _field_rules(cls):
+        if not test(getattr(obj, name)):
+            check_value(name, getattr(obj, name), tp)
 
 
 def read_json(path: str | Path, build):

@@ -128,7 +128,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(SynthSpec, vars(self))
+        check_fields(SynthSpec, self)
         if self.class_count < 2:
             raise ValueError("class_count must be >= 2")
         if self.feature_dim < 1:

@@ -13,6 +13,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class DifficultyTable:
     dataset_sha256: str | None = None  # of the CSV the scored examples came from
 
     def __post_init__(self):
-        check_fields(DifficultyTable, vars(self))
+        check_fields(DifficultyTable, self)
         ids = np.array(self.ids, dtype=np.int64)
         losses = np.array(self.losses, dtype=np.float64)
         if ids.ndim != 1 or losses.shape != ids.shape:
@@ -155,6 +156,14 @@ def load_table(path: str | Path) -> DifficultyTable:
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise FileNotFoundError(f"difficulty table sidecar not found: {sidecar_path}")
-    meta = read_json(sidecar_path, lambda m: check_fields(DifficultyTable, {
-        "dataset_id": m["dataset_id"], "scoring_config_id": m["scoring_config_id"], "dataset_sha256": m.get("dataset_sha256")}))
-    return DifficultyTable(ids=ids, losses=losses, **meta)
+
+    def sidecar(meta: dict) -> dict:  # checked inside read_json, so its errors start with the sidecar's path
+        fields = SimpleNamespace(
+            dataset_id=meta["dataset_id"],
+            scoring_config_id=meta["scoring_config_id"],
+            dataset_sha256=meta.get("dataset_sha256"),
+        )
+        check_fields(DifficultyTable, fields)
+        return vars(fields)
+
+    return DifficultyTable(ids=ids, losses=losses, **read_json(sidecar_path, sidecar))

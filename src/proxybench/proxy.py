@@ -67,7 +67,7 @@ class ProxySpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(ProxySpec, vars(self))
+        check_fields(ProxySpec, self)
         if self.kind not in KIND_FIELDS:
             raise ValueError(f"kind must be one of {tuple(KIND_FIELDS)}, got {self.kind!r}")
         for name in ("fraction", "class_set", "lo", "hi", "epochs"):
@@ -129,7 +129,7 @@ class ProxyManifest:
     epochs: int
 
     def __post_init__(self):
-        check_fields(ProxyManifest, vars(self))
+        check_fields(ProxyManifest, self)
         if self.epochs < 1:
             raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
         if len(self.train_ids) == 0:
