@@ -203,10 +203,10 @@ def _cmd_run_grid(args) -> int:
 
     if args.dry_run:
         units = plan_runs(train.id, manifests, grid, store_load(args.out), args.global_seed)
-        for m, cells in units:
-            print(f"{m.proxy_id} epochs={m.epochs} train={len(m.train_ids)} configs={','.join(c for _, c in cells)}")
-        pending = sum(len(cells) for _, cells in units)
-        cost = sum(len(m.train_ids) * m.epochs * len(cells) for m, cells in units)
+        for cells in units:
+            print(f"train={len(cells[0][0].train_ids)} cells={','.join(f'{m.proxy_id}:{m.epochs}:{c}' for m, _, c in cells)}")
+        pending = sum(len(cells) for cells in units)
+        cost = sum(len(m.train_ids) * m.epochs for cells in units for m, _, _ in cells)
         print(f"{len(manifests) * len(grid) - pending} cells stored, {pending} pending runs in {len(units)} units, "
               f"{cost} pending example-epochs")
         return 0

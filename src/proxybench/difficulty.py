@@ -135,7 +135,9 @@ def load_table(path: str | Path) -> DifficultyTable:
     """Read a table save_table wrote. A file that does not end with a newline
     was cut off mid-write and is refused, as is a row that is not an integer
     id and a loss; both errors name the file. An error in the .json sidecar,
-    a wrong field type too, starts with the sidecar's path (read_json)."""
+    a wrong field type too, starts with the sidecar's path (read_json), and
+    one in the rows (out of rank order, a repeated id, a negative loss) with
+    the table's."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"difficulty table not found: {path}")
@@ -166,4 +168,8 @@ def load_table(path: str | Path) -> DifficultyTable:
         check_fields(DifficultyTable, fields)
         return vars(fields)
 
-    return DifficultyTable(ids=ids, losses=losses, **read_json(sidecar_path, sidecar))
+    meta = read_json(sidecar_path, sidecar)
+    try:
+        return DifficultyTable(ids=ids, losses=losses, **meta)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

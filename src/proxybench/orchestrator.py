@@ -6,6 +6,8 @@ run's seed is a stable hash of its key, so the result of a cell never
 depends on scheduling, parallelism, stacking, or which cells ran before it.
 plan_runs is the one plan of a matrix: the units of cells a store still
 lacks. run_matrix trains it; run-grid --dry-run previews it, refusals too.
+Manifests that hold the same train and val ids (full and fewer_epochs) share
+their stacks, and --parallel N gives unit u of the plan to worker u mod N.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from ._atomic import read_json
 from .dataset import Dataset, subset_by_ids
@@ -25,9 +30,10 @@ __all__ = ["GridSpec", "ResultStore", "generate_grid", "grid_from_json", "plan_r
            "store_load"]
 
 _CONFIG_FIELDS = {f.name for f in fields(HyperparamConfig)}
-# Most cells a stack trains in lockstep. Five save most of the per-step
-# calls; larger stacks save little more and raise peak memory.
-_STACK_CAP = 5
+# Most cells a stack trains in lockstep. Ten keep the ten default-shape cells
+# of a full and a fewer_epochs manifest (five configs each) in one stack;
+# larger stacks save few more per-step calls and raise peak memory.
+_STACK_CAP = 10
 _MALFORMED = (ValueError, TypeError, AttributeError)  # a line that is not a RunRecord; decode errors are ValueErrors
 
 
@@ -48,6 +54,8 @@ class GridSpec:
                 raise ValueError(f"unknown config field {name!r}")
             if name in ("seed", "epochs"):
                 raise ValueError(f"{name} is not a searchable field")
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"variation {name} must be a list, got {values!r}")
             if not values:
                 raise ValueError(f"empty variation list for {name!r}")
             default = getattr(self.defaults, name)
@@ -170,17 +178,23 @@ def run_seed(dataset_id: str, proxy_id: str, cfg_id: str, global_seed: int) -> i
     return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big")
 
 
-def _run_unit(sub_train: Dataset, sub_val: Dataset, proxy_id: str, cells: list) -> list:
-    """Trains one pool task's cells, (run config, config id) pairs, as a stack; returns their records.
+def _run_unit(sub_train: Dataset, sub_val: Dataset, cells: list) -> list:
+    """Trains one unit's cells, (manifest, run config, config id) triples, as a stack; returns their records.
 
     A cell alone goes through train_model, the entry point that tracers
     and tests follow run by run.
     """
     if len(cells) == 1:
-        (cfg, cfg_id), = cells
-        return [train_model(sub_train, sub_val, cfg, proxy_id=proxy_id, config_key=cfg_id)[0]]
-    configs, keys = zip(*cells)
-    return [record for record, _ in train_stack(sub_train, sub_val, configs, proxy_id=proxy_id, config_keys=keys)]
+        (manifest, cfg, cfg_id), = cells
+        return [train_model(sub_train, sub_val, cfg, proxy_id=manifest.proxy_id, config_key=cfg_id)[0]]
+    manifests, configs, keys = zip(*cells)
+    proxy_ids = [m.proxy_id for m in manifests]
+    return [record for record, _ in train_stack(sub_train, sub_val, configs, proxy_ids=proxy_ids, config_keys=keys)]
+
+
+def _same_examples(a, b) -> bool:
+    """Whether two manifests train and validate on the same ids."""
+    return a is b or (np.array_equal(a.train_ids, b.train_ids) and np.array_equal(a.val_ids, b.val_ids))
 
 
 def _check_epoch_budgets(manifests: list, grid: list) -> None:
@@ -205,8 +219,10 @@ def _check_epoch_budgets(manifests: list, grid: list) -> None:
 def plan_runs(dataset_id: str, manifests: list, grid: list, store: ResultStore, global_seed: int) -> list:
     """The (proxy, config) cells not yet in store, as units in submission order.
 
-    A unit is (manifest, cells), its cells (run config, config id) pairs in
-    grid order, all of one stack_key and at most _STACK_CAP of them. A run
+    Manifests that hold the same train and val ids form a group, in the order
+    of each group's first manifest. A unit is a list of cells of one group,
+    (manifest, run config, config id) triples in cell order (manifest, then
+    grid config), all of one stack_key and at most _STACK_CAP of them. A run
     config is its grid config with the seed its key hashes to and the
     manifest's epochs, keeping the grid config's identity so results pair
     across proxies. Nothing is trained or copied.
@@ -216,24 +232,32 @@ def plan_runs(dataset_id: str, manifests: list, grid: list, store: ResultStore, 
     gives its key, since resuming would mix runs of two seeds.
     """
     _check_epoch_budgets(manifests, grid)
-    units = []
+    groups: list = []
     for manifest in manifests:
+        group = next((g for g in groups if _same_examples(g[0], manifest)), None)
+        if group is None:
+            groups.append([manifest])
+        else:
+            group.append(manifest)
+    units = []
+    for group in groups:
         stacks: dict = {}
-        for cfg in grid:
-            cfg_id = config_id(cfg)
-            key = (dataset_id, manifest.proxy_id, cfg_id)
-            seed = run_seed(*key, global_seed)
-            stored = store.get(key)
-            if stored is None:
-                run_cfg = replace(cfg, seed=seed, epochs=manifest.epochs)
-                stacks.setdefault(stack_key(run_cfg), []).append((run_cfg, cfg_id))
-            elif stored.seed != seed:
-                raise ValueError(
-                    f"stored run {key} used seed {stored.seed}, "
-                    f"but global seed {global_seed} gives seed {seed}; refusing to resume"
-                )
+        for manifest in group:
+            for cfg in grid:
+                cfg_id = config_id(cfg)
+                key = (dataset_id, manifest.proxy_id, cfg_id)
+                seed = run_seed(*key, global_seed)
+                stored = store.get(key)
+                if stored is None:
+                    run_cfg = replace(cfg, seed=seed, epochs=manifest.epochs)
+                    stacks.setdefault(stack_key(run_cfg), []).append((manifest, run_cfg, cfg_id))
+                elif stored.seed != seed:
+                    raise ValueError(
+                        f"stored run {key} used seed {stored.seed}, "
+                        f"but global seed {global_seed} gives seed {seed}; refusing to resume"
+                    )
         for cells in stacks.values():
-            units += [(manifest, cells[lo : lo + _STACK_CAP]) for lo in range(0, len(cells), _STACK_CAP)]
+            units += [cells[lo : lo + _STACK_CAP] for lo in range(0, len(cells), _STACK_CAP)]
     return units
 
 
@@ -251,26 +275,30 @@ def run_matrix(
 
     Trains the units of plan_runs(train.id, ...), which raises its refusals
     before any cell runs; records use train.id as the dataset id. Each unit
-    is one pool task, training its cells as a stack; a cell gets the same
-    record either way. Records are appended in cell order (manifest, then
-    grid config) regardless of which worker finishes first.
+    trains its cells as a stack; a cell gets the same record either way. Unit
+    u runs on worker u mod parallelism, each worker one thread that trains
+    its units in plan order, so which thread trains a unit depends only on
+    the plan. Records are appended in cell order (manifest, then grid config)
+    regardless of which worker finishes first.
     """
     units = plan_runs(train.id, manifests, grid, store, global_seed)
     rank = {config_id(cfg): i for i, cfg in enumerate(grid)}
     slots = sorted(  # (cell order, unit, position in it) of every pending cell
         ((manifests.index(manifest), rank[cfg_id]), u, pos)
-        for u, (manifest, cells) in enumerate(units)
-        for pos, (_, cfg_id) in enumerate(cells)
+        for u, cells in enumerate(units)
+        for pos, (manifest, _, cfg_id) in enumerate(cells)
     )
-    tasks, last = [], None  # (train subset, val subset, proxy id, cells) per unit
-    for manifest, cells in units:
-        if manifest is not last:
+    tasks, last = [], None  # (train subset, val subset, cells) per unit; a group's units are adjacent
+    for cells in units:
+        manifest = cells[0][0]
+        if last is None or not _same_examples(manifest, last):
             subsets = (subset_by_ids(train, manifest.train_ids), subset_by_ids(val, manifest.val_ids))
             last = manifest
-        tasks.append((*subsets, manifest.proxy_id, cells))
+        tasks.append((*subsets, cells))
 
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(_run_unit, *task) for task in tasks]
+    with ExitStack() as workers:
+        pools = [workers.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in range(min(parallelism, len(tasks)))]
+        futures = [pools[u % len(pools)].submit(_run_unit, *task) for u, task in enumerate(tasks)]
         for _, u, pos in slots:
             store.append(futures[u].result()[pos])
     return store

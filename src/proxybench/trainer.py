@@ -439,8 +439,8 @@ def evaluate_accuracy(params: ModelParams, d: Dataset) -> float:
 
 
 def stack_key(config: HyperparamConfig) -> tuple:
-    """Configs with equal keys can train in one stack: same layer sizes, batch size and epochs."""
-    return (config.depth, config.stem_width_1, config.stem_width_2, config.batch_size, config.epochs)
+    """Configs with equal keys can train in one stack: same layer sizes and batch size, whatever their epochs."""
+    return (config.depth, config.stem_width_1, config.stem_width_2, config.batch_size)
 
 
 def train_model(
@@ -463,7 +463,7 @@ def train_model(
     value (or the current model's accuracy if no epoch finished), and its
     nominal cost intact. The run is a stack of one (see train_stack).
     """
-    return train_stack(train, val, [config], proxy_id=proxy_id, config_keys=[config_key])[0]
+    return train_stack(train, val, [config], proxy_ids=[proxy_id], config_keys=[config_key])[0]
 
 
 def train_stack(
@@ -471,51 +471,55 @@ def train_stack(
     val: Dataset,
     configs: list,
     *,
-    proxy_id: str = "full",
+    proxy_ids: list | None = None,
     config_keys: list | None = None,
 ) -> list:
     """Train configs of one stack_key in lockstep; returns a (RunRecord, ModelParams) per config, in order.
 
     Each model gets the bits of its own train_model run: it keeps its own
-    initialization, shuffle and flip streams, target table, learning-rate
-    schedule and abort. A model whose loss or gradient goes non-finite is
-    frozen at that step and recorded as aborted; the others go on. Each step
-    is one forward_backward over the stack and one optimizer_step per
-    optimizer over that optimizer's rows; evaluation stays one model at a
-    time.
+    initialization, shuffle and flip streams, target table, epochs,
+    learning-rate schedule and abort. A model whose loss or gradient goes
+    non-finite is frozen at that step and recorded as aborted; the others go
+    on. A model whose epochs are done leaves the stack after that epoch's
+    evaluation. Each step is one forward_backward over the stack and one
+    optimizer_step per optimizer over that optimizer's rows; evaluation stays
+    one model at a time. Each record takes its config's proxy id ("full" by
+    default) and config key (config_id by default).
     """
     configs = list(configs)
     k = len(configs)
+    proxy_ids = ["full"] * k if proxy_ids is None else list(proxy_ids)
     config_keys = [None] * k if config_keys is None else list(config_keys)
-    if k == 0 or len(config_keys) != k:
-        raise ValueError("need one config key per config, and at least one config")
+    if k == 0 or len(proxy_ids) != k or len(config_keys) != k:
+        raise ValueError("need one proxy id and one config key per config, and at least one config")
     if len({stack_key(c) for c in configs}) != 1:
-        raise ValueError("configs of a stack must share layer sizes, batch size and epochs")
+        raise ValueError("configs of a stack must share layer sizes and batch size")
     if len(train) == 0 or len(val) == 0:
         raise ValueError("train and val must be non-empty")
     if train.feature_dim != val.feature_dim or train.class_count != val.class_count:
         raise ValueError("train and val shapes disagree")
 
-    members = [_Member(c, config_id(c) if key is None else key) for c, key in zip(configs, config_keys)]
+    members = [
+        _Member(c, pid, config_id(c) if key is None else key) for c, pid, key in zip(configs, proxy_ids, config_keys)
+    ]
     stack = _Stack(sorted(members, key=lambda m: _OPTIMIZERS.index(m.config.optimizer)), train, val)
     # Divergent configs overflow on purpose before the abort check catches
     # them, and a half-blown model can overflow again while being evaluated;
     # don't let numpy warn about either.
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(configs[0].epochs):
+        epoch = 0
+        while stack.members:
             stack.train_epoch(epoch)
-            if not stack.members:
-                break
             for i, m in enumerate(stack.members):
                 m.epoch_val_acc.append(evaluate_accuracy(stack.model(i), val))
-    for i, m in enumerate(stack.members):
-        m.params = stack.model(i)
+            epoch += 1
+            stack.retire([i for i, m in enumerate(stack.members) if m.config.epochs == epoch])
 
     return [
         (
             RunRecord(
                 dataset_id=train.id,
-                proxy_id=proxy_id,
+                proxy_id=m.proxy_id,
                 config_id=m.config_key,
                 seed=m.config.seed,
                 epoch_val_acc=m.epoch_val_acc,
@@ -534,6 +538,7 @@ class _Member:
     """One model of a stack: what it trains with, and how it ended."""
 
     config: HyperparamConfig
+    proxy_id: str
     config_key: str
     epoch_val_acc: list = field(default_factory=list)
     status: str = "ok"
@@ -545,24 +550,27 @@ class _Stack:
 
     Row i of every per-model array (parameters, gradients, optimizer slots,
     this epoch's shuffle order, flips and learning rates, the gathered
-    block) belongs to members[i]. freeze() takes rows out, so the rows of
-    each optimizer stay contiguous and a frozen model costs no more work.
+    block) belongs to members[i]. retire() takes rows out, so the rows of
+    each optimizer stay contiguous and a model that left costs no more work.
     """
 
     def __init__(self, members: list, train: Dataset, val: Dataset):
         cfg = members[0].config
         self.members, self.train, self.val = members, train, val
         self.batch = cfg.batch_size
-        n = len(train)
+        n, k = len(train), len(members)
         self.steps_per_epoch = -(-n // self.batch)
-        self.total_steps = cfg.epochs * self.steps_per_epoch
         # Gather a block of whole batches for every model, up to _BLOCK_ROWS
         # rows in all, with one call: fewer calls than one gather per batch,
         # and far less memory than copying the training set every epoch.
-        per_model = _BLOCK_ROWS // len(members)
+        per_model = _BLOCK_ROWS // k
         self.block = min(n, max(self.batch, per_model // self.batch * self.batch))
-        self.x_buf = np.empty(len(members) * self.block * train.feature_dim)
-        self.y_buf = np.empty(len(members) * self.block, dtype=train.labels.dtype)
+        self.x_buf = np.empty(k * self.block * train.feature_dim)
+        self.y_buf = np.empty(k * self.block, dtype=train.labels.dtype)
+        # Each epoch's shuffle orders, flips and flip draws are written over these.
+        self.order_buf = np.empty((k, n), dtype=np.int64)
+        self.flips_buf = np.empty((k, n), dtype=bool)
+        self.draws = np.empty(n)
         inits = [init_params(m.config, train.feature_dim, train.class_count) for m in members]
         self.params = ModelParams(inits[0].sizes, np.stack([p.flat for p in inits]))
         self.grads = ModelParams(self.params.sizes, np.zeros_like(self.params.flat))  # reused by every step
@@ -589,23 +597,28 @@ class _Stack:
         n, batch = len(self.train), self.batch
         full = n // batch
         k = len(self.members)
-        self.order = np.empty((k, n), dtype=np.int64)
+        self.order = self.order_buf[:k]
         self.flips = None
         if any(m.config.augment_prob > 0.0 for m in self.members):
-            self.flips = np.zeros((k, n), dtype=bool)
+            self.flips = self.flips_buf[:k]
         for i, m in enumerate(self.members):
-            self.order[i] = np.random.default_rng([m.config.seed, _STREAM_SHUFFLE, epoch]).permutation(n)
+            # What Generator.permutation(n) returns: a shuffled arange.
+            self.order[i] = np.arange(n)
+            np.random.default_rng([m.config.seed, _STREAM_SHUFFLE, epoch]).shuffle(self.order[i])
             # One draw per row in visiting order: the numbers that one draw
             # per batch from the same generator would give.
             if m.config.augment_prob > 0.0:
-                self.flips[i] = np.random.default_rng([m.config.seed, _STREAM_AUG, epoch]).random(n) < m.config.augment_prob
+                np.random.default_rng([m.config.seed, _STREAM_AUG, epoch]).random(out=self.draws)
+                np.less(self.draws, m.config.augment_prob, out=self.flips[i])
+            elif self.flips is not None:
+                self.flips[i] = False
         # Ascending row order within each batch keeps accumulation order
         # canonical, so full-batch runs ignore the shuffle.
         self.order[:, : full * batch].reshape(k, full, batch).sort(axis=2)
         self.order[:, full * batch :].sort(axis=1)
-        first = epoch * self.steps_per_epoch
+        first, spe = epoch * self.steps_per_epoch, self.steps_per_epoch
         self.lrs = np.array([
-            [one_cycle_lr(first + s, self.total_steps, m.config.learning_rate) for s in range(self.steps_per_epoch)]
+            [one_cycle_lr(first + s, m.config.epochs * spe, m.config.learning_rate) for s in range(spe)]
             for m in self.members
         ])[:, :, None]  # (k, steps, 1): a (rows, 1) column per optimizer and step
 
@@ -637,13 +650,24 @@ class _Stack:
         self.y = np.take(self.train.labels, rows, out=self.y_buf[: k * m].reshape(k, m))
 
     def freeze(self, rows: list) -> None:
-        """Stops the models in these rows where they stand and records them aborted."""
+        """Stops the models in these rows where they stand, mid-epoch, and records them aborted."""
         for i in rows:
             m = self.members[i]
             m.status = "aborted"
-            m.params = ModelParams(self.params.sizes, self.params.flat[i].copy())
-            pad = m.epoch_val_acc[-1] if m.epoch_val_acc else evaluate_accuracy(m.params, self.val)
+            pad = m.epoch_val_acc[-1] if m.epoch_val_acc else evaluate_accuracy(self.model(i), self.val)
             m.epoch_val_acc += [pad] * (m.config.epochs - len(m.epoch_val_acc))
+        keep = [i for i in range(len(self.members)) if i not in rows]
+        self.order, self.lrs, self.x, self.y = (a[keep] for a in (self.order, self.lrs, self.x, self.y))
+        if self.flips is not None:
+            self.flips = self.flips[keep]
+        self.retire(rows)
+
+    def retire(self, rows: list) -> None:
+        """Takes the models in these rows out of the stack, each with a copy of its parameters; their status stays."""
+        if not rows:
+            return
+        for i in rows:
+            self.members[i].params = ModelParams(self.params.sizes, self.params.flat[i].copy())
         keep = [i for i in range(len(self.members)) if i not in rows]
         states = {}
         for lo, hi, state, _, _ in self.groups:
@@ -658,7 +682,4 @@ class _Stack:
         self.members = [self.members[i] for i in keep]
         self.params = ModelParams(self.params.sizes, self.params.flat[keep])
         self.grads = ModelParams(self.params.sizes, self.grads.flat[keep])  # this step's, not yet applied
-        self.order, self.lrs, self.x, self.y = (a[keep] for a in (self.order, self.lrs, self.x, self.y))
-        if self.flips is not None:
-            self.flips = self.flips[keep]
         self._regroup(states)

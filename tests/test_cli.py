@@ -8,7 +8,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +44,13 @@ GRID = {
 
 
 def _dry_run_units(out: str):
-    """(proxy id, epochs, train size, config ids) of each unit a dry run printed, and its last line."""
+    """(train size, cells) of each unit a dry run printed, each cell (proxy id, epochs, config id); and its last line."""
     *lines, total = out.splitlines()
     units = []
     for line in lines:
-        proxy, epochs, train, configs = line.split(" ")
-        units.append((proxy, int(epochs.removeprefix("epochs=")), int(train.removeprefix("train=")),
-                      tuple(configs.removeprefix("configs=").split(","))))
+        train, cells = line.split(" ")
+        cells = [cell.split(":") for cell in cells.removeprefix("cells=").split(",")]
+        units.append((int(train.removeprefix("train=")), tuple((p, int(e), c) for p, e, c in cells)))
     return units, total
 
 
@@ -437,6 +437,20 @@ class TestMakeProxy:
         assert f"{scores}: does not end with a newline, so it was cut off mid-write" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_table_out_of_rank_order_is_named(self, pipeline, tmp_path, capsys):
+        scores = tmp_path / "swapped.csv"
+        header, first, second, *rest = pipeline["scores"].read_bytes().split(b"\r\n")
+        scores.write_bytes(b"\r\n".join([header, second, first, *rest]))
+        shutil.copy(pipeline["scores"].with_suffix(".json"), scores.with_suffix(".json"))
+        out = tmp_path / "m.json"
+        code = main(
+            ["make-proxy", "--data", str(pipeline["data"]), "--kind", "quantile", "--lo", "0.0", "--hi", "1.0",
+             "--scores", str(scores), "--target-epochs", "3", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {scores}: entries not in rank order (loss desc, id asc)\n"
+        assert not out.exists()
+
 
 class _HalfThenFail:
     """A file whose every write writes half its bytes, then fails."""
@@ -579,6 +593,14 @@ class TestJsonInputErrors:
         assert err.startswith(f"{'usage error' if code == 1 else 'error'}: {path}: ") and err.endswith(f"{message}\n")
         assert err.count(str(path)) == 1
 
+    def test_variation_that_is_not_a_list_is_refused_as_written(self, pipeline, tmp_path, capsys):
+        grid = tmp_path / "g2.json"
+        grid.write_text(json.dumps({"variations": {"optimizer": "sgd"}}))
+        argv = ["run-grid", "--data", pipeline["data"], "--grid", grid, "--proxies", pipeline["proxies"],
+                "--out", tmp_path / "r.jsonl", "--dry-run"]
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {grid}: variation optimizer must be a list, got 'sgd'\n"
+
 
 @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
 @pytest.mark.parametrize("bad", ["grid", "manifest"])
@@ -703,26 +725,33 @@ class TestRunGrid:
         assert code == 0
         assert list(tmp_path.iterdir()) == []  # neither the results file nor its lock
         units, total = _dry_run_units(capsys.readouterr().out)
-        # the synthesized full, then the 4 manifests by file name; each one stack of its 4 configs (all one stack_key)
-        assert [proxy for proxy, *_ in units] == ["full", "ep1", "half-0+1-f1.0", "hard-0.5-1.0", "random-0.5-s0"]
-        assert all(len(configs) == 4 for *_, configs in units)
+        # the synthesized full, then the 4 manifests by file name; all 4 configs share one stack_key, and
+        # ep1 trains on full's examples, so the two share one stack of 8
+        assert [[proxy for proxy, _, _ in cells] for _, cells in units] == [
+            ["full"] * 4 + ["ep1"] * 4, ["half-0+1-f1.0"] * 4, ["hard-0.5-1.0"] * 4, ["random-0.5-s0"] * 4]
+        assert [cfg for _, _, cfg in units[0][1][:4]] == [cfg for _, _, cfg in units[0][1][4:]]
         manifests = {m.proxy_id: m for m in map(load_manifest, pipeline["proxies"].glob("*.json"))}
-        for proxy, epochs, train, _ in units[1:]:
-            assert (epochs, train) == (manifests[proxy].epochs, len(manifests[proxy].train_ids))
-        cost = sum(epochs * train * len(configs) for _, epochs, train, configs in units)
-        assert total == f"0 cells stored, 20 pending runs in 5 units, {cost} pending example-epochs"
+        manifests["full"] = replace(manifests["ep1"], epochs=3)  # the synthesized full: ep1's examples, the grid's epochs
+        for train, cells in units:
+            for proxy, epochs, _ in cells:
+                assert (epochs, train) == (manifests[proxy].epochs, len(manifests[proxy].train_ids))
+        cost = sum(train * epochs for train, cells in units for _, epochs, _ in cells)
+        assert total == f"0 cells stored, 20 pending runs in 4 units, {cost} pending example-epochs"
 
     def test_dry_run_plans_what_run_grid_trains(self, pipeline, tmp_path, capsys, monkeypatch):
-        # batch_size 32 comes before the learning rates in cell order, but trains alone
+        # batch_size 32 comes before the learning rates in cell order, but trains apart from them
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({**GRID, "variations": {"batch_size": [32], "learning_rate": [0.01, 0.001]}}))
         trained = []
 
         def recording(fn, one):
-            def train(sub_train, sub_val, configs, *, proxy_id, **keys):
-                cfgs, ids = ([configs], [keys["config_key"]]) if one else (configs, keys["config_keys"])
-                trained.append((proxy_id, cfgs[0].epochs, len(sub_train), tuple(ids)))
-                return fn(sub_train, sub_val, configs, proxy_id=proxy_id, **keys)
+            def train(sub_train, sub_val, configs, **keys):
+                if one:
+                    cells = [(keys["proxy_id"], configs.epochs, keys["config_key"])]
+                else:
+                    cells = zip(keys["proxy_ids"], [c.epochs for c in configs], keys["config_keys"])
+                trained.append((len(sub_train), tuple(cells)))
+                return fn(sub_train, sub_val, configs, **keys)
             return train
 
         monkeypatch.setattr(orchestrator, "train_model", recording(orchestrator.train_model, True))
@@ -731,7 +760,8 @@ class TestRunGrid:
         proxies.mkdir()
         out = tmp_path / "r.jsonl"
         argv = ["run-grid", "--data", str(pipeline["data"]), "--grid", str(grid), "--proxies", str(proxies), "--out", str(out)]
-        for added, stored, pending in (("random_all.json", 0, 8), ("quantile.json", 8, 4)):  # a fresh file, then a resume
+        # a fresh file, where ep1 stacks with full, then a resume
+        for added, stored, pending, sizes in (("fewer_epochs.json", 0, 8, [6, 2]), ("quantile.json", 8, 4, [3, 1])):
             shutil.copy(pipeline["proxies"] / added, proxies / added)
             assert main(argv + ["--dry-run"]) == 0
             units, total = _dry_run_units(capsys.readouterr().out)
@@ -740,7 +770,7 @@ class TestRunGrid:
             assert main(argv) == 0
             assert f"({stored} pre-existing, {pending} new)" in capsys.readouterr().out
             assert trained == units
-            assert [len(configs) for *_, configs in units] == [3, 1] * (pending // 4)
+            assert [len(cells) for _, cells in units] == sizes
             trained.clear()
 
     def test_dry_run_after_a_complete_run_has_nothing_pending(self, pipeline, capsys):

@@ -226,6 +226,20 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(f"{p}: line 3: expected example_id,loss, got ['1']")):
             load_table(p)
 
+    @pytest.mark.parametrize("rows, message", [
+        (lambda rows: [rows[1], rows[0], *rows[2:]], "entries not in rank order (loss desc, id asc)"),
+        (lambda rows: [rows[0], rows[0], *rows[2:]], "duplicate example ids in difficulty table"),
+        (lambda rows: [*rows[:-1], b"2,-1.0"], "difficulty losses must be finite and non-negative"),
+    ])
+    def test_bad_rows_are_named_with_the_file(self, tmp_path, rows, message):
+        p = tmp_path / "scores.csv"
+        save_table(_table([3.0, 2.0, 1.0]), p)
+        header, *body, end = p.read_bytes().split(b"\r\n")
+        p.write_bytes(b"\r\n".join([header, *rows(body), end]))
+        with pytest.raises(ValueError) as info:
+            load_table(p)
+        assert str(info.value) == f"{p}: {message}"
+
     @pytest.mark.parametrize("sidecar, message", [
         ('{"scoring_config_id": "c"}', "missing key 'dataset_id'"),
         ('["d", "c"]', "expected a JSON object, got list"),

@@ -1,4 +1,6 @@
 import json
+import re
+import threading
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -10,12 +12,13 @@ from proxybench.orchestrator import (
     ResultStore,
     generate_grid,
     grid_from_json,
+    plan_runs,
     run_matrix,
     run_seed,
     store_load,
 )
 from proxybench.proxy import ProxySpec, build_proxy
-from proxybench.trainer import HyperparamConfig, RunRecord, config_id, train_model
+from proxybench.trainer import HyperparamConfig, RunRecord, config_id, stack_key, train_model
 
 
 def _record(ds="d", proxy="full", cfg="c0", best=0.5):
@@ -101,6 +104,11 @@ class TestGridGeneration:
         # each proxy manifest sets the epochs; a variation would retrain them under a new config id
         with pytest.raises(ValueError, match="epochs is not a searchable field"):
             GridSpec(defaults=FAST, variations={"epochs": [1]})
+
+    @pytest.mark.parametrize("values", ["sgd", 0.01, {"sgd": 1}, None])
+    def test_variation_that_is_not_a_list_rejected(self, values):
+        with pytest.raises(ValueError, match=re.escape(f"variation optimizer must be a list, got {values!r}")):
+            GridSpec(defaults=FAST, variations={"optimizer": values})
 
     def test_duplicate_values_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -248,6 +256,57 @@ class TestRunSeed:
         }
         assert s not in others
         assert len(others) == 4
+
+
+def _grid_large_plan(train, val):
+    """Manifests and grid shaped like the benchmark's grid-large: full, a subset, ep3 and another subset,
+    and a grid of five default-shape configs, one of another batch size and one deeper."""
+    proxies = [
+        build_proxy(train, val, ProxySpec(kind="full"), target_epochs=4),
+        build_proxy(train, val, ProxySpec(kind="random_all", fraction=0.5, seed=1), target_epochs=4),
+        build_proxy(train, val, ProxySpec(kind="fewer_epochs", epochs=3), target_epochs=4),
+        build_proxy(train, val, ProxySpec(kind="random_all", fraction=0.25, seed=0), target_epochs=4),
+    ]
+    grid = generate_grid(GridSpec(defaults=replace(FAST, epochs=4), variations={
+        "learning_rate": [0.001, 0.01], "optimizer": ["sgd", "rmsprop"], "batch_size": [32], "depth": ["large"],
+    }))
+    return proxies, grid
+
+
+class TestPlanRuns:
+    def test_manifests_with_equal_ids_share_stacks_in_cell_order(self, tmp_path):
+        train, val = _tiny_split()
+        proxies = [
+            build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
+            build_proxy(train, val, ProxySpec(kind="random_all", fraction=0.5, seed=0), target_epochs=2),
+            build_proxy(train, val, ProxySpec(kind="fewer_epochs", epochs=1), target_epochs=2),
+            build_proxy(train, val, ProxySpec(kind="random_all", fraction=1.0, seed=0), target_epochs=2),  # every id
+            build_proxy(train, val, ProxySpec(kind="half_classes", class_set=(0, 1)), target_epochs=2),
+        ]
+        grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01, 0.001], "depth": ["large"]}))
+        units = plan_runs(train.id, proxies, grid, ResultStore(tmp_path / "r.jsonl"), 0)
+        ids = {m.proxy_id: i for i, m in enumerate(proxies)}
+        rank = {config_id(c): i for i, c in enumerate(grid)}
+        assert [[(m.proxy_id, cfg.epochs) for m, cfg, _ in cells] for cells in units] == [
+            [("full", 2)] * 3 + [("ep1", 1)] * 3 + [("random-1.0-s0", 2)] * 3,
+            [("full", 2), ("ep1", 1), ("random-1.0-s0", 2)],
+            [("random-0.5-s0", 2)] * 3,
+            [("random-0.5-s0", 2)],
+            [("half-0+1-f1.0", 2)] * 3,
+            [("half-0+1-f1.0", 2)],
+        ]
+        for cells in units:
+            assert len({stack_key(cfg) for _, cfg, _ in cells}) == 1
+            order = [(ids[m.proxy_id], rank[cfg_id]) for m, _, cfg_id in cells]
+            assert order == sorted(order)
+        assert sum(len(cells) for cells in units) == len(proxies) * len(grid)
+
+    def test_grid_large_shape_gives_each_of_two_workers_a_lone_cell(self, tmp_path):
+        train, val = _tiny_split()
+        proxies, grid = _grid_large_plan(train, val)
+        units = plan_runs(train.id, proxies, grid, ResultStore(tmp_path / "r.jsonl"), 0)
+        assert [len(cells) for cells in units] == [10, 2, 2, 5, 1, 1, 5, 1, 1]
+        assert {u % 2 for u, cells in enumerate(units) if len(cells) == 1} == {0, 1}
 
 
 class TestRunMatrix:
@@ -406,12 +465,48 @@ class TestRunMatrix:
 
         monkeypatch.setattr(orchestrator, "train_stack", recording)
         train, val = _tiny_split()
-        proxies = [build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2)]
+        proxies = [
+            build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
+            build_proxy(train, val, ProxySpec(kind="fewer_epochs", epochs=1), target_epochs=2),
+        ]
         rates = [0.0005, 0.001, 0.002, 0.005, 0.007, 0.02, 0.03, 0.05, 0.1, 0.2, 0.3]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": rates, "depth": ["large"]}))
         store = run_matrix(train, val, proxies, grid, store=ResultStore(tmp_path / "results.jsonl"))
-        assert len(store) == 13
-        assert sizes == [orchestrator._STACK_CAP, orchestrator._STACK_CAP, 2]  # 12 compatible; the depth cell runs alone
+        assert len(store) == 26
+        # 12 compatible cells per manifest, 24 over both, then the two depth cells
+        assert orchestrator._STACK_CAP == 10
+        assert sizes == [10, 10, 4, 2]
+
+    def test_unit_u_runs_on_worker_u_mod_n(self, monkeypatch, tmp_path):
+        import proxybench.orchestrator as orchestrator
+
+        ran = []  # (thread, first cell's proxy and config id) per unit, as each starts
+        real = orchestrator._run_unit
+
+        def recording(sub_train, sub_val, cells):
+            ran.append((threading.get_ident(), (cells[0][0].proxy_id, cells[0][2])))
+            return real(sub_train, sub_val, cells)
+
+        monkeypatch.setattr(orchestrator, "_run_unit", recording)
+        lone = []
+        real_model = orchestrator.train_model
+
+        def recording_model(*args, **kw):
+            lone.append(threading.get_ident())
+            return real_model(*args, **kw)
+
+        monkeypatch.setattr(orchestrator, "train_model", recording_model)
+        train, val = _tiny_split()
+        proxies, grid = _grid_large_plan(train, val)
+        units = plan_runs(train.id, proxies, grid, ResultStore(tmp_path / "plan.jsonl"), 0)
+        store = run_matrix(train, val, proxies, grid, parallelism=2, store=ResultStore(tmp_path / "r.jsonl"))
+        assert len(store) == 28
+        first = {(cells[0][0].proxy_id, cells[0][2]): u for u, cells in enumerate(units)}
+        workers = {}
+        for thread, cell in ran:
+            workers.setdefault(thread, []).append(first[cell])
+        assert sorted(workers.values()) == [[0, 2, 4, 6, 8], [1, 3, 5, 7]]
+        assert len(set(lone)) == 2  # each worker trains a lone cell through train_model
 
     def test_empty_grid_rejected(self, tmp_path):
         train, val = _tiny_split()

@@ -682,6 +682,86 @@ class TestStacks:
         ]
         self._assert_solo_bits(train, val, configs, train_stack(train, val, configs))
 
+    def test_members_of_different_epochs_match_solo_runs(self):
+        train, val = TestPinnedRuns._data("small")
+        configs = [
+            _tiny_config(epochs=4, optimizer="sgd", learning_rate=0.1, augment_prob=1.0, seed=1),
+            _tiny_config(epochs=3, optimizer="adam", learning_rate=0.02, augment_prob=0.0, label_smoothing=False, seed=2),
+            _tiny_config(epochs=1, optimizer="rmsprop", learning_rate=0.005, seed=3),
+            _tiny_config(epochs=4, optimizer="adam", learning_rate=0.005, augment_prob=1.0, seed=4),
+            _tiny_config(epochs=1, optimizer="sgd", learning_rate=0.02, label_smoothing=False, seed=5),
+            _tiny_config(epochs=3, optimizer="rmsprop", learning_rate=0.01, augment_prob=0.0, seed=6),
+        ]
+        proxy_ids = [f"ep{c.epochs}" for c in configs]
+        stacked = train_stack(train, val, configs, proxy_ids=proxy_ids)
+        self._assert_solo_bits(train, val, configs, stacked)
+        assert [rec.proxy_id for rec, _ in stacked] == proxy_ids
+        assert [len(rec.epoch_val_acc) for rec, _ in stacked] == [4, 3, 1, 4, 1, 3]
+        assert [rec.cost_units for rec, _ in stacked] == [len(train) * c.epochs for c in configs]
+
+    @staticmethod
+    def _poison(monkeypatch, row, at):
+        """Makes one entry of the gradient row inf at the at-th forward_backward call."""
+        import proxybench.trainer as trainer
+
+        calls = []
+
+        def fb(params, x, y, smoothing, grads):
+            loss, grads = forward_backward(params, x, y, smoothing, grads)
+            calls.append(None)
+            if len(calls) == at:
+                grads.flat[row, 0] = np.inf
+            return loss, grads
+
+        monkeypatch.setattr(trainer, "forward_backward", fb)
+
+    def test_longer_member_aborts_while_shorter_ones_train_on(self, monkeypatch):
+        import proxybench.trainer as trainer
+
+        train, val = TestPinnedRuns._data("small")  # 36 rows in batches of 16: 3 steps per epoch
+        configs = [
+            _tiny_config(epochs=1, optimizer="adam", seed=1),
+            _tiny_config(epochs=2, optimizer="rmsprop", learning_rate=0.01, seed=2),
+            _tiny_config(epochs=4, optimizer="sgd", learning_rate=0.1, seed=3),
+            _tiny_config(epochs=3, optimizer="adam", learning_rate=0.005, seed=4),
+        ]
+        # Rows are in optimizer order: adam (1 epoch), adam (3), sgd, rmsprop. The 1-epoch model
+        # leaves after epoch 0, so in epoch 1 the sgd model is row 1; step 5 is epoch 1's second.
+        self._poison(monkeypatch, row=1, at=5)
+        stacked = train_stack(train, val, configs)
+        self._poison(monkeypatch, row=0, at=5)
+        solo, solo_params = train_model(train, val, configs[2])
+        assert solo.status == "aborted"
+        assert solo.epoch_val_acc == [solo.epoch_val_acc[0]] * 4
+        rec, params = stacked[2]
+        assert (rec.status, rec.epoch_val_acc, _sha(params.flat)) == (solo.status, solo.epoch_val_acc, _sha(solo_params.flat))
+        monkeypatch.setattr(trainer, "forward_backward", forward_backward)
+        others = [0, 1, 3]
+        self._assert_solo_bits(train, val, [configs[i] for i in others], [stacked[i] for i in others])
+        assert all(stacked[i][0].status == "ok" for i in others)
+
+    def test_short_member_stops_at_its_budget_when_the_longer_ones_abort(self, monkeypatch):
+        import proxybench.trainer as trainer
+
+        steps = []
+
+        def counting(*args):
+            steps.append(None)
+            return forward_backward(*args)
+
+        monkeypatch.setattr(trainer, "forward_backward", counting)
+        train, val = TestPinnedRuns._data("blocks")  # 1125 rows in batches of 7: 161 steps per epoch
+        configs = [
+            _tiny_config(epochs=2, batch_size=7, optimizer="adam", learning_rate=0.01, seed=1),
+            _tiny_config(epochs=3, batch_size=7, optimizer="sgd", learning_rate=1e30, seed=2),
+            _tiny_config(epochs=4, batch_size=7, optimizer="sgd", learning_rate=1e30, seed=6),
+        ]
+        stacked = train_stack(train, val, configs)
+        assert len(steps) == 2 * 161  # the stack steps no further than its last model's budget
+        assert [rec.status for rec, _ in stacked] == ["ok", "aborted", "aborted"]
+        assert [len(rec.epoch_val_acc) for rec, _ in stacked] == [2, 3, 4]
+        self._assert_solo_bits(train, val, configs, stacked)
+
     def test_incompatible_configs_are_refused(self):
         train, val = split(_small_data(), 0.2, seed=0)
         a, b = _tiny_config(), _tiny_config(batch_size=8)
