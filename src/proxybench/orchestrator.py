@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
@@ -279,7 +280,10 @@ def run_matrix(
     u runs on worker u mod parallelism, each worker one thread that trains
     its units in plan order, so which thread trains a unit depends only on
     the plan. Records are appended in cell order (manifest, then grid config)
-    regardless of which worker finishes first.
+    regardless of which worker finishes first. A unit that raises, or an
+    exception in the main thread (KeyboardInterrupt too), stops every unit
+    not yet started; the units running finish, and the exception propagates
+    once they have, leaving the store a cell-order prefix of the plan.
     """
     units = plan_runs(train.id, manifests, grid, store, global_seed)
     rank = {config_id(cfg): i for i, cfg in enumerate(grid)}
@@ -296,9 +300,29 @@ def run_matrix(
             last = manifest
         tasks.append((*subsets, cells))
 
-    with ExitStack() as workers:
+    stop = threading.Event()  # set once a unit raises, or the main thread does (Ctrl-C too)
+
+    def run(task):
+        if stop.is_set():
+            return None  # skipped: it had not started when the stop came
+        try:
+            return _run_unit(*task)
+        except BaseException:
+            stop.set()
+            raise
+
+    with ExitStack() as workers:  # on exit, waits for the units still running
         pools = [workers.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in range(min(parallelism, len(tasks)))]
-        futures = [pools[u % len(pools)].submit(_run_unit, *task) for u, task in enumerate(tasks)]
-        for _, u, pos in slots:
-            store.append(futures[u].result()[pos])
+        futures = [pools[u % len(pools)].submit(run, task) for u, task in enumerate(tasks)]
+        try:
+            for _, u, pos in slots:
+                records = futures[u].result()
+                if records is None:
+                    break
+                store.append(records[pos])
+        except BaseException:
+            stop.set()
+            raise
+    for future in futures:  # the loop above stops at a skipped unit: raise the error of a unit that failed
+        future.result()
     return store

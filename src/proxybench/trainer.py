@@ -10,9 +10,12 @@ Within each minibatch, example rows are processed in ascending dataset
 order. That makes full-batch training bitwise independent of the shuffle
 seed, which is the determinism property the test suite leans on.
 
-Models whose configs share a stack_key train in lockstep as a stack
-(train_stack), one row each of every buffer; each gets the bits of its own
-run, and a single run is a stack of one.
+Every model trains as a row of a stack (train_stack): models whose configs
+share a stack_key train in lockstep, one row each of every buffer, and a
+lone model (train_model) is a stack of one. The training step has that one
+form; each model gets the bits of its own run whatever else its stack holds.
+One model's own (P,) parameter layout serves evaluation, score_examples and
+the parameters a run returns.
 """
 
 from __future__ import annotations
@@ -145,11 +148,6 @@ class ModelParams:
             w_at += fan_in * fan_out
             b_at += fan_out
 
-    @functools.cached_property
-    def solo(self) -> "ModelParams":
-        """The model of a one-model stack as a model of its own, sharing flat."""
-        return ModelParams(self.sizes, self.flat[0])
-
 
 @dataclass
 class RunRecord:
@@ -157,7 +155,9 @@ class RunRecord:
 
     cost_units is the budgeted cost |train| * epochs; an aborted run keeps
     its nominal cost, and its accuracy list is padded to full length with
-    the last observed value.
+    the last observed value. A record with no epoch accuracies, an accuracy
+    outside [0, 1], a cost that is not positive or a negative seed is
+    refused with ValueError where it is built, as a results line is loaded.
     """
 
     dataset_id: str
@@ -172,6 +172,17 @@ class RunRecord:
 
     def __post_init__(self):
         check_fields(RunRecord, self)
+        if not self.epoch_val_acc:
+            raise ValueError("epoch_val_acc must not be empty")
+        for i, acc in enumerate(self.epoch_val_acc):
+            if not 0.0 <= acc <= 1.0:
+                raise ValueError(f"epoch_val_acc[{i}] must lie in [0, 1], got {acc!r}")
+        if not 0.0 <= self.best_val_acc <= 1.0:
+            raise ValueError(f"best_val_acc must lie in [0, 1], got {self.best_val_acc!r}")
+        if self.cost_units <= 0:
+            raise ValueError(f"cost_units must be positive, got {self.cost_units!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -193,9 +204,9 @@ def _target_table(class_count: int, smoothing) -> np.ndarray:
     """Row c is the training target for label c.
 
     It puts 0.9 on the labeled class and spreads the rest uniformly when
-    smoothing is on; one-hot otherwise. For a stack, smoothing is a tuple of
-    flags and model i's table is rows i*class_count onward. Shared, so
-    read-only.
+    smoothing is on; one-hot otherwise. forward_backward passes a tuple of
+    flags, one per model of its stack, and model i's table is rows
+    i*class_count onward. Shared, so read-only.
     """
     if isinstance(smoothing, tuple):
         table = np.concatenate([_target_table(class_count, flag) for flag in smoothing])
@@ -279,7 +290,7 @@ def _log_softmax(logits: np.ndarray, row: np.ndarray, probs: np.ndarray) -> np.n
 
 
 class _Scratch:
-    """forward_backward's buffers for batches of one shape: (rows,), or (k, rows) for a stack."""
+    """forward_backward's buffers for a stack's batches of one shape, rows = (k, n)."""
 
     def __init__(self, sizes, rows: tuple):
         self.acts = _layer_outputs(sizes, *rows)
@@ -287,20 +298,19 @@ class _Scratch:
         self.deltas = _layer_outputs(sizes[:-1], *rows)
         self.live = [np.empty((*rows, width), dtype=bool) for width in sizes[1:-1]]
         self.probs = np.empty((*rows, sizes[-1]))
-        self.per_model = self.probs.reshape(*rows[:-1], -1)  # each model's loss terms, flat
+        self.per_model = self.probs.reshape(rows[0], -1)  # each model's loss terms, flat
         self.target = np.empty((*rows, sizes[-1]))
         self.row = np.empty((*rows, 1))
         self.labels = np.empty(rows, dtype=np.int64)
 
 
-def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarray, smoothing, grads: ModelParams):
-    """Mean batch loss and exact analytic gradients, laid out like params.
+def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarray, smoothing: tuple, grads: ModelParams):
+    """Mean batch losses and exact analytic gradients of a stack of k models, laid out like params.
 
-    For one model, features is (n, d), labels (n,), smoothing a bool, and
-    the loss a float. For a stack of k models (params.flat is (k, P)),
-    features is (k, n, d), labels (k, n), smoothing a tuple of k flags, and
-    the loss a list of k floats: row i is model i's batch, and model i's
-    loss and gradient are bitwise those of its own call.
+    params.flat is (k, P), features (k, n, d), labels (k, n) and smoothing a
+    tuple of k flags; the loss is a list of k floats. Row i is model i's
+    batch, and model i's loss and gradient do not depend on the other rows:
+    a lone model is a stack of one.
 
     grads, laid out like params, is overwritten and returned. The
     activations and deltas go to buffers kept in grads.scratch, so a run that
@@ -311,38 +321,31 @@ def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarr
     softmax(logits) - target. The arguments are not checked: train_stack
     checks its datasets once, and cuts every batch from them.
     """
-    solo = params.flat.shape[:-1] == (1,)  # numpy's 2-D calls cost less than their stacked form, for the same bits
-    if solo:
-        params, x, y, smoothing, out = params.solo, features[0], labels[0], smoothing[0], grads.solo
-    else:
-        x, y, out = features, labels, grads
-    lead = params.flat.shape[:-1]
-    n = x.shape[-2]
-    s = out.scratch.get(n)
+    n = features.shape[-2]
+    s = grads.scratch.get(n)
     if s is None:
-        s = out.scratch[n] = _Scratch(params.sizes, x.shape[:-1])
+        s = grads.scratch[n] = _Scratch(params.sizes, features.shape[:-1])
     acts, probs, target = s.acts, s.probs, s.target
     classes = params.sizes[-1]
 
-    logp = _log_softmax(_forward(params, x, acts), s.row, probs)
-    if lead:
-        y = np.add(y, _label_offsets(lead[0], classes), out=s.labels)
+    logp = _log_softmax(_forward(params, features, acts), s.row, probs)
+    y = np.add(labels, _label_offsets(len(params.flat), classes), out=s.labels)
     _target_table(classes, smoothing).take(y, 0, target)
     np.multiply(target, logp, out=probs)
     totals = np.add.reduce(s.per_model, axis=-1).tolist()
-    loss = [-total / n for total in totals] if lead else -totals / n
+    loss = [-total / n for total in totals]
     delta = np.exp(logp, out=probs)
     delta -= target
     delta /= n  # dloss/dlogits
 
     for i in range(len(params.weights) - 1, -1, -1):
-        np.matmul(s.acts_t[i - 1] if i > 0 else x.swapaxes(-1, -2), delta, out=out.weights[i])
-        np.add.reduce(delta, axis=-2, keepdims=bool(lead), out=out.biases[i])
+        np.matmul(s.acts_t[i - 1] if i > 0 else features.swapaxes(-1, -2), delta, out=grads.weights[i])
+        np.add.reduce(delta, axis=-2, keepdims=True, out=grads.biases[i])
         if i > 0:
             below = np.matmul(delta, params.weights[i].swapaxes(-1, -2), out=s.deltas[i - 1])
             below *= np.greater(acts[i - 1], 0.0, out=s.live[i - 1])
             delta = below
-    return ([loss] if solo else loss), grads
+    return loss, grads
 
 
 def init_opt_state(optimizer: str, params: ModelParams) -> OptState:
@@ -418,18 +421,16 @@ def one_cycle_lr(step: int, total_steps: int, lr_max: float) -> float:
     return floor_lr + (lr_max - floor_lr) * (1.0 + math.cos(math.pi * t)) / 2.0
 
 
-def _gather_rows(features: np.ndarray, rows: np.ndarray, flip: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-    """Copy features[rows] into out, reversing the features of each row where flip is set.
+def _gather_rows(features: np.ndarray, rows: np.ndarray, flip: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy features[rows] into out, reversing the features of each row where the bool array flip is set.
 
     The reversal is the 1-D counterpart of a horizontal image flip: a fixed,
-    label-preserving transform. features itself is never written, and a flip
-    of None reverses nothing. rows are clipped into range, not checked,
-    which spares take a temporary copy of the block; the trainer's come
-    from a permutation of the rows.
+    label-preserving transform. features itself is never written. rows are
+    clipped into range, not checked, which spares take a temporary copy of
+    the block; the trainer's come from a permutation of the rows.
     """
     np.take(features, rows, axis=0, out=out, mode="clip")
-    if flip is not None:
-        out[flip] = out[flip, ::-1]
+    out[flip] = out[flip, ::-1]
     return out
 
 
@@ -597,10 +598,7 @@ class _Stack:
         n, batch = len(self.train), self.batch
         full = n // batch
         k = len(self.members)
-        self.order = self.order_buf[:k]
-        self.flips = None
-        if any(m.config.augment_prob > 0.0 for m in self.members):
-            self.flips = self.flips_buf[:k]
+        self.order, self.flips = self.order_buf[:k], self.flips_buf[:k]
         for i, m in enumerate(self.members):
             # What Generator.permutation(n) returns: a shuffled arange.
             self.order[i] = np.arange(n)
@@ -610,7 +608,7 @@ class _Stack:
             if m.config.augment_prob > 0.0:
                 np.random.default_rng([m.config.seed, _STREAM_AUG, epoch]).random(out=self.draws)
                 np.less(self.draws, m.config.augment_prob, out=self.flips[i])
-            elif self.flips is not None:
+            else:
                 self.flips[i] = False
         # Ascending row order within each batch keeps accumulation order
         # canonical, so full-batch runs ignore the shuffle.
@@ -645,7 +643,7 @@ class _Stack:
         rows = self.order[:, start : start + self.block]
         k, m = rows.shape
         d = self.train.feature_dim
-        flip = None if self.flips is None else self.flips[:, start : start + m].reshape(-1)
+        flip = self.flips[:, start : start + m].reshape(-1)
         self.x = _gather_rows(self.train.features, rows.reshape(-1), flip, self.x_buf[: k * m * d].reshape(-1, d)).reshape(k, m, d)
         self.y = np.take(self.train.labels, rows, out=self.y_buf[: k * m].reshape(k, m))
 
@@ -657,9 +655,7 @@ class _Stack:
             pad = m.epoch_val_acc[-1] if m.epoch_val_acc else evaluate_accuracy(self.model(i), self.val)
             m.epoch_val_acc += [pad] * (m.config.epochs - len(m.epoch_val_acc))
         keep = [i for i in range(len(self.members)) if i not in rows]
-        self.order, self.lrs, self.x, self.y = (a[keep] for a in (self.order, self.lrs, self.x, self.y))
-        if self.flips is not None:
-            self.flips = self.flips[keep]
+        self.order, self.flips, self.lrs, self.x, self.y = (a[keep] for a in (self.order, self.flips, self.lrs, self.x, self.y))
         self.retire(rows)
 
     def retire(self, rows: list) -> None:

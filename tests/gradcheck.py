@@ -29,8 +29,11 @@ def n_params(params: ModelParams) -> int:
 
 
 def fresh_forward_backward(params: ModelParams, x, y, smoothing):
-    """forward_backward into a new gradient buffer, so gradients kept from earlier calls stay intact."""
-    return forward_backward(params, x, y, smoothing, ModelParams(params.sizes, np.zeros_like(params.flat)))
+    """One model's (loss, gradient) from forward_backward on a stack of one, into a new gradient buffer,
+    so gradients kept from earlier calls stay intact; the gradient is a 1-D view of its row."""
+    stack = ModelParams(params.sizes, params.flat[None])
+    (loss,), grads = forward_backward(stack, x[None], y[None], (smoothing,), ModelParams(params.sizes, np.zeros_like(stack.flat)))
+    return loss, ModelParams(params.sizes, grads.flat[0])
 
 
 def gradient_check(

@@ -674,6 +674,31 @@ class TestFieldTypes:
                       sidecar, "dataset_id must be a string, got 5", capsys)
 
 
+class TestResultRanges:
+    """A results line whose values are of the right type but out of range exits 2, naming the file and line."""
+
+    @pytest.mark.parametrize("change, message", [
+        ({"epoch_val_acc": []}, "epoch_val_acc must not be empty"),
+        ({"epoch_val_acc": [0.5, 7.0, 0.5]}, "epoch_val_acc[1] must lie in [0, 1], got 7.0"),
+        ({"best_val_acc": 5.0}, "best_val_acc must lie in [0, 1], got 5.0"),
+        ({"cost_units": -3.0}, "cost_units must be positive, got -3.0"),
+        ({"cost_units": 0.0}, "cost_units must be positive, got 0.0"),
+        ({"seed": -5}, "seed must be >= 0, got -5"),
+    ])
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_refused_where_the_file_is_read(self, pipeline, tmp_path, capsys, change, message, command):
+        lines = pipeline["results"].read_text().splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), **change}) + "\n"
+        path = tmp_path / "r.jsonl"
+        path.write_text("".join(lines))
+        argv = {
+            "analyze": ["analyze", "--results", path, "--out", tmp_path / "q.csv"],
+            "report": ["report", "--report", pipeline["quality"], "--results", path, "--out", tmp_path / "plots"],
+        }[command]
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 2: malformed record ({message})\n"
+
+
 class TestDataSidecar:
     """Commands that load --data cache the parse in <data>.csv.npz, best-effort."""
 

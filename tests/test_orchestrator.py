@@ -1,6 +1,7 @@
 import json
 import re
 import threading
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -507,6 +508,83 @@ class TestRunMatrix:
             workers.setdefault(thread, []).append(first[cell])
         assert sorted(workers.values()) == [[0, 2, 4, 6, 8], [1, 3, 5, 7]]
         assert len(set(lone)) == 2  # each worker trains a lone cell through train_model
+
+    @staticmethod
+    def _fake_units(monkeypatch, units, release, failing=None, error=None, held=()):
+        """Replaces _run_unit. Unit `failing` sets release and raises error; a unit in held waits for
+        release, and a moment more for the failure to reach run_matrix; any other unit returns at once.
+        Each returns a record per cell. Returns the list of units in the order they started."""
+        import proxybench.orchestrator as orchestrator
+
+        first = {(cells[0][0].proxy_id, cells[0][2]): u for u, cells in enumerate(units)}
+        started = []
+
+        def fake(sub_train, sub_val, cells):
+            u = first[(cells[0][0].proxy_id, cells[0][2])]
+            started.append(u)
+            if u == failing:
+                release.set()
+                raise error
+            if u in held:
+                assert release.wait(timeout=10)
+                time.sleep(0.05)
+            return [RunRecord(sub_train.id, m.proxy_id, key, cfg.seed, [0.5], 0.5, 1.0) for m, cfg, key in cells]
+
+        monkeypatch.setattr(orchestrator, "_run_unit", fake)
+        return started
+
+    @staticmethod
+    def _plan(tmp_path):
+        """The grid-large-shaped plan: units of 10, 2, 2, 5, 1, 1, 5, 1 and 1 cells."""
+        train, val = _tiny_split()
+        proxies, grid = _grid_large_plan(train, val)
+        units = plan_runs(train.id, proxies, grid, ResultStore(tmp_path / "plan.jsonl"), 0)
+        return train, val, proxies, grid, units
+
+    def test_a_failed_unit_starts_no_later_unit(self, monkeypatch, tmp_path):
+        train, val, proxies, grid, units = self._plan(tmp_path)
+        started = self._fake_units(monkeypatch, units, threading.Event(), failing=1, error=RuntimeError("unit 1"))
+        store = ResultStore(tmp_path / "r.jsonl")
+        with pytest.raises(RuntimeError, match="unit 1"):
+            run_matrix(train, val, proxies, grid, parallelism=1, store=store)
+        assert started == [0, 1]
+        # unit 0 holds the first five cells in cell order: full's default-shape configs
+        assert [key for _, _, key in store.keys()] == [config_id(c) for c in grid[:5]]
+
+    def test_a_failed_unit_stops_each_worker_after_its_running_unit(self, monkeypatch, tmp_path):
+        # Unit 3 fails on worker 1 while worker 0 still runs unit 0. Worker 0 then skips unit 2, which
+        # the main thread reaches before unit 3; the error raised is still unit 3's.
+        train, val, proxies, grid, units = self._plan(tmp_path)
+        started = self._fake_units(monkeypatch, units, threading.Event(), failing=3, error=RuntimeError("unit 3"),
+                                   held={0})
+        store = ResultStore(tmp_path / "r.jsonl")
+        with pytest.raises(RuntimeError, match="unit 3"):
+            run_matrix(train, val, proxies, grid, parallelism=2, store=store)
+        assert sorted(started) == [0, 1, 3]
+        assert [key for _, _, key in store.keys()] == [config_id(c) for c in grid[:6]]  # full's cells in units 0, 1
+
+    def test_keyboard_interrupt_in_a_unit_takes_the_same_path(self, monkeypatch, tmp_path):
+        train, val, proxies, grid, units = self._plan(tmp_path)
+        started = self._fake_units(monkeypatch, units, threading.Event(), failing=0, error=KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            run_matrix(train, val, proxies, grid, parallelism=1, store=ResultStore(tmp_path / "r.jsonl"))
+        assert started == [0]
+
+    def test_keyboard_interrupt_in_the_main_thread_stops_the_units_not_started(self, monkeypatch, tmp_path):
+        # Ctrl-C lands while the first record is appended; units 1 and 2 may have started, and are held till then.
+        train, val, proxies, grid, units = self._plan(tmp_path)
+        interrupted = threading.Event()
+        started = self._fake_units(monkeypatch, units, interrupted, held=set(range(1, len(units))))
+        store = ResultStore(tmp_path / "r.jsonl")
+
+        def append(record):
+            interrupted.set()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(store, "append", append)
+        with pytest.raises(KeyboardInterrupt):
+            run_matrix(train, val, proxies, grid, parallelism=2, store=store)
+        assert 0 in started and set(started) <= {0, 1, 2}
 
     def test_empty_grid_rejected(self, tmp_path):
         train, val = _tiny_split()

@@ -176,11 +176,12 @@ class TestForwardBackward:
         d = _small_data()
         params = init_params(_tiny_config(), d.feature_dim, d.class_count)
         loss, fresh = fresh_forward_backward(params, d.features[:8], d.labels[:8], True)
-        buf = ModelParams(params.sizes, np.full_like(params.flat, np.nan))
-        loss_buf, out = forward_backward(params, d.features[:8], d.labels[:8], True, buf)
+        stack = ModelParams(params.sizes, params.flat[None])
+        buf = ModelParams(params.sizes, np.full_like(stack.flat, np.nan))
+        losses, out = forward_backward(stack, d.features[None, :8], d.labels[None, :8], (True,), buf)
         assert out is buf
-        assert loss_buf == loss
-        assert np.array_equal(buf.flat, fresh.flat)
+        assert losses == [loss]
+        assert np.array_equal(buf.flat[0], fresh.flat)
 
 
 class TestGradientCheckHarness:
@@ -299,8 +300,7 @@ class TestAugment:
     def test_prob_zero_is_identity(self):
         x = np.arange(12.0).reshape(4, 3)
         rows = np.array([3, 0, 2])
-        for flip in (None, np.zeros(3, dtype=bool)):
-            assert np.array_equal(_gather_rows(x, rows, flip, np.empty((3, 3))), x[rows])
+        assert np.array_equal(_gather_rows(x, rows, np.zeros(3, dtype=bool), np.empty((3, 3))), x[rows])
 
     def test_prob_one_reverses(self):
         x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -553,14 +553,15 @@ class TestPinnedRuns:
     def test_reused_buffers_give_the_bits_of_a_fresh_call(self):
         train, _ = self._data("small")
         params = init_params(_tiny_config(depth="large"), train.feature_dim, train.class_count)
-        reused = ModelParams(params.sizes)
+        stack = ModelParams(params.sizes, params.flat[None])
+        reused = ModelParams(params.sizes, np.zeros_like(stack.flat))
         for rows, loss_hex, digest in self.GRADIENTS * 2:  # full, partial, then both again
             x, y = train.features[:rows], train.labels[:rows]
             fresh_loss, fresh = fresh_forward_backward(params, x, y, True)
-            loss, grads = forward_backward(params, x, y, True, reused)
+            (loss,), grads = forward_backward(stack, x[None], y[None], (True,), reused)
             assert grads is reused
             assert loss.hex() == fresh_loss.hex() == loss_hex
-            assert _sha(grads.flat) == _sha(fresh.flat) == digest
+            assert _sha(grads.flat[0]) == _sha(fresh.flat) == digest
         assert sorted(reused.scratch) == [5, 8]  # one set of buffers per batch size
 
 
