@@ -1,8 +1,9 @@
 """Command-line pipeline: generate data, score difficulty, build proxies,
 run the grid, analyze quality, and emit plot-ready CSVs.
 
-Exit codes: 0 success, 1 usage error, 2 runtime failure. The environment
-variable PROXYBENCH_SEED overrides the --global-seed flag everywhere, so a
+Exit codes: 0 success, 1 usage error, 2 runtime failure, 130 interrupted
+(Ctrl-C: one line on stderr, no traceback). The environment variable
+PROXYBENCH_SEED overrides the --global-seed flag everywhere, so a
 whole pipeline can be re-seeded without touching its invocations; either
 must be a non-negative integer, checked before any input is read. Commands
 write single-file outputs atomically (temp file + rename), so a failed
@@ -405,6 +406,9 @@ def main(argv=None) -> int:
         except Exception as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
+        except KeyboardInterrupt:  # run-grid's results file keeps the cell-order prefix it had
+            print("interrupted", file=sys.stderr)
+            return 130
 
 
 if __name__ == "__main__":

@@ -68,7 +68,7 @@ class DifficultyTable:
 
 
 def score_examples(model: ModelParams, train: Dataset, scoring_config_id: str = "default") -> DifficultyTable:
-    """Score each training example by its loss under a trained model.
+    """Score each training example by its loss under a trained model, a stack of one.
 
     The loss is plain (unsmoothed) cross entropy regardless of how the model
     was trained, so scores are comparable across objective variants, and no
@@ -77,14 +77,14 @@ def score_examples(model: ModelParams, train: Dataset, scoring_config_id: str = 
     """
     if len(train) == 0:
         raise ValueError("cannot score an empty dataset")
-    if train.feature_dim != model.weights[0].shape[0]:
+    if train.feature_dim != model.weights[0].shape[1]:
         raise ValueError(
-            f"feature dim {train.feature_dim} does not match model fan-in {model.weights[0].shape[0]}"
+            f"feature dim {train.feature_dim} does not match model fan-in {model.weights[0].shape[1]}"
         )
     n = len(train)
     logits = _logits(model, train.features)
-    logp = _log_softmax(logits, np.empty((n, 1)), np.empty_like(logits))
-    losses = -logp[np.arange(n), train.labels]
+    logp = _log_softmax(logits, np.empty((1, n, 1)), np.empty_like(logits))
+    losses = -logp[0, np.arange(n), train.labels]
     order = np.lexsort((train.ids, -losses))
     return DifficultyTable(
         ids=train.ids[order], losses=losses[order], dataset_id=train.id, scoring_config_id=scoring_config_id,

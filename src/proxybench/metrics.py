@@ -450,11 +450,32 @@ def reports_to_csv(reports, fh) -> None:
     w.writerows(map(astuple, reports))  # csv writes a float as str(), the shortest repr that round-trips
 
 
+# What reads each column, in field order: two names, four floats, one count.
+_REPORT_READERS = ((str, "a name"), (str, "a name"), *[(float, "a number")] * 4, (int, "an integer"))
+
+
 def reports_from_csv(path: str | Path) -> list:
+    """The rows of a quality report CSV as reports_to_csv writes it; blank lines are skipped.
+
+    A row without exactly the REPORT_COLUMNS, or a value its column's reader
+    (float, nan included, or int) refuses, raises ValueError
+    "<path>: line N: ..." naming the column.
+    """
     path = Path(path)
+    reports = []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != REPORT_COLUMNS:
-        raise ValueError(f"{path}: not a quality report CSV")
-    # columns in field order: two names, four floats, one count
-    return [QualityReport(row[0], row[1], *map(float, row[2:6]), int(row[6])) for row in rows[1:] if row]
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != REPORT_COLUMNS:
+            raise ValueError(f"{path}: not a quality report CSV")
+        for row in filter(None, reader):
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(REPORT_COLUMNS):
+                raise ValueError(f"{where}: {len(row)} columns, expected {len(REPORT_COLUMNS)} ({','.join(REPORT_COLUMNS)})")
+            values = []
+            for name, text, (read, what) in zip(REPORT_COLUMNS, row, _REPORT_READERS):
+                try:
+                    values.append(read(text))
+                except ValueError:
+                    raise ValueError(f"{where}: {name} must be {what}, got {text!r}") from None
+            reports.append(QualityReport(*values))
+    return reports

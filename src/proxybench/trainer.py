@@ -10,12 +10,12 @@ Within each minibatch, example rows are processed in ascending dataset
 order. That makes full-batch training bitwise independent of the shuffle
 seed, which is the determinism property the test suite leans on.
 
-Every model trains as a row of a stack (train_stack): models whose configs
-share a stack_key train in lockstep, one row each of every buffer, and a
-lone model (train_model) is a stack of one. The training step has that one
-form; each model gets the bits of its own run whatever else its stack holds.
-One model's own (P,) parameter layout serves evaluation, score_examples and
-the parameters a run returns.
+A model is a row of a stack everywhere. Models whose configs share a
+stack_key train in lockstep (train_stack), one row each of every buffer, and
+a lone model (train_model) is a stack of one. So are an evaluated model, the
+model score_examples runs and the parameters a run returns: one parameter
+layout, and one form of the training step. Each model gets the bits of its
+own run whatever else its stack holds.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -113,17 +113,16 @@ def config_id(config: HyperparamConfig) -> str:
 
 
 class ModelParams:
-    """Per-layer weights and biases, held as views into one flat float64 buffer.
+    """The weights and biases of a stack of k models, held as views into one (k, P) float64 buffer.
 
-    sizes lists the layer widths, input first and class count last. flat holds
-    every weight matrix (row-major, layer order) and then every bias vector;
-    weights[i] and biases[i] are reshaped views into it, so writing through
-    either side changes both. Gradients use the same class and layout, which
-    lets the optimizer work on flat alone.
-
-    A stack of k models of the same sizes has a (k, P) flat, one model per
-    row. Its weights[i] are then (k, fan_in, fan_out) and its biases[i]
-    (k, 1, fan_out), which broadcast over a (k, rows, fan_out) batch.
+    sizes lists the layer widths, input first and class count last. Row i of
+    flat is model i: every weight matrix (row-major, layer order) and then
+    every bias vector. weights[i] is a (k, fan_in, fan_out) view and
+    biases[i] a (k, 1, fan_out) view into flat, which broadcast over a
+    (k, rows, fan_out) batch; writing through either side changes both.
+    Gradients use the same class and layout, which lets the optimizer work on
+    flat alone. One model is a stack of one, and a missing flat is one model
+    of zeros.
 
     scratch holds the activation and delta buffers forward_backward keeps on
     the gradient buffer it writes, one set per batch size.
@@ -135,16 +134,15 @@ class ModelParams:
         shapes = list(zip(self.sizes[:-1], self.sizes[1:]))
         n_weights = sum(fan_in * fan_out for fan_in, fan_out in shapes)
         n = n_weights + sum(self.sizes[1:])
-        self.flat = np.zeros(n) if flat is None else flat
-        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != n:
-            raise ValueError(f"flat must have shape ({n},) or (k, {n}) for sizes {self.sizes}, got {self.flat.shape}")
-        lead = self.flat.shape[:-1]
+        self.flat = np.zeros((1, n)) if flat is None else flat
+        if self.flat.ndim != 2 or self.flat.shape[1] != n:
+            raise ValueError(f"flat must have shape (k, {n}) for sizes {self.sizes}, got {self.flat.shape}")
+        k = len(self.flat)
         self.weights, self.biases = [], []
         w_at, b_at = 0, n_weights
         for fan_in, fan_out in shapes:
-            bias_shape = (*lead, 1, fan_out) if lead else (fan_out,)
-            self.weights.append(self.flat[..., w_at : w_at + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
-            self.biases.append(self.flat[..., b_at : b_at + fan_out].reshape(bias_shape))
+            self.weights.append(self.flat[:, w_at : w_at + fan_in * fan_out].reshape(k, fan_in, fan_out))
+            self.biases.append(self.flat[:, b_at : b_at + fan_out].reshape(k, 1, fan_out))
             w_at += fan_in * fan_out
             b_at += fan_out
 
@@ -187,16 +185,18 @@ class RunRecord:
 
 @dataclass
 class OptState:
-    """Optimizer slots, laid out like ModelParams.flat; sgd keeps none.
+    """Optimizer slots laid out like ModelParams.flat, and t, the steps taken.
 
-    scratch holds two more such vectors for the temporaries of one step.
+    Every kind has every slot: adam reads m and v, rmsprop v and sgd
+    neither. scratch holds two more such arrays for the temporaries of one
+    step. A stack's optimizer groups step row views of the stack's slots.
     """
 
     kind: str
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple
     t: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    scratch: tuple | None = None
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,7 +228,7 @@ def _label_offsets(models: int, class_count: int) -> np.ndarray:
 
 
 def init_params(config: HyperparamConfig, feature_dim: int, class_count: int) -> ModelParams:
-    """Fan-in-scaled gaussian weights, zero biases, seeded from config.seed."""
+    """A stack of one model: fan-in-scaled gaussian weights, zero biases, seeded from config.seed."""
     sizes = (
         [feature_dim, config.stem_width_1, config.stem_width_2]
         + [config.stem_width_2] * DEPTH_EXTRA_LAYERS[config.depth]
@@ -237,7 +237,7 @@ def init_params(config: HyperparamConfig, feature_dim: int, class_count: int) ->
     params = ModelParams(sizes)
     rng = np.random.default_rng([config.seed, _STREAM_INIT])
     for w in params.weights:
-        w[:] = rng.standard_normal(w.shape) * math.sqrt(2.0 / w.shape[0])
+        w[:] = rng.standard_normal(w.shape) * math.sqrt(2.0 / w.shape[1])
     return params
 
 
@@ -349,20 +349,16 @@ def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarr
 
 
 def init_opt_state(optimizer: str, params: ModelParams) -> OptState:
-    """Fresh slots of one of _OPTIMIZERS, the names HyperparamConfig takes."""
-    if optimizer == "sgd":
-        return OptState(kind="sgd")
-    scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
-    if optimizer == "adam":
-        return OptState(kind="adam", m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), scratch=scratch)
-    return OptState(kind="rmsprop", v=np.zeros_like(params.flat), scratch=scratch)
+    """Fresh slots for every row of params, for one of _OPTIMIZERS (the names HyperparamConfig takes)."""
+    flat = params.flat
+    return OptState(optimizer, np.zeros_like(flat), np.zeros_like(flat), (np.empty_like(flat), np.empty_like(flat)))
 
 
 def optimizer_step(state: OptState, params: ModelParams, grads: ModelParams, lr: float):
     """Apply one update in place; returns (params, state) for convenience.
 
-    For a stack, params and grads hold the rows of the models this state
-    updates, and lr is a (rows, 1) column: every row steps together.
+    params and grads hold the rows of the models this state updates, and lr
+    is a float or a (rows, 1) column: every row steps together.
     SGD: p -= lr*g. Adam: bias-corrected, beta1=0.9, beta2=0.999, eps=1e-8.
     RMSProp: rho=0.99, eps=1e-8, no momentum. The gradient is not checked:
     the trainer freezes a model whose gradient is not finite before it
@@ -435,8 +431,11 @@ def _gather_rows(features: np.ndarray, rows: np.ndarray, flip: np.ndarray, out: 
 
 
 def evaluate_accuracy(params: ModelParams, d: Dataset) -> float:
-    """Fraction of examples whose argmax logit matches the label; d is not empty (train_stack refuses an empty val)."""
-    return float(np.mean(np.argmax(_logits(params, d.features), axis=1) == d.labels))
+    """Fraction of examples whose argmax logit matches the label, for a stack of one model.
+
+    d is not empty (train_stack refuses an empty val).
+    """
+    return float(np.mean(np.argmax(_logits(params, d.features), axis=-1) == d.labels))
 
 
 def stack_key(config: HyperparamConfig) -> tuple:
@@ -452,7 +451,7 @@ def train_model(
     proxy_id: str = "full",
     config_key: str | None = None,
 ):
-    """Train a fresh model; returns (RunRecord, ModelParams).
+    """Train a fresh model; returns (RunRecord, ModelParams), its parameters as a stack of one.
 
     Deterministic given (config, data): initialization is seeded from
     config.seed, and the per-epoch shuffle and augmentation draws from
@@ -475,7 +474,7 @@ def train_stack(
     proxy_ids: list | None = None,
     config_keys: list | None = None,
 ) -> list:
-    """Train configs of one stack_key in lockstep; returns a (RunRecord, ModelParams) per config, in order.
+    """Train configs of one stack_key in lockstep; returns a (RunRecord, ModelParams of one model) per config, in order.
 
     Each model gets the bits of its own train_model run: it keeps its own
     initialization, shuffle and flip streams, target table, epochs,
@@ -551,8 +550,9 @@ class _Stack:
 
     Row i of every per-model array (parameters, gradients, optimizer slots,
     this epoch's shuffle order, flips and learning rates, the gathered
-    block) belongs to members[i]. retire() takes rows out, so the rows of
-    each optimizer stay contiguous and a model that left costs no more work.
+    block) belongs to members[i]. retire() is the one place rows leave
+    them, so the rows of each optimizer stay contiguous and a model that left
+    costs no more work.
     """
 
     def __init__(self, members: list, train: Dataset, val: Dataset):
@@ -573,25 +573,28 @@ class _Stack:
         self.flips_buf = np.empty((k, n), dtype=bool)
         self.draws = np.empty(n)
         inits = [init_params(m.config, train.feature_dim, train.class_count) for m in members]
-        self.params = ModelParams(inits[0].sizes, np.stack([p.flat for p in inits]))
+        self.params = ModelParams(inits[0].sizes, np.concatenate([p.flat for p in inits]))
         self.grads = ModelParams(self.params.sizes, np.zeros_like(self.params.flat))  # reused by every step
-        self._regroup({})
+        slots = init_opt_state(cfg.optimizer, self.params)
+        self.slots = (slots.m, slots.v, *slots.scratch)  # every row's, whatever its optimizer
+        self._regroup(0)
 
-    def _regroup(self, states: dict) -> None:
-        """Per optimizer: its rows, state (from states, or fresh) and row views; and the stack's smoothing flags."""
+    def _regroup(self, t: int) -> None:
+        """Per optimizer: its rows, a state of t steps over row views of the slots, and row views
+        of params and grads; and the stack's smoothing flags."""
         kinds = [m.config.optimizer for m in self.members]
         self.smoothing = tuple(m.config.label_smoothing for m in self.members)
         self.groups = []
         for kind in _OPTIMIZERS:
             if kind in kinds:
-                lo = kinds.index(kind)
-                hi = lo + kinds.count(kind)
-                params = ModelParams(self.params.sizes, self.params.flat[lo:hi])
-                state = states.get(kind) or init_opt_state(kind, params)
-                self.groups.append((lo, hi, state, params, ModelParams(self.params.sizes, self.grads.flat[lo:hi])))
+                rows = slice(kinds.index(kind), kinds.index(kind) + kinds.count(kind))
+                m, v, *scratch = (a[rows] for a in self.slots)
+                state = OptState(kind, m, v, tuple(scratch), t)
+                params = ModelParams(self.params.sizes, self.params.flat[rows])
+                self.groups.append((rows, state, params, ModelParams(self.params.sizes, self.grads.flat[rows])))
 
     def model(self, i: int) -> ModelParams:
-        return ModelParams(self.params.sizes, self.params.flat[i])
+        return ModelParams(self.params.sizes, self.params.flat[i : i + 1])
 
     def train_epoch(self, epoch: int) -> None:
         """One epoch of steps; returns early if every model froze."""
@@ -634,8 +637,8 @@ class _Stack:
                     self.freeze([i for i, (loss, ok) in enumerate(zip(losses, rows_ok)) if not (ok and math.isfinite(loss))])
                     if not self.members:
                         return
-                for lo, hi, state, params, grads in self.groups:
-                    optimizer_step(state, params, grads, self.lrs[lo:hi, s])
+                for rows, state, params, grads in self.groups:
+                    optimizer_step(state, params, grads, self.lrs[rows, s])
                 s += 1
 
     def _gather(self, start: int) -> None:
@@ -648,34 +651,25 @@ class _Stack:
         self.y = np.take(self.train.labels, rows, out=self.y_buf[: k * m].reshape(k, m))
 
     def freeze(self, rows: list) -> None:
-        """Stops the models in these rows where they stand, mid-epoch, and records them aborted."""
+        """Stops the models in these rows where they stand, mid-epoch, records them aborted and retires them."""
         for i in rows:
             m = self.members[i]
             m.status = "aborted"
             pad = m.epoch_val_acc[-1] if m.epoch_val_acc else evaluate_accuracy(self.model(i), self.val)
             m.epoch_val_acc += [pad] * (m.config.epochs - len(m.epoch_val_acc))
-        keep = [i for i in range(len(self.members)) if i not in rows]
-        self.order, self.flips, self.lrs, self.x, self.y = (a[keep] for a in (self.order, self.flips, self.lrs, self.x, self.y))
         self.retire(rows)
 
     def retire(self, rows: list) -> None:
-        """Takes the models in these rows out of the stack, each with a copy of its parameters; their status stays."""
+        """Takes the models in these rows out of every per-model array, each with a copy of its parameters;
+        their status stays."""
         if not rows:
             return
         for i in rows:
-            self.members[i].params = ModelParams(self.params.sizes, self.params.flat[i].copy())
+            self.members[i].params = ModelParams(self.params.sizes, self.params.flat[i : i + 1].copy())
         keep = [i for i in range(len(self.members)) if i not in rows]
-        states = {}
-        for lo, hi, state, _, _ in self.groups:
-            local = [i - lo for i in keep if lo <= i < hi]
-            if local:
-                states[state.kind] = replace(
-                    state,
-                    m=None if state.m is None else state.m[local],
-                    v=None if state.v is None else state.v[local],
-                    scratch=None if state.scratch is None else tuple(a[local] for a in state.scratch),
-                )
         self.members = [self.members[i] for i in keep]
         self.params = ModelParams(self.params.sizes, self.params.flat[keep])
         self.grads = ModelParams(self.params.sizes, self.grads.flat[keep])  # this step's, not yet applied
-        self._regroup(states)
+        self.slots = tuple(a[keep] for a in self.slots)
+        self.order, self.flips, self.lrs, self.x, self.y = (a[keep] for a in (self.order, self.flips, self.lrs, self.x, self.y))
+        self._regroup(self.groups[0][1].t)  # every group steps every step, so all share one count

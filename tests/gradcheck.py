@@ -29,11 +29,10 @@ def n_params(params: ModelParams) -> int:
 
 
 def fresh_forward_backward(params: ModelParams, x, y, smoothing):
-    """One model's (loss, gradient) from forward_backward on a stack of one, into a new gradient buffer,
-    so gradients kept from earlier calls stay intact; the gradient is a 1-D view of its row."""
-    stack = ModelParams(params.sizes, params.flat[None])
-    (loss,), grads = forward_backward(stack, x[None], y[None], (smoothing,), ModelParams(params.sizes, np.zeros_like(stack.flat)))
-    return loss, ModelParams(params.sizes, grads.flat[0])
+    """A stack of one model's (loss, gradient) from forward_backward, into a new gradient buffer,
+    so gradients kept from earlier calls stay intact."""
+    (loss,), grads = forward_backward(params, x[None], y[None], (smoothing,), ModelParams(params.sizes, np.zeros_like(params.flat)))
+    return loss, grads
 
 
 def gradient_check(
@@ -62,7 +61,7 @@ def gradient_check(
     _, grads = grad_fn(params, x, y, config.label_smoothing)
 
     def relu_masks():
-        outs = _layer_outputs(params.sizes, len(x))
+        outs = _layer_outputs(params.sizes, 1, len(x))
         _forward(params, x, outs)
         return [h > 0 for h in outs[:-1]]
 
@@ -72,19 +71,19 @@ def gradient_check(
     max_rel = 0.0
     n_skipped = 0
     for i in coords:
-        orig = params.flat[i]
-        params.flat[i] = orig + h
+        orig = params.flat[0, i]
+        params.flat[0, i] = orig + h
         loss_plus, _ = grad_fn(params, x, y, config.label_smoothing)
         masks_plus = relu_masks()
-        params.flat[i] = orig - h
+        params.flat[0, i] = orig - h
         loss_minus, _ = grad_fn(params, x, y, config.label_smoothing)
         masks_minus = relu_masks()
-        params.flat[i] = orig
+        params.flat[0, i] = orig
         if any(not np.array_equal(mp, mm) for mp, mm in zip(masks_plus, masks_minus)):
             n_skipped += 1
             continue
         fd = (loss_plus - loss_minus) / (2.0 * h)
-        a = grads.flat[i]
+        a = grads.flat[0, i]
         rel = float(abs(a - fd) / max(abs(a), abs(fd), 1e-6))
         max_rel = max(max_rel, rel)
     return GradCheckReport(

@@ -1139,6 +1139,37 @@ class TestReport:
         assert epochs[0] == "dataset,epoch,pearson"
         assert len(epochs) == 1 + 3  # one row per epoch of the full runs
 
+    # One edit of quality.csv each: (how, the error after "<path>: line N: ").
+    MALFORMED = {
+        "short_row": (lambda row: row[:3], "3 columns, expected 7 (strategy,dataset,r2,spearman_good,"
+                      "cost_adjusted,relative_cost,n_configs)"),
+        "extra_column": (lambda row: row + ["1"], "8 columns, expected 7"),
+        "float_column": (lambda row: row[:2] + ["x"] + row[3:], "r2 must be a number, got 'x'"),
+        "count_column": (lambda row: row[:6] + ["7.5"], "n_configs must be an integer, got '7.5'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_row_is_refused_with_its_path_and_line(self, pipeline, tmp_path, capsys, case):
+        edit, message = self.MALFORMED[case]
+        lines = pipeline["quality"].read_text().splitlines()
+        lines[3] = ",".join(edit(lines[3].split(",")))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--report", str(bad), "--out", str(tmp_path / "plots")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 4: {message}")
+        assert not (tmp_path / "plots").exists()
+
+    def test_nan_is_a_number(self, pipeline, tmp_path, capsys):
+        # analyze writes nan as cost_adjusted when a dataset has under 5 strategies
+        lines = pipeline["quality"].read_text().splitlines()
+        row = lines[1].split(",")
+        lines[1] = ",".join(row[:4] + ["nan"] + row[5:])
+        nan = tmp_path / "nan.csv"
+        nan.write_text("\n".join(lines) + "\n")
+        assert math.isnan(reports_from_csv(nan)[0].cost_adjusted)
+        assert main(["report", "--report", str(nan), "--out", str(tmp_path / "plots")]) == 0
+        capsys.readouterr()
+
 
 def _subcommand_flags() -> dict:
     """Subcommand name -> the options its parser accepts, less --help."""
@@ -1310,3 +1341,43 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "proxybench" in capsys.readouterr().out
+
+    @staticmethod
+    def _main_interrupted(argv) -> int:
+        try:
+            return main(argv)
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main")
+
+    def test_interrupt_exits_130_with_one_line(self, pipeline, tmp_path, capsys, monkeypatch):
+        def interrupt(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "store_load", interrupt)
+        argv = ["analyze", "--results", str(pipeline["results"]), "--out", str(tmp_path / "q.csv")]
+        assert self._main_interrupted(argv) == 130
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "interrupted\n")
+        assert not (tmp_path / "q.csv").exists()
+
+    def test_interrupted_run_grid_leaves_a_loadable_prefix(self, pipeline, tmp_path, capsys, monkeypatch):
+        units = []
+
+        def second_unit_interrupts(*task):
+            units.append(None)
+            if len(units) == 2:
+                raise KeyboardInterrupt
+            return run_unit(*task)
+
+        run_unit = orchestrator._run_unit
+        monkeypatch.setattr(orchestrator, "_run_unit", second_unit_interrupts)
+        out = tmp_path / "results.jsonl"
+        argv = ["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
+                "--proxies", str(pipeline["proxies"]), "--out", str(out)]
+        assert self._main_interrupted(argv) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        stored = store_load(out)
+        assert len(stored) == 8  # the first unit: full and ep1 share a stack
+        assert pipeline["results"].read_bytes().startswith(out.read_bytes())
+        with open(tmp_path / "results.jsonl.lock", "ab") as fh:  # released
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)

@@ -124,7 +124,7 @@ class TestSmoothedCrossEntropy:
         loss, grad = self._one_row(logits, 1, True)
         sm = np.exp(logits - logits.max())
         sm /= sm.sum()
-        target = sm - grad
+        target = sm - grad[0, 0]  # the bias gradient is (1, 1, k)
         assert target[1] == pytest.approx(0.9, abs=1e-12)
         assert np.allclose(np.delete(target, 1), 0.1 / 3)
         assert target.sum() == pytest.approx(1.0, abs=1e-12)
@@ -134,7 +134,7 @@ class TestSmoothedCrossEntropy:
         _, grad = self._one_row(logits, 0, False)
         sm = np.exp(logits - logits.max())
         sm /= sm.sum()
-        target = sm - grad
+        target = sm - grad[0, 0]  # the bias gradient is (1, 1, k)
         assert target[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(target[1]) < 1e-12 and abs(target[2]) < 1e-12
 
@@ -176,12 +176,11 @@ class TestForwardBackward:
         d = _small_data()
         params = init_params(_tiny_config(), d.feature_dim, d.class_count)
         loss, fresh = fresh_forward_backward(params, d.features[:8], d.labels[:8], True)
-        stack = ModelParams(params.sizes, params.flat[None])
-        buf = ModelParams(params.sizes, np.full_like(stack.flat, np.nan))
-        losses, out = forward_backward(stack, d.features[None, :8], d.labels[None, :8], (True,), buf)
+        buf = ModelParams(params.sizes, np.full_like(params.flat, np.nan))
+        losses, out = forward_backward(params, d.features[None, :8], d.labels[None, :8], (True,), buf)
         assert out is buf
         assert losses == [loss]
-        assert np.array_equal(buf.flat[0], fresh.flat)
+        assert np.array_equal(buf.flat, fresh.flat)
 
 
 class TestGradientCheckHarness:
@@ -222,8 +221,8 @@ class TestFlatLayout:
         for a in params.weights + params.biases:
             assert np.shares_memory(a, params.flat)
         # weights first, then biases, each in layer order
-        expected = np.concatenate([w.ravel() for w in params.weights] + list(params.biases))
-        assert np.array_equal(params.flat, expected)
+        expected = np.concatenate([a.ravel() for a in params.weights + params.biases])
+        assert np.array_equal(params.flat[0], expected)
 
     def test_gradients_share_the_layout(self):
         d = _small_data()
@@ -240,11 +239,16 @@ class TestFlatLayout:
         with pytest.raises(ValueError, match="flat must have shape"):
             ModelParams([2, 3], np.zeros(5))
 
+    def test_one_model_is_a_stack_of_one(self):
+        assert ModelParams([2, 3]).flat.shape == (1, 9)
+        with pytest.raises(ValueError, match=r"flat must have shape \(k, 9\)"):
+            ModelParams([2, 3], np.zeros(9))
+
 
 class TestOptimizers:
     def _scalar(self, value=1.0):
-        # one 1 -> 1 layer: flat is [weight, bias]
-        return ModelParams([1, 1], np.array([value, 0.0]))
+        # one 1 -> 1 layer: flat is [[weight, bias]]
+        return ModelParams([1, 1], np.array([[value, 0.0]]))
 
     def test_sgd_definition(self):
         p = self._scalar(1.0)
@@ -553,15 +557,14 @@ class TestPinnedRuns:
     def test_reused_buffers_give_the_bits_of_a_fresh_call(self):
         train, _ = self._data("small")
         params = init_params(_tiny_config(depth="large"), train.feature_dim, train.class_count)
-        stack = ModelParams(params.sizes, params.flat[None])
-        reused = ModelParams(params.sizes, np.zeros_like(stack.flat))
+        reused = ModelParams(params.sizes, np.zeros_like(params.flat))
         for rows, loss_hex, digest in self.GRADIENTS * 2:  # full, partial, then both again
             x, y = train.features[:rows], train.labels[:rows]
             fresh_loss, fresh = fresh_forward_backward(params, x, y, True)
-            (loss,), grads = forward_backward(stack, x[None], y[None], (True,), reused)
+            (loss,), grads = forward_backward(params, x[None], y[None], (True,), reused)
             assert grads is reused
             assert loss.hex() == fresh_loss.hex() == loss_hex
-            assert _sha(grads.flat[0]) == _sha(fresh.flat) == digest
+            assert _sha(grads.flat) == _sha(fresh.flat) == digest
         assert sorted(reused.scratch) == [5, 8]  # one set of buffers per batch size
 
 
