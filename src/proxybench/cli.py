@@ -2,7 +2,8 @@
 run the grid, analyze quality, and emit plot-ready CSVs.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure, 130 interrupted
-(Ctrl-C: one line on stderr, no traceback). The environment variable
+(Ctrl-C: one line on stderr, no traceback), 141 stdout closed by its reader
+(as after SIGPIPE: nothing on stderr). The environment variable
 PROXYBENCH_SEED overrides the --global-seed flag everywhere, so a
 whole pipeline can be re-seeded without touching its invocations; either
 must be a non-negative integer, checked before any input is read. Commands
@@ -24,7 +25,8 @@ results file; a second run-grid on the same file exits 2. Only run-grid cuts
 a torn last line; analyze and report read past it and leave the file as is.
 run-grid --dry-run prints the pending units of the plan run-grid would train
 (plan_runs), and the cells already stored, or exits 2 with the run's refusal,
-a resume under another seed included; it takes no lock and writes nothing.
+a resume under another seed or split included; it takes no lock and writes
+nothing.
 Every command that loads --data caches the parse, best-effort, in a
 ``<data>.csv.npz`` sidecar keyed by the CSV's sha256 (see load_csv), and
 gen-data writes that sidecar for the CSV it writes. score records the digest
@@ -277,6 +279,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_report(args) -> int:
     reports = reports_from_csv(args.report)
+    records = store_load(args.results).records() if args.results else None  # refused before any output
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -287,8 +290,7 @@ def _cmd_report(args) -> int:
     write_atomic(out_dir / "quality_vs_cost.csv", buf.getvalue())
     written = ["quality_vs_cost.csv"]
 
-    if args.results:
-        records = store_load(args.results).records()
+    if records is not None:
         buf = io.StringIO()
         buf.write("dataset,strategy,config_id,proxy_acc_z,target_acc_z\n")
         for r in reports:
@@ -383,26 +385,43 @@ def _build_parser(command: str | None = None) -> _Parser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at /dev/null, so that the interpreter's exit flush of what is left cannot fail."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # not backed by a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # no command, --help, or an unknown word: the full parser, which lists every command
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     with one_blas_thread():
         try:
-            args = _build_parser(command).parse_args(argv)
-            env = os.environ.get("PROXYBENCH_SEED")
-            if env is not None and "global_seed" in vars(args):  # it overrides --global-seed
-                try:
-                    args.global_seed = _seed_int(env)
-                except argparse.ArgumentTypeError as e:
-                    raise UsageError(f"PROXYBENCH_SEED {e}") from None
-            return args.func(args)
+            try:
+                args = _build_parser(command).parse_args(argv)
+            except SystemExit as e:  # argparse --help
+                code = 0 if e.code is None else int(e.code)
+            else:
+                env = os.environ.get("PROXYBENCH_SEED")
+                if env is not None and "global_seed" in vars(args):  # it overrides --global-seed
+                    try:
+                        args.global_seed = _seed_int(env)
+                    except argparse.ArgumentTypeError as e:
+                        raise UsageError(f"PROXYBENCH_SEED {e}") from None
+                code = args.func(args)
+            sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+            return code
         except UsageError as e:
             print(f"usage error: {e}", file=sys.stderr)
             return 1
-        except SystemExit as e:  # argparse --help
-            code = e.code if e.code is not None else 0
-            return int(code)
+        except BrokenPipeError:  # stdout's reader is gone (`| head`): exit quietly, as SIGPIPE would
+            _stdout_to_devnull()
+            return 141
         except Exception as e:
             print(f"error: {e}", file=sys.stderr)
             return 2

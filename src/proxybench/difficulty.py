@@ -75,6 +75,8 @@ def score_examples(model: ModelParams, train: Dataset, scoring_config_id: str = 
     augmentation is applied. Forward pass only, holding two layers' outputs
     at a time.
     """
+    if len(model.flat) != 1:
+        raise ValueError(f"score_examples takes a stack of one model, got k={len(model.flat)}")
     if len(train) == 0:
         raise ValueError("cannot score an empty dataset")
     if train.feature_dim != model.weights[0].shape[1]:

@@ -229,8 +229,10 @@ def plan_runs(dataset_id: str, manifests: list, grid: list, store: ResultStore, 
     across proxies. Nothing is trained or copied.
 
     Raises ValueError if _check_epoch_budgets refuses the manifests and
-    grid, or if a stored record's seed differs from the one global_seed
-    gives its key, since resuming would mix runs of two seeds.
+    grid, if a stored record's seed differs from the one global_seed gives
+    its key, or if its cost_units is not the |train| * epochs of its
+    manifest (a file written under another split), since resuming would mix
+    runs of two seeds or two splits.
     """
     _check_epoch_budgets(manifests, grid)
     groups: list = []
@@ -244,6 +246,7 @@ def plan_runs(dataset_id: str, manifests: list, grid: list, store: ResultStore, 
     for group in groups:
         stacks: dict = {}
         for manifest in group:
+            cost = float(len(manifest.train_ids) * manifest.epochs)  # what train_stack records for each cell
             for cfg in grid:
                 cfg_id = config_id(cfg)
                 key = (dataset_id, manifest.proxy_id, cfg_id)
@@ -256,6 +259,11 @@ def plan_runs(dataset_id: str, manifests: list, grid: list, store: ResultStore, 
                     raise ValueError(
                         f"stored run {key} used seed {stored.seed}, "
                         f"but global seed {global_seed} gives seed {seed}; refusing to resume"
+                    )
+                elif stored.cost_units != cost:
+                    raise ValueError(
+                        f"stored run {key} cost {stored.cost_units!r} units, but this split trains "
+                        f"{len(manifest.train_ids)} examples x {manifest.epochs} epochs = {cost!r}; refusing to resume"
                     )
         for cells in stacks.values():
             units += [cells[lo : lo + _STACK_CAP] for lo in range(0, len(cells), _STACK_CAP)]

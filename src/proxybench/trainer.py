@@ -433,8 +433,11 @@ def _gather_rows(features: np.ndarray, rows: np.ndarray, flip: np.ndarray, out: 
 def evaluate_accuracy(params: ModelParams, d: Dataset) -> float:
     """Fraction of examples whose argmax logit matches the label, for a stack of one model.
 
-    d is not empty (train_stack refuses an empty val).
+    d is not empty (train_stack refuses an empty val). Raises ValueError for
+    any other k, which would otherwise average the rows' accuracies.
     """
+    if len(params.flat) != 1:
+        raise ValueError(f"evaluate_accuracy takes a stack of one model, got k={len(params.flat)}")
     return float(np.mean(np.argmax(_logits(params, d.features), axis=-1) == d.labels))
 
 

@@ -1,10 +1,12 @@
 import argparse
 import fcntl
 import hashlib
+import io
 import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -26,21 +28,8 @@ from proxybench.orchestrator import store_load
 from proxybench.proxy import load_manifest
 from proxybench.trainer import RunRecord
 
-SPEC = {
-    "class_count": 3,
-    "feature_dim": 4,
-    "examples_per_class": 30,
-    "class_separation": 3.0,
-    "noise_scale_lo": 0.3,
-    "noise_scale_hi": 0.6,
-    "label_flip_fraction": 0.0,
-    "seed": 9,
-}
-
-GRID = {
-    "defaults": {"epochs": 3, "stem_width_1": 8, "stem_width_2": 8, "batch_size": 16},
-    "variations": {"learning_rate": [0.01, 0.001], "optimizer": ["sgd"]},
-}
+import refusals
+from refusals import GRID, SPEC, build_workspace
 
 
 def _dry_run_units(out: str):
@@ -61,49 +50,10 @@ def _clean_env(monkeypatch):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """One full pass: gen-data, score, proxies, run-grid, analyze."""
+    """The known-good workspace of refusals.build_workspace, built through main."""
     # module scope sets up before the function-scoped env guard
     os.environ.pop("PROXYBENCH_SEED", None)
-    root = tmp_path_factory.mktemp("pipeline")
-    data = root / "toy.csv"
-    scores = root / "difficulty.csv"
-    proxies = root / "proxies"
-    results = root / "results.jsonl"
-    quality = root / "quality.csv"
-    proxies.mkdir()
-
-    spec_path = root / "spec.json"
-    spec_path.write_text(json.dumps(SPEC))
-    grid_path = root / "grid.json"
-    grid_path.write_text(json.dumps(GRID))
-
-    assert main(["gen-data", "--spec", str(spec_path), "--out", str(data)]) == 0
-    assert main(["score", "--data", str(data), "--out", str(scores)]) == 0
-    for flags in [
-        ["--kind", "random_all", "--fraction", "0.5"],
-        ["--kind", "quantile", "--lo", "0.5", "--hi", "1.0", "--scores", str(scores)],
-        ["--kind", "fewer_epochs", "--epochs", "1"],
-        ["--kind", "half_classes", "--classes", "0,1"],
-    ]:
-        name = flags[1] + ".json"
-        # the grid trains 3 epochs, so every manifest is built for that budget
-        argv = ["make-proxy", "--data", str(data), "--out", str(proxies / name), "--target-epochs", "3", *flags]
-        assert main(argv) == 0
-    assert (
-        main(["run-grid", "--data", str(data), "--grid", str(grid_path), "--proxies", str(proxies), "--out", str(results)])
-        == 0
-    )
-    assert main(["analyze", "--results", str(results), "--out", str(quality)]) == 0
-    return {
-        "root": root,
-        "data": data,
-        "scores": scores,
-        "proxies": proxies,
-        "results": results,
-        "quality": quality,
-        "grid": grid_path,
-        "spec": spec_path,
-    }
+    return build_workspace(tmp_path_factory.mktemp("pipeline"), main)
 
 
 class TestGenData:
@@ -127,22 +77,6 @@ class TestGenData:
         assert main(["gen-data", "--spec", str(spec_path), "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "8312ad8c547b027a44866d686757df14dcf28f363f758c861e3ef376c36352fb"
-
-    def test_bad_spec_is_usage_error(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({**SPEC, "bogus_field": 1}))
-        out = tmp_path / "toy.csv"
-        assert main(["gen-data", "--spec", str(spec_path), "--out", str(out)]) == 1
-        assert "usage error" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_unwritable_output_leaves_nothing(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(SPEC))
-        out = tmp_path / "no_such_dir" / "toy.csv"
-        assert main(["gen-data", "--spec", str(spec_path), "--out", str(out)]) == 2
-        assert "error:" in capsys.readouterr().err
-        assert not out.parent.exists()
 
     def _gen_data(self, tmp_path, spec, out):
         spec_path = tmp_path / "spec.json"
@@ -233,30 +167,6 @@ class TestScore:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
-    @pytest.mark.parametrize("command", ["score", "run-grid"])
-    @pytest.mark.parametrize("env, flags, message", [
-        ("-1", [], "PROXYBENCH_SEED must be a non-negative integer, got '-1'"),
-        (None, ["--global-seed", "-3"], "argument --global-seed: must be a non-negative integer, got '-3'"),
-    ])
-    def test_negative_seed_is_a_usage_error_before_any_input_is_read(self, pipeline, tmp_path, monkeypatch, capsys,
-                                                                     command, env, flags, message):
-        monkeypatch.setattr(cli_module, "load_csv", lambda path: pytest.fail("read --data"))
-        monkeypatch.setattr(cli_module, "grid_from_json", lambda path: pytest.fail("read --grid"))
-        if env is not None:
-            monkeypatch.setenv("PROXYBENCH_SEED", env)
-        inputs = {"score": [], "run-grid": ["--grid", pipeline["grid"], "--proxies", pipeline["proxies"]]}[command]
-        argv = [command, "--data", pipeline["data"], *inputs, "--out", tmp_path / "out", *flags]
-        assert main([str(a) for a in argv]) == 1
-        assert capsys.readouterr().err == f"usage error: {message}\n"
-        assert list(tmp_path.iterdir()) == []
-
-    def test_non_integer_env_seed(self, pipeline, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PROXYBENCH_SEED", "abc")
-        out = tmp_path / "x.csv"
-        code = main(["score", "--data", str(pipeline["data"]), "--out", str(out)])
-        assert code == 1
-        assert "PROXYBENCH_SEED" in capsys.readouterr().err
-
 
 class TestPinnedSetUp:
     """sha256s of score's table and sidecar and of one manifest per make-proxy
@@ -301,13 +211,6 @@ class TestPinnedSetUp:
 
 
 class TestMakeProxy:
-    def test_quantile_without_scores_is_usage_error(self, pipeline, tmp_path, capsys):
-        code = main(
-            ["make-proxy", "--data", str(pipeline["data"]), "--kind", "quantile", "--lo", "0.5", "--hi", "1.0", "--out", str(tmp_path / "m.json")]
-        )
-        assert code == 1
-        assert "--scores" in capsys.readouterr().err
-
     def test_renamed_copy_of_the_scored_data_is_accepted(self, pipeline, tmp_path, capsys):
         # the table's sha256 names the bytes it scored; the file name is only a label
         other = tmp_path / "other.csv"
@@ -317,139 +220,6 @@ class TestMakeProxy:
                          "--scores", str(pipeline["scores"]), "--out", str(out)])
             assert code == 0, capsys.readouterr().err
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-
-    def test_unknown_class_is_refused(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "m.json"
-        code = main(["make-proxy", "--data", str(pipeline["data"]), "--kind", "half_classes", "--classes", "0,99",
-                     "--out", str(out)])
-        assert code == 2
-        assert "unknown class ids [99] for class_count 3\n" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_bad_classes_flag(self, pipeline, tmp_path, capsys):
-        code = main(
-            ["make-proxy", "--data", str(pipeline["data"]), "--kind", "half_classes", "--classes", "0,x", "--out", str(tmp_path / "m.json")]
-        )
-        assert code == 1
-        assert "comma-separated" in capsys.readouterr().err
-
-    def test_flag_the_kind_does_not_take_is_usage_error(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "m.json"
-        code = main(["make-proxy", "--data", str(pipeline["data"]), "--kind", "full", "--fraction", "0.5", "--out", str(out)])
-        assert code == 1
-        assert "full proxy does not take --fraction" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("kind, flags, named", [
-        ("random_all", ["--fraction", "0.5", "--classes", "0,1"], "--classes"),
-        ("full", ["--epochs", "3"], "--epochs"),
-        ("fewer_epochs", ["--epochs", "1", "--fraction", "0.5"], "--fraction"),
-        ("random_all", ["--fraction", "0.5", "--lo", "0.1"], "--lo"),
-        ("half_classes", ["--hi", "0.9"], "--hi"),
-    ])
-    def test_rejected_flag_is_named_as_typed(self, pipeline, tmp_path, capsys, kind, flags, named):
-        out = tmp_path / "m.json"
-        code = main(["make-proxy", "--data", str(pipeline["data"]), "--kind", kind, *flags, "--out", str(out)])
-        assert code == 1
-        assert f"{kind} proxy does not take {named}\n" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_target_epochs_must_be_positive(self, tmp_path, capsys, value):
-        # refused while parsing flags: the --data file is never opened
-        out = tmp_path / "m.json"
-        code = main(["make-proxy", "--data", str(tmp_path / "absent.csv"), "--kind", "random_all", "--fraction", "0.5",
-                     "--target-epochs", value, "--out", str(out)])
-        assert code == 1
-        assert f"--target-epochs: must be a positive integer, got '{value}'" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_table_from_another_dataset_with_the_same_stem_is_refused(self, tmp_path, capsys):
-        for name, seed in (("a", 17), ("b", 99)):
-            (tmp_path / name).mkdir()
-            spec = tmp_path / name / "spec.json"
-            spec.write_text(json.dumps({**SPEC, "seed": seed}))
-            assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / name / "data.csv")]) == 0
-        a, b = tmp_path / "a" / "data.csv", tmp_path / "b" / "data.csv"
-        scores = tmp_path / "a" / "diff.csv"
-        assert main(["score", "--data", str(a), "--out", str(scores)]) == 0
-        capsys.readouterr()
-        out = tmp_path / "m.json"
-        code = main(["make-proxy", "--data", str(b), "--kind", "quantile", "--lo", "0.5", "--hi", "1.0",
-                     "--scores", str(scores), "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert hashlib.sha256(a.read_bytes()).hexdigest() in err
-        assert hashlib.sha256(b.read_bytes()).hexdigest() in err
-        assert not out.exists()
-
-    def test_table_from_another_dataset_is_refused_for_every_kind(self, pipeline, tmp_path, capsys):
-        scores = tmp_path / "other.csv"
-        shutil.copy(pipeline["scores"], scores)
-        meta = json.loads(pipeline["scores"].with_suffix(".json").read_text())
-        scores.with_suffix(".json").write_text(json.dumps({**meta, "dataset_sha256": "0" * 64}))
-        out = tmp_path / "m.json"
-        code = main(["make-proxy", "--data", str(pipeline["data"]), "--kind", "random_all", "--fraction", "0.5",
-                     "--scores", str(scores), "--out", str(out)])
-        assert code == 2
-        assert f"dataset sha256 {'0' * 64}, not {meta['dataset_sha256']}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_table_without_a_digest_is_refused(self, pipeline, tmp_path, capsys):
-        scores = tmp_path / "old.csv"
-        shutil.copy(pipeline["scores"], scores)
-        meta = json.loads(pipeline["scores"].with_suffix(".json").read_text())
-        del meta["dataset_sha256"]
-        scores.with_suffix(".json").write_text(json.dumps(meta))
-        out = tmp_path / "m.json"
-        code = main(["make-proxy", "--data", str(pipeline["data"]), "--kind", "quantile", "--lo", "0.5",
-                     "--hi", "1.0", "--scores", str(scores), "--out", str(out)])
-        assert code == 2
-        assert "records no dataset digest; re-run score" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_truncated_table_is_refused(self, pipeline, tmp_path, capsys):
-        # a table cut off mid-write must not pass for the whole training set
-        scores = tmp_path / "cut.csv"
-        lines = pipeline["scores"].read_text().splitlines(keepends=True)
-        scores.write_text("".join(lines[: len(lines) // 2]))
-        shutil.copy(pipeline["scores"].with_suffix(".json"), scores.with_suffix(".json"))
-        out = tmp_path / "m.json"
-        code = main(
-            ["make-proxy", "--data", str(pipeline["data"]), "--kind", "quantile", "--lo", "0.9", "--hi", "1.0",
-             "--scores", str(scores), "--out", str(out)]
-        )
-        assert code == 2
-        assert "must score exactly the training ids" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_table_cut_inside_its_last_value_is_refused(self, pipeline, tmp_path, capsys):
-        # every id is still there and the shortened last loss still ranks last: only the missing newline shows the cut
-        scores = tmp_path / "cut.csv"
-        scores.write_bytes(pipeline["scores"].read_bytes()[:-8])
-        shutil.copy(pipeline["scores"].with_suffix(".json"), scores.with_suffix(".json"))
-        out = tmp_path / "m.json"
-        code = main(
-            ["make-proxy", "--data", str(pipeline["data"]), "--kind", "quantile", "--lo", "0.0", "--hi", "1.0",
-             "--scores", str(scores), "--out", str(out)]
-        )
-        assert code == 2
-        assert f"{scores}: does not end with a newline, so it was cut off mid-write" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_table_out_of_rank_order_is_named(self, pipeline, tmp_path, capsys):
-        scores = tmp_path / "swapped.csv"
-        header, first, second, *rest = pipeline["scores"].read_bytes().split(b"\r\n")
-        scores.write_bytes(b"\r\n".join([header, second, first, *rest]))
-        shutil.copy(pipeline["scores"].with_suffix(".json"), scores.with_suffix(".json"))
-        out = tmp_path / "m.json"
-        code = main(
-            ["make-proxy", "--data", str(pipeline["data"]), "--kind", "quantile", "--lo", "0.0", "--hi", "1.0",
-             "--scores", str(scores), "--target-epochs", "3", "--out", str(out)]
-        )
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {scores}: entries not in rank order (loss desc, id asc)\n"
-        assert not out.exists()
 
 
 class _HalfThenFail:
@@ -498,205 +268,6 @@ class TestFailedWrites:
         assert code == 2
         assert "disk full" in capsys.readouterr().err
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"m.json": "previous manifest\n"}
-
-
-def _cli_process(argv, timeout=20):
-    """The CLI in a child process, killed after timeout seconds: a command that blocks fails the test, not hangs it."""
-    src = Path(proxybench.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "proxybench.cli", *map(str, argv)], env=env, capture_output=True,
-                          text=True, timeout=timeout)
-
-
-class TestPathsThatAreNotFiles:
-    """A FIFO or directory given as a results file or an output is refused before any work."""
-
-    @pytest.mark.parametrize("command", ["run-grid", "run-grid --dry-run", "analyze", "report"])
-    def test_results_fifo_is_refused_not_read(self, pipeline, tmp_path, command):
-        fifo = tmp_path / "r.jsonl"
-        os.mkfifo(fifo)
-        grid_args = ["--data", pipeline["data"], "--grid", pipeline["grid"], "--proxies", pipeline["proxies"], "--out", fifo]
-        argv = {
-            "run-grid": ["run-grid", *grid_args],
-            "run-grid --dry-run": ["run-grid", *grid_args, "--dry-run"],
-            "analyze": ["analyze", "--results", fifo, "--out", tmp_path / "q.csv"],
-            "report": ["report", "--report", pipeline["quality"], "--out", tmp_path / "plots", "--results", fifo],
-        }[command]
-        out = _cli_process(argv)
-        assert out.returncode == 2
-        assert f"{fifo} exists and is not a regular file" in out.stderr
-
-    @pytest.mark.parametrize("kind", ["fifo", "directory"])
-    @pytest.mark.parametrize(
-        "command", ["gen-data", "score", "score sidecar", "make-proxy", "analyze", "run-grid", "run-grid --dry-run"]
-    )
-    def test_bad_out_is_refused_before_the_work(self, pipeline, tmp_path, capsys, monkeypatch, command, kind):
-        bad = tmp_path / ("scores.json" if command == "score sidecar" else "out")
-        os.mkfifo(bad) if kind == "fifo" else bad.mkdir()
-        argv = {
-            "gen-data": ["gen-data", "--spec", pipeline["spec"], "--out", bad],
-            "score": ["score", "--data", pipeline["data"], "--out", bad],
-            "score sidecar": ["score", "--data", pipeline["data"], "--out", tmp_path / "scores.csv"],
-            "make-proxy": ["make-proxy", "--data", pipeline["data"], "--kind", "random_all", "--fraction", "0.5",
-                           "--out", bad],
-            "analyze": ["analyze", "--results", pipeline["results"], "--out", bad],
-            "run-grid": ["run-grid", "--data", pipeline["data"], "--grid", pipeline["grid"],
-                         "--proxies", pipeline["proxies"], "--out", bad],
-        }
-        argv = argv["run-grid"] + ["--dry-run"] if command == "run-grid --dry-run" else argv[command]
-        called = []
-        for name in ("synth_generate", "load_csv", "train_model", "build_proxy", "store_load"):
-            monkeypatch.setattr(cli_module, name, lambda *a, _name=name, **k: called.append(_name))
-        assert main([str(a) for a in argv]) == 2
-        assert f"{bad} exists and is not a regular file" in capsys.readouterr().err
-        assert called == []
-        assert not list(tmp_path.glob("*.lock"))  # run-grid took no results lock
-
-
-_MANIFEST = {"proxy_id": "x", "kind": "full", "params": {}, "seed": 0, "epochs": 3, "train_ids": [0], "val_ids": [0]}
-
-
-class TestJsonInputErrors:
-    """A malformed JSON input is reported once, as "<path>: <what is wrong>"."""
-
-    @pytest.mark.parametrize("name, text, code, message", [
-        ("spec", '{"class_count": 3', 2, "Expecting ',' delimiter: line 1 column 18 (char 17)"),
-        ("spec", json.dumps({**SPEC, "bogus": 1}), 1, "unexpected keyword argument 'bogus'"),
-        ("spec", json.dumps({**SPEC, "class_count": 1}), 2, "class_count must be >= 2"),
-        ("spec", "[1]", 2, "expected a JSON object, got list"),
-        ("grid", '{"defaults": {"epochs": 2}\n', 2, "Expecting ',' delimiter: line 2 column 1 (char 27)"),
-        ("grid", "[1]", 2, "expected a JSON object, got list"),
-        ("grid", json.dumps({"defaults": {"batch_size": 16.5}}), 2, "batch_size must be an integer, got 16.5"),
-        ("manifest", '{"proxy_id": "x"}', 2, "missing key 'epochs'"),
-        ("manifest", json.dumps({"proxy_id": "x", "kind": "full", "params": {}, "seed": 0, "epochs": 3,
-                                 "train_ids": [0], "val_ids": "all"}), 2, "val_ids must be a list, got 'all'"),
-        ("spec", json.dumps({**SPEC, "class_count": 2.5}), 2, "class_count must be an integer, got 2.5"),
-        ("spec", json.dumps({**SPEC, "class_separation": math.nan}), 2, "class_separation must be a finite number, got nan"),
-        ("spec", json.dumps({**SPEC, "noise_scale_hi": math.inf}), 2, "noise_scale_hi must be a finite number, got inf"),
-        ("grid", json.dumps({"defaults": {"learning_rate": True}}), 2, "learning_rate must be a finite number, got True"),
-        ("grid", json.dumps({"variations": {"augment_prob": ["x"]}}), 2, "augment_prob must be a finite number, got 'x'"),
-        ("grid", json.dumps({"defaults": {"label_smoothing": 1}}), 2, "label_smoothing must be a boolean, got 1"),
-        ("manifest", json.dumps({**_MANIFEST, "proxy_id": 5}), 2, "proxy_id must be a string, got 5"),
-    ])
-    def test_error_starts_with_the_path(self, pipeline, tmp_path, capsys, name, text, code, message):
-        proxies = tmp_path / "proxies"
-        proxies.mkdir()
-        path = {"spec": tmp_path / "spec.json", "grid": tmp_path / "grid.json", "manifest": proxies / "x.json"}[name]
-        path.write_text(text)
-        if name == "spec":
-            argv = ["gen-data", "--spec", path, "--out", tmp_path / "toy.csv"]
-        else:
-            argv = ["run-grid", "--data", pipeline["data"], "--grid", pipeline["grid"] if name == "manifest" else path,
-                    "--proxies", proxies, "--out", tmp_path / "r.jsonl"]
-        assert main([str(a) for a in argv]) == code
-        err = capsys.readouterr().err
-        assert err.startswith(f"{'usage error' if code == 1 else 'error'}: {path}: ") and err.endswith(f"{message}\n")
-        assert err.count(str(path)) == 1
-
-    def test_variation_that_is_not_a_list_is_refused_as_written(self, pipeline, tmp_path, capsys):
-        grid = tmp_path / "g2.json"
-        grid.write_text(json.dumps({"variations": {"optimizer": "sgd"}}))
-        argv = ["run-grid", "--data", pipeline["data"], "--grid", grid, "--proxies", pipeline["proxies"],
-                "--out", tmp_path / "r.jsonl", "--dry-run"]
-        assert main([str(a) for a in argv]) == 2
-        assert capsys.readouterr().err == f"error: {grid}: variation optimizer must be a list, got 'sgd'\n"
-
-
-@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
-@pytest.mark.parametrize("bad", ["grid", "manifest"])
-def test_run_grid_refuses_a_bad_grid_or_manifest_before_loading_data(pipeline, tmp_path, capsys, monkeypatch,
-                                                                       bad, dry_run):
-    loads = []
-    monkeypatch.setattr(cli_module, "load_csv", lambda path: loads.append(path))
-    proxies = tmp_path / "proxies"
-    proxies.mkdir()
-    grid = pipeline["grid"]
-    if bad == "grid":
-        grid = tmp_path / "grid.json"
-        grid.write_text('{"defaults": {"batch_size": 16.5}}')
-        bad_path = grid
-    else:
-        bad_path = proxies / "x.json"
-        bad_path.write_text("[1, 2]")
-    argv = ["run-grid", "--data", pipeline["data"], "--grid", grid, "--proxies", proxies,
-            "--out", tmp_path / "r.jsonl", *dry_run]
-    assert main([str(a) for a in argv]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad_path}: ")
-    assert loads == []
-
-
-class TestFieldTypes:
-    """A field of the wrong type exits 2 with a message that starts with the file's path (and, for
-    a results line, its number) and names the field; TestJsonInputErrors holds the spec and grid cases."""
-
-    @staticmethod
-    def _refused(argv, path, message, capsys):
-        assert main([str(a) for a in argv]) == 2
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
-
-    @pytest.mark.parametrize("change, message", [
-        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-        ({"seed": True}, "seed must be an integer, got True"),
-        ({"kind": "random_all", "params": {"fraction": True}}, "fraction must be a finite number, got True"),
-        ({"kind": "random_all", "params": {"fraction": "0.5"}}, "fraction must be a finite number, got '0.5'"),
-        ({"proxy_id": 5}, "proxy_id must be a string, got 5"),
-    ])
-    def test_manifest_in_a_dry_run(self, pipeline, tmp_path, capsys, monkeypatch, change, message):
-        monkeypatch.setattr(cli_module, "load_csv", lambda path: pytest.fail("read --data"))
-        proxies = tmp_path / "proxies"
-        proxies.mkdir()
-        manifest = proxies / "x.json"
-        manifest.write_text(json.dumps({**_MANIFEST, **change}))
-        self._refused(["run-grid", "--data", pipeline["data"], "--grid", pipeline["grid"], "--proxies", proxies,
-                       "--out", tmp_path / "r.jsonl", "--dry-run"], manifest, message, capsys)
-        assert not list(tmp_path.glob("*.lock"))
-
-    @pytest.mark.parametrize("change, message", [
-        ({"best_val_acc": "x"}, "best_val_acc must be a finite number, got 'x'"),
-        ({"epoch_val_acc": ["x"]}, "epoch_val_acc[0] must be a finite number, got 'x'"),
-    ])
-    def test_results_line(self, pipeline, tmp_path, capsys, change, message):
-        lines = pipeline["results"].read_text().splitlines(keepends=True)
-        lines[1] = json.dumps({**json.loads(lines[1]), **change}) + "\n"
-        path = tmp_path / "r.jsonl"
-        path.write_text("".join(lines))
-        self._refused(["analyze", "--results", path, "--out", tmp_path / "q.csv"], path,
-                      f"line 2: malformed record ({message})", capsys)
-
-    def test_table_sidecar(self, pipeline, tmp_path, capsys):
-        scores = tmp_path / "scores.csv"
-        shutil.copy(pipeline["scores"], scores)
-        sidecar = scores.with_suffix(".json")
-        sidecar.write_text(json.dumps({**json.loads(pipeline["scores"].with_suffix(".json").read_text()),
-                                       "dataset_id": 5}))
-        self._refused(["make-proxy", "--data", pipeline["data"], "--kind", "quantile", "--lo", "0.5", "--hi", "1.0",
-                       "--scores", scores, "--target-epochs", "3", "--out", tmp_path / "m.json"],
-                      sidecar, "dataset_id must be a string, got 5", capsys)
-
-
-class TestResultRanges:
-    """A results line whose values are of the right type but out of range exits 2, naming the file and line."""
-
-    @pytest.mark.parametrize("change, message", [
-        ({"epoch_val_acc": []}, "epoch_val_acc must not be empty"),
-        ({"epoch_val_acc": [0.5, 7.0, 0.5]}, "epoch_val_acc[1] must lie in [0, 1], got 7.0"),
-        ({"best_val_acc": 5.0}, "best_val_acc must lie in [0, 1], got 5.0"),
-        ({"cost_units": -3.0}, "cost_units must be positive, got -3.0"),
-        ({"cost_units": 0.0}, "cost_units must be positive, got 0.0"),
-        ({"seed": -5}, "seed must be >= 0, got -5"),
-    ])
-    @pytest.mark.parametrize("command", ["analyze", "report"])
-    def test_refused_where_the_file_is_read(self, pipeline, tmp_path, capsys, change, message, command):
-        lines = pipeline["results"].read_text().splitlines(keepends=True)
-        lines[1] = json.dumps({**json.loads(lines[1]), **change}) + "\n"
-        path = tmp_path / "r.jsonl"
-        path.write_text("".join(lines))
-        argv = {
-            "analyze": ["analyze", "--results", path, "--out", tmp_path / "q.csv"],
-            "report": ["report", "--report", pipeline["quality"], "--results", path, "--out", tmp_path / "plots"],
-        }[command]
-        assert main([str(a) for a in argv]) == 2
-        assert capsys.readouterr().err == f"error: {path}: line 2: malformed record ({message})\n"
 
 
 class TestDataSidecar:
@@ -808,21 +379,6 @@ class TestRunGrid:
         assert capsys.readouterr().out == "20 cells stored, 0 pending runs in 0 units, 0 pending example-epochs\n"
         assert pipeline["results"].read_bytes() == before
 
-    def test_dry_run_under_another_seed_is_refused_like_the_run(self, pipeline, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "seed0.jsonl"
-        out.write_bytes(pipeline["results"].read_bytes())
-        monkeypatch.setenv("PROXYBENCH_SEED", "7")
-        argv = ["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
-                "--proxies", str(pipeline["proxies"]), "--out", str(out)]
-        assert main(argv + ["--dry-run"]) == 2
-        dry = capsys.readouterr()
-        assert [p.name for p in tmp_path.iterdir()] == ["seed0.jsonl"]  # no lock taken
-        assert main(argv) == 2
-        real = capsys.readouterr()
-        assert "refusing to resume" in dry.err
-        assert (dry.out, dry.err) == (real.out, real.err)
-        assert out.read_bytes() == pipeline["results"].read_bytes()
-
     def test_results_cover_full_matrix(self, pipeline):
         store = store_load(pipeline["results"])
         assert len(store) == 20
@@ -840,24 +396,6 @@ class TestRunGrid:
         assert code == 0
         assert "(20 pre-existing, 0 new)" in capsys.readouterr().out
         assert len(store_load(pipeline["results"])) == 20
-
-    def test_second_writer_of_one_results_file_is_refused(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "r.jsonl"
-        first_12 = b"".join(pipeline["results"].read_bytes().splitlines(keepends=True)[:12])
-        out.write_bytes(first_12)
-        argv = ["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
-                "--proxies", str(pipeline["proxies"]), "--out", str(out)]
-        with open(tmp_path / "r.jsonl.lock", "ab") as held:  # another run-grid, mid-run
-            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            assert main(argv) == 2
-            assert f"{out} is being written by another run-grid" in capsys.readouterr().err
-            assert out.read_bytes() == first_12
-        assert main(argv) == 0
-        assert "(12 pre-existing, 8 new)" in capsys.readouterr().out
-        full, resumed = store_load(pipeline["results"]), store_load(out)
-        assert {k: full.get(k).epoch_val_acc for k in full.keys()} == {
-            k: resumed.get(k).epoch_val_acc for k in resumed.keys()
-        }
 
     def test_parallel_rerun_is_identical(self, pipeline, tmp_path, capsys):
         out = tmp_path / "par.jsonl"
@@ -906,62 +444,6 @@ class TestRunGrid:
         assert out.read_text().startswith("".join(lines[:12]))
         assert len(store_load(out)) == 20
 
-    def test_manifest_ids_that_are_not_integers_are_refused(self, pipeline, tmp_path, capsys):
-        proxies = tmp_path / "proxies"
-        proxies.mkdir()
-        payload = json.loads((pipeline["proxies"] / "random_all.json").read_text())
-        manifest = proxies / "random_all.json"
-        manifest.write_text(json.dumps({**payload, "train_ids": [1.5] + payload["train_ids"][1:]}))
-        out = tmp_path / "r.jsonl"
-        code = main(["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
-                     "--proxies", str(proxies), "--out", str(out)])
-        assert code == 2
-        assert f"{manifest}: train_ids[0] must be an integer, got 1.5" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_resume_under_another_seed_is_refused(self, pipeline, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "seed0.jsonl"
-        out.write_bytes(pipeline["results"].read_bytes())
-        monkeypatch.setenv("PROXYBENCH_SEED", "5")
-        code = main(
-            ["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
-             "--proxies", str(pipeline["proxies"]), "--out", str(out)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        first = store_load(pipeline["results"]).records()[0]
-        assert "refusing to resume" in err
-        assert f"'{first.proxy_id}', '{first.config_id}'" in err
-        assert f"used seed {first.seed}, but global seed 5 gives seed" in err
-        assert out.read_bytes() == pipeline["results"].read_bytes()
-
-    def test_epochs_variation_is_refused(self, pipeline, tmp_path, capsys):
-        grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({**GRID, "variations": {**GRID["variations"], "epochs": [1]}}))
-        out = tmp_path / "r.jsonl"
-        code = main(["run-grid", "--data", str(pipeline["data"]), "--grid", str(grid),
-                     "--proxies", str(pipeline["proxies"]), "--out", str(out)])
-        assert code == 2
-        assert "epochs is not a searchable field" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_manifest_for_another_epoch_budget_is_refused(self, pipeline, tmp_path, capsys):
-        # built for the default 20 epochs; the grid trains 3
-        proxies = tmp_path / "proxies"
-        proxies.mkdir()
-        assert main(["make-proxy", "--data", str(pipeline["data"]), "--kind", "random_all", "--fraction", "0.5",
-                     "--out", str(proxies / "random.json")]) == 0
-        capsys.readouterr()
-        out = tmp_path / "r.jsonl"
-        for dry_run in (["--dry-run"], []):
-            code = main(["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
-                         "--proxies", str(proxies), "--out", str(out), *dry_run])
-            assert code == 2, dry_run
-            err = capsys.readouterr().err
-            assert "'random-0.5-s0' trains 20 epochs, not the grid's 3" in err
-            assert "--target-epochs 3" in err
-            assert not out.exists()
-
     def test_results_with_wall_ms_load_analyze_and_resume(self, pipeline, tmp_path, capsys):
         # earlier versions wrote each run's wall time as "wall_ms" before "status"
         def with_wall_ms(line):
@@ -985,24 +467,6 @@ class TestRunGrid:
         assert resumed[12:] == lines[12:]  # appended as this version writes them: no wall_ms
         assert store_load(old).records() == store_load(pipeline["results"]).records()
 
-    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
-    def test_parallel_must_be_positive(self, pipeline, tmp_path, capsys, dry_run):
-        # refused while parsing flags, with or without --dry-run: the --data file is never opened
-        out = tmp_path / "r.jsonl"
-        code = main(["run-grid", "--data", str(tmp_path / "absent.csv"), "--grid", str(pipeline["grid"]),
-                     "--proxies", str(pipeline["proxies"]), "--out", str(out), "--parallel", "0", *dry_run])
-        assert code == 1
-        assert "--parallel: must be a positive integer, got '0'" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_missing_proxy_dir(self, pipeline, tmp_path, capsys):
-        code = main(
-            ["run-grid", "--data", str(pipeline["data"]), "--grid", str(pipeline["grid"]),
-             "--proxies", str(tmp_path / "nope"), "--out", str(tmp_path / "r.jsonl")]
-        )
-        assert code == 2
-        assert "proxy directory" in capsys.readouterr().err
-
 
 class TestAnalyze:
     def test_report_has_one_row_per_strategy(self, pipeline):
@@ -1021,11 +485,6 @@ class TestAnalyze:
         assert main(["analyze", "--results", str(pipeline["results"]), "--out", str(out)]) == 0
         capsys.readouterr()
         assert out.read_bytes() == pipeline["quality"].read_bytes()
-
-    def test_bad_good_rule(self, pipeline, tmp_path, capsys):
-        code = main(["analyze", "--results", str(pipeline["results"]), "--out", str(tmp_path / "q.csv"), "--good-rule", "best:9"])
-        assert code == 1
-        assert "good-rule" in capsys.readouterr().err
 
     def test_min_accuracy_rule_runs(self, pipeline, tmp_path, capsys):
         out = tmp_path / "qmin.csv"
@@ -1057,12 +516,6 @@ class TestAnalyze:
                      "--results", str(torn)]) == 0
         assert capsys.readouterr().err.count("unterminated last line") == 2
         assert torn.read_bytes() == before
-
-    def test_empty_results_file_is_runtime_error(self, tmp_path, capsys):
-        missing = tmp_path / "none.jsonl"
-        code = main(["analyze", "--results", str(missing), "--out", str(tmp_path / "q.csv")])
-        assert code == 2
-        assert "no records" in capsys.readouterr().err
 
 
 def _synthetic_records(datasets=("dsa", "dsb"), n_cfg=6, seed=3):
@@ -1099,18 +552,6 @@ class TestConsistency:
         printed = capsys.readouterr().out
         assert "consistency r2 dsa vs dsb:" in printed
 
-    def test_malformed_consistency_spec(self, tmp_path, capsys):
-        results = tmp_path / "r.jsonl"
-        with open(results, "w") as fh:
-            for rec in _synthetic_records(datasets=("dsa",)):
-                fh.write(json.dumps(asdict(rec)) + "\n")
-        out = tmp_path / "q.csv"
-        for spec in ("only_one", "dsa,dsb:bogus"):
-            code = main(["analyze", "--results", str(results), "--out", str(out), "--consistency", spec])
-            assert code == 1, spec
-            assert "--consistency" in capsys.readouterr().err
-            assert not out.exists()  # refused before the report is written
-
 
 class TestReport:
     def test_without_results_writes_one_csv(self, pipeline, tmp_path, capsys):
@@ -1138,26 +579,6 @@ class TestReport:
         epochs = (out / "epoch_correlation.csv").read_text().strip().splitlines()
         assert epochs[0] == "dataset,epoch,pearson"
         assert len(epochs) == 1 + 3  # one row per epoch of the full runs
-
-    # One edit of quality.csv each: (how, the error after "<path>: line N: ").
-    MALFORMED = {
-        "short_row": (lambda row: row[:3], "3 columns, expected 7 (strategy,dataset,r2,spearman_good,"
-                      "cost_adjusted,relative_cost,n_configs)"),
-        "extra_column": (lambda row: row + ["1"], "8 columns, expected 7"),
-        "float_column": (lambda row: row[:2] + ["x"] + row[3:], "r2 must be a number, got 'x'"),
-        "count_column": (lambda row: row[:6] + ["7.5"], "n_configs must be an integer, got '7.5'"),
-    }
-
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
-    def test_malformed_row_is_refused_with_its_path_and_line(self, pipeline, tmp_path, capsys, case):
-        edit, message = self.MALFORMED[case]
-        lines = pipeline["quality"].read_text().splitlines()
-        lines[3] = ",".join(edit(lines[3].split(",")))
-        bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n")
-        assert main(["report", "--report", str(bad), "--out", str(tmp_path / "plots")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {bad}: line 4: {message}")
-        assert not (tmp_path / "plots").exists()
 
     def test_nan_is_a_number(self, pipeline, tmp_path, capsys):
         # analyze writes nan as cost_adjusted when a dataset has under 5 strategies
@@ -1308,36 +729,6 @@ class TestBlasThreads:
 
 
 class TestExitCodes:
-    def test_unknown_command(self, capsys):
-        assert main(["defragment"]) == 1
-        assert "usage error" in capsys.readouterr().err
-
-    def test_missing_required_flag(self, capsys):
-        assert main(["score"]) == 1
-        capsys.readouterr()
-
-    def test_missing_data_file(self, tmp_path, capsys):
-        code = main(["score", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "s.csv")])
-        assert code == 2
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("value", ["0", "1", "1.5", "nan"])
-    @pytest.mark.parametrize("command", ["score", "make-proxy", "run-grid", "run-grid --dry-run"])
-    def test_val_fraction_outside_the_open_unit_interval(self, tmp_path, capsys, command, value):
-        # refused while parsing flags: the --data file is never opened
-        out = tmp_path / "out"
-        extra = {
-            "score": [],
-            "make-proxy": ["--kind", "random_all", "--fraction", "0.5"],
-            "run-grid": ["--grid", str(tmp_path / "g.json"), "--proxies", str(tmp_path)],
-            "run-grid --dry-run": ["--grid", str(tmp_path / "g.json"), "--proxies", str(tmp_path), "--dry-run"],
-        }[command]
-        argv = [command.split()[0], "--data", str(tmp_path / "absent.csv"), "--out", str(out), *extra,
-                "--val-fraction", value]
-        assert main(argv) == 1
-        assert f"--val-fraction: must be in (0, 1), got '{value}'" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "proxybench" in capsys.readouterr().out
@@ -1381,3 +772,70 @@ class TestExitCodes:
         assert pipeline["results"].read_bytes().startswith(out.read_bytes())
         with open(tmp_path / "results.jsonl.lock", "ab") as fh:  # released
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader is gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def _main_or_timeout(argv, seconds=30):
+    """main(argv), with a TimeoutError raised into it if it blocks (on a FIFO it opened, say)."""
+    def blocked(signum, frame):
+        raise TimeoutError(f"blocked for {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, blocked)
+    signal.alarm(seconds)
+    try:
+        return main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _check_in_process(row, pipeline, tmp_path, monkeypatch, capsys):
+    """refusals.check(row) through main, with row.not_called's functions recording any call."""
+    def run(argv, env, closed_stdout):
+        called = []
+        for name in row.not_called:
+            monkeypatch.setattr(cli_module, name, lambda *a, _name=name, **k: called.append(_name))
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with monkeypatch.context() as m:
+            if closed_stdout:
+                m.setattr(sys, "stdout", _ClosedStdout())
+            code = _main_or_timeout(argv)
+        out, err = capsys.readouterr()
+        assert called == [], argv
+        return code, out, err
+
+    refusals.check(row, pipeline, tmp_path, run)
+
+
+def _refusal_test(rows):
+    """A test of rows: one row named without a [param id] runs alone, others are parametrized by their ids."""
+    if len(rows) == 1 and "[" not in rows[0].name:
+        def test(pipeline, tmp_path, monkeypatch, capsys):
+            _check_in_process(rows[0], pipeline, tmp_path, monkeypatch, capsys)
+        return test
+
+    @pytest.mark.parametrize("row", rows, ids=[row.name[row.name.index("[") + 1 : -1] for row in rows])
+    def test(row, pipeline, tmp_path, monkeypatch, capsys):
+        _check_in_process(row, pipeline, tmp_path, monkeypatch, capsys)
+    return test
+
+
+# Each group of refusals.REFUSALS runs as the test its rows are named after.
+_GROUPS: dict = {}
+for _row in refusals.REFUSALS:
+    _GROUPS.setdefault(_row.name.partition("[")[0], []).append(_row)
+for _name, _rows in _GROUPS.items():
+    _class, _, _function = _name.rpartition("::")
+    if not _class:
+        globals()[_function] = _refusal_test(_rows)
+        continue
+    if _class not in globals():
+        globals()[_class] = type(_class, (), {})
+    setattr(globals()[_class], _function, staticmethod(_refusal_test(_rows)))

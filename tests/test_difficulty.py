@@ -11,7 +11,7 @@ import pytest
 
 from proxybench.dataset import Dataset, SynthSpec, split, synth_generate
 from proxybench.difficulty import DifficultyTable, load_table, quantile_slice, save_table, score_examples
-from proxybench.trainer import HyperparamConfig, init_params, train_model
+from proxybench.trainer import HyperparamConfig, ModelParams, init_params, train_model
 
 
 def _table(losses, ids=None):
@@ -76,6 +76,14 @@ class TestScoreExamples:
         params = init_params(HyperparamConfig(stem_width_1=8, stem_width_2=8), 9, 3)
         with pytest.raises(ValueError, match="feature dim"):
             score_examples(params, d)
+
+    def test_stack_of_two_models_is_refused(self):
+        d = synth_generate(SynthSpec(class_count=3, feature_dim=4, examples_per_class=5, class_separation=3.0,
+                                     noise_scale_lo=0.1, noise_scale_hi=1.0, seed=2))
+        one = init_params(HyperparamConfig(stem_width_1=8, stem_width_2=8), 4, 3)
+        two = ModelParams(one.sizes, np.concatenate([one.flat, one.flat]))
+        with pytest.raises(ValueError, match=r"^score_examples takes a stack of one model, got k=2$"):
+            score_examples(two, d)
 
     def test_mislabeled_examples_rank_hardest(self):
         # zero noise makes classes perfectly separable, so after training the

@@ -379,6 +379,16 @@ class TestTrainModel:
         untrained = evaluate_accuracy(init_params(cfg, d.feature_dim, d.class_count), val)
         assert rec.epoch_val_acc == [untrained, untrained]
 
+    def test_evaluating_a_stack_of_two_models_is_refused(self):
+        # model 0 calls every example class 0 (accuracy 1/3), model 1 calls example i class i+1 (accuracy 0)
+        val = Dataset(np.eye(3), np.array([0, 1, 2]), np.arange(3), class_count=3)
+        w0 = np.zeros((3, 3))
+        w0[:, 0] = 1.0
+        flat = np.stack([np.concatenate([w.ravel(), np.zeros(3)]) for w in (w0, np.roll(np.eye(3), 1, axis=1))])
+        assert [evaluate_accuracy(ModelParams([3, 3], row[None]), val) for row in flat] == [1 / 3, 0.0]
+        with pytest.raises(ValueError, match=r"^evaluate_accuracy takes a stack of one model, got k=2$"):
+            evaluate_accuracy(ModelParams([3, 3], flat), val)
+
     # Moving the shuffle stream reshuffles every epoch and leaves the initialization alone.
 
     def test_full_batch_training_ignores_shuffle_seed(self, monkeypatch):
