@@ -1,9 +1,11 @@
-"""Whole-file reads and writes: JSON inputs whose errors name the file, the one type
-check of what they hold, and writes that never leave a truncated file at the target path."""
+"""Whole-file reads and writes: JSON inputs whose errors name the file, the one type check
+of what they hold, the one CSV format, and writes that never leave a truncated file."""
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import math
 import os
@@ -144,3 +146,46 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     """Write text or bytes through atomic_writer. Text is UTF-8 and its newlines are written as given."""
     with atomic_writer(path) as fh:
         fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write the header row, then rows, through write_atomic in the csv module's default dialect
+    (CRLF line ends, a field quoted only when it holds a comma, a quote or a line end), each value
+    as str(value): a numpy float as the Python float it equals. If rows raises, nothing is written.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue())
+
+
+_READ_WHAT = {int: "an integer", float: "a number"}  # reader -> what it takes, for its error
+
+
+def read_csv(path: str | Path, header, readers) -> list:
+    """The rows of a CSV file as write_csv writes it, each a tuple of its values read by its column's reader.
+
+    readers holds str, int or float (which takes nan) for each column of header. Blank lines are
+    skipped. A first line other than header, a row without one value per column, or a value its
+    reader refuses raises ValueError "<path>: line N: ...", naming the column.
+    """
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, [])
+        if tuple(first) != tuple(header):
+            raise ValueError(f"{path}: line 1: expected the header {','.join(header)}, got {','.join(first)!r}")
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num}: {len(row)} columns, "
+                                 f"expected {len(header)} ({','.join(header)})")
+            values = []
+            for name, text, read in zip(header, row, readers):
+                try:
+                    values.append(read(text))
+                except ValueError:
+                    raise ValueError(f"{path}: line {reader.line_num}: {name} must be {_READ_WHAT[read]}, "
+                                     f"got {text!r}") from None
+            rows.append(tuple(values))
+    return rows

@@ -39,25 +39,26 @@ from __future__ import annotations
 
 import argparse
 import fcntl
-import io
+import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import astuple
 from pathlib import Path
 
-from ._atomic import check_target, read_json, write_atomic
+from ._atomic import check_target, read_json, write_csv
 from ._blas import one_blas_thread
 from .dataset import SynthSpec, load_csv, save_csv, split, synth_generate
 from .difficulty import load_table, save_table, score_examples
 from .metrics import (
     CONSISTENCY_METRICS,
+    REPORT_COLUMNS,
     GoodConfigRule,
     build_quality_reports,
     epoch_correlation,
     consistency_correlation,
     pair_accuracies,
     reports_from_csv,
-    reports_to_csv,
     zscore,
 )
 from .orchestrator import grid_from_json, generate_grid, plan_runs, run_matrix, store_load
@@ -231,16 +232,22 @@ def _good_rule(text: str) -> GoodConfigRule:
     return GoodConfigRule(_GOOD_RULE_KINDS.get(kind), float(value))  # GoodConfigRule refuses a kind of None
 
 
-def _epoch_corr_csv(records) -> str:
-    buf = io.StringIO()
-    buf.write("dataset,epoch,pearson\n")
+def _epoch_corr_rows(records):
+    """(dataset, epoch, epoch_correlation's value) for each dataset with at least 3 full runs."""
     for ds in sorted({r.dataset_id for r in records}):
         full = [r for r in records if r.dataset_id == ds and r.proxy_id == FULL_PROXY_ID]
-        if len(full) < 3:
-            continue
-        for e, corr in enumerate(epoch_correlation(full)):
-            buf.write(f"{ds},{e},{corr!r}\n")
-    return buf.getvalue()
+        if len(full) >= 3:
+            yield from ((ds, e, corr) for e, corr in enumerate(epoch_correlation(full)))
+
+
+def _scatter_rows(reports, records):
+    """(dataset, strategy, config id, z-scored proxy and full-run accuracies) for each proxy's configs;
+    none for a strategy whose r2 is nan (its accuracies, or the full run's, equal across configs)."""
+    for r in reports:
+        if r.strategy != FULL_PROXY_ID and not math.isnan(r.r2):
+            paired = pair_accuracies(records, r.dataset, r.strategy)
+            for row in zip(paired.config_ids, zscore(paired.proxy_acc), zscore(paired.target_acc)):
+                yield (r.dataset, r.strategy, *row)
 
 
 @_flag_type(f"dsA,dsB[:metric], metric one of {', '.join(CONSISTENCY_METRICS)}")
@@ -262,11 +269,12 @@ def _cmd_analyze(args) -> int:
     if not records:
         raise ValueError(f"no records in {args.results}")
     reports = build_quality_reports(records, good_rule=args.good_rule)
-    out = Path(args.out)
-    buf = io.StringIO()
-    reports_to_csv(reports, buf)
-    write_atomic(out, buf.getvalue())
-    print(f"{len(reports)} strategy rows -> {out}")
+    for r in reports:
+        if math.isnan(r.r2):
+            print(f"warning: {r.dataset}: {r.strategy}: its accuracies or the full run's are equal across configs, "
+                  "so its r2, spearman_good and cost_adjusted are nan", file=sys.stderr)
+    write_csv(args.out, REPORT_COLUMNS, map(astuple, reports))
+    print(f"{len(reports)} strategy rows -> {args.out}")
 
     if args.consistency:
         name_a, name_b, metric = args.consistency
@@ -283,26 +291,13 @@ def _cmd_report(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    buf = io.StringIO()
-    buf.write("strategy,dataset,relative_cost,r2,cost_adjusted\n")
-    for r in reports:
-        buf.write(f"{r.strategy},{r.dataset},{r.relative_cost!r},{r.r2!r},{r.cost_adjusted!r}\n")
-    write_atomic(out_dir / "quality_vs_cost.csv", buf.getvalue())
+    write_csv(out_dir / "quality_vs_cost.csv", ("strategy", "dataset", "relative_cost", "r2", "cost_adjusted"),
+              ((r.strategy, r.dataset, r.relative_cost, r.r2, r.cost_adjusted) for r in reports))
     written = ["quality_vs_cost.csv"]
-
     if records is not None:
-        buf = io.StringIO()
-        buf.write("dataset,strategy,config_id,proxy_acc_z,target_acc_z\n")
-        for r in reports:
-            if r.strategy == FULL_PROXY_ID:
-                continue
-            paired = pair_accuracies(records, r.dataset, r.strategy)
-            pz = zscore(paired.proxy_acc)
-            tz = zscore(paired.target_acc)
-            for cfg, p, t in zip(paired.config_ids, pz, tz):
-                buf.write(f"{r.dataset},{r.strategy},{cfg},{p!r},{t!r}\n")
-        write_atomic(out_dir / "proxy_target_scatter.csv", buf.getvalue())
-        write_atomic(out_dir / "epoch_correlation.csv", _epoch_corr_csv(records))
+        write_csv(out_dir / "proxy_target_scatter.csv",
+                  ("dataset", "strategy", "config_id", "proxy_acc_z", "target_acc_z"), _scatter_rows(reports, records))
+        write_csv(out_dir / "epoch_correlation.csv", ("dataset", "epoch", "pearson"), _epoch_corr_rows(records))
         written += ["proxy_target_scatter.csv", "epoch_correlation.csv"]
 
     print(f"wrote {', '.join(written)} to {out_dir}")

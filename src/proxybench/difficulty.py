@@ -8,8 +8,6 @@ addressed on a hardest(0) to easiest(1) axis, so (0.9, 1.0) is the easiest
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._atomic import check_fields, read_json, write_atomic
+from ._atomic import check_fields, read_csv, read_json, write_atomic, write_csv
 from ._exact import exact_floor
 from .dataset import Dataset
 from .trainer import ModelParams, _log_softmax, _logits
@@ -111,6 +109,9 @@ def quantile_slice(table: DifficultyTable, lo: float, hi: float) -> np.ndarray:
     return table.ids[r_lo:r_hi]
 
 
+_COLUMNS = ("example_id", "loss")
+
+
 def save_table(table: DifficultyTable, path: str | Path) -> None:
     """Write `example_id,loss` CSV plus a .json sidecar with the metadata.
 
@@ -120,43 +121,28 @@ def save_table(table: DifficultyTable, path: str | Path) -> None:
     the new table, never a new sidecar vouching for an old table.
     """
     path = Path(path)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["example_id", "loss"])
-    w.writerows((ex_id, repr(loss)) for ex_id, loss in zip(table.ids.tolist(), table.losses.tolist()))
     sidecar = {
         "dataset_id": table.dataset_id,
         "scoring_config_id": table.scoring_config_id,
         "dataset_sha256": table.dataset_sha256,
     }
-    write_atomic(path, buf.getvalue())
+    write_csv(path, _COLUMNS, zip(table.ids.tolist(), table.losses.tolist()))
     write_atomic(path.with_suffix(".json"), json.dumps(sidecar, indent=2) + "\n")
 
 
 def load_table(path: str | Path) -> DifficultyTable:
     """Read a table save_table wrote. A file that does not end with a newline
-    was cut off mid-write and is refused, as is a row that is not an integer
-    id and a loss; both errors name the file. An error in the .json sidecar,
-    a wrong field type too, starts with the sidecar's path (read_json), and
-    one in the rows (out of rank order, a repeated id, a negative loss) with
-    the table's."""
+    was cut off mid-write and is refused, and so are a first line other than
+    example_id,loss and a row that is not an integer id and a loss (read_csv);
+    these errors name the file. An error in the .json sidecar, a wrong field
+    type too, starts with the sidecar's path (read_json), and one in the rows
+    (out of rank order, a repeated id, a negative loss) with the table's."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"difficulty table not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text.endswith("\n"):
+    if not path.read_bytes().endswith(b"\n"):
         raise ValueError(f"{path}: does not end with a newline, so it was cut off mid-write; re-run score")
-    ids, losses = [], []
-    for n, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
-        if n == 1 or not row:  # the header, or a blank line
-            continue
-        try:
-            example_id, loss = row
-            ids.append(int(example_id))
-            losses.append(float(loss))
-        except ValueError:
-            raise ValueError(f"{path}: line {n}: expected example_id,loss, got {row!r}") from None
+    rows = read_csv(path, _COLUMNS, (int, float))
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise FileNotFoundError(f"difficulty table sidecar not found: {sidecar_path}")
@@ -172,6 +158,6 @@ def load_table(path: str | Path) -> DifficultyTable:
 
     meta = read_json(sidecar_path, sidecar)
     try:
-        return DifficultyTable(ids=ids, losses=losses, **meta)
+        return DifficultyTable(ids=[i for i, _ in rows], losses=[loss for _, loss in rows], **meta)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

@@ -9,14 +9,14 @@ Everything here is pure numpy, population statistics throughout.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from ._atomic import read_csv
 from ._exact import exact_ceil
 from .proxy import FULL_PROXY_ID
 
@@ -35,7 +35,6 @@ __all__ = [
     "epoch_correlation",
     "pair_accuracies",
     "build_quality_reports",
-    "reports_to_csv",
     "reports_from_csv",
 ]
 
@@ -74,6 +73,7 @@ class QualityReport:
 
 
 REPORT_COLUMNS = tuple(f.name for f in fields(QualityReport))
+_REPORT_READERS = (str, str, float, float, float, float, int)  # what reads each column, in field order
 
 
 @dataclass(frozen=True)
@@ -149,20 +149,11 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their rank range."""
+    """1-based ranks; tied values share the mean of their rank range: (lo + hi + 1) / 2, an exact
+    half-integer, for a value with lo values below it and hi at or below it."""
     x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    n = len(x)
-    xs = x[order]
-    while i < n:
-        j = i
-        while j + 1 < n and xs[j + 1] == xs[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    xs = np.sort(x)
+    return (np.searchsorted(xs, x, side="left") + np.searchsorted(xs, x, side="right") + 1) / 2.0
 
 
 def spearman(x, y) -> float:
@@ -401,9 +392,10 @@ def build_quality_reports(records, good_rule: GoodConfigRule = DEFAULT_GOOD_RULE
 
     Every strategy is scored against the full run, which is itself
     included as a row (r2 = 1 by construction), anchoring the
-    quality-vs-cost picture. Cost-adjusted values need at least 5 strategies on a dataset;
-    with fewer, that column is nan. Rows with under 3 paired configs are
-    skipped entirely.
+    quality-vs-cost picture. Rows with under 3 paired configs are skipped
+    entirely. An undefined metric is nan: r2 and spearman_good when the strategy's or the
+    full run's accuracies are equal across configs; spearman_good when good_rule keeps under 2
+    configs; cost_adjusted where r2 is nan, or where a dataset has under 5 finite r2 values.
     """
     records = list(records)
     datasets = sorted({r.dataset_id for r in records})
@@ -417,9 +409,12 @@ def build_quality_reports(records, good_rule: GoodConfigRule = DEFAULT_GOOD_RULE
             paired = pair_accuracies(records, ds, proxy_id)
             if len(paired) < 3:
                 continue
-            _, r2 = r2_no_intercept(zscore(paired.proxy_acc), zscore(paired.target_acc))
-            good = select_good_configs(paired, good_rule)
             try:
+                _, r2 = r2_no_intercept(zscore(paired.proxy_acc), zscore(paired.target_acc))
+            except ValueError:  # zero variance: the constant side then also makes spearman_good nan
+                r2 = float("nan")
+            try:
+                good = select_good_configs(paired, good_rule)
                 sp = spearman(
                     [paired.proxy_acc[i] for i in good],
                     [paired.target_acc[i] for i in good],
@@ -437,45 +432,15 @@ def build_quality_reports(records, good_rule: GoodConfigRule = DEFAULT_GOOD_RULE
                     n_configs=len(paired),
                 )
             )
-        if len(ds_rows) >= 5:
-            resid = cost_adjusted_quality([(r.relative_cost, r.r2) for r in ds_rows])
-            ds_rows = [replace(r, cost_adjusted=res) for r, res in zip(ds_rows, resid)]
+        scored = [i for i, r in enumerate(ds_rows) if not math.isnan(r.r2)]
+        if len(scored) >= 5:
+            resid = cost_adjusted_quality([(ds_rows[i].relative_cost, ds_rows[i].r2) for i in scored])
+            for i, res in zip(scored, resid):
+                ds_rows[i] = replace(ds_rows[i], cost_adjusted=res)
         rows.extend(ds_rows)
     return rows
 
 
-def reports_to_csv(reports, fh) -> None:
-    w = csv.writer(fh)
-    w.writerow(REPORT_COLUMNS)
-    w.writerows(map(astuple, reports))  # csv writes a float as str(), the shortest repr that round-trips
-
-
-# What reads each column, in field order: two names, four floats, one count.
-_REPORT_READERS = ((str, "a name"), (str, "a name"), *[(float, "a number")] * 4, (int, "an integer"))
-
-
 def reports_from_csv(path: str | Path) -> list:
-    """The rows of a quality report CSV as reports_to_csv writes it; blank lines are skipped.
-
-    A row without exactly the REPORT_COLUMNS, or a value its column's reader
-    (float, nan included, or int) refuses, raises ValueError
-    "<path>: line N: ..." naming the column.
-    """
-    path = Path(path)
-    reports = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != REPORT_COLUMNS:
-            raise ValueError(f"{path}: not a quality report CSV")
-        for row in filter(None, reader):
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != len(REPORT_COLUMNS):
-                raise ValueError(f"{where}: {len(row)} columns, expected {len(REPORT_COLUMNS)} ({','.join(REPORT_COLUMNS)})")
-            values = []
-            for name, text, (read, what) in zip(REPORT_COLUMNS, row, _REPORT_READERS):
-                try:
-                    values.append(read(text))
-                except ValueError:
-                    raise ValueError(f"{where}: {name} must be {what}, got {text!r}") from None
-            reports.append(QualityReport(*values))
-    return reports
+    """The QualityReport rows of a quality report CSV as analyze writes it, read and checked by read_csv."""
+    return [QualityReport(*row) for row in read_csv(path, REPORT_COLUMNS, _REPORT_READERS)]

@@ -1,8 +1,9 @@
 """Atomic whole-file writes: temp file beside the target, then a rename.
 
 Every write test runs through both entry points: write_atomic, and a body
-that streams into atomic_writer's handle. The last tests pin the one type
-policy of what input files hold (check_value, check_fields).
+that streams into atomic_writer's handle. Then come the one CSV writer and
+reader (write_csv, read_csv), and the last tests pin the one type policy of
+what input files hold (check_value, check_fields).
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from proxybench import _atomic
-from proxybench._atomic import atomic_writer, check_fields, check_value, write_atomic
+from proxybench._atomic import atomic_writer, check_fields, check_value, read_csv, write_atomic, write_csv
 
 
 def _streamed(path, data):
@@ -136,6 +137,28 @@ def test_a_symlink_is_itself_replaced_and_its_target_kept(tmp_path, write):
     assert link.read_bytes() == b"new\n"
     assert target.read_text() == "target\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
+def test_csv_numbers_are_written_by_str_and_fields_quoted_only_when_needed(tmp_path):
+    out = tmp_path / "t.csv"
+    write_csv(out, ("name", "count", "value"), [("a,b", 1, np.float64(-0.1)), ('say "x"', np.int64(2), math.nan)])
+    assert out.read_bytes() == b'name,count,value\r\n"a,b",1,-0.1\r\n"say ""x""",2,nan\r\n'
+    out.write_bytes(out.read_bytes() + b"\r\n")  # a blank line is skipped
+    first, second = read_csv(out, ("name", "count", "value"), (str, int, float))
+    assert first == ("a,b", 1, -0.1) and second[:2] == ('say "x"', 2) and math.isnan(second[2])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: expected the header name,count, got ''"),
+    ("name,count\r\na,1,2\r\n", "line 2: 3 columns, expected 2 (name,count)"),
+    ("name,count\r\na,1\r\n\r\nb,1.5\r\n", "line 4: count must be an integer, got '1.5'"),
+], ids=["empty", "columns", "value"])
+def test_read_csv_names_the_file_the_line_and_the_column(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(ValueError) as info:
+        read_csv(path, ("name", "count"), (str, int))
+    assert str(info.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("tp, value, message", [

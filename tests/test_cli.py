@@ -1,4 +1,5 @@
 import argparse
+import csv
 import fcntl
 import hashlib
 import io
@@ -553,15 +554,39 @@ class TestConsistency:
         assert "consistency r2 dsa vs dsb:" in printed
 
 
+def _plot_rows(path, text_columns: int) -> list:
+    """The rows of a plot CSV, header first, after checking that each has one field per column
+    and that float() reads every cell after its first text_columns."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        assert len(row) == len(rows[0]), row
+        for cell in row[text_columns:]:
+            float(cell)  # raises unless the cell is a number (nan is one)
+    return rows
+
+
+def _analyze_and_report(tmp_path, records, capsys) -> str:
+    """analyze and report on records as a results file, into tmp_path; analyze's stderr."""
+    results = tmp_path / "r.jsonl"
+    results.write_text("".join(json.dumps(asdict(r)) + "\n" for r in records))
+    assert main(["analyze", "--results", str(results), "--out", str(tmp_path / "q.csv")]) == 0
+    err = capsys.readouterr().err
+    assert main(["report", "--report", str(tmp_path / "q.csv"), "--out", str(tmp_path / "plots"),
+                 "--results", str(results)]) == 0
+    capsys.readouterr()
+    return err
+
+
 class TestReport:
     def test_without_results_writes_one_csv(self, pipeline, tmp_path, capsys):
         out = tmp_path / "plots"
         assert main(["report", "--report", str(pipeline["quality"]), "--out", str(out)]) == 0
         capsys.readouterr()
         assert sorted(p.name for p in out.iterdir()) == ["quality_vs_cost.csv"]
-        lines = (out / "quality_vs_cost.csv").read_text().strip().splitlines()
-        assert lines[0] == "strategy,dataset,relative_cost,r2,cost_adjusted"
-        assert len(lines) == 6
+        rows = _plot_rows(out / "quality_vs_cost.csv", 2)
+        assert rows[0] == ["strategy", "dataset", "relative_cost", "r2", "cost_adjusted"]
+        assert len(rows) == 6
 
     def test_with_results_writes_three_csvs(self, pipeline, tmp_path, capsys):
         out = tmp_path / "plots"
@@ -573,12 +598,32 @@ class TestReport:
             "proxy_target_scatter.csv",
             "quality_vs_cost.csv",
         ]
-        scatter = (out / "proxy_target_scatter.csv").read_text().strip().splitlines()
-        assert scatter[0] == "dataset,strategy,config_id,proxy_acc_z,target_acc_z"
+        scatter = _plot_rows(out / "proxy_target_scatter.csv", 3)
+        assert scatter[0] == ["dataset", "strategy", "config_id", "proxy_acc_z", "target_acc_z"]
         assert len(scatter) == 1 + 4 * 4  # 4 non-target strategies x 4 configs
-        epochs = (out / "epoch_correlation.csv").read_text().strip().splitlines()
-        assert epochs[0] == "dataset,epoch,pearson"
+        epochs = _plot_rows(out / "epoch_correlation.csv", 1)
+        assert epochs[0] == ["dataset", "epoch", "pearson"]
         assert len(epochs) == 1 + 3  # one row per epoch of the full runs
+        assert len(_plot_rows(out / "quality_vs_cost.csv", 2)) == 1 + 5
+
+    def test_a_proxy_id_with_a_comma_is_one_field(self, tmp_path, capsys):
+        records = [replace(r, proxy_id="p,1") if r.proxy_id == "p1" else r for r in _synthetic_records(("dsa",))]
+        _analyze_and_report(tmp_path, records, capsys)
+        quality = _plot_rows(tmp_path / "plots" / "quality_vs_cost.csv", 2)
+        assert [row[0] for row in quality[1:]] == ["full", "p,1", "p2", "p3"]
+        scatter = _plot_rows(tmp_path / "plots" / "proxy_target_scatter.csv", 3)
+        assert [row[1] for row in scatter[1:]] == ["p,1"] * 6 + ["p2"] * 6 + ["p3"] * 6
+
+    def test_a_strategy_with_equal_accuracies_is_named_and_has_no_scatter_rows(self, tmp_path, capsys):
+        flat = [RunRecord(dataset_id="dsa", proxy_id="flat", config_id=f"c{cfg}", seed=0, epoch_val_acc=[0.5, 0.5],
+                          best_val_acc=0.5, cost_units=40.0) for cfg in range(6)]
+        err = _analyze_and_report(tmp_path, _synthetic_records(("dsa",)) + flat, capsys)
+        assert err == ("warning: dsa: flat: its accuracies or the full run's are equal across configs, "
+                       "so its r2, spearman_good and cost_adjusted are nan\n")
+        (row,) = [r for r in reports_from_csv(tmp_path / "q.csv") if r.strategy == "flat"]
+        assert math.isnan(row.r2) and math.isnan(row.spearman_good) and math.isnan(row.cost_adjusted)
+        scatter = _plot_rows(tmp_path / "plots" / "proxy_target_scatter.csv", 3)
+        assert {row[1] for row in scatter[1:]} == {"p1", "p2", "p3"}
 
     def test_nan_is_a_number(self, pipeline, tmp_path, capsys):
         # analyze writes nan as cost_adjusted when a dataset has under 5 strategies

@@ -231,8 +231,21 @@ class TestPersistence:
         save_table(_table([1.0, 2.0, 3.0]), p)
         lines = p.read_bytes().split(b"\r\n")
         p.write_bytes(b"\r\n".join(lines[:2] + [lines[2].split(b",")[0]] + lines[3:]))
-        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3: expected example_id,loss, got ['1']")):
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3: 1 columns, expected 2 (example_id,loss)")):
             load_table(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [b"id,loss", *lines[1:]], "line 1: expected the header example_id,loss, got 'id,loss'"),
+        (lambda lines: [*lines[:2], b"1.5,2.0", *lines[3:]], "line 3: example_id must be an integer, got '1.5'"),
+        (lambda lines: [*lines[:2], b"1,x", *lines[3:]], "line 3: loss must be a number, got 'x'"),
+    ], ids=["header", "id", "loss"])
+    def test_bad_header_or_value_is_named_with_the_file_and_line(self, tmp_path, edit, message):
+        p = tmp_path / "scores.csv"
+        save_table(_table([1.0, 2.0, 3.0]), p)
+        p.write_bytes(b"\r\n".join(edit(p.read_bytes().split(b"\r\n"))))
+        with pytest.raises(ValueError) as info:
+            load_table(p)
+        assert str(info.value) == f"{p}: {message}"
 
     @pytest.mark.parametrize("rows, message", [
         (lambda rows: [rows[1], rows[0], *rows[2:]], "entries not in rank order (loss desc, id asc)"),

@@ -89,4 +89,12 @@ def test_pipeline(workspace, tmp_path):
     ok("report", "--report", quality, "--results", results, "--out", tmp_path / "plots")
     assert sorted(p.name for p in (tmp_path / "plots").iterdir()) == [
         "epoch_correlation.csv", "proxy_target_scatter.csv", "quality_vs_cost.csv"]
+    for name, text_columns in [("epoch_correlation.csv", 1), ("proxy_target_scatter.csv", 3), ("quality_vs_cost.csv", 2)]:
+        with open(tmp_path / "plots" / name, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows, name
+        for row in rows:
+            assert len(row) == len(header), (name, row)
+            for cell in row[text_columns:]:
+                float(cell)  # raises unless the cell is a number (nan is one)
     assert (_sha256(results), _sha256(quality)) == (digest, quality_digest)

@@ -1,9 +1,12 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from proxybench._atomic import write_csv
 from proxybench.metrics import (
+    REPORT_COLUMNS,
     GoodConfigRule,
     PairedAccuracies,
     QualityReport,
@@ -11,12 +14,12 @@ from proxybench.metrics import (
     consistency_correlation,
     cost_adjusted_quality,
     epoch_correlation,
+    _average_ranks,
     _lasso_path,
     lasso_cv,
     pair_accuracies,
     r2_no_intercept,
     reports_from_csv,
-    reports_to_csv,
     select_good_configs,
     spearman,
     zscore,
@@ -131,6 +134,12 @@ class TestSpearman:
                 continue
             expected = float(np.corrcoef(rx, ry)[0, 1])
             assert abs(spearman(x, y) - expected) < 1e-12
+
+    def test_ranks_are_exactly_the_counting_ranks(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 40):
+            x = rng.integers(0, 6, size=n) / 7.0  # heavy ties
+            assert _average_ranks(x).tolist() == _rank_oracle(x)
 
     def test_monotone_transform_invariance(self):
         x = [0.3, 0.9, 0.1, 0.5, 0.7]
@@ -555,6 +564,26 @@ class TestBuildQualityReports:
         assert all(not math.isnan(r.cost_adjusted) for r in rows)
         assert abs(sum(r.cost_adjusted for r in rows)) < 1e-8
 
+    @pytest.mark.parametrize("rule", [GoodConfigRule("min_accuracy", 0.99), GoodConfigRule("top_fraction", 0.05)])
+    def test_a_rule_that_keeps_under_two_configs_gives_nan_spearman(self, rule):
+        rows = build_quality_reports(_matrix_records([("p1", 10.0, 0.01), ("p2", 20.0, 0.05)], n_cfg=11), rule)
+        assert len(rows) == 3
+        assert all(math.isnan(r.spearman_good) and math.isfinite(r.r2) for r in rows)
+
+    def test_a_strategy_with_equal_accuracies_gets_nan_and_no_cost_model_point(self):
+        proxies = [("p1", 10.0, 0.01), ("p2", 20.0, 0.05), ("p3", 30.0, 0.02), ("p4", 50.0, 0.1)]
+        records = _matrix_records(proxies)
+        flat = [_rec([0.5], proxy="flat", cfg=f"c{cfg}", cost=40.0) for cfg in range(6)]
+        rows = build_quality_reports(records + flat)
+        by_strategy = {r.strategy: r for r in rows}
+        flat_row = by_strategy.pop("flat")
+        assert math.isnan(flat_row.r2) and math.isnan(flat_row.spearman_good) and math.isnan(flat_row.cost_adjusted)
+        assert flat_row.relative_cost == 0.4 and flat_row.n_configs == 6
+        assert list(by_strategy.values()) == build_quality_reports(records)  # the other rows keep every bit
+
+        rows = build_quality_reports(_matrix_records(proxies[:3]) + flat)  # 4 finite rows: no cost model
+        assert all(math.isnan(r.cost_adjusted) for r in rows)
+
     def test_missing_target_rejected(self):
         records = [_rec([0.5], proxy="p", cfg=f"c{i}") for i in range(4)]
         with pytest.raises(ValueError, match="no 'full' runs"):
@@ -566,8 +595,7 @@ class TestBuildQualityReports:
         )
         rows = build_quality_reports(records)
         path = tmp_path / "quality.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            reports_to_csv(rows, fh)
+        write_csv(path, REPORT_COLUMNS, map(astuple, rows))
         loaded = reports_from_csv(path)
         assert len(loaded) == len(rows)
         for a, b in zip(loaded, rows):
@@ -581,5 +609,5 @@ class TestBuildQualityReports:
     def test_csv_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="not a quality report"):
+        with pytest.raises(ValueError, match=f"{path}: line 1: expected the header strategy,dataset,r2,"):
             reports_from_csv(path)
