@@ -10,6 +10,8 @@ must be a non-negative integer, checked before any input is read. Commands
 write single-file outputs atomically (temp file + rename), so a failed
 invocation never leaves a truncated output; the one deliberate exception is
 run-grid's results file, which must keep completed lines to be resumable.
+A failing analyze or report writes no output: analyze computes its
+--consistency value, and report builds every table, before the first write.
 The --out of every command but report is refused before any input is read
 if it exists and is not a regular file (a FIFO, a directory), and a results
 file that is not one is refused, never read. An error in a JSON input (spec,
@@ -273,34 +275,35 @@ def _cmd_analyze(args) -> int:
         if math.isnan(r.r2):
             print(f"warning: {r.dataset}: {r.strategy}: its accuracies or the full run's are equal across configs, "
                   "so its r2, spearman_good and cost_adjusted are nan", file=sys.stderr)
-    write_csv(args.out, REPORT_COLUMNS, map(astuple, reports))
-    print(f"{len(reports)} strategy rows -> {args.out}")
-
-    if args.consistency:
+    said = [f"{len(reports)} strategy rows -> {args.out}"]
+    if args.consistency:  # computed before the write, so a refused one leaves no report
         name_a, name_b, metric = args.consistency
         a = [r for r in reports if r.dataset == name_a]
         b = [r for r in reports if r.dataset == name_b]
         value = consistency_correlation(a, b, metric)
-        print(f"consistency {metric} {name_a} vs {name_b}: {value:.6f}")
+        said.append(f"consistency {metric} {name_a} vs {name_b}: {value:.6f}")
+    write_csv(args.out, REPORT_COLUMNS, map(astuple, reports))
+    print("\n".join(said))
     return 0
 
 
 def _cmd_report(args) -> int:
     reports = reports_from_csv(args.report)
-    records = store_load(args.results).records() if args.results else None  # refused before any output
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    write_csv(out_dir / "quality_vs_cost.csv", ("strategy", "dataset", "relative_cost", "r2", "cost_adjusted"),
-              ((r.strategy, r.dataset, r.relative_cost, r.r2, r.cost_adjusted) for r in reports))
-    written = ["quality_vs_cost.csv"]
+    records = store_load(args.results).records() if args.results else None
+    # file name -> (header, rows), every table built before any is written: a failing report writes nothing
+    tables = {"quality_vs_cost.csv": (("strategy", "dataset", "relative_cost", "r2", "cost_adjusted"),
+                                      [(r.strategy, r.dataset, r.relative_cost, r.r2, r.cost_adjusted) for r in reports])}
     if records is not None:
-        write_csv(out_dir / "proxy_target_scatter.csv",
-                  ("dataset", "strategy", "config_id", "proxy_acc_z", "target_acc_z"), _scatter_rows(reports, records))
-        write_csv(out_dir / "epoch_correlation.csv", ("dataset", "epoch", "pearson"), _epoch_corr_rows(records))
-        written += ["proxy_target_scatter.csv", "epoch_correlation.csv"]
-
-    print(f"wrote {', '.join(written)} to {out_dir}")
+        tables["proxy_target_scatter.csv"] = (("dataset", "strategy", "config_id", "proxy_acc_z", "target_acc_z"),
+                                              list(_scatter_rows(reports, records)))
+        tables["epoch_correlation.csv"] = (("dataset", "epoch", "pearson"), list(_epoch_corr_rows(records)))
+    out_dir = Path(args.out)
+    for name in tables:
+        check_target(out_dir / name)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(out_dir / name, header, rows)
+    print(f"wrote {', '.join(tables)} to {out_dir}")
     return 0
 
 

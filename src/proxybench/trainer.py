@@ -67,7 +67,9 @@ class HyperparamConfig:
     """One point in the hyperparameter space.
 
     learning_rate = 0 is allowed; it turns training into a no-op, which is
-    occasionally useful as a baseline.
+    occasionally useful as a baseline. learning_rate and augment_prob are
+    stored as float, so an integer value (1) names the same config as its
+    float (1.0).
     """
 
     depth: str = "default"
@@ -83,6 +85,8 @@ class HyperparamConfig:
 
     def __post_init__(self):
         check_fields(HyperparamConfig, self)
+        for name in ("learning_rate", "augment_prob"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.depth not in DEPTH_EXTRA_LAYERS:
             raise ValueError(f"depth must be one of {sorted(DEPTH_EXTRA_LAYERS)}, got {self.depth!r}")
         if self.learning_rate < 0:
@@ -189,7 +193,8 @@ class OptState:
 
     Every kind has every slot: adam reads m and v, rmsprop v and sgd
     neither. scratch holds two more such arrays for the temporaries of one
-    step. A stack's optimizer groups step row views of the stack's slots.
+    step. A stack allocates these slots for all its rows at once, and each
+    of its optimizer groups steps an OptState of row views into them.
     """
 
     kind: str
@@ -346,12 +351,6 @@ def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarr
             below *= np.greater(acts[i - 1], 0.0, out=s.live[i - 1])
             delta = below
     return loss, grads
-
-
-def init_opt_state(optimizer: str, params: ModelParams) -> OptState:
-    """Fresh slots for every row of params, for one of _OPTIMIZERS (the names HyperparamConfig takes)."""
-    flat = params.flat
-    return OptState(optimizer, np.zeros_like(flat), np.zeros_like(flat), (np.empty_like(flat), np.empty_like(flat)))
 
 
 def optimizer_step(state: OptState, params: ModelParams, grads: ModelParams, lr: float):
@@ -553,15 +552,16 @@ class _Stack:
 
     Row i of every per-model array (parameters, gradients, optimizer slots,
     this epoch's shuffle order, flips and learning rates, the gathered
-    block) belongs to members[i]. retire() is the one place rows leave
-    them, so the rows of each optimizer stay contiguous and a model that left
-    costs no more work.
+    block) belongs to members[i]. The stack allocates its optimizer slots
+    (m, v and two step temporaries) for every row whatever its optimizer,
+    and each epoch's order and flips at the models it still holds.
+    retire() is the one place rows leave them, so the rows of each optimizer
+    stay contiguous and a model that left costs no more work.
     """
 
     def __init__(self, members: list, train: Dataset, val: Dataset):
-        cfg = members[0].config
         self.members, self.train, self.val = members, train, val
-        self.batch = cfg.batch_size
+        self.batch = members[0].config.batch_size
         n, k = len(train), len(members)
         self.steps_per_epoch = -(-n // self.batch)
         # Gather a block of whole batches for every model, up to _BLOCK_ROWS
@@ -571,15 +571,12 @@ class _Stack:
         self.block = min(n, max(self.batch, per_model // self.batch * self.batch))
         self.x_buf = np.empty(k * self.block * train.feature_dim)
         self.y_buf = np.empty(k * self.block, dtype=train.labels.dtype)
-        # Each epoch's shuffle orders, flips and flip draws are written over these.
-        self.order_buf = np.empty((k, n), dtype=np.int64)
-        self.flips_buf = np.empty((k, n), dtype=bool)
-        self.draws = np.empty(n)
         inits = [init_params(m.config, train.feature_dim, train.class_count) for m in members]
         self.params = ModelParams(inits[0].sizes, np.concatenate([p.flat for p in inits]))
         self.grads = ModelParams(self.params.sizes, np.zeros_like(self.params.flat))  # reused by every step
-        slots = init_opt_state(cfg.optimizer, self.params)
-        self.slots = (slots.m, slots.v, *slots.scratch)  # every row's, whatever its optimizer
+        flat = self.params.flat
+        # m, v and one step's two temporaries, for every row whatever its optimizer
+        self.slots = (np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat), np.empty_like(flat))
         self._regroup(0)
 
     def _regroup(self, t: int) -> None:
@@ -604,18 +601,15 @@ class _Stack:
         n, batch = len(self.train), self.batch
         full = n // batch
         k = len(self.members)
-        self.order, self.flips = self.order_buf[:k], self.flips_buf[:k]
+        self.order, self.flips = np.empty((k, n), dtype=np.int64), np.empty((k, n), dtype=bool)
         for i, m in enumerate(self.members):
             # What Generator.permutation(n) returns: a shuffled arange.
             self.order[i] = np.arange(n)
             np.random.default_rng([m.config.seed, _STREAM_SHUFFLE, epoch]).shuffle(self.order[i])
             # One draw per row in visiting order: the numbers that one draw
             # per batch from the same generator would give.
-            if m.config.augment_prob > 0.0:
-                np.random.default_rng([m.config.seed, _STREAM_AUG, epoch]).random(out=self.draws)
-                np.less(self.draws, m.config.augment_prob, out=self.flips[i])
-            else:
-                self.flips[i] = False
+            rng = np.random.default_rng([m.config.seed, _STREAM_AUG, epoch])
+            np.less(rng.random(n), m.config.augment_prob, out=self.flips[i])
         # Ascending row order within each batch keeps accumulation order
         # canonical, so full-batch runs ignore the shuffle.
         self.order[:, : full * batch].reshape(k, full, batch).sort(axis=2)

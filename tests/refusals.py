@@ -190,6 +190,19 @@ def _manifest(change: dict, base: str | None = None, name: str = "x.json"):
     return edit
 
 
+def _duplicate_manifest(p):
+    """{tmp}/proxies holding the workspace's random_all manifest twice, under two names."""
+    (p["tmp"] / "proxies").mkdir()
+    for name in ("a.json", "b.json"):
+        (p["tmp"] / "proxies" / name).write_bytes((p["proxies"] / "random_all.json").read_bytes())
+
+
+def _without_proxy(proxy_id: str):
+    """results.jsonl without the lines of proxy_id, as {tmp}/r.jsonl."""
+    return _copy("results", "r.jsonl", lambda data: b"".join(
+        line for line in data.splitlines(keepends=True) if json.loads(line)["proxy_id"] != proxy_id))
+
+
 def _held_results_lock(p):
     """The first 12 results lines as {tmp}/r.jsonl, and its lock held as another run-grid mid-run would."""
     (p["tmp"] / "r.jsonl").write_bytes(b"".join(p["results"].read_bytes().splitlines(keepends=True)[:12]))
@@ -352,6 +365,9 @@ REFUSALS = [
     Refusal("TestMakeProxy::test_quantile_without_scores_is_usage_error",
             "make-proxy --data {data} --kind quantile --lo 0.5 --hi 1.0 --out {tmp}/m.json", None, 1,
             "usage error: quantile proxies require --scores\n"),
+    Refusal("test_refusal[proxy-spec-without-its-fraction]",
+            "make-proxy --data {data} --kind random_all --out {tmp}/m.json", None, 1,
+            "usage error: random_all requires a fraction\n", not_called=_NO_WORK),
     Refusal("TestMakeProxy::test_unknown_class_is_refused",
             "make-proxy --data {data} --kind half_classes --classes 0,99 --out {tmp}/m.json", None, 2,
             "error: unknown class ids [99] for class_count 3\n"),
@@ -436,6 +452,10 @@ REFUSALS = [
             _manifest({"epochs": 20}, base="random_all.json", name="random.json"), 2,
             "error: proxy manifest 'random-0.5-s0' trains 20 epochs, not the grid's 3; rebuild it with make-proxy "
             "--target-epochs 3\n", leaves=("r.jsonl.lock",), also_dry_run=True),
+    Refusal("test_refusal[duplicate-proxy-id]",
+            "run-grid --data {data} --grid {grid} --proxies {tmp}/proxies --out {tmp}/r.jsonl",
+            _duplicate_manifest, 2, "error: duplicate proxy id 'random-0.5-s0' in {tmp}/proxies\n",
+            not_called=_NO_WORK, also_dry_run=True),
     Refusal("TestRunGrid::test_second_writer_of_one_results_file_is_refused", _RUN_GRID, _held_results_lock, 2,
             "error: {tmp}/r.jsonl is being written by another run-grid (it holds {tmp}/r.jsonl.lock)\n"),
     *[Refusal(name, "run-grid --data {data} --grid {grid} --proxies {proxies} --out {tmp}/seed0.jsonl",
@@ -466,6 +486,13 @@ REFUSALS = [
       for command, argv in [("analyze", "analyze --results {tmp}/r.jsonl --out {tmp}/q.csv"),
                             ("report", "report --report {quality} --results {tmp}/r.jsonl --out {tmp}/plots")]
       for i, (change, message) in enumerate(_RESULT_CHANGES)],
+    # a failing analyze or report writes nothing: its value or tables are computed before any output
+    Refusal("test_refusal[consistency-with-too-few-shared-strategies]",
+            "analyze --results {results} --out {tmp}/q.csv --consistency toy,other", None, 2,
+            "error: only 0 shared strategies, need at least 3\n"),
+    Refusal("test_refusal[report-strategy-missing-from-results]",
+            "report --report {quality} --out {tmp}/plots --results {tmp}/r.jsonl", _without_proxy("random-0.5-s0"), 2,
+            "error: no shared configs between 'random-0.5-s0' and 'full' on 'toy'\n"),
     *[Refusal(f"TestReport::test_malformed_row_is_refused_with_its_path_and_line[{case}]",
               "report --report {tmp}/bad.csv --out {tmp}/plots", _quality_row(edit), 2,
               f"error: {{tmp}}/bad.csv: line 4: {message}\n")

@@ -1,3 +1,4 @@
+import _ctypes
 import argparse
 import csv
 import fcntl
@@ -13,6 +14,7 @@ import sys
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -749,6 +751,22 @@ class TestBlasThreads:
         assert main(argv) == code
         capsys.readouterr()
         assert blas_at_two() == 2
+
+    def test_without_an_openblas_setter_nothing_is_changed(self, tmp_path, monkeypatch):
+        real = _blas.openblas_threads()
+        before = real[1]() if real else None
+        # a numpy with no numpy.libs beside it, then one whose OpenBLAS-named files are no library
+        # and a library without the thread symbols: none gives a setter
+        monkeypatch.setattr(_blas, "np", SimpleNamespace(__file__=str(tmp_path / "numpy" / "__init__.py")))
+        assert _blas.openblas_threads.__wrapped__() is None
+        (tmp_path / "numpy.libs").mkdir()
+        (tmp_path / "numpy.libs" / "libaopenblas.so").write_bytes(b"not a shared object")
+        (tmp_path / "numpy.libs" / "libbopenblas.so").symlink_to(_ctypes.__file__)
+        assert _blas.openblas_threads.__wrapped__() is None
+        monkeypatch.setattr(_blas, "openblas_threads", lambda: None)
+        with _blas.one_blas_thread():
+            inside = real[1]() if real else None
+        assert inside == before
 
     def test_import_leaves_the_count_alone(self):
         if _blas.openblas_threads() is None:

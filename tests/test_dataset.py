@@ -406,6 +406,13 @@ class TestSplit:
         assert set(v1.ids.tolist()) == set(v2.ids.tolist())
         assert set(v1.ids.tolist()) != set(v3.ids.tolist())
 
+    def test_a_class_with_no_examples_is_skipped(self):
+        d = _toy(n_per_class=10, classes=3)
+        kept = d.labels != 1
+        d = Dataset(d.features[kept], d.labels[kept], d.ids[kept], class_count=3, id="toy")
+        train, val = split(d, 0.2, seed=0)
+        assert val.labels.tolist() == [0, 0, 2, 2] and len(train) == 16
+
     def test_preserves_dataset_id_and_class_count(self):
         d = _toy()
         train, val = split(d, 0.2, seed=0)

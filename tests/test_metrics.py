@@ -584,6 +584,12 @@ class TestBuildQualityReports:
         rows = build_quality_reports(_matrix_records(proxies[:3]) + flat)  # 4 finite rows: no cost model
         assert all(math.isnan(r.cost_adjusted) for r in rows)
 
+    def test_a_strategy_with_under_three_paired_configs_gets_no_row(self):
+        records = _matrix_records([("p1", 10.0, 0.01), ("p2", 20.0, 0.05)])
+        few = [_rec([0.5 + 0.1 * cfg], proxy="few", cfg=f"c{cfg}", cost=10.0) for cfg in range(2)]
+        rows = build_quality_reports(records + few)
+        assert [(r.strategy, r.r2) for r in rows] == [(r.strategy, r.r2) for r in build_quality_reports(records)]
+
     def test_missing_target_rejected(self):
         records = [_rec([0.5], proxy="p", cfg=f"c{i}") for i in range(4)]
         with pytest.raises(ValueError, match="no 'full' runs"):

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from proxybench._exact import exact_ceil, exact_floor
 from proxybench.dataset import Dataset
 from proxybench.difficulty import DifficultyTable
 from proxybench.proxy import ProxySpec, build_proxy, load_manifest, save_manifest
@@ -33,6 +34,12 @@ def _same_manifest(a, b) -> bool:
 
 TRAIN = _balanced(classes=10, per_class=100)  # 1000 examples
 VAL = _balanced(classes=10, per_class=50, id="bal")  # 500 examples
+
+
+def test_exact_bounds_take_a_fraction_that_is_not_a_float():
+    # a float goes through its shortest decimal; an int or Fraction is exact as it is
+    assert exact_ceil(1, 7) == 7 and exact_floor(1, 7) == 7
+    assert exact_ceil(0.3, 10) == 3 and exact_floor(0.3, 10) == 3
 
 
 class TestProxySpec:

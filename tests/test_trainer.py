@@ -13,11 +13,11 @@ from proxybench.trainer import (
     DEPTH_EXTRA_LAYERS,
     HyperparamConfig,
     ModelParams,
+    OptState,
     _gather_rows,
     config_id,
     evaluate_accuracy,
     forward_backward,
-    init_opt_state,
     init_params,
     one_cycle_lr,
     optimizer_step,
@@ -92,6 +92,15 @@ class TestConfig:
         # built must keep them
         assert config_id(HyperparamConfig()) == "fdbd2e7682cf"
         assert config_id(HyperparamConfig(optimizer="sgd", learning_rate=0.01, seed=7)) == "3e06caebc2fa"
+
+    @pytest.mark.parametrize("field_name, value", [("learning_rate", 1), ("learning_rate", 0), ("augment_prob", 0),
+                                                   ("augment_prob", 1)])
+    def test_an_integer_float_field_names_the_config_of_its_float(self, field_name, value):
+        # a grid edited from 1 to 1.0 must find the cells it already stored
+        as_int = HyperparamConfig(**{field_name: value})
+        as_float = HyperparamConfig(**{field_name: float(value)})
+        assert type(getattr(as_int, field_name)) is float
+        assert as_int == as_float and config_id(as_int) == config_id(as_float)
 
 
 class TestSmoothedCrossEntropy:
@@ -245,6 +254,12 @@ class TestFlatLayout:
             ModelParams([2, 3], np.zeros(9))
 
 
+def _fresh_state(kind: str, p: ModelParams) -> OptState:
+    """A fresh OptState for every row of p: zero m and v, and two scratch arrays."""
+    flat = p.flat
+    return OptState(kind, np.zeros_like(flat), np.zeros_like(flat), (np.empty_like(flat), np.empty_like(flat)))
+
+
 class TestOptimizers:
     def _scalar(self, value=1.0):
         # one 1 -> 1 layer: flat is [[weight, bias]]
@@ -253,20 +268,20 @@ class TestOptimizers:
     def test_sgd_definition(self):
         p = self._scalar(1.0)
         g = self._scalar(0.5)
-        optimizer_step(init_opt_state("sgd", p), p, g, lr=0.1)
+        optimizer_step(_fresh_state("sgd", p), p, g, lr=0.1)
         assert p.weights[0][0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_adam_first_step(self):
         p = self._scalar(0.0)
         g = self._scalar(1.0)
-        optimizer_step(init_opt_state("adam", p), p, g, lr=0.001)
+        optimizer_step(_fresh_state("adam", p), p, g, lr=0.001)
         # bias correction makes m_hat = g and v_hat = g^2 on step one
         assert p.weights[0][0, 0] == pytest.approx(-0.001 / (1 + 1e-8), abs=1e-15)
 
     def test_rmsprop_first_step(self):
         p = self._scalar(0.0)
         g = self._scalar(2.0)
-        optimizer_step(init_opt_state("rmsprop", p), p, g, lr=0.1)
+        optimizer_step(_fresh_state("rmsprop", p), p, g, lr=0.1)
         # v = 0.01*g^2, update = lr*g/(sqrt(v)+eps)
         expected = -0.1 * 2.0 / (math.sqrt(0.01 * 4.0) + 1e-8)
         assert p.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
@@ -275,11 +290,14 @@ class TestOptimizers:
         for name in ("sgd", "adam", "rmsprop"):
             p = self._scalar(0.7)
             g = self._scalar(0.0)
-            optimizer_step(init_opt_state(name, p), p, g, lr=0.5)
+            optimizer_step(_fresh_state(name, p), p, g, lr=0.5)
             assert p.weights[0][0, 0] == 0.7
 
 
 class TestOneCycle:
+    def test_a_one_step_schedule_is_lr_max(self):
+        assert one_cycle_lr(0, 1, 0.3) == 0.3
+
     def test_boundary_values(self):
         for total in (8, 40, 201, 1000):
             assert one_cycle_lr(0, total, 1.0) == pytest.approx(1.0 / 25)
