@@ -288,6 +288,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    out_dir = Path(args.out)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ValueError(f"{out_dir} exists and is not a directory")
     reports = reports_from_csv(args.report)
     records = store_load(args.results).records() if args.results else None
     # file name -> (header, rows), every table built before any is written: a failing report writes nothing
@@ -297,7 +300,6 @@ def _cmd_report(args) -> int:
         tables["proxy_target_scatter.csv"] = (("dataset", "strategy", "config_id", "proxy_acc_z", "target_acc_z"),
                                               list(_scatter_rows(reports, records)))
         tables["epoch_correlation.csv"] = (("dataset", "epoch", "pearson"), list(_epoch_corr_rows(records)))
-    out_dir = Path(args.out)
     for name in tables:
         check_target(out_dir / name)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -182,15 +182,14 @@ def run_seed(dataset_id: str, proxy_id: str, cfg_id: str, global_seed: int) -> i
 def _run_unit(sub_train: Dataset, sub_val: Dataset, cells: list) -> list:
     """Trains one unit's cells, (manifest, run config, config id) triples, as a stack; returns their records.
 
-    A cell alone goes through train_model, the entry point that tracers
-    and tests follow run by run.
+    The trainer names each record a full-task run of its run config; this is
+    the one place a record takes its cell's proxy id and grid config id. A
+    cell alone goes through train_model, the entry point that tracers and
+    tests follow run by run.
     """
-    if len(cells) == 1:
-        (manifest, cfg, cfg_id), = cells
-        return [train_model(sub_train, sub_val, cfg, proxy_id=manifest.proxy_id, config_key=cfg_id)[0]]
     manifests, configs, keys = zip(*cells)
-    proxy_ids = [m.proxy_id for m in manifests]
-    return [record for record, _ in train_stack(sub_train, sub_val, configs, proxy_ids=proxy_ids, config_keys=keys)]
+    runs = [train_model(sub_train, sub_val, configs[0])] if len(cells) == 1 else train_stack(sub_train, sub_val, configs)
+    return [replace(record, proxy_id=m.proxy_id, config_id=key) for (record, _), m, key in zip(runs, manifests, keys)]
 
 
 def _same_examples(a, b) -> bool:

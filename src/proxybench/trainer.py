@@ -445,14 +445,7 @@ def stack_key(config: HyperparamConfig) -> tuple:
     return (config.depth, config.stem_width_1, config.stem_width_2, config.batch_size)
 
 
-def train_model(
-    train: Dataset,
-    val: Dataset,
-    config: HyperparamConfig,
-    *,
-    proxy_id: str = "full",
-    config_key: str | None = None,
-):
+def train_model(train: Dataset, val: Dataset, config: HyperparamConfig):
     """Train a fresh model; returns (RunRecord, ModelParams), its parameters as a stack of one.
 
     Deterministic given (config, data): initialization is seeded from
@@ -465,17 +458,10 @@ def train_model(
     value (or the current model's accuracy if no epoch finished), and its
     nominal cost intact. The run is a stack of one (see train_stack).
     """
-    return train_stack(train, val, [config], proxy_ids=[proxy_id], config_keys=[config_key])[0]
+    return train_stack(train, val, [config])[0]
 
 
-def train_stack(
-    train: Dataset,
-    val: Dataset,
-    configs: list,
-    *,
-    proxy_ids: list | None = None,
-    config_keys: list | None = None,
-) -> list:
+def train_stack(train: Dataset, val: Dataset, configs: list) -> list:
     """Train configs of one stack_key in lockstep; returns a (RunRecord, ModelParams of one model) per config, in order.
 
     Each model gets the bits of its own train_model run: it keeps its own
@@ -485,25 +471,20 @@ def train_stack(
     on. A model whose epochs are done leaves the stack after that epoch's
     evaluation. Each step is one forward_backward over the stack and one
     optimizer_step per optimizer over that optimizer's rows; evaluation stays
-    one model at a time. Each record takes its config's proxy id ("full" by
-    default) and config key (config_id by default).
+    one model at a time. Each record names a full-task run of its own
+    config: proxy id "full" and config_id(config). run-grid renames each
+    record for its cell.
     """
-    configs = list(configs)
-    k = len(configs)
-    proxy_ids = ["full"] * k if proxy_ids is None else list(proxy_ids)
-    config_keys = [None] * k if config_keys is None else list(config_keys)
-    if k == 0 or len(proxy_ids) != k or len(config_keys) != k:
-        raise ValueError("need one proxy id and one config key per config, and at least one config")
-    if len({stack_key(c) for c in configs}) != 1:
+    members = [_Member(c) for c in configs]
+    if not members:
+        raise ValueError("need at least one config")
+    if len({stack_key(m.config) for m in members}) != 1:
         raise ValueError("configs of a stack must share layer sizes and batch size")
     if len(train) == 0 or len(val) == 0:
         raise ValueError("train and val must be non-empty")
     if train.feature_dim != val.feature_dim or train.class_count != val.class_count:
         raise ValueError("train and val shapes disagree")
 
-    members = [
-        _Member(c, pid, config_id(c) if key is None else key) for c, pid, key in zip(configs, proxy_ids, config_keys)
-    ]
     stack = _Stack(sorted(members, key=lambda m: _OPTIMIZERS.index(m.config.optimizer)), train, val)
     # Divergent configs overflow on purpose before the abort check catches
     # them, and a half-blown model can overflow again while being evaluated;
@@ -521,8 +502,8 @@ def train_stack(
         (
             RunRecord(
                 dataset_id=train.id,
-                proxy_id=m.proxy_id,
-                config_id=m.config_key,
+                proxy_id="full",
+                config_id=config_id(m.config),
                 seed=m.config.seed,
                 epoch_val_acc=m.epoch_val_acc,
                 best_val_acc=max(m.epoch_val_acc),
@@ -540,8 +521,6 @@ class _Member:
     """One model of a stack: what it trains with, and how it ended."""
 
     config: HyperparamConfig
-    proxy_id: str
-    config_key: str
     epoch_val_acc: list = field(default_factory=list)
     status: str = "ok"
     params: ModelParams | None = None

@@ -493,6 +493,9 @@ REFUSALS = [
     Refusal("test_refusal[report-strategy-missing-from-results]",
             "report --report {quality} --out {tmp}/plots --results {tmp}/r.jsonl", _without_proxy("random-0.5-s0"), 2,
             "error: no shared configs between 'random-0.5-s0' and 'full' on 'toy'\n"),
+    Refusal("test_refusal[report-out-is-a-file]", "report --report {quality} --results {results} --out {tmp}/plots",
+            _write("plots", ""), 2, "error: {tmp}/plots exists and is not a directory\n",
+            not_called=("reports_from_csv", "store_load")),
     *[Refusal(f"TestReport::test_malformed_row_is_refused_with_its_path_and_line[{case}]",
               "report --report {tmp}/bad.csv --out {tmp}/plots", _quality_row(edit), 2,
               f"error: {{tmp}}/bad.csv: line 4: {message}\n")

@@ -342,19 +342,13 @@ class TestRunGrid:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({**GRID, "variations": {"batch_size": [32], "learning_rate": [0.01, 0.001]}}))
         trained = []
+        run_unit = orchestrator._run_unit
 
-        def recording(fn, one):
-            def train(sub_train, sub_val, configs, **keys):
-                if one:
-                    cells = [(keys["proxy_id"], configs.epochs, keys["config_key"])]
-                else:
-                    cells = zip(keys["proxy_ids"], [c.epochs for c in configs], keys["config_keys"])
-                trained.append((len(sub_train), tuple(cells)))
-                return fn(sub_train, sub_val, configs, **keys)
-            return train
+        def recording(sub_train, sub_val, cells):
+            trained.append((len(sub_train), tuple((m.proxy_id, cfg.epochs, key) for m, cfg, key in cells)))
+            return run_unit(sub_train, sub_val, cells)
 
-        monkeypatch.setattr(orchestrator, "train_model", recording(orchestrator.train_model, True))
-        monkeypatch.setattr(orchestrator, "train_stack", recording(orchestrator.train_stack, False))
+        monkeypatch.setattr(orchestrator, "_run_unit", recording)
         proxies = tmp_path / "proxies"
         proxies.mkdir()
         out = tmp_path / "r.jsonl"

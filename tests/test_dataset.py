@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import io
 import os
 import pickle
+import re
 import shutil
 
 import numpy as np
@@ -43,6 +45,14 @@ class TestDatasetConstruction:
             Dataset(np.zeros((2, 3)), [0, 1], [0, 1], 2, 3)
         with pytest.raises(TypeError):
             Dataset(np.zeros((2, 3)), [0, 1], [0, 1], 2, 3, "toy")
+
+    @pytest.mark.parametrize("class_count, ids, message", [
+        (0, [0, 1], "class_count must be >= 1, got 0"),
+        (2, [0, -3], "example id must be >= 0, got -3"),
+    ], ids=["class_count_below_one", "negative_id"])
+    def test_rejects_class_count_and_ids(self, class_count, ids, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(np.zeros((2, 1)), [0, 0], ids, class_count=class_count)
 
     def test_rejects_non_finite_features(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -349,14 +359,10 @@ class TestSynthGenerate:
         assert np.array_equal(a.labels, b.labels)
 
     def test_seed_changes_data(self):
-        import dataclasses
-
         other = dataclasses.replace(self.SPEC, seed=10)
         assert not np.array_equal(synth_generate(self.SPEC).features, synth_generate(other).features)
 
     def test_flip_count_is_floor_of_fraction(self):
-        import dataclasses
-
         flipped = synth_generate(dataclasses.replace(self.SPEC, label_flip_fraction=0.13))
         clean = synth_generate(self.SPEC)
         n_flipped = int(np.sum(flipped.labels != clean.labels))
@@ -365,8 +371,6 @@ class TestSynthGenerate:
         assert np.array_equal(flipped.features, clean.features)
 
     def test_zero_noise_puts_class_on_its_mean(self):
-        import dataclasses
-
         spec = dataclasses.replace(self.SPEC, noise_scale_lo=0.0, noise_scale_hi=0.0)
         d = synth_generate(spec)
         for c in range(4):
@@ -374,13 +378,19 @@ class TestSynthGenerate:
             assert np.allclose(rows, rows[0])
             assert np.linalg.norm(rows[0]) == pytest.approx(3.0)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SynthSpec(1, 6, 25, 3.0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            SynthSpec(4, 6, 25, 3.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            SynthSpec(4, 6, 25, 3.0, 0.1, 1.0, label_flip_fraction=1.0)
+    @pytest.mark.parametrize("change, message", [
+        ({"class_count": 1}, "class_count must be >= 2"),
+        ({"feature_dim": 0}, "feature_dim must be >= 1"),
+        ({"examples_per_class": 0}, "examples_per_class must be >= 1"),
+        ({"class_separation": 0.0}, "class_separation must be > 0"),
+        ({"noise_scale_lo": 1.0, "noise_scale_hi": 0.5}, "need 0 <= noise_scale_lo <= noise_scale_hi"),
+        ({"label_flip_fraction": 1.0}, "label_flip_fraction must be in [0, 1)"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ], ids=["class_count", "feature_dim", "examples_per_class", "class_separation", "noise_scales",
+            "label_flip_fraction", "seed"])
+    def test_validation(self, change, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(self.SPEC, **change)
 
 
 class TestSplit:
@@ -419,15 +429,18 @@ class TestSplit:
         assert train.id == d.id == val.id
         assert train.class_count == d.class_count
 
-    def test_rejects_degenerate_fractions(self):
-        d = _toy(n_per_class=4)
-        with pytest.raises(ValueError):
-            split(d, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            split(d, 1.0, seed=0)
-        # 0.1 of 4 rounds to 0 validation examples for every class
-        with pytest.raises(ValueError):
-            split(d, 0.1, seed=0)
+    @pytest.mark.parametrize("class_sizes, val_fraction, message", [
+        ([4, 4, 4], 0.0, "val_fraction must be in (0, 1), got 0.0"),
+        ([4, 4, 4], 1.0, "val_fraction must be in (0, 1), got 1.0"),
+        ([4, 4, 4], 0.1, "dataset too small to stratify: val_fraction*12 < 3 classes"),
+        ([20, 2], 0.2, "class 1 would get 0 validation examples"),  # round(0.4)
+        ([10, 1], 0.6, "class 1 would get 0 training examples"),  # round(0.6) takes its one example
+    ], ids=["zero", "one", "too_small", "class_without_val", "class_without_train"])
+    def test_rejects_degenerate_fractions(self, class_sizes, val_fraction, message):
+        labels = np.repeat(np.arange(len(class_sizes)), class_sizes)
+        d = Dataset(labels[:, None].astype(float), labels, np.arange(len(labels)), class_count=len(class_sizes))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            split(d, val_fraction, seed=0)
 
 
 class TestSubsetByIds:

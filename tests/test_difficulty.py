@@ -85,6 +85,12 @@ class TestScoreExamples:
         with pytest.raises(ValueError, match=r"^score_examples takes a stack of one model, got k=2$"):
             score_examples(two, d)
 
+    def test_empty_set_is_refused(self):
+        d = Dataset(np.zeros((0, 4)), [], [], class_count=3)
+        params = init_params(HyperparamConfig(stem_width_1=8, stem_width_2=8), 4, 3)
+        with pytest.raises(ValueError, match="^cannot score an empty dataset$"):
+            score_examples(params, d)
+
     def test_mislabeled_examples_rank_hardest(self):
         # zero noise makes classes perfectly separable, so after training the
         # only high-loss examples are the deliberately flipped labels

@@ -451,8 +451,8 @@ class TestRunMatrix:
             for cfg in grid:
                 rec = store.get((train.id, m.proxy_id, config_id(cfg)))
                 run_cfg = replace(cfg, seed=rec.seed, epochs=m.epochs)
-                solo, _ = train_model(sub_train, sub_val, run_cfg, proxy_id=m.proxy_id, config_key=config_id(cfg))
-                assert rec == solo
+                solo, _ = train_model(sub_train, sub_val, run_cfg)
+                assert rec == replace(solo, proxy_id=m.proxy_id, config_id=config_id(cfg))
 
     def test_stacks_never_exceed_the_cap(self, monkeypatch, tmp_path):
         import proxybench.orchestrator as orchestrator

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from proxybench._exact import exact_ceil, exact_floor
-from proxybench.dataset import Dataset
+from proxybench.dataset import Dataset, subset_by_ids
 from proxybench.difficulty import DifficultyTable
-from proxybench.proxy import ProxySpec, build_proxy, load_manifest, save_manifest
+from proxybench.proxy import ProxyManifest, ProxySpec, build_proxy, load_manifest, save_manifest
 
 
 def _balanced(classes=10, per_class=100, dim=3, id="bal"):
@@ -43,17 +43,20 @@ def test_exact_bounds_take_a_fraction_that_is_not_a_float():
 
 
 class TestProxySpec:
-    def test_field_validation(self):
-        with pytest.raises(ValueError):
-            ProxySpec(kind="random_all", fraction=0.0)
-        with pytest.raises(ValueError):
-            ProxySpec(kind="random_all", fraction=1.5)
-        with pytest.raises(ValueError):
-            ProxySpec(kind="quantile", lo=0.5, hi=0.5)
-        with pytest.raises(ValueError):
-            ProxySpec(kind="fewer_epochs", epochs=0)
-        with pytest.raises(ValueError):
-            ProxySpec(kind="half_classes", class_set=())
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "random_all", "fraction": 0.0}, "fraction must be in (0, 1], got 0.0"),
+        ({"kind": "random_all", "fraction": 1.5}, "fraction must be in (0, 1], got 1.5"),
+        ({"kind": "quantile", "lo": 0.5, "hi": 0.5}, "need 0 <= lo < hi <= 1, got lo=0.5, hi=0.5"),
+        ({"kind": "quantile", "lo": 0.5}, "quantile requires lo and hi"),
+        ({"kind": "quantile", "hi": 0.5}, "quantile requires lo and hi"),
+        ({"kind": "fewer_epochs", "epochs": 0}, "fewer_epochs requires a positive epoch count"),
+        ({"kind": "half_classes", "class_set": ()}, "class_set must be non-empty when given"),
+        ({"kind": "random_all", "fraction": 0.5, "seed": -1}, "seed must be >= 0"),
+    ], ids=["fraction_zero", "fraction_above_one", "empty_quantile", "quantile_without_hi", "quantile_without_lo",
+            "zero_epochs", "empty_class_set", "negative_seed"])
+    def test_field_validation(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProxySpec(**fields)
 
     def test_irrelevant_fields_rejected(self):
         with pytest.raises(ValueError, match="does not take"):
@@ -122,6 +125,19 @@ class TestBuildProxy:
         assert set(TRAIN.labels[np.isin(TRAIN.ids, m.train_ids)].tolist()) == {0, 2}
         assert set(VAL.labels[np.isin(VAL.ids, m.val_ids)].tolist()) == {0, 2}
         assert (len(m.train_ids), len(m.val_ids)) == (200, 100)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ProxyManifest("p", ProxySpec(kind="full"), np.array([], dtype=np.int64), VAL.ids, 1),
+         "proxy 'p' resolved to 0 training examples"),
+        (lambda: ProxyManifest("p", ProxySpec(kind="full"), TRAIN.ids, np.array([], dtype=np.int64), 1),
+         "proxy 'p' resolved to 0 validation examples"),
+        (lambda: build_proxy(TRAIN, subset_by_ids(VAL, VAL.ids[VAL.labels != 3]),
+                             ProxySpec(kind="half_classes", class_set=(3,))),
+         "class set (3,) leaves an empty split"),
+    ], ids=["manifest_without_train", "manifest_without_val", "half_classes_without_val"])
+    def test_empty_split_is_refused(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_half_classes_unknown_class_rejected(self):
         with pytest.raises(ValueError, match=r"unknown class ids \[10, 12\] for class_count 10"):

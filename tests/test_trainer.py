@@ -3,12 +3,13 @@ backprop and the determinism contracts train_model promises to the runner."""
 
 import hashlib
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from proxybench.dataset import Dataset, SynthSpec, split, synth_generate
+from proxybench.dataset import Dataset, SynthSpec, split, subset_by_ids, synth_generate
 from proxybench.trainer import (
     DEPTH_EXTRA_LAYERS,
     HyperparamConfig,
@@ -57,17 +58,21 @@ class TestConfig:
         assert cfg.optimizer == "adam"
         assert cfg.label_smoothing is True
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HyperparamConfig(depth="huge")
-        with pytest.raises(ValueError):
-            HyperparamConfig(learning_rate=-1.0)
-        with pytest.raises(ValueError):
-            HyperparamConfig(augment_prob=1.5)
-        with pytest.raises(ValueError):
-            HyperparamConfig(optimizer="lbfgs")
-        with pytest.raises(ValueError):
-            HyperparamConfig(epochs=0)
+    @pytest.mark.parametrize("change, message", [
+        ({"depth": "huge"}, "depth must be one of"),
+        ({"learning_rate": -1.0}, "learning_rate must be >= 0, got -1.0"),
+        ({"stem_width_1": 0}, "stem widths must be positive"),
+        ({"stem_width_2": 0}, "stem widths must be positive"),
+        ({"augment_prob": 1.5}, "augment_prob must be in [0, 1], got 1.5"),
+        ({"optimizer": "lbfgs"}, "optimizer must be one of"),
+        ({"epochs": 0}, "epochs must be >= 1"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ], ids=["depth", "learning_rate", "stem_width_1", "stem_width_2", "augment_prob", "optimizer", "epochs",
+            "batch_size", "seed"])
+    def test_validation(self, change, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            HyperparamConfig(**change)
 
     @pytest.mark.parametrize("value", [True, 2.5, math.nan])
     @pytest.mark.parametrize("field", ["stem_width_1", "stem_width_2", "epochs", "batch_size", "seed"])
@@ -724,10 +729,9 @@ class TestStacks:
             _tiny_config(epochs=1, optimizer="sgd", learning_rate=0.02, label_smoothing=False, seed=5),
             _tiny_config(epochs=3, optimizer="rmsprop", learning_rate=0.01, augment_prob=0.0, seed=6),
         ]
-        proxy_ids = [f"ep{c.epochs}" for c in configs]
-        stacked = train_stack(train, val, configs, proxy_ids=proxy_ids)
+        stacked = train_stack(train, val, configs)
         self._assert_solo_bits(train, val, configs, stacked)
-        assert [rec.proxy_id for rec, _ in stacked] == proxy_ids
+        assert [(rec.proxy_id, rec.config_id) for rec, _ in stacked] == [("full", config_id(c)) for c in configs]
         assert [len(rec.epoch_val_acc) for rec, _ in stacked] == [4, 3, 1, 4, 1, 3]
         assert [rec.cost_units for rec, _ in stacked] == [len(train) * c.epochs for c in configs]
 
@@ -800,6 +804,19 @@ class TestStacks:
         assert stack_key(a) != stack_key(b)
         with pytest.raises(ValueError, match="share layer sizes"):
             train_stack(train, val, [a, b])
+
+    @pytest.mark.parametrize("empty, message", [
+        ("configs", "need at least one config"),
+        ("train", "train and val must be non-empty"),
+        ("val", "train and val must be non-empty"),
+    ])
+    def test_no_configs_or_an_empty_split_is_refused(self, empty, message):
+        train, val = split(_small_data(), 0.2, seed=0)
+        sets = {"train": train, "val": val}
+        if empty != "configs":
+            sets[empty] = subset_by_ids(sets[empty], [])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_stack(sets["train"], sets["val"], [] if empty == "configs" else [_tiny_config()])
 
 
 class TestInit:
