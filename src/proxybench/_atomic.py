@@ -1,4 +1,4 @@
-"""Whole-file reads and writes: JSON inputs whose errors name the file, the one type check
+"""Whole-file reads and writes: JSON files whose read errors name the file, the one type check
 of what they hold, the one CSV format, and writes that never leave a truncated file."""
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import sys
 import typing
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 # annotation -> (test of a value it takes, what it takes): the package's one type policy
 _ATOMS = {
@@ -64,6 +66,14 @@ def check_value(name: str, value, tp) -> None:
     raise ValueError(f"{name}[{i}] must be {what}, got {value[i]!r}")
 
 
+def int64_ids(name: str, values) -> np.ndarray:
+    """values, a list of integers each within the int64 range, as an int64 array; else ValueError naming name."""
+    check_value(name, values, list[int])
+    if not all(-(2**63) <= v < 2**63 for v in values):
+        raise ValueError(f"{name} holds an example id outside the int64 range")
+    return np.array(values, dtype=np.int64)
+
+
 @functools.cache
 def _field_rules(cls) -> tuple:
     """(name, annotation, test) of each field of dataclass cls that the policy checks, in field order."""
@@ -102,16 +112,19 @@ def read_json(path: str | Path, build):
 
 
 def check_target(path: str | Path) -> None:
-    """Raise ValueError if path exists and is neither a regular file nor a symlink.
+    """Raise ValueError if path exists and is neither a regular file nor a symlink, or lies under a file.
 
     Such a path is not an output file, and a rename over it would replace it
-    (run as root, even /dev/null). The CLI calls this on each output path
-    before it does any work, so a bad --out is refused at once.
+    (run as root, even /dev/null); under a file, no write can make it. The
+    CLI calls this on each output path before it does any work, so a bad
+    --out is refused at once.
     """
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
         return
+    except NotADirectoryError:
+        raise ValueError(f"{path}: a parent of it is not a directory") from None
     if not (stat.S_ISREG(mode) or stat.S_ISLNK(mode)):
         raise ValueError(f"{path} exists and is not a regular file; refusing to replace it")
 
@@ -146,6 +159,11 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     """Write text or bytes through atomic_writer. Text is UTF-8 and its newlines are written as given."""
     with atomic_writer(path) as fh:
         fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write payload through write_atomic as read_json reads it: JSON indented by 2, then a newline."""
+    write_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
 def write_csv(path: str | Path, header, rows) -> None:

@@ -13,14 +13,15 @@ run-grid's results file, which must keep completed lines to be resumable.
 A failing analyze or report writes no output: analyze computes its
 --consistency value, and report builds every table, before the first write.
 The --out of every command but report is refused before any input is read
-if it exists and is not a regular file (a FIFO, a directory), and a results
-file that is not one is refused, never read. An error in a JSON input (spec,
-grid, manifest, a difficulty table's .json sidecar) starts with the file's
-path, and each must hold a JSON object. Their values, and each results
-line's, pass one type check (_atomic.check_value: an int field takes only an
-int, a float field a finite number but no bool, a bool or str field exactly
-its type) or exit 2 naming the file and the field. run-grid reads its grid
-and manifests before its --data, so a bad one is refused before the data load.
+if it exists and is not a regular file (a FIFO, a directory) or if it lies
+under a regular file, and a results file that is not one is refused, never
+read. An error in a JSON input (spec, grid, manifest, difficulty table)
+starts with the file's path, and each must hold a JSON object. Their values,
+and each results line's, pass one type check (_atomic.check_value: an int
+field takes only an int, a float field a finite number but no bool, a bool or
+str field exactly its type) or exit 2 naming the file and the field. run-grid
+reads its grid and manifests before its --data, so a bad one is refused before
+the data load.
 main builds the subparser of the command it runs alone.
 A run-grid holds a lock on ``<results>.lock`` while it reads and appends the
 results file; a second run-grid on the same file exits 2. Only run-grid cuts
@@ -31,10 +32,11 @@ a resume under another seed or split included; it takes no lock and writes
 nothing.
 Every command that loads --data caches the parse, best-effort, in a
 ``<data>.csv.npz`` sidecar keyed by the CSV's sha256 (see load_csv), and
-gen-data writes that sidecar for the CSV it writes. score records the digest
-in its table's .json sidecar, and make-proxy (build_proxy) refuses a table
-whose digest is not the one of its --data. Every command runs on one OpenBLAS
-thread (see _blas) and gives the caller's thread count back when it returns.
+gen-data writes that sidecar for the CSV it writes. score writes its
+difficulty table as one JSON file, which records that digest, and make-proxy
+(build_proxy) refuses a table whose digest is not the one of its --data.
+Every command runs on one OpenBLAS thread (see _blas) and gives the caller's
+thread count back when it returns.
 """
 
 from __future__ import annotations
@@ -123,7 +125,6 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_score(args) -> int:
     check_target(args.out)
-    check_target(Path(args.out).with_suffix(".json"))  # the table's sidecar (save_table)
     train, val = _load_split(args)
     cfg = HyperparamConfig(seed=args.global_seed)
     _, params = train_model(train, val, cfg)
@@ -316,13 +317,13 @@ def _gen_data_flags(p: argparse.ArgumentParser) -> None:
 
 def _score_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--out", required=True, help="output difficulty CSV (json sidecar written alongside)")
+    p.add_argument("--out", required=True, help="output difficulty table JSON")
     _add_common(p)
 
 
 def _make_proxy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
-    p.add_argument("--scores", help="difficulty CSV (required for quantile proxies)")
+    p.add_argument("--scores", help="difficulty table JSON from score (required for quantile proxies)")
     p.add_argument("--kind", required=True, choices=list(KIND_FIELDS))
     p.add_argument("--lo", type=float)
     p.add_argument("--hi", type=float)

@@ -3,19 +3,18 @@
 Difficulty of an example = cross-entropy loss of a fully trained
 default-config model on that example; low loss means easy. Slices are
 addressed on a hardest(0) to easiest(1) axis, so (0.9, 1.0) is the easiest
-10% and (0.0, 0.5) the hardest half.
+10% and (0.0, 0.5) the hardest half. A table is stored as one JSON file
+(save_table, load_table).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
-from ._atomic import check_fields, read_csv, read_json, write_atomic, write_csv
+from ._atomic import check_fields, check_value, int64_ids, read_json, write_json
 from ._exact import exact_floor
 from .dataset import Dataset
 from .trainer import ModelParams, _log_softmax, _logits
@@ -35,7 +34,8 @@ class DifficultyTable:
 
     Rank order is loss descending with ties broken by ascending example id,
     so rank 0 is the hardest example. Quantile slices are contiguous rank
-    ranges over these arrays.
+    ranges over these arrays. save_table writes these five fields, and
+    nothing else, as the keys of one JSON object.
     """
 
     ids: np.ndarray  # (n,) int64, rank order
@@ -109,55 +109,28 @@ def quantile_slice(table: DifficultyTable, lo: float, hi: float) -> np.ndarray:
     return table.ids[r_lo:r_hi]
 
 
-_COLUMNS = ("example_id", "loss")
-
-
 def save_table(table: DifficultyTable, path: str | Path) -> None:
-    """Write `example_id,loss` CSV plus a .json sidecar with the metadata.
-
-    Each file is replaced atomically, so a failed write leaves its previous
-    version whole. The table goes first: a failure between the two leaves
-    the old sidecar, whose dataset id and digest make-proxy checks, beside
-    the new table, never a new sidecar vouching for an old table.
-    """
-    path = Path(path)
-    sidecar = {
+    """Write table to path as one JSON object of its fields, ids and losses in rank order, in one atomic write."""
+    write_json(path, {
+        "ids": table.ids.tolist(),
+        "losses": table.losses.tolist(),
         "dataset_id": table.dataset_id,
         "scoring_config_id": table.scoring_config_id,
         "dataset_sha256": table.dataset_sha256,
-    }
-    write_csv(path, _COLUMNS, zip(table.ids.tolist(), table.losses.tolist()))
-    write_atomic(path.with_suffix(".json"), json.dumps(sidecar, indent=2) + "\n")
+    })
+
+
+def _table(payload: dict) -> DifficultyTable:
+    ids = int64_ids("ids", payload["ids"])
+    check_value("losses", payload["losses"], list[float])
+    return DifficultyTable(
+        ids=ids, losses=payload["losses"], dataset_id=payload["dataset_id"],
+        scoring_config_id=payload["scoring_config_id"], dataset_sha256=payload["dataset_sha256"],
+    )
 
 
 def load_table(path: str | Path) -> DifficultyTable:
-    """Read a table save_table wrote. A file that does not end with a newline
-    was cut off mid-write and is refused, and so are a first line other than
-    example_id,loss and a row that is not an integer id and a loss (read_csv);
-    these errors name the file. An error in the .json sidecar, a wrong field
-    type too, starts with the sidecar's path (read_json), and one in the rows
-    (out of rank order, a repeated id, a negative loss) with the table's."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"difficulty table not found: {path}")
-    if not path.read_bytes().endswith(b"\n"):
-        raise ValueError(f"{path}: does not end with a newline, so it was cut off mid-write; re-run score")
-    rows = read_csv(path, _COLUMNS, (int, float))
-    sidecar_path = path.with_suffix(".json")
-    if not sidecar_path.exists():
-        raise FileNotFoundError(f"difficulty table sidecar not found: {sidecar_path}")
-
-    def sidecar(meta: dict) -> dict:  # checked inside read_json, so its errors start with the sidecar's path
-        fields = SimpleNamespace(
-            dataset_id=meta["dataset_id"],
-            scoring_config_id=meta["scoring_config_id"],
-            dataset_sha256=meta.get("dataset_sha256"),
-        )
-        check_fields(DifficultyTable, fields)
-        return vars(fields)
-
-    meta = read_json(sidecar_path, sidecar)
-    try:
-        return DifficultyTable(ids=[i for i, _ in rows], losses=[loss for _, loss in rows], **meta)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    """The table save_table wrote at path. Every error in it starts with the path (read_json): a file
+    cut off mid-write or in another form does not parse, and a missing key, a value of the wrong
+    type, an id outside int64 and entries out of rank order are refused."""
+    return read_json(path, _table)

@@ -8,14 +8,13 @@ measured from the run records (metrics), not stored here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._atomic import check_fields, check_value, read_json, write_atomic
+from ._atomic import check_fields, int64_ids, read_json, write_json
 from ._exact import exact_ceil
 from .dataset import Dataset
 from .difficulty import DifficultyTable, quantile_slice
@@ -228,31 +227,34 @@ def save_manifest(manifest: ProxyManifest, path: str | Path) -> None:
         "val_ids": manifest.val_ids.tolist(),
         "epochs": manifest.epochs,
     }
-    write_atomic(path, json.dumps(payload, indent=2) + "\n")
+    write_json(path, payload)
 
 
 def _manifest_ids(payload: dict, field: str) -> np.ndarray:
     """payload[field], a list of distinct int64 JSON integers, as a sorted int64 array."""
     values = payload[field]
-    check_value(field, values, list[int])
-    if not all(-(2**63) <= v < 2**63 for v in values):
-        raise ValueError(f"{field} holds an example id outside the int64 range")
-    ids = np.unique(np.array(values, dtype=np.int64))
+    ids = np.unique(int64_ids(field, values))
     if len(ids) != len(values):
         raise ValueError(f"{field} lists an example id more than once")
     return ids
 
 
 def _manifest(payload: dict) -> ProxyManifest:
+    """The manifest in payload, refused unless its proxy id and a fewer_epochs budget are its spec's."""
     epochs = payload["epochs"]
     spec = ProxySpec(kind=payload["kind"], seed=payload["seed"], **payload["params"])
-    return ProxyManifest(
+    manifest = ProxyManifest(
         proxy_id=payload["proxy_id"],
         spec=spec,
         train_ids=_manifest_ids(payload, "train_ids"),
         val_ids=_manifest_ids(payload, "val_ids"),
         epochs=epochs,
     )
+    if manifest.proxy_id != spec.proxy_id():
+        raise ValueError(f"proxy_id {manifest.proxy_id!r} is not {spec.proxy_id()!r}, the id of its spec")
+    if spec.kind == "fewer_epochs" and manifest.epochs != spec.epochs:
+        raise ValueError(f"epochs {manifest.epochs} is not {spec.epochs}, the budget of its fewer_epochs spec")
+    return manifest
 
 
 def load_manifest(path: str | Path) -> ProxyManifest:

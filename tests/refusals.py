@@ -56,7 +56,7 @@ def build_workspace(root: Path, run: Callable) -> dict:
     grid trains 3 epochs, so every manifest is built for that budget.
     """
     ws = {name: root / file for name, file in [
-        ("spec", "spec.json"), ("grid", "grid.json"), ("data", "toy.csv"), ("scores", "difficulty.csv"),
+        ("spec", "spec.json"), ("grid", "grid.json"), ("data", "toy.csv"), ("scores", "difficulty.json"),
         ("proxies", "proxies"), ("results", "results.jsonl"), ("quality", "quality.csv")]}
     ws["spec"].write_text(json.dumps(SPEC))
     ws["grid"].write_text(json.dumps(GRID))
@@ -172,12 +172,10 @@ def _quality_row(edit_row):
     return _copy("quality", "bad.csv", transform)
 
 
-def _table(name: str, transform=lambda b: b, meta=lambda m: m):
-    """A copy of score's table as {tmp}/<name>, with its .json sidecar, each edited."""
+def _table(name: str, change):
+    """score's table with change(its JSON object) in its place, as {tmp}/<name>."""
     def edit(p):
-        (p["tmp"] / name).write_bytes(transform(p["scores"].read_bytes()))
-        sidecar = json.loads(p["scores"].with_suffix(".json").read_text())
-        (p["tmp"] / name).with_suffix(".json").write_text(json.dumps(meta(sidecar)))
+        (p["tmp"] / name).write_text(json.dumps(change(json.loads(p["scores"].read_text()))))
     return edit
 
 
@@ -211,13 +209,8 @@ def _held_results_lock(p):
     return held
 
 
-def _swap_first_entries(table: bytes) -> bytes:
-    header, first, second, *rest = table.split(b"\r\n")
-    return b"\r\n".join([header, second, first, *rest])
-
-
-def _without(key: str):
-    return lambda m: {k: v for k, v in m.items() if k != key}
+def _swap_first_entries(table: dict) -> dict:
+    return {**table, **{key: [table[key][1], table[key][0], *table[key][2:]] for key in ("ids", "losses")}}
 
 
 def _param_id(*values) -> str:
@@ -231,11 +224,15 @@ _NO_WORK = ("synth_generate", "load_csv", "train_model", "build_proxy", "store_l
 _BAD_OUT = {
     "gen-data": "gen-data --spec {spec} --out {tmp}/out",
     "score": "score --data {data} --out {tmp}/out",
-    "score sidecar": "score --data {data} --out {tmp}/scores.csv",
     "make-proxy": "make-proxy --data {data} --kind random_all --fraction 0.5 --out {tmp}/out",
     "analyze": "analyze --results {results} --out {tmp}/out",
     "run-grid": "run-grid --data {data} --grid {grid} --proxies {proxies} --out {tmp}/out",
     "run-grid --dry-run": "run-grid --data {data} --grid {grid} --proxies {proxies} --out {tmp}/out --dry-run",
+}
+_BAD_TARGET = {  # what is at {tmp}/out -> (the edit that puts it there, the --out given, the error)
+    "fifo": (_fifo("out"), "{tmp}/out", "{tmp}/out exists and is not a regular file; refusing to replace it"),
+    "directory": (_directory("out"), "{tmp}/out", "{tmp}/out exists and is not a regular file; refusing to replace it"),
+    "file_as_parent": (_write("out", ""), "{tmp}/out/x", "{tmp}/out/x: a parent of it is not a directory"),
 }
 _JSON_INPUT = {  # JSON input -> (where the row writes it, the command that reads it)
     "spec": ("spec.json", "gen-data --spec {tmp}/spec.json --out {tmp}/toy.csv"),
@@ -393,39 +390,44 @@ REFUSALS = [
             "not db6b63e4071539d04cdc0b81a94554372ef0f570b7853d8c362db59b1075f9cf of the training set\n",
             leaves=("toy.csv.npz",)),
     Refusal("TestMakeProxy::test_table_from_another_dataset_is_refused_for_every_kind",
-            "make-proxy --data {data} --kind random_all --fraction 0.5 --scores {tmp}/other.csv --out {tmp}/m.json",
-            _table("other.csv", meta=lambda m: {**m, "dataset_sha256": "0" * 64}), 2,
+            "make-proxy --data {data} --kind random_all --fraction 0.5 --scores {tmp}/other.json --out {tmp}/m.json",
+            _table("other.json", lambda t: {**t, "dataset_sha256": "0" * 64}), 2,
             f"error: difficulty table is for dataset sha256 {'0' * 64}, not {{data_sha256}} of the training set\n"),
     Refusal("TestMakeProxy::test_table_without_a_digest_is_refused",
-            "make-proxy --data {data} --kind quantile --lo 0.5 --hi 1.0 --scores {tmp}/old.csv --out {tmp}/m.json",
-            _table("old.csv", meta=_without("dataset_sha256")), 2,
+            "make-proxy --data {data} --kind quantile --lo 0.5 --hi 1.0 --scores {tmp}/old.json --out {tmp}/m.json",
+            _table("old.json", lambda t: {**t, "dataset_sha256": None}), 2,
             "error: difficulty table records no dataset digest; re-run score\n"),
-    Refusal("TestMakeProxy::test_truncated_table_is_refused",  # a table cut off mid-write must not pass
-            "make-proxy --data {data} --kind quantile --lo 0.9 --hi 1.0 --scores {tmp}/cut.csv --out {tmp}/m.json",
-            _table("cut.csv", lambda b: b"".join(b.splitlines(keepends=True)[: len(b.splitlines()) // 2])), 2,
-            "error: difficulty table must score exactly the training ids: 41 unscored, 0 not in the training set\n"),
-    Refusal("TestMakeProxy::test_table_cut_inside_its_last_value_is_refused",  # only the missing newline shows it
-            "make-proxy --data {data} --kind quantile --lo 0.0 --hi 1.0 --scores {tmp}/cut.csv --out {tmp}/m.json",
-            _table("cut.csv", lambda b: b[:-8]), 2,
-            "error: {tmp}/cut.csv: does not end with a newline, so it was cut off mid-write; re-run score\n"),
+    Refusal("TestMakeProxy::test_truncated_table_is_refused",  # a table cut off mid-write does not parse
+            "make-proxy --data {data} --kind quantile --lo 0.9 --hi 1.0 --scores {tmp}/cut.json --out {tmp}/m.json",
+            _copy("scores", "cut.json", lambda b: b[: len(b) // 2]), 2, "error: {tmp}/cut.json: Expecting "),
+    Refusal("TestMakeProxy::test_table_cut_inside_its_last_value_is_refused",
+            "make-proxy --data {data} --kind quantile --lo 0.0 --hi 1.0 --scores {tmp}/cut.json --out {tmp}/m.json",
+            _copy("scores", "cut.json", lambda b: b[:-8]), 2, "error: {tmp}/cut.json: Unterminated string starting at"),
+    Refusal("test_refusal[table-in-the-csv-form-of-earlier-versions]",
+            "make-proxy --data {data} --kind quantile --lo 0.0 --hi 1.0 --scores {tmp}/old.csv --out {tmp}/m.json",
+            _write("old.csv", "example_id,loss\r\n3,2.5\r\n"), 2,
+            "error: {tmp}/old.csv: Expecting value: line 1 column 1 (char 0)\n"),
     Refusal("TestMakeProxy::test_table_out_of_rank_order_is_named",
-            "make-proxy --data {data} --kind quantile --lo 0.0 --hi 1.0 --scores {tmp}/swapped.csv --target-epochs 3 "
+            "make-proxy --data {data} --kind quantile --lo 0.0 --hi 1.0 --scores {tmp}/swapped.json --target-epochs 3 "
             "--out {tmp}/m.json",
-            _table("swapped.csv", _swap_first_entries), 2,
-            "error: {tmp}/swapped.csv: entries not in rank order (loss desc, id asc)\n"),
-    Refusal("TestFieldTypes::test_table_sidecar",
-            "make-proxy --data {data} --kind quantile --lo 0.5 --hi 1.0 --scores {tmp}/scores.csv --target-epochs 3 "
+            _table("swapped.json", _swap_first_entries), 2,
+            "error: {tmp}/swapped.json: entries not in rank order (loss desc, id asc)\n"),
+    Refusal("test_refusal[table-id-outside-int64]",
+            "make-proxy --data {data} --kind quantile --lo 0.5 --hi 1.0 --scores {tmp}/big.json --out {tmp}/m.json",
+            _table("big.json", lambda t: {**t, "ids": [99999999999999999999, *t["ids"][1:]]}), 2,
+            "error: {tmp}/big.json: ids holds an example id outside the int64 range\n"),
+    Refusal("TestFieldTypes::test_table_field",
+            "make-proxy --data {data} --kind quantile --lo 0.5 --hi 1.0 --scores {tmp}/scores.json --target-epochs 3 "
             "--out {tmp}/m.json",
-            _table("scores.csv", meta=lambda m: {**m, "dataset_id": 5}), 2,
+            _table("scores.json", lambda t: {**t, "dataset_id": 5}), 2,
             "error: {tmp}/scores.json: dataset_id must be a string, got 5\n"),
 
-    # paths that are not files: refused before any work, lock or read
-    *[Refusal(f"TestPathsThatAreNotFiles::test_bad_out_is_refused_before_the_work[{command}-{kind}]", argv,
-              (_fifo if kind == "fifo" else _directory)("scores.json" if command == "score sidecar" else "out"), 2,
-              f"error: {{tmp}}/{'scores.json' if command == 'score sidecar' else 'out'} exists and is not a regular "
-              "file; refusing to replace it\n",
-              not_called=_NO_WORK)
-      for command, argv in _BAD_OUT.items() for kind in ("fifo", "directory")],
+    # paths that are not files, or lie under one: refused before any work, lock or read
+    *[Refusal(f"TestPathsThatAreNotFiles::test_bad_out_is_refused_before_the_work[{command}-{kind}]",
+              argv.replace("{tmp}/out", out), edit, 2, f"error: {message}\n", not_called=_NO_WORK)
+      for command, argv in _BAD_OUT.items() for kind, (edit, out, message) in _BAD_TARGET.items()],
+    Refusal("test_refusal[report-out-under-a-file]", "report --report {quality} --results {results} --out {tmp}/p/plots",
+            _write("p", ""), 2, "error: {tmp}/p/plots/quality_vs_cost.csv: a parent of it is not a directory\n"),
     *[Refusal(f"TestPathsThatAreNotFiles::test_results_fifo_is_refused_not_read[{command}]", argv, _fifo("r.jsonl"),
               2, "error: {tmp}/r.jsonl exists and is not a regular file")
       for command, argv in [
@@ -443,6 +445,12 @@ REFUSALS = [
             "run-grid --data {data} --grid {grid} --proxies {tmp}/proxies --out {tmp}/r.jsonl",
             _manifest({"train_ids": [1.5]}, base="random_all.json", name="random_all.json"), 2,
             "error: {tmp}/proxies/random_all.json: train_ids[0] must be an integer, got 1.5\n"),
+    *[Refusal(f"test_refusal[manifest-{what}-not-its-spec]", _RUN_GRID.replace("{proxies}", "{tmp}/proxies"),
+              _manifest(change, base=name, name=name), 2, f"error: {{tmp}}/proxies/{name}: {message}\n",
+              not_called=("load_csv",), also_dry_run=True)
+      for what, change, name, message in [
+          ("proxy-id", {"proxy_id": "full"}, "random_all.json", "proxy_id 'full' is not 'random-0.5-s0', the id of its spec"),
+          ("epochs", {"epochs": 2}, "fewer_epochs.json", "epochs 2 is not 1, the budget of its fewer_epochs spec")]],
     Refusal("TestRunGrid::test_epochs_variation_is_refused",
             "run-grid --data {data} --grid {tmp}/grid.json --proxies {proxies} --out {tmp}/r.jsonl",
             _write("grid.json", json.dumps({**GRID, "variations": {**GRID["variations"], "epochs": [1]}})), 2,

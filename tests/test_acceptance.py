@@ -304,7 +304,7 @@ _E2E_GRID = {
 def _e2e_pipeline(root):
     """gen-data .. analyze via the CLI; returns (results path, quality path)."""
     data = root / "synth10.csv"
-    scores = root / "difficulty.csv"
+    scores = root / "difficulty.json"
     proxies = root / "proxies"
     results = root / "results.jsonl"
     quality = root / "quality.csv"

@@ -9,12 +9,17 @@ what input files hold (check_value, check_fields).
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import proxybench
 from proxybench import _atomic
 from proxybench._atomic import atomic_writer, check_fields, check_value, read_csv, write_atomic, write_csv
 
@@ -109,6 +114,37 @@ def test_exception_in_the_body_keeps_the_previous_file_and_no_temp(tmp_path):
             fh.write(b"half of the new ")
             raise KeyboardInterrupt
     assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [("out.txt", "previous\n")]
+
+
+def test_a_killed_writer_keeps_the_previous_file_and_leaves_one_temp(tmp_path):
+    # nothing removes the temp: a cleanup could not tell it from the live temp of a concurrent writer
+    out = tmp_path / "out.txt"
+    out.write_text("previous\n")
+    child = (
+        "import os, signal, sys\n"
+        "from proxybench._atomic import atomic_writer\n"
+        "with atomic_writer(sys.argv[1]) as fh:\n"
+        "    fh.write(b'half of the new ')\n"
+        "    fh.flush()\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(proxybench.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", child, str(out)], env=env, capture_output=True, timeout=60)
+    assert done.returncode == -signal.SIGKILL, done.stderr
+    assert out.read_text() == "previous\n"
+    left = sorted(p.name for p in tmp_path.iterdir() if p != out)
+    assert len(left) == 1 and re.fullmatch(r"out\.txt\.[0-9a-f]{16}\.tmp", left[0]), left
+    assert (tmp_path / left[0]).read_bytes() == b"half of the new "
+
+
+def test_a_target_under_a_file_is_refused_with_its_path(tmp_path, write):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "out.txt"
+    with pytest.raises(ValueError) as info:
+        write(out, b"new\n")
+    assert str(info.value) == f"{out}: a parent of it is not a directory"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 @pytest.mark.parametrize("kind", ["fifo", "directory"])

@@ -91,7 +91,7 @@ class TestGenData:
         self._gen_data(tmp_path, SPEC, out)
         capsys.readouterr()
         monkeypatch.setattr(dataset_module, "_parse_csv", lambda fh, path: pytest.fail("parsed the CSV"))
-        assert main(["score", "--data", str(out), "--out", str(tmp_path / "scores.csv")]) == 0, capsys.readouterr().err
+        assert main(["score", "--data", str(out), "--out", str(tmp_path / "scores.json")]) == 0, capsys.readouterr().err
 
     def test_cache_is_bitwise_a_fresh_parse(self, tmp_path, capsys):
         out = tmp_path / "toy.csv"
@@ -147,20 +147,25 @@ class TestGenData:
 
 
 class TestScore:
-    def test_writes_table_and_sidecar(self, pipeline):
-        assert pipeline["scores"].exists()
-        sidecar = pipeline["scores"].with_suffix(".json")
-        assert sidecar.exists()
-        meta = json.loads(sidecar.read_text())
-        assert meta["dataset_id"] == "toy"
+    def test_writes_one_json_file_that_make_proxy_reads(self, pipeline, tmp_path, capsys):
+        table = tmp_path / "t.json"
+        assert main(["score", "--data", str(pipeline["data"]), "--out", str(table)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+        assert table.read_bytes() == pipeline["scores"].read_bytes()
+        payload = json.loads(table.read_text())
+        assert list(payload) == ["ids", "losses", "dataset_id", "scoring_config_id", "dataset_sha256"]
+        assert payload["dataset_id"] == "toy"
+        code = main(["make-proxy", "--data", str(pipeline["data"]), "--kind", "quantile", "--lo", "0.5", "--hi", "1.0",
+                     "--scores", str(table), "--out", str(tmp_path / "m.json")])
+        assert code == 0, capsys.readouterr().err
 
-    def test_sidecar_records_the_data_digest(self, pipeline):
-        meta = json.loads(pipeline["scores"].with_suffix(".json").read_text())
-        assert meta["dataset_sha256"] == hashlib.sha256(pipeline["data"].read_bytes()).hexdigest()
+    def test_table_records_the_data_digest(self, pipeline):
+        payload = json.loads(pipeline["scores"].read_text())
+        assert payload["dataset_sha256"] == hashlib.sha256(pipeline["data"].read_bytes()).hexdigest()
 
     def test_global_seed_env_overrides_flag(self, pipeline, tmp_path, monkeypatch, capsys):
         data = pipeline["data"]
-        a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
+        a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
         monkeypatch.setenv("PROXYBENCH_SEED", "7")
         assert main(["score", "--data", str(data), "--out", str(a), "--global-seed", "0"]) == 0
         monkeypatch.delenv("PROXYBENCH_SEED")
@@ -172,7 +177,7 @@ class TestScore:
 
 
 class TestPinnedSetUp:
-    """sha256s of score's table and sidecar and of one manifest per make-proxy
+    """sha256s of score's table and of one manifest per make-proxy
     kind on a fixed tiny spec: a change to how ids are ranked, sampled or
     written must keep every byte."""
 
@@ -189,8 +194,7 @@ class TestPinnedSetUp:
     }
     DIGESTS = {
         "d.csv": "d4177ec5208b785f12fde341ca8fbd8693f88062d2b55f9379f8f6b62376bee7",
-        "s.csv": "aee3087a537c6ad6172ee9278391a92506d1b82d35ecf682a4c2660cf743eeeb",
-        "s.json": "900996b629b0c840d025627e46a08205a774e7f6ccb12156af26fe6ac998e5b6",
+        "s.json": "6be1b51727caedf921b9fa11ce7e6ddda7ab41c654fe5e4d6aa5060c6cab622c",
         "full.json": "207b0ef6c2c052190312369502d119f68350b4fc9cb341d54292ea92f744db82",
         "random.json": "f20e9ad88bc7537949afbc5449673a139b2dde8b923b0eb20cabe9ced0c78eec",
         "random-all.json": "4312d21d0a4518f5728726ec643ad912079863e282fce1581af355c475695a5f",
@@ -202,7 +206,7 @@ class TestPinnedSetUp:
 
     def test_table_and_manifest_bytes_are_pinned(self, tmp_path, capsys):
         (tmp_path / "spec.json").write_text(json.dumps(self.SPEC))
-        data, scores = str(tmp_path / "d.csv"), str(tmp_path / "s.csv")
+        data, scores = str(tmp_path / "d.csv"), str(tmp_path / "s.json")
         assert main(["gen-data", "--spec", str(tmp_path / "spec.json"), "--out", data]) == 0
         assert main(["score", "--data", data, "--out", scores]) == 0
         for name, flags in self.KINDS.items():
@@ -251,17 +255,13 @@ def _fill_disk(monkeypatch):
 class TestFailedWrites:
     """A write that fails part-way leaves the previous output whole and no temp file."""
 
-    def test_score_keeps_previous_table_and_sidecar(self, pipeline, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "scores.csv"
+    def test_score_keeps_previous_table(self, pipeline, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "scores.json"
         out.write_text("previous table\n")
-        out.with_suffix(".json").write_text("previous sidecar\n")
         _fill_disk(monkeypatch)
         assert main(["score", "--data", str(pipeline["data"]), "--out", str(out)]) == 2
         assert "disk full" in capsys.readouterr().err
-        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
-            "scores.csv": "previous table\n",
-            "scores.json": "previous sidecar\n",
-        }
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"scores.json": "previous table\n"}
 
     def test_make_proxy_keeps_previous_manifest(self, pipeline, tmp_path, capsys, monkeypatch):
         out = tmp_path / "m.json"
@@ -305,7 +305,7 @@ class TestDataSidecar:
 
         monkeypatch.setattr(_atomic, "open", refuse, raising=False)
         try:
-            out = tmp_path / "scores.csv"
+            out = tmp_path / "scores.json"
             assert main(["score", "--data", str(data), "--out", str(out)]) == 0
             assert out.read_bytes() == pipeline["scores"].read_bytes()
             assert sorted(p.name for p in data_dir.iterdir()) == ["toy.csv"]
@@ -739,8 +739,8 @@ class TestBlasThreads:
         spec_path.write_text(json.dumps(SPEC))
         argv = {
             0: ["gen-data", "--spec", str(spec_path), "--out", str(tmp_path / "toy.csv")],
-            1: ["score", "--data", str(tmp_path / "toy.csv"), "--out", str(tmp_path / "s.csv"), "--val-fraction", "2"],
-            2: ["score", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "s.csv")],
+            1: ["score", "--data", str(tmp_path / "toy.csv"), "--out", str(tmp_path / "s.json"), "--val-fraction", "2"],
+            2: ["score", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "s.json")],
         }[code]
         assert main(argv) == code
         capsys.readouterr()

@@ -27,9 +27,9 @@ GRID = {
 }
 STAGES = [
     ["gen-data", "--spec", "spec.json", "--out", "data.csv"],
-    ["score", "--data", "data.csv", "--out", "difficulty.csv"],
+    ["score", "--data", "data.csv", "--out", "difficulty.json"],
     ["make-proxy", "--data", "data.csv", "--kind", "quantile", "--lo", "0.5", "--hi", "1.0",
-     "--scores", "difficulty.csv", "--target-epochs", "2", "--out", "proxies/easy.json"],
+     "--scores", "difficulty.json", "--target-epochs", "2", "--out", "proxies/easy.json"],
     ["run-grid", "--data", "data.csv", "--grid", "grid.json", "--proxies", "proxies", "--out", "results.jsonl"],
     ["analyze", "--results", "results.jsonl", "--out", "quality.csv"],
     ["report", "--report", "quality.csv", "--out", "plots", "--results", "results.jsonl"],

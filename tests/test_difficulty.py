@@ -1,6 +1,7 @@
 """Difficulty scoring and quantile slicing, checked against a brute-force
 sort oracle that recomputes everything from first principles."""
 
+import json
 import math
 import re
 import tracemalloc
@@ -216,39 +217,60 @@ class TestQuantileSlice:
             quantile_slice(empty, 0.0, 1.0)
 
 
+def _saved(tmp_path, table, edit=lambda text: text):
+    """table saved as tmp_path/scores.json, its text then edited."""
+    p = tmp_path / "scores.json"
+    save_table(table, p)
+    p.write_text(edit(p.read_text()))
+    return p
+
+
+def _set(key, i, value):
+    """An edit of a saved table's text: item i of the list at key set to value."""
+    def edit(text):
+        payload = json.loads(text)
+        payload[key][i] = value
+        return json.dumps(payload)
+    return edit
+
+
 class TestPersistence:
-    def test_csv_round_trip_is_exact(self, tmp_path):
-        losses = [1 / 3, 0.1 + 0.2, 2.0, 1e-15]
-        table = _table(losses)
-        p = tmp_path / "scores.csv"
+    def test_round_trip_is_exact(self, tmp_path):
+        table = DifficultyTable(ids=[3, 1, 0, 2], losses=[2.0, 1 / 3, 0.1 + 0.2, 1e-15], dataset_id="d",
+                                scoring_config_id="c", dataset_sha256="ab" * 32)
+        p = tmp_path / "scores.json"
         save_table(table, p)
         loaded = load_table(p)
         assert np.array_equal(loaded.ids, table.ids)
         assert loaded.losses.tobytes() == table.losses.tobytes()  # bitwise float equality
-        assert loaded.dataset_id == "d"
-        assert loaded.scoring_config_id == "c"
+        assert (loaded.dataset_id, loaded.scoring_config_id, loaded.dataset_sha256) == ("d", "c", "ab" * 32)
+        payload = json.loads(p.read_text())
+        assert list(payload) == ["ids", "losses", "dataset_id", "scoring_config_id", "dataset_sha256"]
+        assert p.read_text() == json.dumps(payload, indent=2) + "\n"
+        assert [q.name for q in tmp_path.iterdir()] == ["scores.json"]  # one file, no sidecar
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_table(tmp_path / "none.csv")
+            load_table(tmp_path / "none.json")
 
     def test_row_without_two_fields_is_named_with_the_file(self, tmp_path):
-        p = tmp_path / "scores.csv"
-        save_table(_table([1.0, 2.0, 3.0]), p)
-        lines = p.read_bytes().split(b"\r\n")
-        p.write_bytes(b"\r\n".join(lines[:2] + [lines[2].split(b",")[0]] + lines[3:]))
-        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3: 1 columns, expected 2 (example_id,loss)")):
-            load_table(p)
+        def drop_last_loss(text):
+            payload = json.loads(text)
+            return json.dumps({**payload, "losses": payload["losses"][:-1]})
 
+        p = _saved(tmp_path, _table([1.0, 2.0, 3.0]), drop_last_loss)
+        with pytest.raises(ValueError) as info:
+            load_table(p)
+        assert str(info.value) == f"{p}: need aligned (n,) ids and losses, got shapes (3,), (2,)"
+
+    # the JSON parser names the line of a syntax error, the type check a value's key and index
     @pytest.mark.parametrize("edit, message", [
-        (lambda lines: [b"id,loss", *lines[1:]], "line 1: expected the header example_id,loss, got 'id,loss'"),
-        (lambda lines: [*lines[:2], b"1.5,2.0", *lines[3:]], "line 3: example_id must be an integer, got '1.5'"),
-        (lambda lines: [*lines[:2], b"1,x", *lines[3:]], "line 3: loss must be a number, got 'x'"),
+        (lambda text: "example_id,loss\r\n2,3.0\r\n", "Expecting value: line 1 column 1 (char 0)"),
+        (_set("ids", 2, 1.5), "ids[2] must be an integer, got 1.5"),
+        (_set("losses", 2, "x"), "losses[2] must be a finite number, got 'x'"),
     ], ids=["header", "id", "loss"])
     def test_bad_header_or_value_is_named_with_the_file_and_line(self, tmp_path, edit, message):
-        p = tmp_path / "scores.csv"
-        save_table(_table([1.0, 2.0, 3.0]), p)
-        p.write_bytes(b"\r\n".join(edit(p.read_bytes().split(b"\r\n"))))
+        p = _saved(tmp_path, _table([1.0, 2.0, 3.0]), edit)
         with pytest.raises(ValueError) as info:
             load_table(p)
         assert str(info.value) == f"{p}: {message}"
@@ -256,32 +278,36 @@ class TestPersistence:
     @pytest.mark.parametrize("rows, message", [
         (lambda rows: [rows[1], rows[0], *rows[2:]], "entries not in rank order (loss desc, id asc)"),
         (lambda rows: [rows[0], rows[0], *rows[2:]], "duplicate example ids in difficulty table"),
-        (lambda rows: [*rows[:-1], b"2,-1.0"], "difficulty losses must be finite and non-negative"),
+        (lambda rows: [*rows[:-1], (2, -1.0)], "difficulty losses must be finite and non-negative"),
+        (lambda rows: [(2**63, rows[0][1]), *rows[1:]], "ids holds an example id outside the int64 range"),
     ])
     def test_bad_rows_are_named_with_the_file(self, tmp_path, rows, message):
-        p = tmp_path / "scores.csv"
-        save_table(_table([3.0, 2.0, 1.0]), p)
-        header, *body, end = p.read_bytes().split(b"\r\n")
-        p.write_bytes(b"\r\n".join([header, *rows(body), end]))
+        def edit(text):
+            payload = json.loads(text)
+            ids, losses = zip(*rows(list(zip(payload["ids"], payload["losses"]))))
+            return json.dumps({**payload, "ids": ids, "losses": losses})
+
+        p = _saved(tmp_path, _table([3.0, 2.0, 1.0]), edit)
         with pytest.raises(ValueError) as info:
             load_table(p)
         assert str(info.value) == f"{p}: {message}"
 
-    @pytest.mark.parametrize("sidecar, message", [
-        ('{"scoring_config_id": "c"}', "missing key 'dataset_id'"),
+    @pytest.mark.parametrize("text, message", [
+        ('{"ids": [], "losses": [], "scoring_config_id": "c", "dataset_sha256": null}', "missing key 'dataset_id'"),
         ('["d", "c"]', "expected a JSON object, got list"),
-    ])
-    def test_malformed_sidecar_is_named(self, tmp_path, sidecar, message):
-        p = tmp_path / "scores.csv"
-        save_table(_table([1.0, 2.0]), p)
-        p.with_suffix(".json").write_text(sidecar)
+        ('{"ids": [], "losses": [], "dataset_id": 5, "scoring_config_id": "c", "dataset_sha256": null}',
+         "dataset_id must be a string, got 5"),
+    ], ids=["missing_key", "not_an_object", "field_type"])
+    def test_malformed_table_is_named(self, tmp_path, text, message):
+        p = _saved(tmp_path, _table([1.0, 2.0]), lambda _: text)
         with pytest.raises(ValueError) as info:
             load_table(p)
-        assert str(info.value) == f"{p.with_suffix('.json')}: {message}"
+        assert str(info.value) == f"{p}: {message}"
 
-    def test_missing_sidecar_is_named(self, tmp_path):
-        p = tmp_path / "scores.csv"
-        save_table(_table([1.0, 2.0]), p)
-        p.with_suffix(".json").unlink()
-        with pytest.raises(FileNotFoundError, match=r"sidecar not found: .*scores\.json"):
-            load_table(p)
+    def test_table_cut_off_mid_write_is_refused(self, tmp_path):
+        p = _saved(tmp_path, _table([1.0, 2.0, 3.0]))
+        whole = p.read_text()
+        for end in range(len(whole.rstrip())):
+            p.write_text(whole[:end])
+            with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "):
+                load_table(p)

@@ -271,6 +271,21 @@ class TestManifestPersistence:
         with pytest.raises(ValueError, match=f"{re.escape(str(p))}: {re.escape(message)}"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("spec, change, message", [
+        (ProxySpec(kind="random_all", fraction=0.3), {"proxy_id": "full"},
+         "proxy_id 'full' is not 'random-0.3-s0', the id of its spec"),
+        (ProxySpec(kind="fewer_epochs", epochs=3), {"epochs": 1},
+         "epochs 1 is not 3, the budget of its fewer_epochs spec"),
+    ], ids=["proxy_id", "epochs"])
+    def test_manifest_that_disagrees_with_its_spec_is_refused(self, tmp_path, spec, change, message):
+        p = tmp_path / "m.json"
+        save_manifest(build_proxy(TRAIN, VAL, spec, target_epochs=20), p)
+        assert load_manifest(p).proxy_id == spec.proxy_id()
+        p.write_text(json.dumps({**json.loads(p.read_text()), **change}))
+        with pytest.raises(ValueError) as info:
+            load_manifest(p)
+        assert str(info.value) == f"{p}: {message}"
+
     @pytest.mark.parametrize(
         "text, message",
         [
