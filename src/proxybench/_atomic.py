@@ -20,6 +20,7 @@ import numpy as np
 # annotation -> (test of a value it takes, what it takes): the package's one type policy
 _ATOMS = {
     int: (lambda v: type(v) is int, "an integer"),
+    np.integer: (lambda v: type(v) is int or isinstance(v, np.integer), "an integer"),  # int64_ids' items
     float: (
         lambda v: (isinstance(v, float) and math.isfinite(v)) or (type(v) is int and abs(v) <= sys.float_info.max),
         "a finite number",
@@ -67,11 +68,21 @@ def check_value(name: str, value, tp) -> None:
 
 
 def int64_ids(name: str, values) -> np.ndarray:
-    """values, a list of integers each within the int64 range, as an int64 array; else ValueError naming name."""
-    check_value(name, values, list[int])
-    if not all(-(2**63) <= v < 2**63 for v in values):
+    """values as an int64 array, else ValueError naming name: the one check of example ids and labels.
+
+    values is an array of an integer dtype or a list or tuple of integers (numpy's too, never a bool
+    or a float), each within the int64 range. An int64 array is returned as it is, not copied.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iu":
+            raise ValueError(f"{name} must hold integers, got an array of {values.dtype}")
+        outside = values.dtype == np.uint64 and values.size and values.max() >= 2**63
+    else:
+        check_value(name, values, list[np.integer])
+        outside = not all(-(2**63) <= v < 2**63 for v in values)
+    if outside:
         raise ValueError(f"{name} holds an example id outside the int64 range")
-    return np.array(values, dtype=np.int64)
+    return np.asarray(values, dtype=np.int64)
 
 
 @functools.cache

@@ -65,7 +65,7 @@ from .metrics import (
     reports_from_csv,
     zscore,
 )
-from .orchestrator import grid_from_json, generate_grid, plan_runs, run_matrix, store_load
+from .orchestrator import cell_cost, grid_from_json, generate_grid, plan_runs, run_matrix, store_load
 from .proxy import FULL_PROXY_ID, KIND_FIELDS, ProxySpec, build_proxy, load_manifest, save_manifest
 from .trainer import HyperparamConfig, config_id, train_model
 
@@ -127,7 +127,7 @@ def _cmd_score(args) -> int:
     check_target(args.out)
     train, val = _load_split(args)
     cfg = HyperparamConfig(seed=args.global_seed)
-    _, params = train_model(train, val, cfg)
+    params = train_model(train, val, [cfg])[0].params
     table = score_examples(params, train, scoring_config_id=config_id(cfg))
     save_table(table, args.out)
     print(f"scored {len(table)} examples with the default config; wrote {args.out}")
@@ -213,9 +213,9 @@ def _cmd_run_grid(args) -> int:
         for cells in units:
             print(f"train={len(cells[0][0].train_ids)} cells={','.join(f'{m.proxy_id}:{m.epochs}:{c}' for m, _, c in cells)}")
         pending = sum(len(cells) for cells in units)
-        cost = sum(len(m.train_ids) * m.epochs for cells in units for m, _, _ in cells)
+        cost = sum(cell_cost(m) for cells in units for m, _, _ in cells)
         print(f"{len(manifests) * len(grid) - pending} cells stored, {pending} pending runs in {len(units)} units, "
-              f"{cost} pending example-epochs")
+              f"{cost:.0f} pending example-epochs")
         return 0
 
     with _results_lock(args.out):
@@ -292,21 +292,22 @@ def _cmd_report(args) -> int:
     out_dir = Path(args.out)
     if out_dir.exists() and not out_dir.is_dir():
         raise ValueError(f"{out_dir} exists and is not a directory")
+    names = ("quality_vs_cost.csv", "proxy_target_scatter.csv", "epoch_correlation.csv")[: 3 if args.results else 1]
+    for name in names:
+        check_target(out_dir / name)
     reports = reports_from_csv(args.report)
     records = store_load(args.results).records() if args.results else None
-    # file name -> (header, rows), every table built before any is written: a failing report writes nothing
-    tables = {"quality_vs_cost.csv": (("strategy", "dataset", "relative_cost", "r2", "cost_adjusted"),
-                                      [(r.strategy, r.dataset, r.relative_cost, r.r2, r.cost_adjusted) for r in reports])}
+    # (header, rows) of each name, every table built before any is written: a failing report writes nothing
+    tables = [(("strategy", "dataset", "relative_cost", "r2", "cost_adjusted"),
+               [(r.strategy, r.dataset, r.relative_cost, r.r2, r.cost_adjusted) for r in reports])]
     if records is not None:
-        tables["proxy_target_scatter.csv"] = (("dataset", "strategy", "config_id", "proxy_acc_z", "target_acc_z"),
-                                              list(_scatter_rows(reports, records)))
-        tables["epoch_correlation.csv"] = (("dataset", "epoch", "pearson"), list(_epoch_corr_rows(records)))
-    for name in tables:
-        check_target(out_dir / name)
+        tables.append((("dataset", "strategy", "config_id", "proxy_acc_z", "target_acc_z"),
+                       list(_scatter_rows(reports, records))))
+        tables.append((("dataset", "epoch", "pearson"), list(_epoch_corr_rows(records))))
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
+    for name, (header, rows) in zip(names, tables):
         write_csv(out_dir / name, header, rows)
-    print(f"wrote {', '.join(tables)} to {out_dir}")
+    print(f"wrote {', '.join(names)} to {out_dir}")
     return 0
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import atomic_writer, check_fields
+from ._atomic import atomic_writer, check_fields, int64_ids
 
 __all__ = [
     "Dataset",
@@ -48,7 +48,9 @@ class Dataset:
     are (n,) int64. An argument that already has its dtype (and, for
     features, C layout) is kept, not copied, and is made read-only for the
     caller too; anything else (a list, another dtype, a strided view) is
-    copied. feature_dim is features.shape[1]. class_count and feature_dim are
+    copied. labels and ids must be integers (int64_ids): a float or a bool
+    is refused with ValueError naming its field, never truncated.
+    feature_dim is features.shape[1]. class_count and feature_dim are
     properties of the label/feature space, not of the examples present: a
     subset does not shrink class_count, so models keep the same output head
     across subsets. source_sha256 is the sha256 of the CSV the examples were
@@ -59,8 +61,8 @@ class Dataset:
                  source_sha256: str | None = None):
         if class_count < 1:
             raise ValueError(f"class_count must be >= 1, got {class_count}")
-        ids = np.asarray(ids, dtype=np.int64)
-        labels = np.asarray(labels, dtype=np.int64)
+        ids = int64_ids("ids", ids)
+        labels = int64_ids("labels", labels)
         feats = np.ascontiguousarray(features, dtype=np.float64)
         if ids.ndim != 1 or labels.shape != ids.shape or feats.ndim != 2 or len(feats) != len(ids):
             raise ValueError(
@@ -380,9 +382,10 @@ def subset_by_ids(d: Dataset, ids) -> Dataset:
 
     Output order follows the source dataset's order, not the order of
     ``ids``, so any permutation of the same id set yields an identical
-    dataset. Ids covering all of d give d itself, not a copy.
+    dataset. Ids covering all of d give d itself, not a copy. ids must be
+    integers (int64_ids), never truncated.
     """
-    wanted = np.asarray(ids, dtype=np.int64)
+    wanted = int64_ids("ids", ids)
     found = np.isin(wanted, d.ids)
     if not found.all():
         missing = np.unique(wanted[~found])

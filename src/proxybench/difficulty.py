@@ -35,7 +35,8 @@ class DifficultyTable:
     Rank order is loss descending with ties broken by ascending example id,
     so rank 0 is the hardest example. Quantile slices are contiguous rank
     ranges over these arrays. save_table writes these five fields, and
-    nothing else, as the keys of one JSON object.
+    nothing else, as the keys of one JSON object. ids must be integers
+    (int64_ids): a float or a bool is refused, never truncated.
     """
 
     ids: np.ndarray  # (n,) int64, rank order
@@ -46,7 +47,7 @@ class DifficultyTable:
 
     def __post_init__(self):
         check_fields(DifficultyTable, self)
-        ids = np.array(self.ids, dtype=np.int64)
+        ids = int64_ids("ids", self.ids).copy()
         losses = np.array(self.losses, dtype=np.float64)
         if ids.ndim != 1 or losses.shape != ids.shape:
             raise ValueError(f"need aligned (n,) ids and losses, got shapes {ids.shape}, {losses.shape}")
@@ -121,10 +122,9 @@ def save_table(table: DifficultyTable, path: str | Path) -> None:
 
 
 def _table(payload: dict) -> DifficultyTable:
-    ids = int64_ids("ids", payload["ids"])
     check_value("losses", payload["losses"], list[float])
     return DifficultyTable(
-        ids=ids, losses=payload["losses"], dataset_id=payload["dataset_id"],
+        ids=payload["ids"], losses=payload["losses"], dataset_id=payload["dataset_id"],
         scoring_config_id=payload["scoring_config_id"], dataset_sha256=payload["dataset_sha256"],
     )
 

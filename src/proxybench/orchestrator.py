@@ -5,9 +5,10 @@ value of a single field. The run matrix is embarrassingly parallel; every
 run's seed is a stable hash of its key, so the result of a cell never
 depends on scheduling, parallelism, stacking, or which cells ran before it.
 plan_runs is the one plan of a matrix: the units of cells a store still
-lacks. run_matrix trains it; run-grid --dry-run previews it, refusals too.
-Manifests that hold the same train and val ids (full and fewer_epochs) share
-their stacks, and --parallel N gives unit u of the plan to worker u mod N.
+lacks. run_matrix trains it, one train_model call per unit, and builds each
+cell's record; run-grid --dry-run previews it, refusals too. Manifests that
+hold the same train and val ids (full and fewer_epochs) share their stacks,
+and --parallel N gives unit u of the plan to worker u mod N.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import numpy as np
 
 from ._atomic import read_json
 from .dataset import Dataset, subset_by_ids
-from .trainer import HyperparamConfig, RunRecord, config_id, stack_key, train_model, train_stack
+from .trainer import HyperparamConfig, RunRecord, config_id, stack_key, train_model
 
-__all__ = ["GridSpec", "ResultStore", "generate_grid", "grid_from_json", "plan_runs", "run_matrix", "run_seed",
-           "store_load"]
+__all__ = ["GridSpec", "ResultStore", "cell_cost", "generate_grid", "grid_from_json", "plan_runs", "run_matrix",
+           "run_seed", "store_load"]
 
 _CONFIG_FIELDS = {f.name for f in fields(HyperparamConfig)}
 # Most cells a stack trains in lockstep. Ten keep the ten default-shape cells
@@ -179,17 +180,19 @@ def run_seed(dataset_id: str, proxy_id: str, cfg_id: str, global_seed: int) -> i
     return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big")
 
 
-def _run_unit(sub_train: Dataset, sub_val: Dataset, cells: list) -> list:
-    """Trains one unit's cells, (manifest, run config, config id) triples, as a stack; returns their records.
+def cell_cost(manifest) -> float:
+    """The budgeted cost of one cell of manifest, in example-epochs: |train| * epochs."""
+    return float(len(manifest.train_ids) * manifest.epochs)
 
-    The trainer names each record a full-task run of its run config; this is
-    the one place a record takes its cell's proxy id and grid config id. A
-    cell alone goes through train_model, the entry point that tracers and
-    tests follow run by run.
-    """
+
+def _run_unit(sub_train: Dataset, sub_val: Dataset, cells: list) -> list:
+    """Trains one unit's cells, (manifest, run config, config id) triples, in one train_model call; returns
+    their records. This is the one place a RunRecord is built: from its cell, its run and cell_cost."""
     manifests, configs, keys = zip(*cells)
-    runs = [train_model(sub_train, sub_val, configs[0])] if len(cells) == 1 else train_stack(sub_train, sub_val, configs)
-    return [replace(record, proxy_id=m.proxy_id, config_id=key) for (record, _), m, key in zip(runs, manifests, keys)]
+    runs = train_model(sub_train, sub_val, list(configs))
+    return [RunRecord(dataset_id=sub_train.id, proxy_id=m.proxy_id, config_id=key, seed=run.config.seed,
+                      epoch_val_acc=run.epoch_val_acc, best_val_acc=max(run.epoch_val_acc), cost_units=cell_cost(m),
+                      status=run.status) for run, m, key in zip(runs, manifests, keys)]
 
 
 def _same_examples(a, b) -> bool:
@@ -229,8 +232,8 @@ def plan_runs(dataset_id: str, manifests: list, grid: list, store: ResultStore, 
 
     Raises ValueError if _check_epoch_budgets refuses the manifests and
     grid, if a stored record's seed differs from the one global_seed gives
-    its key, or if its cost_units is not the |train| * epochs of its
-    manifest (a file written under another split), since resuming would mix
+    its key, or if its cost_units is not the cell_cost of its manifest (a
+    file written under another split), since resuming would mix
     runs of two seeds or two splits.
     """
     _check_epoch_budgets(manifests, grid)
@@ -245,7 +248,7 @@ def plan_runs(dataset_id: str, manifests: list, grid: list, store: ResultStore, 
     for group in groups:
         stacks: dict = {}
         for manifest in group:
-            cost = float(len(manifest.train_ids) * manifest.epochs)  # what train_stack records for each cell
+            cost = cell_cost(manifest)
             for cfg in grid:
                 cfg_id = config_id(cfg)
                 key = (dataset_id, manifest.proxy_id, cfg_id)
@@ -283,7 +286,7 @@ def run_matrix(
 
     Trains the units of plan_runs(train.id, ...), which raises its refusals
     before any cell runs; records use train.id as the dataset id. Each unit
-    trains its cells as a stack; a cell gets the same record either way. Unit
+    trains its cells as a stack; a cell gets the same record in any unit. Unit
     u runs on worker u mod parallelism, each worker one thread that trains
     its units in plan order, so which thread trains a unit depends only on
     the plan. Records are appended in cell order (manifest, then grid config)

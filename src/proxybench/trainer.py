@@ -10,12 +10,13 @@ Within each minibatch, example rows are processed in ascending dataset
 order. That makes full-batch training bitwise independent of the shuffle
 seed, which is the determinism property the test suite leans on.
 
-A model is a row of a stack everywhere. Models whose configs share a
-stack_key train in lockstep (train_stack), one row each of every buffer, and
-a lone model (train_model) is a stack of one. So are an evaluated model, the
+A model is a row of a stack everywhere. train_model, the one training
+loop, trains configs that share a stack_key in lockstep, one row each of
+every buffer; a lone model is a stack of one. So are an evaluated model, the
 model score_examples runs and the parameters a run returns: one parameter
 layout, and one form of the training step. Each model gets the bits of its
-own run whatever else its stack holds.
+own run whatever else its stack holds. The trainer returns runs, not
+records: run-grid builds each RunRecord from its cell.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .dataset import Dataset
 __all__ = [
     "HyperparamConfig",
     "ModelParams",
+    "Run",
     "RunRecord",
     "config_id",
     "stack_key",
     "train_model",
-    "train_stack",
 ]
 
 _STREAM_INIT = 11
@@ -153,11 +154,11 @@ class ModelParams:
 
 @dataclass
 class RunRecord:
-    """Outcome of one training run.
+    """Outcome of one grid cell's training run, as run-grid records it.
 
-    cost_units is the budgeted cost |train| * epochs; an aborted run keeps
-    its nominal cost, and its accuracy list is padded to full length with
-    the last observed value. A record with no epoch accuracies, an accuracy
+    cost_units is the budgeted cost in example-epochs (orchestrator.cell_cost);
+    an aborted run keeps its nominal cost, and its accuracy list is padded
+    to full length with the last observed value. A record with no epoch accuracies, an accuracy
     outside [0, 1], a cost that is not positive or a negative seed is
     refused with ValueError where it is built, as a results line is loaded.
     """
@@ -323,7 +324,7 @@ def forward_backward(params: ModelParams, features: np.ndarray, labels: np.ndarr
 
     The loss is label-smoothed cross-entropy (see _target_table); the
     gradient of each row's loss with respect to its logits is
-    softmax(logits) - target. The arguments are not checked: train_stack
+    softmax(logits) - target. The arguments are not checked: train_model
     checks its datasets once, and cuts every batch from them.
     """
     n = features.shape[-2]
@@ -432,7 +433,7 @@ def _gather_rows(features: np.ndarray, rows: np.ndarray, flip: np.ndarray, out: 
 def evaluate_accuracy(params: ModelParams, d: Dataset) -> float:
     """Fraction of examples whose argmax logit matches the label, for a stack of one model.
 
-    d is not empty (train_stack refuses an empty val). Raises ValueError for
+    d is not empty (train_model refuses an empty val). Raises ValueError for
     any other k, which would otherwise average the rows' accuracies.
     """
     if len(params.flat) != 1:
@@ -445,47 +446,46 @@ def stack_key(config: HyperparamConfig) -> tuple:
     return (config.depth, config.stem_width_1, config.stem_width_2, config.batch_size)
 
 
-def train_model(train: Dataset, val: Dataset, config: HyperparamConfig):
-    """Train a fresh model; returns (RunRecord, ModelParams), its parameters as a stack of one.
+@dataclass
+class Run:
+    """One model of a train_model call: its config, its accuracy after each epoch, how it ended
+    ("ok" or "aborted") and its final parameters, a stack of one."""
 
-    Deterministic given (config, data): initialization is seeded from
-    config.seed, and the per-epoch shuffle and augmentation draws from
-    (config.seed, epoch). Validation accuracy is measured
-    after every epoch and best_val_acc is the max over epochs.
+    config: HyperparamConfig
+    epoch_val_acc: list = field(default_factory=list)
+    status: str = "ok"
+    params: ModelParams | None = None
 
-    A non-finite loss or gradient aborts the run: the record comes back
-    with status "aborted", its accuracy list padded with the last observed
-    value (or the current model's accuracy if no epoch finished), and its
-    nominal cost intact. The run is a stack of one (see train_stack).
+
+def train_model(train: Dataset, val: Dataset, configs: list) -> list:
+    """Train configs of one stack_key in lockstep; returns a finished Run per config, in order.
+
+    Deterministic given (config, data): a model's initialization is seeded
+    from its config.seed, and its per-epoch shuffle and augmentation draws
+    from (config.seed, epoch). Each model gets the bits it would get trained
+    alone: it keeps its own streams, target table, epochs, learning-rate
+    schedule and abort. Validation accuracy is measured after every epoch,
+    and a model whose epochs are done leaves the stack after that epoch's
+    evaluation.
+
+    A non-finite loss or gradient aborts a model: it is frozen at that step
+    with status "aborted" and its accuracy list padded to its epochs with the
+    last observed value (or the current model's accuracy if no epoch
+    finished); the others go on. Each step is one forward_backward over the
+    stack and one optimizer_step per optimizer over that optimizer's rows;
+    evaluation stays one model at a time.
     """
-    return train_stack(train, val, [config])[0]
-
-
-def train_stack(train: Dataset, val: Dataset, configs: list) -> list:
-    """Train configs of one stack_key in lockstep; returns a (RunRecord, ModelParams of one model) per config, in order.
-
-    Each model gets the bits of its own train_model run: it keeps its own
-    initialization, shuffle and flip streams, target table, epochs,
-    learning-rate schedule and abort. A model whose loss or gradient goes
-    non-finite is frozen at that step and recorded as aborted; the others go
-    on. A model whose epochs are done leaves the stack after that epoch's
-    evaluation. Each step is one forward_backward over the stack and one
-    optimizer_step per optimizer over that optimizer's rows; evaluation stays
-    one model at a time. Each record names a full-task run of its own
-    config: proxy id "full" and config_id(config). run-grid renames each
-    record for its cell.
-    """
-    members = [_Member(c) for c in configs]
-    if not members:
+    runs = [Run(c) for c in configs]
+    if not runs:
         raise ValueError("need at least one config")
-    if len({stack_key(m.config) for m in members}) != 1:
+    if len({stack_key(r.config) for r in runs}) != 1:
         raise ValueError("configs of a stack must share layer sizes and batch size")
     if len(train) == 0 or len(val) == 0:
         raise ValueError("train and val must be non-empty")
     if train.feature_dim != val.feature_dim or train.class_count != val.class_count:
         raise ValueError("train and val shapes disagree")
 
-    stack = _Stack(sorted(members, key=lambda m: _OPTIMIZERS.index(m.config.optimizer)), train, val)
+    stack = _Stack(sorted(runs, key=lambda r: _OPTIMIZERS.index(r.config.optimizer)), train, val)
     # Divergent configs overflow on purpose before the abort check catches
     # them, and a half-blown model can overflow again while being evaluated;
     # don't let numpy warn about either.
@@ -497,33 +497,7 @@ def train_stack(train: Dataset, val: Dataset, configs: list) -> list:
                 m.epoch_val_acc.append(evaluate_accuracy(stack.model(i), val))
             epoch += 1
             stack.retire([i for i, m in enumerate(stack.members) if m.config.epochs == epoch])
-
-    return [
-        (
-            RunRecord(
-                dataset_id=train.id,
-                proxy_id="full",
-                config_id=config_id(m.config),
-                seed=m.config.seed,
-                epoch_val_acc=m.epoch_val_acc,
-                best_val_acc=max(m.epoch_val_acc),
-                cost_units=float(len(train) * m.config.epochs),
-                status=m.status,
-            ),
-            m.params,
-        )
-        for m in members
-    ]
-
-
-@dataclass
-class _Member:
-    """One model of a stack: what it trains with, and how it ended."""
-
-    config: HyperparamConfig
-    epoch_val_acc: list = field(default_factory=list)
-    status: str = "ok"
-    params: ModelParams | None = None
+    return runs
 
 
 class _Stack:

@@ -428,6 +428,11 @@ REFUSALS = [
       for command, argv in _BAD_OUT.items() for kind, (edit, out, message) in _BAD_TARGET.items()],
     Refusal("test_refusal[report-out-under-a-file]", "report --report {quality} --results {results} --out {tmp}/p/plots",
             _write("p", ""), 2, "error: {tmp}/p/plots/quality_vs_cost.csv: a parent of it is not a directory\n"),
+    # inputs that do not exist: refused for its --out before it reads either
+    Refusal("test_refusal[report-out-under-a-file-before-its-inputs]",
+            "report --report {tmp}/missing.csv --results {tmp}/missing.jsonl --out {tmp}/p/plots", _write("p", ""), 2,
+            "error: {tmp}/p/plots/quality_vs_cost.csv: a parent of it is not a directory\n",
+            not_called=("reports_from_csv", "store_load")),
     *[Refusal(f"TestPathsThatAreNotFiles::test_results_fifo_is_refused_not_read[{command}]", argv, _fifo("r.jsonl"),
               2, "error: {tmp}/r.jsonl exists and is not a regular file")
       for command, argv in [

@@ -392,8 +392,8 @@ def test_7_easier_half_tracks_the_target_better_exploratory(capsys, tmp_path):
     for seed in range(5):
         d = synth_generate(SynthSpec(seed=seed, **spec_base))
         train, val = split(d, val_fraction=0.15, seed=seed)
-        _, model = train_model(train, val, HyperparamConfig(epochs=10, stem_width_1=16, stem_width_2=16, seed=seed))
-        table = score_examples(model, train)
+        (run,) = train_model(train, val, [HyperparamConfig(epochs=10, stem_width_1=16, stem_width_2=16, seed=seed)])
+        table = score_examples(run.params, train)
         manifests = [
             build_proxy(train, val, ProxySpec(kind="full"), target_epochs=10),
             build_proxy(train, val, ProxySpec(kind="quantile", lo=0.5, hi=1.0), table=table, target_epochs=10),

@@ -21,7 +21,7 @@ import pytest
 
 import proxybench
 from proxybench import _atomic
-from proxybench._atomic import atomic_writer, check_fields, check_value, read_csv, write_atomic, write_csv
+from proxybench._atomic import atomic_writer, check_fields, check_value, int64_ids, read_csv, write_atomic, write_csv
 
 
 def _streamed(path, data):
@@ -235,6 +235,37 @@ def test_check_value_is_the_one_type_policy(tp, value, message):
         with pytest.raises(ValueError) as info:
             check_value("f", value, tp)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("values, message", [
+    ([3, 0], None),
+    ((), None),
+    ([np.int64(3), 0], None),
+    (np.array([3, 0], dtype=np.uint8), None),
+    ([2**63 - 1, -(2**63)], None),
+    ([0.5, 1.7], "ids[0] must be an integer, got 0.5"),
+    ([1, True], "ids[1] must be an integer, got True"),
+    ([2**63], "ids holds an example id outside the int64 range"),
+    (np.array([0.5, 1.7]), "ids must hold integers, got an array of float64"),
+    (np.array([True, False]), "ids must hold integers, got an array of bool"),
+    (np.array([], dtype=np.float64), "ids must hold integers, got an array of float64"),
+    (np.array([2**63], dtype=np.uint64), "ids holds an example id outside the int64 range"),
+    ("0,1", "ids must be a list, got '0,1'"),
+], ids=["list", "empty_tuple", "numpy_items", "uint8_array", "int64_bounds", "float_item", "bool_item",
+        "item_above_int64", "float_array", "bool_array", "empty_float_array", "uint64_above_int64", "string"])
+def test_int64_ids_takes_integers_only(values, message):
+    if message is None:
+        ids = int64_ids("ids", values)
+        assert ids.dtype == np.int64 and ids.tolist() == [int(v) for v in values]
+    else:
+        with pytest.raises(ValueError) as info:
+            int64_ids("ids", values)
+        assert str(info.value) == message
+
+
+def test_int64_ids_keeps_an_int64_array():
+    ids = np.arange(5)
+    assert int64_ids("ids", ids) is ids
 
 
 @dataclass

@@ -54,6 +54,18 @@ class TestDatasetConstruction:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Dataset(np.zeros((2, 1)), [0, 0], ids, class_count=class_count)
 
+    @pytest.mark.parametrize("labels, ids, message", [
+        ([0, 1], [0.5, 1.7], "ids[0] must be an integer, got 0.5"),
+        ([0, 1], np.array([0.0, 1.0]), "ids must hold integers, got an array of float64"),
+        ([0, 1], [True, False], "ids[0] must be an integer, got True"),
+        ([0, 1.5], [0, 1], "labels[1] must be an integer, got 1.5"),
+        (np.array([0.0, 1.0]), [0, 1], "labels must hold integers, got an array of float64"),
+        (np.array([False, True]), [0, 1], "labels must hold integers, got an array of bool"),
+    ], ids=["float_ids", "float_id_array", "bool_ids", "float_label", "float_label_array", "bool_label_array"])
+    def test_float_or_bool_ids_and_labels_are_refused_not_truncated(self, labels, ids, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(np.zeros((2, 1)), labels, ids, class_count=2)
+
     def test_rejects_non_finite_features(self):
         with pytest.raises(ValueError, match="non-finite"):
             Dataset([np.array([1.0, np.inf])], [0], [0], class_count=2)
@@ -472,6 +484,15 @@ class TestSubsetByIds:
             assert np.array_equal(a.labels, b.labels)
             assert np.array_equal(a.features, b.features)
         assert list(a.ids) == sorted(wanted)  # the source order
+
+    @pytest.mark.parametrize("ids, message", [
+        ([1.9], "ids[0] must be an integer, got 1.9"),
+        (np.array([1.0, 2.0]), "ids must hold integers, got an array of float64"),
+        ([3, True], "ids[1] must be an integer, got True"),
+    ], ids=["float", "float_array", "bool"])
+    def test_float_or_bool_ids_are_refused_not_truncated(self, ids, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            subset_by_ids(_toy(), ids)
 
     def test_missing_ids_are_listed_sorted(self):
         with pytest.raises(ValueError, match=r"not present in dataset 'toy': \[20, 999\]"):

@@ -104,8 +104,7 @@ class TestScoreExamples:
 
         train, val = split(noisy, 0.1, seed=0)
         cfg = HyperparamConfig(epochs=10, stem_width_1=16, stem_width_2=16)
-        _, params = train_model(train, val, cfg)
-        table = score_examples(params, train)
+        table = score_examples(train_model(train, val, [cfg])[0].params, train)
         flipped_in_train = flipped & set(train.ids.tolist())
         hardest = set(table.ids[: len(flipped_in_train)].tolist())
         assert hardest == flipped_in_train
@@ -150,6 +149,15 @@ class TestTableInvariants:
         assert table.losses.tolist() == [2.0, 1.0]
         with pytest.raises(ValueError, match="read-only"):
             table.ids[0] = 5
+
+    @pytest.mark.parametrize("ids, message", [
+        ([1.5, 2.7], "ids[0] must be an integer, got 1.5"),
+        (np.array([1.0, 2.0]), "ids must hold integers, got an array of float64"),
+        ((True, False), "ids[0] must be an integer, got True"),
+    ], ids=["floats", "float_array", "bools"])
+    def test_float_or_bool_ids_are_refused_not_truncated(self, ids, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DifficultyTable(ids=ids, losses=[2.0, 1.0], dataset_id="d", scoring_config_id="c")
 
     def test_rejects_non_finite_or_negative_losses(self):
         with pytest.raises(ValueError):

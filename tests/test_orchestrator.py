@@ -11,6 +11,7 @@ from proxybench.dataset import SynthSpec, split, subset_by_ids, synth_generate
 from proxybench.orchestrator import (
     GridSpec,
     ResultStore,
+    cell_cost,
     generate_grid,
     grid_from_json,
     plan_runs,
@@ -434,7 +435,30 @@ class TestRunMatrix:
         assert rec.status == "aborted"
         assert len(rec.epoch_val_acc) == 2
 
+    def test_record_holds_its_cell_and_its_run(self, tmp_path):
+        train, val = _tiny_split()
+        proxies = [
+            build_proxy(train, val, ProxySpec(kind="full"), target_epochs=3),
+            build_proxy(train, val, ProxySpec(kind="fewer_epochs", epochs=2), target_epochs=3),
+            build_proxy(train, val, ProxySpec(kind="random_all", fraction=0.5, seed=0), target_epochs=3),
+        ]
+        grid = generate_grid(GridSpec(defaults=replace(FAST, epochs=3), variations={"learning_rate": [0.01]}))
+        store = run_matrix(train, val, proxies, grid, global_seed=4, store=ResultStore(tmp_path / "results.jsonl"))
+        for m in proxies:
+            sub_train, sub_val = subset_by_ids(train, m.train_ids), subset_by_ids(val, m.val_ids)
+            for cfg in grid:
+                key = (train.id, m.proxy_id, config_id(cfg))
+                rec = store.get(key)
+                (run,) = train_model(sub_train, sub_val, [replace(cfg, seed=run_seed(*key, 4), epochs=m.epochs)])
+                assert (rec.dataset_id, rec.proxy_id, rec.config_id, rec.seed) == (*key, run.config.seed)
+                assert (rec.epoch_val_acc, rec.status) == (run.epoch_val_acc, run.status)
+                assert rec.best_val_acc == max(run.epoch_val_acc)
+                assert rec.cost_units == cell_cost(m) == len(m.train_ids) * m.epochs
+        assert {rec.cost_units for rec in store.records()} == {48.0 * 3, 48.0 * 2, 24.0 * 3}  # 48 training rows, half of them for random_all
+
     def test_stacked_cells_append_in_cell_order_with_solo_records(self, tmp_path):
+        import proxybench.orchestrator as orchestrator
+
         train, val = _tiny_split()
         proxies = [
             build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
@@ -451,20 +475,19 @@ class TestRunMatrix:
             for cfg in grid:
                 rec = store.get((train.id, m.proxy_id, config_id(cfg)))
                 run_cfg = replace(cfg, seed=rec.seed, epochs=m.epochs)
-                solo, _ = train_model(sub_train, sub_val, run_cfg)
-                assert rec == replace(solo, proxy_id=m.proxy_id, config_id=config_id(cfg))
+                assert [rec] == orchestrator._run_unit(sub_train, sub_val, [(m, run_cfg, config_id(cfg))])
 
     def test_stacks_never_exceed_the_cap(self, monkeypatch, tmp_path):
         import proxybench.orchestrator as orchestrator
 
         sizes = []
-        real = orchestrator.train_stack
+        real = orchestrator.train_model
 
-        def recording(train, val, configs, **kw):
+        def recording(train, val, configs):
             sizes.append(len(configs))
-            return real(train, val, configs, **kw)
+            return real(train, val, configs)
 
-        monkeypatch.setattr(orchestrator, "train_stack", recording)
+        monkeypatch.setattr(orchestrator, "train_model", recording)
         train, val = _tiny_split()
         proxies = [
             build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
@@ -489,12 +512,13 @@ class TestRunMatrix:
             return real(sub_train, sub_val, cells)
 
         monkeypatch.setattr(orchestrator, "_run_unit", recording)
-        lone = []
+        trained = []  # (thread, first config, first run's status) per train_model call
         real_model = orchestrator.train_model
 
-        def recording_model(*args, **kw):
-            lone.append(threading.get_ident())
-            return real_model(*args, **kw)
+        def recording_model(sub_train, sub_val, configs):
+            runs = real_model(sub_train, sub_val, configs)
+            trained.append((threading.get_ident(), configs[0], runs[0].status))
+            return runs
 
         monkeypatch.setattr(orchestrator, "train_model", recording_model)
         train, val = _tiny_split()
@@ -507,7 +531,13 @@ class TestRunMatrix:
         for thread, cell in ran:
             workers.setdefault(thread, []).append(first[cell])
         assert sorted(workers.values()) == [[0, 2, 4, 6, 8], [1, 3, 5, 7]]
-        assert len(set(lone)) == 2  # each worker trains a lone cell through train_model
+        # Every unit enters train_model once, on its worker, and the first run it returns has a status:
+        # a tracer follows the grid's runs, threads and aborts through these calls.
+        assert len(trained) == len(units)
+        assert {(thread, cfg) for thread, cfg, _ in trained} == {
+            (thread, units[u][0][1]) for thread, us in workers.items() for u in us}
+        assert len({thread for thread, _, _ in trained}) == 2
+        assert {status for _, _, status in trained} <= {"ok", "aborted"}
 
     @staticmethod
     def _fake_units(monkeypatch, units, release, failing=None, error=None, held=()):

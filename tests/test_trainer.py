@@ -24,7 +24,6 @@ from proxybench.trainer import (
     optimizer_step,
     stack_key,
     train_model,
-    train_stack,
 )
 from gradcheck import fresh_forward_backward, gradient_check, n_params
 
@@ -357,17 +356,16 @@ class TestAugment:
 
 
 class TestTrainModel:
-    def test_record_shape_contract(self):
+    def test_run_shape_contract(self):
         d = _small_data()
         train, val = split(d, 0.2, seed=0)
         cfg = _tiny_config(epochs=3)
-        rec, params = train_model(train, val, cfg)
-        assert len(rec.epoch_val_acc) == 3
-        assert rec.best_val_acc == max(rec.epoch_val_acc)
-        assert rec.cost_units == len(train) * 3
-        assert rec.status == "ok"
-        assert rec.dataset_id == d.id
-        assert np.isfinite(params.flat).all()
+        (run,) = train_model(train, val, [cfg])
+        assert run.config is cfg
+        assert len(run.epoch_val_acc) == 3
+        assert run.status == "ok"
+        assert run.params.flat.shape == init_params(cfg, d.feature_dim, d.class_count).flat.shape
+        assert np.isfinite(run.params.flat).all()
 
     def test_one_gradient_buffer_per_run(self, monkeypatch):
         import proxybench.trainer as trainer
@@ -381,7 +379,7 @@ class TestTrainModel:
         monkeypatch.setattr(trainer, "forward_backward", recording)
         d = _small_data()
         train, val = split(d, 0.2, seed=0)
-        train_model(train, val, _tiny_config(epochs=2, batch_size=8))
+        train_model(train, val, [_tiny_config(epochs=2, batch_size=8)])
         assert len(buffers) == 2 * 6  # 2 epochs of ceil(48 / 8) steps
         assert buffers[0] is not None and all(b is buffers[0] for b in buffers)
 
@@ -389,16 +387,16 @@ class TestTrainModel:
         d = _small_data(seed=1)
         train, val = split(d, 0.2, seed=0)
         cfg = _tiny_config(epochs=2, augment_prob=0.5)
-        r1, _ = train_model(train, val, cfg)
-        r2, _ = train_model(train, val, cfg)
+        (r1,) = train_model(train, val, [cfg])
+        (r2,) = train_model(train, val, [cfg])
         assert r1.epoch_val_acc == r2.epoch_val_acc
-        assert r1.best_val_acc == r2.best_val_acc
+        assert _sha(r1.params.flat) == _sha(r2.params.flat)
 
     def test_zero_learning_rate_is_a_no_op(self):
         d = _small_data()
         train, val = split(d, 0.2, seed=0)
         cfg = _tiny_config(learning_rate=0.0, epochs=2)
-        rec, _ = train_model(train, val, cfg)
+        (rec,) = train_model(train, val, [cfg])
         untrained = evaluate_accuracy(init_params(cfg, d.feature_dim, d.class_count), val)
         assert rec.epoch_val_acc == [untrained, untrained]
 
@@ -420,9 +418,9 @@ class TestTrainModel:
         d = _small_data(seed=2)
         train, val = split(d, 0.2, seed=0)
         cfg = _tiny_config(batch_size=len(train), augment_prob=0.0, epochs=3)
-        r1, _ = train_model(train, val, cfg)
+        (r1,) = train_model(train, val, [cfg])
         monkeypatch.setattr(trainer, "_STREAM_SHUFFLE", 99)
-        r2, _ = train_model(train, val, cfg)
+        (r2,) = train_model(train, val, [cfg])
         assert r1.epoch_val_acc == r2.epoch_val_acc
 
     def test_minibatch_training_uses_shuffle_seed(self, monkeypatch):
@@ -431,10 +429,10 @@ class TestTrainModel:
         d = _small_data(seed=2)
         train, val = split(d, 0.2, seed=0)
         cfg = _tiny_config(batch_size=8, augment_prob=0.0, epochs=2, learning_rate=0.05)
-        _, p1 = train_model(train, val, cfg)
+        (r1,) = train_model(train, val, [cfg])
         monkeypatch.setattr(trainer, "_STREAM_SHUFFLE", 99)
-        _, p2 = train_model(train, val, cfg)
-        assert any(not np.array_equal(a, b) for a, b in zip(p1.weights, p2.weights))
+        (r2,) = train_model(train, val, [cfg])
+        assert any(not np.array_equal(a, b) for a, b in zip(r1.params.weights, r2.params.weights))
 
     def test_gradient_explosion_is_recorded_not_raised(self):
         d = _small_data()
@@ -446,11 +444,10 @@ class TestTrainModel:
         )
         train, val = split(big, 0.2, seed=0)
         cfg = _tiny_config(optimizer="sgd", learning_rate=1e30, epochs=3, batch_size=8)
-        rec, _ = train_model(train, val, cfg)
+        (rec,) = train_model(train, val, [cfg])
         assert rec.status == "aborted"
         assert len(rec.epoch_val_acc) == 3
         assert len(set(rec.epoch_val_acc[-2:])) == 1  # padded with the last value
-        assert rec.cost_units == len(train) * 3  # nominal budget kept
 
     # Recorded accuracies (lr, per-epoch). Elementwise float ops do not depend
     # on memory layout, so a change to how parameters are stored must keep
@@ -469,10 +466,9 @@ class TestTrainModel:
         cfg = _tiny_config(
             optimizer=optimizer, learning_rate=lr, epochs=4, augment_prob=0.5, label_smoothing=True, seed=3
         )
-        rec, _ = train_model(train, val, cfg)
+        (rec,) = train_model(train, val, [cfg])
         assert rec.status == "ok"
         assert rec.epoch_val_acc == expected
-        assert rec.best_val_acc == max(expected)
 
     def test_depth_knob_changes_parameter_count(self):
         counts = {}
@@ -487,7 +483,7 @@ class TestTrainModel:
         train, val = split(d, 0.2, seed=0)
         other = _small_data(dim=7)
         with pytest.raises(ValueError):
-            train_model(train, other, _tiny_config())
+            train_model(train, other, [_tiny_config()])
 
 
 def _sha(a: np.ndarray) -> str:
@@ -545,10 +541,10 @@ class TestPinnedRuns:
     def test_run_matches_recorded_bits(self, case):
         data, overrides, expected, digest = self.CASES[case]
         train, val = self._data(data)
-        rec, params = train_model(train, val, self._config(**overrides))
+        (rec,) = train_model(train, val, [self._config(**overrides)])
         assert rec.status == "ok"
         assert rec.epoch_val_acc == expected
-        assert _sha(params.flat) == digest
+        assert _sha(rec.params.flat) == digest
 
     def test_run_aborted_mid_epoch_matches_recorded_bits(self, monkeypatch):
         import proxybench.trainer as trainer
@@ -564,20 +560,20 @@ class TestPinnedRuns:
 
         monkeypatch.setattr(trainer, "forward_backward", poisoned_eighth)
         train, val = self._data("small")
-        rec, params = train_model(train, val, self._config())
+        (rec,) = train_model(train, val, [self._config()])
         assert rec.status == "aborted"
         assert len(steps) == 8
         assert rec.epoch_val_acc == [0.75, 0.75, 0.75]  # epoch 0's, padded
-        assert _sha(params.flat) == "fb8932a76dcc9a1d3470a056dee8c5e5948b6c9806ffde01c76c5348af1b8a6b"
+        assert _sha(rec.params.flat) == "fb8932a76dcc9a1d3470a056dee8c5e5948b6c9806ffde01c76c5348af1b8a6b"
 
     def test_diverging_run_matches_recorded_bits(self):
         d = _small_data()
         big = Dataset(d.features * 1e60, d.labels, d.ids, d.class_count)
         train, val = split(big, 0.2, seed=0)
-        rec, params = train_model(train, val, _tiny_config(optimizer="sgd", learning_rate=1e30, epochs=3, batch_size=8))
+        (rec,) = train_model(train, val, [_tiny_config(optimizer="sgd", learning_rate=1e30, epochs=3, batch_size=8)])
         assert rec.status == "aborted"
         assert rec.epoch_val_acc == [1 / 3] * 3
-        assert _sha(params.flat) == "802ee8ac6e9619cfea52b2510ada25224ad9b296de8031888786add1b256bcbb"
+        assert _sha(rec.params.flat) == "802ee8ac6e9619cfea52b2510ada25224ad9b296de8031888786add1b256bcbb"
 
     # (rows, loss.hex(), sha256 of the gradient) for a fresh depth-"large"
     # model on the first rows of the "small" training set, recorded with
@@ -623,7 +619,7 @@ class TestCallContract:
     def test_once_per_step_and_once_per_epoch(self, monkeypatch, batch_size, steps_per_epoch):
         counts = self._count_calls(monkeypatch)
         train, val = split(_small_data(), 0.2, seed=0)  # 48 training rows
-        rec, _ = train_model(train, val, _tiny_config(epochs=3, batch_size=batch_size))
+        (rec,) = train_model(train, val, [_tiny_config(epochs=3, batch_size=batch_size)])
         assert rec.status == "ok"
         steps = 3 * steps_per_epoch
         assert counts == {"forward_backward": steps, "optimizer_step": steps, "evaluate_accuracy": 3}
@@ -631,21 +627,21 @@ class TestCallContract:
     def test_many_blocks_per_epoch(self, monkeypatch):
         counts = self._count_calls(monkeypatch)
         train, val = split(_small_data(per_class=500), 0.2, seed=0)  # 1200 rows: two blocks of batches
-        train_model(train, val, _tiny_config(epochs=1, batch_size=100))
+        train_model(train, val, [_tiny_config(epochs=1, batch_size=100)])
         assert counts == {"forward_backward": 12, "optimizer_step": 12, "evaluate_accuracy": 1}
 
 
 class TestStacks:
-    """A stack trains each model to the bits of its own train_model run."""
+    """A stack trains each model to the bits of its own train_model run as a stack of one."""
 
     @staticmethod
     def _assert_solo_bits(train, val, configs, stacked):
         assert len(stacked) == len(configs)
-        for cfg, (rec, params) in zip(configs, stacked):
-            solo, solo_params = train_model(train, val, cfg)
-            assert (rec.status, rec.epoch_val_acc, rec.best_val_acc) == (solo.status, solo.epoch_val_acc, solo.best_val_acc)
-            assert (rec.config_id, rec.seed, rec.cost_units) == (solo.config_id, solo.seed, solo.cost_units)
-            assert _sha(params.flat) == _sha(solo_params.flat)
+        for cfg, run in zip(configs, stacked):
+            (solo,) = train_model(train, val, [cfg])
+            assert run.config is cfg
+            assert (run.status, run.epoch_val_acc) == (solo.status, solo.epoch_val_acc)
+            assert _sha(run.params.flat) == _sha(solo.params.flat)
 
     def test_mixed_stack_matches_solo_runs(self):
         train, val = TestPinnedRuns._data("small")  # 36 rows: a partial last batch of 4
@@ -656,7 +652,7 @@ class TestStacks:
             _tiny_config(epochs=3, optimizer="adam", learning_rate=0.005, augment_prob=1.0, seed=4),
             _tiny_config(epochs=3, optimizer="sgd", learning_rate=0.02, label_smoothing=False, seed=5),
         ]
-        self._assert_solo_bits(train, val, configs, train_stack(train, val, configs))
+        self._assert_solo_bits(train, val, configs, train_model(train, val, configs))
 
     def test_diverging_member_freezes_alone(self, monkeypatch):
         import proxybench.trainer as trainer
@@ -675,11 +671,11 @@ class TestStacks:
             _tiny_config(epochs=2, batch_size=7, optimizer="sgd", learning_rate=1e30, seed=2),
             _tiny_config(epochs=2, batch_size=7, optimizer="rmsprop", learning_rate=0.01, seed=3),
         ]
-        stacked = train_stack(train, val, configs)
+        stacked = train_model(train, val, configs)
         in_stack = list(sgd_steps)
         sgd_steps.clear()
         self._assert_solo_bits(train, val, configs, stacked)
-        assert stacked[1][0].status == "aborted"
+        assert stacked[1].status == "aborted"
         assert 1 < len(in_stack) < 161  # it froze during epoch 0, after some steps
         assert in_stack == sgd_steps == [1] * len(in_stack)  # and at the step its solo run did
 
@@ -701,12 +697,12 @@ class TestStacks:
         train, val = TestPinnedRuns._data("small")
         configs = [_tiny_config(epochs=3, optimizer=opt, seed=seed) for opt, seed in [("sgd", 1), ("sgd", 2), ("adam", 3)]]
         poison(row=1, at=7)  # rows are in optimizer order: adam, then the two sgd models
-        stacked = train_stack(train, val, configs)
+        stacked = train_model(train, val, configs)
         poison(row=0, at=7)
-        solo, solo_params = train_model(train, val, configs[0])
+        (solo,) = train_model(train, val, configs[:1])
         assert solo.status == "aborted"
-        assert (stacked[0][0].status, stacked[0][0].epoch_val_acc, _sha(stacked[0][1].flat)) == (
-            solo.status, solo.epoch_val_acc, _sha(solo_params.flat))
+        assert (stacked[0].status, stacked[0].epoch_val_acc, _sha(stacked[0].params.flat)) == (
+            solo.status, solo.epoch_val_acc, _sha(solo.params.flat))
         monkeypatch.setattr(trainer, "forward_backward", forward_backward)
         self._assert_solo_bits(train, val, configs[1:], stacked[1:])
 
@@ -717,7 +713,7 @@ class TestStacks:
             _tiny_config(epochs=2, batch_size=7, learning_rate=lr, augment_prob=p, seed=seed)
             for lr, p, seed in [(0.01, 0.5, 1), (0.003, 1.0, 2), (0.03, 0.0, 3)]
         ]
-        self._assert_solo_bits(train, val, configs, train_stack(train, val, configs))
+        self._assert_solo_bits(train, val, configs, train_model(train, val, configs))
 
     def test_members_of_different_epochs_match_solo_runs(self):
         train, val = TestPinnedRuns._data("small")
@@ -729,11 +725,10 @@ class TestStacks:
             _tiny_config(epochs=1, optimizer="sgd", learning_rate=0.02, label_smoothing=False, seed=5),
             _tiny_config(epochs=3, optimizer="rmsprop", learning_rate=0.01, augment_prob=0.0, seed=6),
         ]
-        stacked = train_stack(train, val, configs)
+        stacked = train_model(train, val, configs)
         self._assert_solo_bits(train, val, configs, stacked)
-        assert [(rec.proxy_id, rec.config_id) for rec, _ in stacked] == [("full", config_id(c)) for c in configs]
-        assert [len(rec.epoch_val_acc) for rec, _ in stacked] == [4, 3, 1, 4, 1, 3]
-        assert [rec.cost_units for rec, _ in stacked] == [len(train) * c.epochs for c in configs]
+        assert [run.config for run in stacked] == configs
+        assert [len(run.epoch_val_acc) for run in stacked] == [4, 3, 1, 4, 1, 3]
 
     @staticmethod
     def _poison(monkeypatch, row, at):
@@ -764,17 +759,17 @@ class TestStacks:
         # Rows are in optimizer order: adam (1 epoch), adam (3), sgd, rmsprop. The 1-epoch model
         # leaves after epoch 0, so in epoch 1 the sgd model is row 1; step 5 is epoch 1's second.
         self._poison(monkeypatch, row=1, at=5)
-        stacked = train_stack(train, val, configs)
+        stacked = train_model(train, val, configs)
         self._poison(monkeypatch, row=0, at=5)
-        solo, solo_params = train_model(train, val, configs[2])
+        (solo,) = train_model(train, val, configs[2:3])
         assert solo.status == "aborted"
         assert solo.epoch_val_acc == [solo.epoch_val_acc[0]] * 4
-        rec, params = stacked[2]
-        assert (rec.status, rec.epoch_val_acc, _sha(params.flat)) == (solo.status, solo.epoch_val_acc, _sha(solo_params.flat))
+        run = stacked[2]
+        assert (run.status, run.epoch_val_acc, _sha(run.params.flat)) == (solo.status, solo.epoch_val_acc, _sha(solo.params.flat))
         monkeypatch.setattr(trainer, "forward_backward", forward_backward)
         others = [0, 1, 3]
         self._assert_solo_bits(train, val, [configs[i] for i in others], [stacked[i] for i in others])
-        assert all(stacked[i][0].status == "ok" for i in others)
+        assert all(stacked[i].status == "ok" for i in others)
 
     def test_short_member_stops_at_its_budget_when_the_longer_ones_abort(self, monkeypatch):
         import proxybench.trainer as trainer
@@ -792,10 +787,10 @@ class TestStacks:
             _tiny_config(epochs=3, batch_size=7, optimizer="sgd", learning_rate=1e30, seed=2),
             _tiny_config(epochs=4, batch_size=7, optimizer="sgd", learning_rate=1e30, seed=6),
         ]
-        stacked = train_stack(train, val, configs)
+        stacked = train_model(train, val, configs)
         assert len(steps) == 2 * 161  # the stack steps no further than its last model's budget
-        assert [rec.status for rec, _ in stacked] == ["ok", "aborted", "aborted"]
-        assert [len(rec.epoch_val_acc) for rec, _ in stacked] == [2, 3, 4]
+        assert [run.status for run in stacked] == ["ok", "aborted", "aborted"]
+        assert [len(run.epoch_val_acc) for run in stacked] == [2, 3, 4]
         self._assert_solo_bits(train, val, configs, stacked)
 
     def test_incompatible_configs_are_refused(self):
@@ -803,7 +798,7 @@ class TestStacks:
         a, b = _tiny_config(), _tiny_config(batch_size=8)
         assert stack_key(a) != stack_key(b)
         with pytest.raises(ValueError, match="share layer sizes"):
-            train_stack(train, val, [a, b])
+            train_model(train, val, [a, b])
 
     @pytest.mark.parametrize("empty, message", [
         ("configs", "need at least one config"),
@@ -816,7 +811,7 @@ class TestStacks:
         if empty != "configs":
             sets[empty] = subset_by_ids(sets[empty], [])
         with pytest.raises(ValueError, match=f"^{message}$"):
-            train_stack(sets["train"], sets["val"], [] if empty == "configs" else [_tiny_config()])
+            train_model(sets["train"], sets["val"], [] if empty == "configs" else [_tiny_config()])
 
 
 class TestInit:
