@@ -13,16 +13,17 @@ run-grid's results file, which must keep completed lines to be resumable.
 A failing analyze or report writes no output: analyze computes its
 --consistency value, and report builds every table, before the first write.
 The --out of every command but report is refused before any input is read
-if it exists and is not a regular file (a FIFO, a directory) or if it lies
-under a regular file, and a results file that is not one is refused, never
-read. An error in a JSON input (spec, grid, manifest, difficulty table)
-starts with the file's path, and each must hold a JSON object. Their values,
-and each results line's, pass one type check (_atomic.check_value: an int
-field takes only an int, a float field a finite number but no bool, a bool or
-str field exactly its type) or exit 2 naming the file and the field. run-grid
-reads its grid and manifests before its --data, so a bad one is refused before
-the data load.
-main builds the subparser of the command it runs alone.
+if it exists and is not a regular file (a FIFO, a directory), if it lies
+under a regular file, or if its directory does not exist; report makes its
+--out directory and the parents it lacks. A results file that is not a
+regular file is refused, never read. An error in a JSON input (spec, grid,
+manifest, difficulty table) starts with the file's path, and each must hold
+a JSON object. Their values, and each results line's, pass one type check
+(_atomic.check_value: an int field takes only an int, a float field a finite
+number but no bool, a bool or str field exactly its type) or exit 2 naming
+the file and the field. run-grid reads its grid and manifests before its
+--data, so a bad one is refused before the data load.
+main parses every argv with one parser, built once per process.
 A run-grid holds a lock on ``<results>.lock`` while it reads and appends the
 results file; a second run-grid on the same file exits 2. Only run-grid cuts
 a torn last line; analyze and report read past it and leave the file as is.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import functools
 import math
 import os
 import sys
@@ -106,13 +108,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--val-fraction", type=_open_fraction, default=0.1, help="validation fraction of the stratified split, in (0, 1)")
 
 
+def _check_out(path: str) -> None:
+    """check_target(path), and refuse a path whose directory does not exist: only report makes directories."""
+    check_target(path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{path}: its directory does not exist")
+
+
 def _load_split(args):
     """(train, val); the parsed dataset itself is not kept past the split."""
     return split(load_csv(args.data), args.val_fraction, args.global_seed)
 
 
 def _cmd_gen_data(args) -> int:
-    check_target(args.out)
+    _check_out(args.out)
     try:
         spec = read_json(args.spec, lambda payload: SynthSpec(**payload))
     except TypeError as e:  # a field SynthSpec does not take, or one it lacks
@@ -124,7 +133,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    check_target(args.out)
+    _check_out(args.out)
     train, val = _load_split(args)
     cfg = HyperparamConfig(seed=args.global_seed)
     params = train_model(train, val, [cfg])[0].params
@@ -154,7 +163,7 @@ def _cmd_make_proxy(args) -> int:
         raise UsageError(str(e)) from None
     if spec.kind == "quantile" and not args.scores:
         raise UsageError("quantile proxies require --scores")
-    check_target(args.out)
+    _check_out(args.out)
     train, val = _load_split(args)
     table = load_table(args.scores) if args.scores else None
     manifest = build_proxy(train, val, spec, table=table, target_epochs=args.target_epochs)
@@ -196,7 +205,7 @@ def _results_lock(results: str):
 
 
 def _cmd_run_grid(args) -> int:
-    check_target(args.out)
+    _check_out(args.out)
     grid_spec = grid_from_json(args.grid)
     grid = generate_grid(grid_spec)
     manifests, proxy_ids = _load_manifests(Path(args.proxies))
@@ -266,7 +275,7 @@ def _consistency(text: str) -> tuple:
 
 
 def _cmd_analyze(args) -> int:
-    check_target(args.out)
+    _check_out(args.out)
     store = store_load(args.results)
     records = store.records()
     if not records:
@@ -371,19 +380,15 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> _Parser:
-    """The proxybench parser with the subparser of command alone, or of every command when command is None.
-
-    Building all six subparsers costs several times what one alone does, so
-    main builds only the one its argv names.
-    """
+@functools.cache
+def _build_parser() -> _Parser:
+    """The proxybench parser, every command's subparser in it; built once per process."""
     parser = _Parser(prog="proxybench", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (help_text, handler, add_flags) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_flags(p)
-            p.set_defaults(func=handler)
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -399,13 +404,10 @@ def _stdout_to_devnull() -> None:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # no command, --help, or an unknown word: the full parser, which lists every command
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
     with one_blas_thread():
         try:
             try:
-                args = _build_parser(command).parse_args(argv)
+                args = _build_parser().parse_args(argv)
             except SystemExit as e:  # argparse --help
                 code = 0 if e.code is None else int(e.code)
             else:

@@ -276,7 +276,8 @@ REFUSALS = [
             _write("spec.json", json.dumps({**SPEC, "bogus_field": 1})), 1,
             "usage error: {tmp}/spec.json: SynthSpec.__init__() got an unexpected keyword argument 'bogus_field'\n"),
     Refusal("TestGenData::test_unwritable_output_leaves_nothing", "gen-data --spec {spec} --out {tmp}/no_such_dir/toy.csv",
-            None, 2, "error: [Errno 2] No such file or directory: '{tmp}/no_such_dir/toy.csv."),
+            None, 2, "error: {tmp}/no_such_dir/toy.csv: its directory does not exist\n",
+            not_called=("synth_generate",)),
     _json_input("spec", '{"class_count": 3', 2, "Expecting ',' delimiter: line 1 column 18 (char 17)"),
     _json_input("spec", json.dumps({**SPEC, "bogus": 1}), 1, "unexpected keyword argument 'bogus'",
                 "SynthSpec.__init__() got an "),
@@ -422,10 +423,14 @@ REFUSALS = [
             _table("scores.json", lambda t: {**t, "dataset_id": 5}), 2,
             "error: {tmp}/scores.json: dataset_id must be a string, got 5\n"),
 
-    # paths that are not files, or lie under one: refused before any work, lock or read
+    # paths that are not files, lie under one, or lie in no directory: refused before any work, lock or read
     *[Refusal(f"TestPathsThatAreNotFiles::test_bad_out_is_refused_before_the_work[{command}-{kind}]",
               argv.replace("{tmp}/out", out), edit, 2, f"error: {message}\n", not_called=_NO_WORK)
       for command, argv in _BAD_OUT.items() for kind, (edit, out, message) in _BAD_TARGET.items()],
+    *[Refusal(f"TestPathsThatAreNotFiles::test_out_in_a_missing_directory_is_refused_before_the_work[{command}]",
+              argv.replace("{tmp}/out", "{tmp}/nope/out"), None, 2,
+              "error: {tmp}/nope/out: its directory does not exist\n", not_called=_NO_WORK)
+      for command, argv in _BAD_OUT.items() if command != "gen-data"],  # gen-data's is TestGenData's row
     Refusal("test_refusal[report-out-under-a-file]", "report --report {quality} --results {results} --out {tmp}/p/plots",
             _write("p", ""), 2, "error: {tmp}/p/plots/quality_vs_cost.csv: a parent of it is not a directory\n"),
     # inputs that do not exist: refused for its --out before it reads either

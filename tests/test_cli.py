@@ -26,7 +26,7 @@ from proxybench import orchestrator
 from proxybench import dataset as dataset_module
 from proxybench.cli import _build_parser, main
 from proxybench.dataset import SynthSpec, load_csv, synth_generate
-from proxybench.metrics import reports_from_csv
+from proxybench.metrics import GoodConfigRule, reports_from_csv
 from proxybench.orchestrator import store_load
 from proxybench.proxy import load_manifest
 from proxybench.trainer import RunRecord
@@ -584,6 +584,12 @@ class TestReport:
         assert rows[0] == ["strategy", "dataset", "relative_cost", "r2", "cost_adjusted"]
         assert len(rows) == 6
 
+    def test_out_is_made_with_its_missing_parents(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "a" / "b" / "plots"
+        assert main(["report", "--report", str(pipeline["quality"]), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in out.iterdir()) == ["quality_vs_cost.csv"]
+
     def test_with_results_writes_three_csvs(self, pipeline, tmp_path, capsys):
         out = tmp_path / "plots"
         code = main(["report", "--report", str(pipeline["quality"]), "--out", str(out), "--results", str(pipeline["results"])])
@@ -667,42 +673,26 @@ class TestFlagSets:
             assert used <= accepted[words[1]], (words[1], used - accepted[words[1]])
 
 
-def _subparsers(parser) -> dict:
-    """Subcommand name -> its subparser, in the order --help lists them."""
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return sub.choices
+class TestOneParser:
+    def test_two_commands_in_one_process_parse_through_one_parser(self, pipeline, tmp_path, monkeypatch, capsys):
+        parsed, rules, build = [], [], cli_module.build_quality_reports
 
+        def parse_args(self, args=None, namespace=None):
+            parsed.append(self)
+            return argparse.ArgumentParser.parse_args(self, args, namespace)
 
-class TestParserPerCommand:
-    @pytest.mark.parametrize("command", list(_subparsers(_build_parser())))
-    def test_subparser_built_alone_matches_the_full_parser(self, command):
-        alone, full = _subparsers(_build_parser(command))[command], _subparsers(_build_parser())[command]
+        def build_quality_reports(records, good_rule):
+            rules.append(good_rule)
+            return build(records, good_rule=good_rule)
 
-        def flags(p):
-            return [(a.option_strings, a.dest, a.default, a.required, a.choices, a.type, a.help) for a in p._actions]
-
-        assert flags(alone) == flags(full)
-        assert alone.format_help() == full.format_help()
-        assert alone.get_default("func") is full.get_default("func")
-
-    def test_one_command_builds_one_subparser(self):
-        assert list(_subparsers(_build_parser("analyze"))) == ["analyze"]
-
-    @pytest.mark.parametrize("argv, command", [
-        (["analyze", "--help"], "analyze"), (["run-grid", "--help"], "run-grid"),
-        (["--help"], None), (["bogus"], None), ([], None),
-    ])
-    def test_main_builds_the_parser_of_the_command_it_runs(self, monkeypatch, capsys, argv, command):
-        built = []
-
-        def build(name=None):
-            built.append(name)
-            return _build_parser(name)
-
-        monkeypatch.setattr(cli_module, "_build_parser", build)
-        main(argv)
+        monkeypatch.setattr(cli_module._Parser, "parse_args", parse_args)
+        monkeypatch.setattr(cli_module, "build_quality_reports", build_quality_reports)
+        argv = ["analyze", "--results", str(pipeline["results"]), "--out", str(tmp_path / "q.csv")]
+        assert main(argv + ["--good-rule", "min:0.5"]) == 0
+        assert main(argv) == 0  # its own default, not the first run's rule
         capsys.readouterr()
-        assert built == [command]
+        assert rules == [GoodConfigRule("min_accuracy", 0.5), GoodConfigRule("top_fraction", 0.5)]
+        assert len(parsed) == 2 and all(p is _build_parser() for p in parsed)
 
 
 @pytest.fixture

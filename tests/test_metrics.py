@@ -190,6 +190,27 @@ class TestSelectGoodConfigs:
         assert abs(sub - spearman(proxy, target)) < 1e-12
 
 
+_LIBRARY_REFUSALS = {  # case -> (a call that must raise ValueError, a pattern of its message)
+    "misaligned-pairs": (lambda: PairedAccuracies("d", "p", ("c0", "c1"), (0.5,), (0.5, 0.6)), "must align"),
+    "accuracy-above-one": (lambda: _paired([0.5, 1.5]), r"accuracy 1.5 outside \[0, 1\]"),
+    "min-accuracy-above-one": (lambda: GoodConfigRule("min_accuracy", 1.5), r"threshold in \[0, 1\], got 1.5"),
+    "min-accuracy-below-zero": (lambda: GoodConfigRule("min_accuracy", -0.1), r"threshold in \[0, 1\], got -0.1"),
+    "r2-two-points": (lambda: r2_no_intercept([1.0, -1.0], [1.0, -1.0]), "need at least 3 points"),
+    "r2-constant-proxy": (lambda: r2_no_intercept([0.0, 0.0, 0.0], [1.0, 0.0, -1.0]), "zero variance"),
+    "r2-constant-target": (lambda: r2_no_intercept([1.0, 0.0, -1.0], [0.0, 0.0, 0.0]), "zero variance"),
+    "spearman-length-mismatch": (lambda: spearman([1.0, 2.0, 3.0], [1.0, 2.0]), "length mismatch: 3 vs 2"),
+    "spearman-one-point": (lambda: spearman([1.0], [1.0]), "need at least 2 points"),
+    "no-configs-to-select": (lambda: select_good_configs(_paired([])), "no paired configs"),
+    "lasso-target-count": (lambda: lasso_cv(np.arange(4.0).reshape(4, 1), np.arange(3.0)), "3 targets for 4 rows"),
+}
+
+
+@pytest.mark.parametrize("call, message", _LIBRARY_REFUSALS.values(), ids=_LIBRARY_REFUSALS.keys())
+def test_library_refusal(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # (relative cost, r2) of the 6 strategies of the acceptance-6 pipeline at input seed 0
 ACCEPT6_SEED0_POINTS = [
     (0.05, 0.2535107744349052),
