@@ -152,14 +152,20 @@ def atomic_writer(path: str | Path):
 
     A path that exists and is neither a regular file nor a symlink (a FIFO,
     a directory, a device) is refused by check_target before the temp file
-    is made. A symlink is itself replaced by the new file; its target is
-    left as it was.
+    is made; a path whose directory does not exist raises FileNotFoundError
+    "<path>: its directory does not exist", naming path, not the temp file.
+    A symlink is itself replaced by the new file; its target is left as it
+    was.
     """
     path = Path(path)
     check_target(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "xb") as fh:
+        fh = open(tmp, "xb")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{path}: its directory does not exist") from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     finally:

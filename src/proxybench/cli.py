@@ -14,9 +14,10 @@ A failing analyze or report writes no output: analyze computes its
 --consistency value, and report builds every table, before the first write.
 The --out of every command but report is refused before any input is read
 if it exists and is not a regular file (a FIFO, a directory), if it lies
-under a regular file, or if its directory does not exist; report makes its
---out directory and the parents it lacks. A results file that is not a
-regular file is refused, never read. An error in a JSON input (spec, grid,
+under a regular file, if its directory does not exist, or if it is one of
+the command's own input files; report makes its --out directory and the
+parents it lacks, and refuses a table path that is one of its inputs. A
+results file that is not a regular file is refused, never read. An error in a JSON input (spec, grid,
 manifest, difficulty table) starts with the file's path, and each must hold
 a JSON object. Their values, and each results line's, pass one type check
 (_atomic.check_value: an int field takes only an int, a float field a finite
@@ -29,8 +30,8 @@ results file; a second run-grid on the same file exits 2. Only run-grid cuts
 a torn last line; analyze and report read past it and leave the file as is.
 run-grid --dry-run prints the pending units of the plan run-grid would train
 (plan_runs), and the cells already stored, or exits 2 with the run's refusal,
-a resume under another seed or split included; it takes no lock and writes
-nothing.
+a resume under another seed or split and a manifest built on another split
+included; it takes no lock and writes nothing.
 Every command that loads --data caches the parse, best-effort, in a
 ``<data>.csv.npz`` sidecar keyed by the CSV's sha256 (see load_csv), and
 gen-data writes that sidecar for the CSV it writes. score writes its
@@ -108,11 +109,21 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--val-fraction", type=_open_fraction, default=0.1, help="validation fraction of the stratified split, in (0, 1)")
 
 
-def _check_out(path: str) -> None:
-    """check_target(path), and refuse a path whose directory does not exist: only report makes directories."""
+def _check_not_an_input(out, inputs: dict) -> None:
+    """Refuse an output path that is the file of one of inputs, {flag: path or None}: writing it would replace
+    that input. run-grid's --proxies is a directory, which check_target already refuses as an output."""
+    for flag, given in inputs.items():
+        if given is not None and os.path.exists(out) and os.path.exists(given) and os.path.samefile(out, given):
+            raise ValueError(f"{out} is the {flag} input; refusing to replace it")
+
+
+def _check_out(path: str, inputs: dict) -> None:
+    """check_target(path), and refuse a path whose directory does not exist (only report makes directories) or
+    that is one of inputs (_check_not_an_input)."""
     check_target(path)
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise ValueError(f"{path}: its directory does not exist")
+    _check_not_an_input(path, inputs)
 
 
 def _load_split(args):
@@ -121,7 +132,7 @@ def _load_split(args):
 
 
 def _cmd_gen_data(args) -> int:
-    _check_out(args.out)
+    _check_out(args.out, {"--spec": args.spec})
     try:
         spec = read_json(args.spec, lambda payload: SynthSpec(**payload))
     except TypeError as e:  # a field SynthSpec does not take, or one it lacks
@@ -133,7 +144,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    _check_out(args.out)
+    _check_out(args.out, {"--data": args.data})
     train, val = _load_split(args)
     cfg = HyperparamConfig(seed=args.global_seed)
     params = train_model(train, val, [cfg])[0].params
@@ -163,7 +174,7 @@ def _cmd_make_proxy(args) -> int:
         raise UsageError(str(e)) from None
     if spec.kind == "quantile" and not args.scores:
         raise UsageError("quantile proxies require --scores")
-    _check_out(args.out)
+    _check_out(args.out, {"--data": args.data, "--scores": args.scores})
     train, val = _load_split(args)
     table = load_table(args.scores) if args.scores else None
     manifest = build_proxy(train, val, spec, table=table, target_epochs=args.target_epochs)
@@ -205,7 +216,7 @@ def _results_lock(results: str):
 
 
 def _cmd_run_grid(args) -> int:
-    _check_out(args.out)
+    _check_out(args.out, {"--data": args.data, "--grid": args.grid})
     grid_spec = grid_from_json(args.grid)
     grid = generate_grid(grid_spec)
     manifests, proxy_ids = _load_manifests(Path(args.proxies))
@@ -218,11 +229,11 @@ def _cmd_run_grid(args) -> int:
         )
 
     if args.dry_run:
-        units = plan_runs(train.id, manifests, grid, store_load(args.out), args.global_seed)
-        for cells in units:
-            print(f"train={len(cells[0][0].train_ids)} cells={','.join(f'{m.proxy_id}:{m.epochs}:{c}' for m, _, c in cells)}")
-        pending = sum(len(cells) for cells in units)
-        cost = sum(cell_cost(m) for cells in units for m, _, _ in cells)
+        units = plan_runs(train, val, manifests, grid, store_load(args.out), args.global_seed)
+        for sub_train, _, cells in units:
+            print(f"train={len(sub_train)} cells={','.join(f'{m.proxy_id}:{m.epochs}:{c}' for m, _, c in cells)}")
+        pending = sum(len(cells) for _, _, cells in units)
+        cost = sum(cell_cost(m) for _, _, cells in units for m, _, _ in cells)
         print(f"{len(manifests) * len(grid) - pending} cells stored, {pending} pending runs in {len(units)} units, "
               f"{cost:.0f} pending example-epochs")
         return 0
@@ -275,7 +286,7 @@ def _consistency(text: str) -> tuple:
 
 
 def _cmd_analyze(args) -> int:
-    _check_out(args.out)
+    _check_out(args.out, {"--results": args.results})
     store = store_load(args.results)
     records = store.records()
     if not records:
@@ -304,6 +315,7 @@ def _cmd_report(args) -> int:
     names = ("quality_vs_cost.csv", "proxy_target_scatter.csv", "epoch_correlation.csv")[: 3 if args.results else 1]
     for name in names:
         check_target(out_dir / name)
+        _check_not_an_input(out_dir / name, {"--report": args.report, "--results": args.results})
     reports = reports_from_csv(args.report)
     records = store_load(args.results).records() if args.results else None
     # (header, rows) of each name, every table built before any is written: a failing report writes nothing

@@ -5,10 +5,12 @@ value of a single field. The run matrix is embarrassingly parallel; every
 run's seed is a stable hash of its key, so the result of a cell never
 depends on scheduling, parallelism, stacking, or which cells ran before it.
 plan_runs is the one plan of a matrix: the units of cells a store still
-lacks. run_matrix trains it, one train_model call per unit, and builds each
-cell's record; run-grid --dry-run previews it, refusals too. Manifests that
-hold the same train and val ids (full and fewer_epochs) share their stacks,
-and --parallel N gives unit u of the plan to worker u mod N.
+lacks, each with the subsets of the split it trains on, so a manifest built
+on another split is refused. run_matrix trains it, one train_model call per
+unit, and builds each cell's record; run-grid --dry-run previews it,
+refusals too. Manifests that hold the same train and val ids (full and
+fewer_epochs) share their subsets and stacks, and --parallel N gives unit u
+of the plan to worker u mod N.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from ._atomic import read_json
 from .dataset import Dataset, subset_by_ids
@@ -109,10 +109,10 @@ class ResultStore:
     def get(self, key) -> RunRecord | None:
         return self._records.get(key)
 
-    def _add(self, record: RunRecord) -> None:
+    def _add(self, record: RunRecord, where: str = "") -> None:
         key = (record.dataset_id, record.proxy_id, record.config_id)
         if key in self._records:
-            raise ValueError(f"duplicate result key {key}")
+            raise ValueError(f"{where}duplicate result key {key}")
         self._records[key] = record
 
     def append(self, record: RunRecord) -> None:
@@ -136,7 +136,8 @@ def _parse_record(line: bytes) -> RunRecord:
 
 def store_load(path: str | Path) -> ResultStore:
     """A store bound to a JSONL results file, holding its records; malformed
-    lines, including those that are not UTF-8, are reported by number.
+    lines, including those that are not UTF-8, and a line whose key an
+    earlier line holds, are reported by number.
 
     The one exception is an unterminated last line that does not parse: the
     tail a process killed mid-append leaves. It is dropped with a warning on
@@ -153,14 +154,15 @@ def store_load(path: str | Path) -> ResultStore:
         raise ValueError(f"{path} exists and is not a regular file")
     data = path.read_bytes()
     complete = data.rfind(b"\n") + 1  # end of the last newline-terminated line
-    for n, line in enumerate(data[:complete].split(b"\n")[:-1], start=1):
+    lines = data[:complete].split(b"\n")[:-1]
+    for n, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             record = _parse_record(line)
         except _MALFORMED as e:
             raise ValueError(f"{path}: line {n}: malformed record ({e})") from None
-        store._add(record)
+        store._add(record, f"{path}: line {n}: ")
     tail = data[complete:]
     if tail.strip():
         try:
@@ -169,7 +171,7 @@ def store_load(path: str | Path) -> ResultStore:
             print(f"warning: {path}: dropping an unterminated last line cut off mid-write", file=sys.stderr)
             store._tail = (complete, "")
         else:  # a whole record whose newline was never written
-            store._add(record)
+            store._add(record, f"{path}: line {len(lines) + 1}: ")
             store._tail = (len(data), "\n")
     return store
 
@@ -195,11 +197,6 @@ def _run_unit(sub_train: Dataset, sub_val: Dataset, cells: list) -> list:
                       status=run.status) for run, m, key in zip(runs, manifests, keys)]
 
 
-def _same_examples(a, b) -> bool:
-    """Whether two manifests train and validate on the same ids."""
-    return a is b or (np.array_equal(a.train_ids, b.train_ids) and np.array_equal(a.val_ids, b.val_ids))
-
-
 def _check_epoch_budgets(manifests: list, grid: list) -> None:
     """Raise ValueError if the grid is empty, if its configs' epochs differ,
     or if a manifest was built for another target budget: its epochs must
@@ -219,39 +216,43 @@ def _check_epoch_budgets(manifests: list, grid: list) -> None:
             )
 
 
-def plan_runs(dataset_id: str, manifests: list, grid: list, store: ResultStore, global_seed: int) -> list:
-    """The (proxy, config) cells not yet in store, as units in submission order.
+def plan_runs(train: Dataset, val: Dataset, manifests: list, grid: list, store: ResultStore, global_seed: int) -> list:
+    """The (proxy, config) cells on the split (train, val) not yet in store, as units in submission order.
 
     Manifests that hold the same train and val ids form a group, in the order
-    of each group's first manifest. A unit is a list of cells of one group,
+    of each group's first manifest. A unit is (train subset, val subset,
+    cells): the subsets of its group's ids, built once per group that has a
+    pending cell and shared by its units, and a list of cells of the group,
     (manifest, run config, config id) triples in cell order (manifest, then
     grid config), all of one stack_key and at most _STACK_CAP of them. A run
-    config is its grid config with the seed its key hashes to and the
-    manifest's epochs, keeping the grid config's identity so results pair
-    across proxies. Nothing is trained or copied.
+    config is its grid config with the seed its key, under train.id, hashes
+    to and the manifest's epochs, keeping the grid config's identity so
+    results pair across proxies.
 
     Raises ValueError if _check_epoch_budgets refuses the manifests and
-    grid, if a stored record's seed differs from the one global_seed gives
-    its key, or if its cost_units is not the cell_cost of its manifest (a
-    file written under another split), since resuming would mix
-    runs of two seeds or two splits.
+    grid, if two manifests share a proxy id, if a group's ids are not in
+    the split (a manifest built under another global seed or validation
+    fraction), if a stored record's seed differs from the one global_seed
+    gives its key, or if its cost_units is not the cell_cost of its manifest
+    (a file written under another split), since resuming would mix runs of
+    two seeds or two splits.
     """
     _check_epoch_budgets(manifests, grid)
-    groups: list = []
+    groups: dict = {}  # (train ids, val ids) -> the manifests that hold them
+    seen = set()
     for manifest in manifests:
-        group = next((g for g in groups if _same_examples(g[0], manifest)), None)
-        if group is None:
-            groups.append([manifest])
-        else:
-            group.append(manifest)
+        if manifest.proxy_id in seen:
+            raise ValueError(f"duplicate proxy id {manifest.proxy_id!r}")
+        seen.add(manifest.proxy_id)
+        groups.setdefault((manifest.train_ids.tobytes(), manifest.val_ids.tobytes()), []).append(manifest)
     units = []
-    for group in groups:
+    for group in groups.values():
         stacks: dict = {}
         for manifest in group:
             cost = cell_cost(manifest)
             for cfg in grid:
                 cfg_id = config_id(cfg)
-                key = (dataset_id, manifest.proxy_id, cfg_id)
+                key = (train.id, manifest.proxy_id, cfg_id)
                 seed = run_seed(*key, global_seed)
                 stored = store.get(key)
                 if stored is None:
@@ -267,8 +268,15 @@ def plan_runs(dataset_id: str, manifests: list, grid: list, store: ResultStore, 
                         f"stored run {key} cost {stored.cost_units!r} units, but this split trains "
                         f"{len(manifest.train_ids)} examples x {manifest.epochs} epochs = {cost!r}; refusing to resume"
                     )
+        if not stacks:
+            continue
+        try:
+            subsets = (subset_by_ids(train, group[0].train_ids), subset_by_ids(val, group[0].val_ids))
+        except ValueError as e:
+            raise ValueError(f"proxy manifest {group[0].proxy_id!r} was built on another split (another "
+                             f"--global-seed or --val-fraction): {e}") from None
         for cells in stacks.values():
-            units += [cells[lo : lo + _STACK_CAP] for lo in range(0, len(cells), _STACK_CAP)]
+            units += [(*subsets, cells[lo : lo + _STACK_CAP]) for lo in range(0, len(cells), _STACK_CAP)]
     return units
 
 
@@ -284,7 +292,7 @@ def run_matrix(
 ) -> ResultStore:
     """Run every (proxy, config) cell on one train/val split not already in store; returns store.
 
-    Trains the units of plan_runs(train.id, ...), which raises its refusals
+    Trains the units of plan_runs(train, val, ...), which raises its refusals
     before any cell runs; records use train.id as the dataset id. Each unit
     trains its cells as a stack; a cell gets the same record in any unit. Unit
     u runs on worker u mod parallelism, each worker one thread that trains
@@ -295,35 +303,28 @@ def run_matrix(
     not yet started; the units running finish, and the exception propagates
     once they have, leaving the store a cell-order prefix of the plan.
     """
-    units = plan_runs(train.id, manifests, grid, store, global_seed)
+    units = plan_runs(train, val, manifests, grid, store, global_seed)
     rank = {config_id(cfg): i for i, cfg in enumerate(grid)}
     slots = sorted(  # (cell order, unit, position in it) of every pending cell
         ((manifests.index(manifest), rank[cfg_id]), u, pos)
-        for u, cells in enumerate(units)
+        for u, (_, _, cells) in enumerate(units)
         for pos, (manifest, _, cfg_id) in enumerate(cells)
     )
-    tasks, last = [], None  # (train subset, val subset, cells) per unit; a group's units are adjacent
-    for cells in units:
-        manifest = cells[0][0]
-        if last is None or not _same_examples(manifest, last):
-            subsets = (subset_by_ids(train, manifest.train_ids), subset_by_ids(val, manifest.val_ids))
-            last = manifest
-        tasks.append((*subsets, cells))
 
     stop = threading.Event()  # set once a unit raises, or the main thread does (Ctrl-C too)
 
-    def run(task):
+    def run(unit):
         if stop.is_set():
             return None  # skipped: it had not started when the stop came
         try:
-            return _run_unit(*task)
+            return _run_unit(*unit)
         except BaseException:
             stop.set()
             raise
 
     with ExitStack() as workers:  # on exit, waits for the units still running
-        pools = [workers.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in range(min(parallelism, len(tasks)))]
-        futures = [pools[u % len(pools)].submit(run, task) for u, task in enumerate(tasks)]
+        pools = [workers.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in range(min(parallelism, len(units)))]
+        futures = [pools[u % len(pools)].submit(run, unit) for u, unit in enumerate(units)]
         try:
             for _, u, pos in slots:
                 records = futures[u].result()

@@ -47,10 +47,13 @@ PROXY_FLAGS = [
     ["--kind", "fewer_epochs", "--epochs", "1"],
     ["--kind", "half_classes", "--classes", "0,1"],
 ]
+# the random_all proxy built on other splits, each written to <name>.json beside the proxies directory
+OTHER_SPLITS = {"seed1": ["--global-seed", "1"], "val0.2": ["--val-fraction", "0.2"]}
 
 
 def build_workspace(root: Path, run: Callable) -> dict:
-    """The known-good inputs: gen-data, score, four proxies, run-grid and analyze under root.
+    """The known-good inputs: gen-data, score, four proxies, run-grid and analyze under root, and the
+    random_all proxy as built on each split of OTHER_SPLITS.
 
     Each stage runs through run(argv), which returns the exit code. The
     grid trains 3 epochs, so every manifest is built for that budget.
@@ -68,6 +71,8 @@ def build_workspace(root: Path, run: Callable) -> dict:
            *[str(ws["scores"]) if f == "{scores}" else f for f in flags]] for flags in PROXY_FLAGS],
         ["run-grid", "--data", ws["data"], "--grid", ws["grid"], "--proxies", ws["proxies"], "--out", ws["results"]],
         ["analyze", "--results", ws["results"], "--out", ws["quality"]],
+        *[["make-proxy", "--data", ws["data"], "--out", root / f"{name}.json", "--target-epochs", "3",
+           *PROXY_FLAGS[0], *flags] for name, flags in OTHER_SPLITS.items()],
     ]
     for argv in stages:
         argv = [str(a) for a in argv]
@@ -195,6 +200,14 @@ def _duplicate_manifest(p):
         (p["tmp"] / "proxies" / name).write_bytes((p["proxies"] / "random_all.json").read_bytes())
 
 
+def _other_split_manifest(name: str):
+    """{tmp}/proxies holding the random_all manifest built on the split OTHER_SPLITS[name]."""
+    def edit(p):
+        (p["tmp"] / "proxies").mkdir()
+        (p["tmp"] / "proxies" / "random_all.json").write_bytes((p["root"] / f"{name}.json").read_bytes())
+    return edit
+
+
 def _without_proxy(proxy_id: str):
     """results.jsonl without the lines of proxy_id, as {tmp}/r.jsonl."""
     return _copy("results", "r.jsonl", lambda data: b"".join(
@@ -233,6 +246,15 @@ _BAD_TARGET = {  # what is at {tmp}/out -> (the edit that puts it there, the --o
     "fifo": (_fifo("out"), "{tmp}/out", "{tmp}/out exists and is not a regular file; refusing to replace it"),
     "directory": (_directory("out"), "{tmp}/out", "{tmp}/out exists and is not a regular file; refusing to replace it"),
     "file_as_parent": (_write("out", ""), "{tmp}/out/x", "{tmp}/out/x: a parent of it is not a directory"),
+}
+_OUT_IS_INPUT = {  # command -> (the edit that copies its input into {tmp}, its argv, the flag of that input)
+    "gen-data": (_copy("spec", "spec.json"), "gen-data --spec {tmp}/spec.json --out {tmp}/spec.json", "--spec"),
+    "score": (_copy("data", "toy.csv"), "score --data {tmp}/toy.csv --out {tmp}/toy.csv", "--data"),
+    "make-proxy": (_copy("data", "toy.csv"), "make-proxy --data {tmp}/toy.csv --kind random_all --fraction 0.5 "
+                   "--out {tmp}/toy.csv", "--data"),
+    "run-grid": (_copy("grid", "grid.json"), "run-grid --data {data} --grid {tmp}/grid.json --proxies {proxies} "
+                 "--out {tmp}/grid.json", "--grid"),
+    "analyze": (_copy("results", "r.jsonl"), "analyze --results {tmp}/r.jsonl --out {tmp}/r.jsonl", "--results"),
 }
 _JSON_INPUT = {  # JSON input -> (where the row writes it, the command that reads it)
     "spec": ("spec.json", "gen-data --spec {tmp}/spec.json --out {tmp}/toy.csv"),
@@ -431,6 +453,14 @@ REFUSALS = [
               argv.replace("{tmp}/out", "{tmp}/nope/out"), None, 2,
               "error: {tmp}/nope/out: its directory does not exist\n", not_called=_NO_WORK)
       for command, argv in _BAD_OUT.items() if command != "gen-data"],  # gen-data's is TestGenData's row
+    *[Refusal(f"TestPathsThatAreNotFiles::test_out_that_is_an_input_is_refused_before_the_work[{command}]",
+              argv, edit, 2, f"error: {argv.split()[-1]} is the {flag} input; refusing to replace it\n",
+              not_called=_NO_WORK)
+      for command, (edit, argv, flag) in _OUT_IS_INPUT.items()],
+    Refusal("TestPathsThatAreNotFiles::test_out_that_is_an_input_is_refused_before_the_work[report]",
+            "report --report {tmp}/quality_vs_cost.csv --out {tmp}", _copy("quality", "quality_vs_cost.csv"), 2,
+            "error: {tmp}/quality_vs_cost.csv is the --report input; refusing to replace it\n",
+            not_called=("reports_from_csv", "store_load")),
     Refusal("test_refusal[report-out-under-a-file]", "report --report {quality} --results {results} --out {tmp}/p/plots",
             _write("p", ""), 2, "error: {tmp}/p/plots/quality_vs_cost.csv: a parent of it is not a directory\n"),
     # inputs that do not exist: refused for its --out before it reads either
@@ -488,6 +518,13 @@ REFUSALS = [
             _copy("results", "r.jsonl"), 2,
             "error: stored run ('toy', 'full', 'd05a44faafb2') cost 243.0 units, but this split trains "
             "72 examples x 3 epochs = 216.0; refusing to resume\n", leaves=("r.jsonl.lock",), also_dry_run=True),
+    *[Refusal(f"test_refusal[manifest-from-another-{what}]", _RUN_GRID.replace("{proxies}", "{tmp}/proxies"),
+              _other_split_manifest(name), 2,
+              "error: proxy manifest 'random-0.5-s0' was built on another split (another --global-seed or "
+              f"--val-fraction): ids not present in dataset 'toy': {missing}\n",
+              leaves=("r.jsonl.lock",), also_dry_run=True)
+      for what, name, missing in [("global-seed", "seed1", "[18, 37, 72, 74]"),
+                                  ("val-fraction", "val0.2", "[0, 8, 29, 42, 45]")]],
     Refusal("test_refusal[closed-stdout]", _RUN_GRID + " --dry-run", None, 141, "", closed_stdout=True),
 
     # analyze and report: the results lines and quality rows they read
@@ -504,6 +541,11 @@ REFUSALS = [
       for command, argv in [("analyze", "analyze --results {tmp}/r.jsonl --out {tmp}/q.csv"),
                             ("report", "report --report {quality} --results {tmp}/r.jsonl --out {tmp}/plots")]
       for i, (change, message) in enumerate(_RESULT_CHANGES)],
+    *[Refusal(f"TestAnalyze::test_duplicated_record_is_refused_with_its_line[{where}]",
+              "analyze --results {tmp}/r.jsonl --out {tmp}/q.csv",
+              _copy("results", "r.jsonl", lambda data, end=end: data + data.splitlines(keepends=True)[0][:end]), 2,
+              "error: {tmp}/r.jsonl: line 21: duplicate result key ('toy', 'full', 'd05a44faafb2')\n")
+      for where, end in [("complete-line", None), ("unterminated-tail", -1)]],
     # a failing analyze or report writes nothing: its value or tables are computed before any output
     Refusal("test_refusal[consistency-with-too-few-shared-strategies]",
             "analyze --results {results} --out {tmp}/q.csv --consistency toy,other", None, 2,

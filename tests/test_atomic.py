@@ -22,6 +22,7 @@ import pytest
 import proxybench
 from proxybench import _atomic
 from proxybench._atomic import atomic_writer, check_fields, check_value, int64_ids, read_csv, write_atomic, write_csv
+from proxybench.dataset import Dataset, save_csv
 
 
 def _streamed(path, data):
@@ -145,6 +146,19 @@ def test_a_target_under_a_file_is_refused_with_its_path(tmp_path, write):
         write(out, b"new\n")
     assert str(info.value) == f"{out}: a parent of it is not a directory"
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+@pytest.mark.parametrize("writer", [
+    lambda path: _atomic.write_json(path, {}),
+    lambda path: write_csv(path, ["a"], [[1]]),
+    lambda path: save_csv(Dataset(np.zeros((1, 1)), [0], [0], class_count=1), path),
+], ids=["write_json", "write_csv", "save_csv"])
+def test_a_target_in_a_missing_directory_is_named_not_its_temp(tmp_path, writer):
+    out = tmp_path / "nope" / "t.json"
+    with pytest.raises(FileNotFoundError) as info:
+        writer(out)
+    assert str(info.value) == f"{out}: its directory does not exist"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind", ["fifo", "directory"])

@@ -237,6 +237,15 @@ class TestResultStore:
             store_load(path)
         assert path.read_bytes() == before  # nothing is cut when loading fails
 
+    @pytest.mark.parametrize("newline", ["\n", ""], ids=["complete-line", "unterminated-tail"])
+    def test_duplicated_record_names_the_file_and_its_line(self, tmp_path, newline):
+        path = tmp_path / "results.jsonl"
+        good = json.dumps(asdict(_record(cfg="c0")))
+        path.write_text(good + "\n" + json.dumps(asdict(_record(cfg="c1"))) + "\n\n" + good + newline)
+        with pytest.raises(ValueError) as info:
+            store_load(path)
+        assert str(info.value) == f"{path}: line 4: duplicate result key ('d', 'full', 'c0')"
+
     def test_loaded_store_still_appends_to_file(self, tmp_path):
         path = tmp_path / "results.jsonl"
         ResultStore(path=path).append(_record(cfg="c0"))
@@ -286,7 +295,7 @@ class TestPlanRuns:
             build_proxy(train, val, ProxySpec(kind="half_classes", class_set=(0, 1)), target_epochs=2),
         ]
         grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01, 0.001], "depth": ["large"]}))
-        units = plan_runs(train.id, proxies, grid, ResultStore(tmp_path / "r.jsonl"), 0)
+        units = [cells for _, _, cells in plan_runs(train, val, proxies, grid, ResultStore(tmp_path / "r.jsonl"), 0)]
         ids = {m.proxy_id: i for i, m in enumerate(proxies)}
         rank = {config_id(c): i for i, c in enumerate(grid)}
         assert [[(m.proxy_id, cfg.epochs) for m, cfg, _ in cells] for cells in units] == [
@@ -306,9 +315,44 @@ class TestPlanRuns:
     def test_grid_large_shape_gives_each_of_two_workers_a_lone_cell(self, tmp_path):
         train, val = _tiny_split()
         proxies, grid = _grid_large_plan(train, val)
-        units = plan_runs(train.id, proxies, grid, ResultStore(tmp_path / "r.jsonl"), 0)
+        units = [cells for _, _, cells in plan_runs(train, val, proxies, grid, ResultStore(tmp_path / "r.jsonl"), 0)]
         assert [len(cells) for cells in units] == [10, 2, 2, 5, 1, 1, 5, 1, 1]
         assert {u % 2 for u, cells in enumerate(units) if len(cells) == 1} == {0, 1}
+
+
+    def test_units_carry_the_subsets_of_their_group(self, tmp_path):
+        train, val = _tiny_split()
+        proxies, grid = _grid_large_plan(train, val)
+        units = plan_runs(train, val, proxies, grid, ResultStore(tmp_path / "r.jsonl"), 0)
+        for sub_train, sub_val, cells in units:
+            m = cells[0][0]
+            assert np.array_equal(sub_train.ids, m.train_ids) and np.array_equal(sub_val.ids, m.val_ids)
+            assert sub_train.id == train.id
+        # one pair of subsets per group: full and ep3 share theirs
+        assert len({(id(t), id(v)) for t, v, _ in units}) == 3
+
+    def test_manifest_built_on_another_split_is_named(self, tmp_path):
+        train, val = _tiny_split()
+        other_train, other_val = split(synth_generate(SynthSpec(
+            class_count=3, feature_dim=4, examples_per_class=20, class_separation=4.0, noise_scale_lo=0.2,
+            noise_scale_hi=0.4, label_flip_fraction=0.0, seed=5)), val_fraction=0.2, seed=1)
+        proxies = [build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
+                   build_proxy(other_train, other_val, ProxySpec(kind="random_all", fraction=0.5), target_epochs=2)]
+        with pytest.raises(ValueError, match=re.escape(
+                "proxy manifest 'random-0.5-s0' was built on another split (another --global-seed or "
+                "--val-fraction): ids not present in dataset")):
+            plan_runs(train, val, proxies, [FAST], ResultStore(tmp_path / "r.jsonl"), 0)
+
+    def test_two_manifests_with_one_proxy_id_are_refused_before_any_unit_runs(self, monkeypatch, tmp_path):
+        import proxybench.orchestrator as orchestrator
+
+        monkeypatch.setattr(orchestrator, "_run_unit", lambda *unit: pytest.fail("a unit ran"))
+        train, val = _tiny_split()
+        m = build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2)
+        grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01]}))
+        with pytest.raises(ValueError, match="duplicate proxy id 'full'"):
+            run_matrix(train, val, [m, m], grid, store=ResultStore(tmp_path / "r.jsonl"))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunMatrix:
@@ -523,7 +567,7 @@ class TestRunMatrix:
         monkeypatch.setattr(orchestrator, "train_model", recording_model)
         train, val = _tiny_split()
         proxies, grid = _grid_large_plan(train, val)
-        units = plan_runs(train.id, proxies, grid, ResultStore(tmp_path / "plan.jsonl"), 0)
+        units = [cells for _, _, cells in plan_runs(train, val, proxies, grid, ResultStore(tmp_path / "plan.jsonl"), 0)]
         store = run_matrix(train, val, proxies, grid, parallelism=2, store=ResultStore(tmp_path / "r.jsonl"))
         assert len(store) == 28
         first = {(cells[0][0].proxy_id, cells[0][2]): u for u, cells in enumerate(units)}
@@ -568,7 +612,7 @@ class TestRunMatrix:
         """The grid-large-shaped plan: units of 10, 2, 2, 5, 1, 1, 5, 1 and 1 cells."""
         train, val = _tiny_split()
         proxies, grid = _grid_large_plan(train, val)
-        units = plan_runs(train.id, proxies, grid, ResultStore(tmp_path / "plan.jsonl"), 0)
+        units = [cells for _, _, cells in plan_runs(train, val, proxies, grid, ResultStore(tmp_path / "plan.jsonl"), 0)]
         return train, val, proxies, grid, units
 
     def test_a_failed_unit_starts_no_later_unit(self, monkeypatch, tmp_path):
