@@ -265,10 +265,14 @@ def _epoch_corr_rows(records):
 
 def _scatter_rows(reports, records):
     """(dataset, strategy, config id, z-scored proxy and full-run accuracies) for each proxy's configs;
-    none for a strategy whose r2 is nan (its accuracies, or the full run's, equal across configs)."""
+    none for a strategy whose r2 is nan (its accuracies, or the full run's, equal across configs). records are
+    paired as analyze pairs them (pair_accuracies), with its refusals."""
+    pairs = {(p.dataset_id, p.proxy_id): p for p in pair_accuracies(records)}
     for r in reports:
         if r.strategy != FULL_PROXY_ID and not math.isnan(r.r2):
-            paired = pair_accuracies(records, r.dataset, r.strategy)
+            paired = pairs.get((r.dataset, r.strategy))
+            if paired is None:
+                raise ValueError(f"no shared configs between {r.strategy!r} and {FULL_PROXY_ID!r} on {r.dataset!r}")
             for row in zip(paired.config_ids, zscore(paired.proxy_acc), zscore(paired.target_acc)):
                 yield (r.dataset, r.strategy, *row)
 

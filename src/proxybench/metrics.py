@@ -1,6 +1,8 @@
 """Proxy-quality metrics and supporting statistics.
 
-Three headline numbers per (dataset, strategy): r² of a no-intercept fit on
+Every number starts from pair_accuracies, one pass over the records that pairs
+each (dataset, strategy) config by config with its dataset's full run and costs
+it. Three headline numbers per (dataset, strategy): r² of a no-intercept fit on
 z-scored accuracies, Spearman correlation restricted to the well-performing
 configurations, and a cost-adjusted quality that reports how far a
 strategy's quality sits above or below what its relative cost predicts.
@@ -13,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -47,6 +50,7 @@ class PairedAccuracies:
     config_ids: tuple
     proxy_acc: tuple
     target_acc: tuple
+    relative_cost: float  # mean cost_units of the proxy's runs over the target's
 
     def __post_init__(self):
         if not (len(self.config_ids) == len(self.proxy_acc) == len(self.target_acc)):
@@ -73,7 +77,7 @@ class QualityReport:
 
 
 REPORT_COLUMNS = tuple(f.name for f in fields(QualityReport))
-_REPORT_READERS = (str, str, float, float, float, float, int)  # what reads each column, in field order
+_REPORT_READERS = tuple(get_type_hints(QualityReport).values())  # what reads each column, in field order
 
 
 @dataclass(frozen=True)
@@ -356,39 +360,36 @@ def epoch_correlation(records) -> list:
     return out
 
 
-def pair_accuracies(records, dataset_id: str, proxy_id: str) -> PairedAccuracies:
-    """Align proxy-run and full-run accuracies by config id."""
-    proxy_by_cfg = {}
-    target_by_cfg = {}
+def pair_accuracies(records) -> list:
+    """The PairedAccuracies of every (dataset, strategy) in records, full included, sorted by dataset, then
+    proxy id, from one pass over records. Raises ValueError if a dataset has no full runs, or if a strategy
+    shares no config with its dataset's full run."""
+    groups: dict = {}  # (dataset, proxy id) -> ({config id: best-val accuracy}, [cost_units in record order])
     for r in records:
-        if r.dataset_id != dataset_id:
-            continue
-        if r.proxy_id == proxy_id:
-            proxy_by_cfg[r.config_id] = r.best_val_acc
-        if r.proxy_id == FULL_PROXY_ID:
-            target_by_cfg[r.config_id] = r.best_val_acc
-    shared = sorted(set(proxy_by_cfg) & set(target_by_cfg))
-    if not shared:
-        raise ValueError(
-            f"no shared configs between {proxy_id!r} and {FULL_PROXY_ID!r} on {dataset_id!r}"
-        )
-    return PairedAccuracies(
-        dataset_id=dataset_id,
-        proxy_id=proxy_id,
-        config_ids=tuple(shared),
-        proxy_acc=tuple(proxy_by_cfg[c] for c in shared),
-        target_acc=tuple(target_by_cfg[c] for c in shared),
-    )
-
-
-def _strategy_cost(records, dataset_id: str, proxy_id: str) -> float:
-    proxy_costs = [r.cost_units for r in records if r.dataset_id == dataset_id and r.proxy_id == proxy_id]
-    target_costs = [r.cost_units for r in records if r.dataset_id == dataset_id and r.proxy_id == FULL_PROXY_ID]
-    return (sum(proxy_costs) / len(proxy_costs)) / (sum(target_costs) / len(target_costs))
+        acc, costs = groups.setdefault((r.dataset_id, r.proxy_id), ({}, []))
+        acc[r.config_id] = r.best_val_acc
+        costs.append(r.cost_units)
+    paired = []
+    for ds, proxy_id in sorted(groups):
+        if (ds, FULL_PROXY_ID) not in groups:
+            raise ValueError(f"dataset {ds!r} has no {FULL_PROXY_ID!r} runs to compare against")
+        (proxy_acc, proxy_costs), (target_acc, target_costs) = groups[ds, proxy_id], groups[ds, FULL_PROXY_ID]
+        shared = sorted(set(proxy_acc) & set(target_acc))
+        if not shared:
+            raise ValueError(f"no shared configs between {proxy_id!r} and {FULL_PROXY_ID!r} on {ds!r}")
+        paired.append(PairedAccuracies(
+            dataset_id=ds,
+            proxy_id=proxy_id,
+            config_ids=tuple(shared),
+            proxy_acc=tuple(proxy_acc[c] for c in shared),
+            target_acc=tuple(target_acc[c] for c in shared),
+            relative_cost=(sum(proxy_costs) / len(proxy_costs)) / (sum(target_costs) / len(target_costs)),
+        ))
+    return paired
 
 
 def build_quality_reports(records, good_rule: GoodConfigRule = DEFAULT_GOOD_RULE) -> list:
-    """QualityReport rows for every (dataset, strategy) in a result set.
+    """QualityReport rows for every (dataset, strategy) of pair_accuracies(records), whose refusals it raises.
 
     Every strategy is scored against the full run, which is itself
     included as a row (r2 = 1 by construction), anchoring the
@@ -397,16 +398,10 @@ def build_quality_reports(records, good_rule: GoodConfigRule = DEFAULT_GOOD_RULE
     full run's accuracies are equal across configs; spearman_good when good_rule keeps under 2
     configs; cost_adjusted where r2 is nan, or where a dataset has under 5 finite r2 values.
     """
-    records = list(records)
-    datasets = sorted({r.dataset_id for r in records})
     rows = []
-    for ds in datasets:
-        proxies = sorted({r.proxy_id for r in records if r.dataset_id == ds})
-        if FULL_PROXY_ID not in proxies:
-            raise ValueError(f"dataset {ds!r} has no {FULL_PROXY_ID!r} runs to compare against")
+    for ds, pairs in itertools.groupby(pair_accuracies(records), key=lambda p: p.dataset_id):
         ds_rows = []
-        for proxy_id in proxies:
-            paired = pair_accuracies(records, ds, proxy_id)
+        for paired in pairs:
             if len(paired) < 3:
                 continue
             try:
@@ -423,12 +418,12 @@ def build_quality_reports(records, good_rule: GoodConfigRule = DEFAULT_GOOD_RULE
                 sp = float("nan")
             ds_rows.append(
                 QualityReport(
-                    strategy=proxy_id,
+                    strategy=paired.proxy_id,
                     dataset=ds,
                     r2=r2,
                     spearman_good=sp,
                     cost_adjusted=float("nan"),
-                    relative_cost=_strategy_cost(records, ds, proxy_id),
+                    relative_cost=paired.relative_cost,
                     n_configs=len(paired),
                 )
             )

@@ -221,8 +221,8 @@ def plan_runs(train: Dataset, val: Dataset, manifests: list, grid: list, store: 
 
     Manifests that hold the same train and val ids form a group, in the order
     of each group's first manifest. A unit is (train subset, val subset,
-    cells): the subsets of its group's ids, built once per group that has a
-    pending cell and shared by its units, and a list of cells of the group,
+    cells): the subsets of its group's ids, built once per group, stored or
+    not, and shared by its units, and a list of cells of the group,
     (manifest, run config, config id) triples in cell order (manifest, then
     grid config), all of one stack_key and at most _STACK_CAP of them. A run
     config is its grid config with the seed its key, under train.id, hashes
@@ -268,8 +268,6 @@ def plan_runs(train: Dataset, val: Dataset, manifests: list, grid: list, store: 
                         f"stored run {key} cost {stored.cost_units!r} units, but this split trains "
                         f"{len(manifest.train_ids)} examples x {manifest.epochs} epochs = {cost!r}; refusing to resume"
                     )
-        if not stacks:
-            continue
         try:
             subsets = (subset_by_ids(train, group[0].train_ids), subset_by_ids(val, group[0].val_ids))
         except ValueError as e:

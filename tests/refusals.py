@@ -208,6 +208,23 @@ def _other_split_manifest(name: str):
     return edit
 
 
+def _stored_with_other_split_manifest(name: str):
+    """The finished results.jsonl as {tmp}/r.jsonl, beside _other_split_manifest(name)'s {tmp}/proxies."""
+    copy, swap = _copy("results", "r.jsonl"), _other_split_manifest(name)
+
+    def edit(p):
+        copy(p)
+        swap(p)
+    return edit
+
+
+def _plus_dataset_without_full_runs(data: bytes) -> bytes:
+    """results.jsonl plus its random_all lines again under the dataset id 'other', which then has no full runs."""
+    lines = [json.loads(line) for line in data.splitlines()]
+    return data + b"".join(json.dumps({**r, "dataset_id": "other"}).encode() + b"\n"
+                           for r in lines if r["proxy_id"] == "random-0.5-s0")
+
+
 def _without_proxy(proxy_id: str):
     """results.jsonl without the lines of proxy_id, as {tmp}/r.jsonl."""
     return _copy("results", "r.jsonl", lambda data: b"".join(
@@ -525,6 +542,11 @@ REFUSALS = [
               leaves=("r.jsonl.lock",), also_dry_run=True)
       for what, name, missing in [("global-seed", "seed1", "[18, 37, 72, 74]"),
                                   ("val-fraction", "val0.2", "[0, 8, 29, 42, 45]")]],
+    Refusal("test_refusal[stored-manifest-from-another-global-seed]", _RUN_GRID.replace("{proxies}", "{tmp}/proxies"),
+            _stored_with_other_split_manifest("seed1"), 2,
+            "error: proxy manifest 'random-0.5-s0' was built on another split (another --global-seed or "
+            "--val-fraction): ids not present in dataset 'toy': [18, 37, 72, 74]\n",
+            leaves=("r.jsonl.lock",), also_dry_run=True),
     Refusal("test_refusal[closed-stdout]", _RUN_GRID + " --dry-run", None, 141, "", closed_stdout=True),
 
     # analyze and report: the results lines and quality rows they read
@@ -553,6 +575,11 @@ REFUSALS = [
     Refusal("test_refusal[report-strategy-missing-from-results]",
             "report --report {quality} --out {tmp}/plots --results {tmp}/r.jsonl", _without_proxy("random-0.5-s0"), 2,
             "error: no shared configs between 'random-0.5-s0' and 'full' on 'toy'\n"),
+    *[Refusal(f"test_refusal[{command}-dataset-without-full-runs]", argv,
+              _copy("results", "r.jsonl", _plus_dataset_without_full_runs), 2,
+              "error: dataset 'other' has no 'full' runs to compare against\n")
+      for command, argv in [("analyze", "analyze --results {tmp}/r.jsonl --out {tmp}/q.csv"),
+                            ("report", "report --report {quality} --results {tmp}/r.jsonl --out {tmp}/plots")]],
     Refusal("test_refusal[report-out-is-a-file]", "report --report {quality} --results {results} --out {tmp}/plots",
             _write("plots", ""), 2, "error: {tmp}/plots exists and is not a directory\n",
             not_called=("reports_from_csv", "store_load")),

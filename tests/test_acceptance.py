@@ -262,6 +262,7 @@ def test_5_good_config_selection_keeps_the_top_pair(capsys):
         config_ids=("c0", "c1", "c2", "c3"),
         proxy_acc=(0.92, 0.93, 0.84, 0.86),
         target_acc=(0.95, 0.99, 0.85, 0.88),
+        relative_cost=1.0,
     )
     top = select_good_configs(paired, GoodConfigRule("top_fraction", 0.5))
     floor = select_good_configs(paired, GoodConfigRule("min_accuracy", 0.9))
@@ -401,8 +402,9 @@ def test_7_easier_half_tracks_the_target_better_exploratory(capsys, tmp_path):
         ]
         store = run_matrix(train, val, manifests, grid, global_seed=seed, store=ResultStore(tmp_path / f"seed{seed}.jsonl"))
         r2 = {}
+        pairs = {p.proxy_id: p for p in pair_accuracies(store.records())}
         for proxy_id in ("hard-0.5-1.0", "hard-0.0-0.5"):
-            paired = pair_accuracies(store.records(), d.id, proxy_id)
+            paired = pairs[proxy_id]
             try:
                 _, r2[proxy_id] = r2_no_intercept(zscore(paired.proxy_acc), zscore(paired.target_acc))
             except ValueError:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -48,6 +48,7 @@ def _paired(proxy_acc, target_acc=None, ids=None):
         config_ids=tuple(ids) if ids else tuple(f"c{i}" for i in range(n)),
         proxy_acc=tuple(proxy_acc),
         target_acc=tuple(target_acc if target_acc is not None else proxy_acc),
+        relative_cost=1.0,
     )
 
 
@@ -191,7 +192,7 @@ class TestSelectGoodConfigs:
 
 
 _LIBRARY_REFUSALS = {  # case -> (a call that must raise ValueError, a pattern of its message)
-    "misaligned-pairs": (lambda: PairedAccuracies("d", "p", ("c0", "c1"), (0.5,), (0.5, 0.6)), "must align"),
+    "misaligned-pairs": (lambda: PairedAccuracies("d", "p", ("c0", "c1"), (0.5,), (0.5, 0.6), 1.0), "must align"),
     "accuracy-above-one": (lambda: _paired([0.5, 1.5]), r"accuracy 1.5 outside \[0, 1\]"),
     "min-accuracy-above-one": (lambda: GoodConfigRule("min_accuracy", 1.5), r"threshold in \[0, 1\], got 1.5"),
     "min-accuracy-below-zero": (lambda: GoodConfigRule("min_accuracy", -0.1), r"threshold in \[0, 1\], got -0.1"),
@@ -534,10 +535,12 @@ class TestPairAccuracies:
             _rec([0.8], best=0.8, proxy="full", cfg="c1", cost=100),
             _rec([0.9], best=0.9, proxy="full", cfg="c2", cost=100),
         ]
-        paired = pair_accuracies(records, "d", "p")
+        full, paired = pair_accuracies(records)
+        assert (full.proxy_id, paired.proxy_id) == ("full", "p")
         assert paired.config_ids == ("c1", "c2")
         assert paired.proxy_acc == (0.6, 0.5)
         assert paired.target_acc == (0.8, 0.9)
+        assert paired.relative_cost == 0.1
 
     def test_no_overlap(self):
         records = [
@@ -545,7 +548,7 @@ class TestPairAccuracies:
             _rec([0.8], proxy="full", cfg="c2"),
         ]
         with pytest.raises(ValueError, match="no shared configs"):
-            pair_accuracies(records, "d", "p")
+            pair_accuracies(records)
 
 
 def _matrix_records(proxies, n_cfg=6, seed=0):
@@ -610,6 +613,18 @@ class TestBuildQualityReports:
         few = [_rec([0.5 + 0.1 * cfg], proxy="few", cfg=f"c{cfg}", cost=10.0) for cfg in range(2)]
         rows = build_quality_reports(records + few)
         assert [(r.strategy, r.r2) for r in rows] == [(r.strategy, r.r2) for r in build_quality_reports(records)]
+
+    def test_two_datasets_are_each_scored_on_their_own_records(self):
+        # the same config and proxy ids on both; e's costs are on another scale, in other ratios to its full run
+        d = _matrix_records([("p1", 10.0, 0.01), ("p2", 20.0, 0.05), ("p3", 30.0, 0.02), ("p4", 50.0, 0.1)], seed=1)
+        e = [replace(r, dataset_id="e", cost_units=7.0 * r.cost_units) for r in _matrix_records(
+            [("p1", 40.0, 0.02), ("p2", 70.0, 0.01), ("p3", 15.0, 0.08), ("p4", 90.0, 0.03)], seed=2)]
+        rows = build_quality_reports([r for pair in zip(e, d) for r in pair])  # interleaved, e first
+        assert [r.dataset for r in rows] == ["d"] * 5 + ["e"] * 5
+        for ds, own in (("d", d), ("e", e)):
+            alone = [astuple(r) for r in build_quality_reports(own)]
+            assert all(math.isfinite(v) for row in alone for v in row[2:])
+            assert [astuple(r) for r in rows if r.dataset == ds] == alone
 
     def test_missing_target_rejected(self):
         records = [_rec([0.5], proxy="p", cfg=f"c{i}") for i in range(4)]

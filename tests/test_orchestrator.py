@@ -438,10 +438,10 @@ class TestRunMatrix:
         store = run_matrix(train, val, proxies, grid, store=ResultStore(tmp_path / "results.jsonl"))
         assert len(store) == 6
         assert calls == [len(train), len(val), len(proxies[1].train_ids), len(val)]
-        # a resume that has every cell of a manifest takes no subset of it
+        # a resume that has every cell still resolves each manifest against the split
         calls.clear()
         run_matrix(train, val, proxies, grid, store=store)
-        assert calls == []
+        assert calls == [len(train), len(val), len(proxies[1].train_ids), len(val)]
 
     def test_reduced_epochs_keep_grid_config_identity(self, tmp_path):
         train, val = _tiny_split()
