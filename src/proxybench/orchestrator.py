@@ -4,9 +4,11 @@ One-at-a-time grids: the default config, then one config per alternative
 value of a single field. The run matrix is embarrassingly parallel; every
 run's seed is a stable hash of its key, so the result of a cell never
 depends on scheduling, parallelism, stacking, or which cells ran before it.
-plan_runs is the one plan of a matrix: the units of cells a store still
-lacks, each with the subsets of the split it trains on, so a manifest built
-on another split is refused. run_matrix trains it, one train_model call per
+plan_runs is the one plan of a matrix: one pass over the manifests checks
+each one's epoch budget, its proxy id, its ids against the split (so a
+manifest built on another split is refused) and its stored cells, and
+stacks the cells a store still lacks into units, in the cell order of each
+stack's first pending cell. run_matrix trains it, one train_model call per
 unit, and builds each cell's record; run-grid --dry-run previews it,
 refusals too. Manifests that hold the same train and val ids (full and
 fewer_epochs) share their subsets and stacks, and --parallel N gives unit u
@@ -32,9 +34,10 @@ __all__ = ["GridSpec", "ResultStore", "cell_cost", "generate_grid", "grid_from_j
            "run_seed", "store_load"]
 
 _CONFIG_FIELDS = {f.name for f in fields(HyperparamConfig)}
-# Most cells a stack trains in lockstep. Ten keep the ten default-shape cells
-# of a full and a fewer_epochs manifest (five configs each) in one stack;
-# larger stacks save few more per-step calls and raise peak memory.
+# Most cells a stack trains in lockstep. The cap bounds the memory of one
+# stack, whose parameters, optimizer slots and activations grow with its cell
+# count. Ten keep the ten default-shape cells of a full and a fewer_epochs
+# manifest (five configs each) in one stack.
 _STACK_CAP = 10
 _MALFORMED = (ValueError, TypeError, AttributeError)  # a line that is not a RunRecord; decode errors are ValueErrors
 
@@ -197,85 +200,79 @@ def _run_unit(sub_train: Dataset, sub_val: Dataset, cells: list) -> list:
                       status=run.status) for run, m, key in zip(runs, manifests, keys)]
 
 
-def _check_epoch_budgets(manifests: list, grid: list) -> None:
-    """Raise ValueError if the grid is empty, if its configs' epochs differ,
-    or if a manifest was built for another target budget: its epochs must
-    equal the grid's, or lie below them for fewer_epochs."""
+def plan_runs(train: Dataset, val: Dataset, manifests: list, grid: list, store: ResultStore, global_seed: int) -> list:
+    """The (proxy, config) cells on the split (train, val) not yet in store, as units in submission order.
+
+    An empty grid, or one whose configs' epochs differ, is refused first.
+    Then one pass over the manifests, in their order, checks each in turn
+    and raises ValueError at the first problem, before any unit runs:
+    1. its epochs must equal the grid's, or lie below them for fewer_epochs
+       (else it was built for another target budget);
+    2. its proxy id must not be an earlier manifest's;
+    3. the first time its train and val ids appear, their subsets of the
+       split are built, its cells stored or not (else it was built under
+       another global seed or validation fraction);
+    4. each stored record of its cells must have the seed global_seed gives
+       its key and the cell_cost of the manifest (else resuming would mix
+       runs of two seeds or two splits).
+
+    Pending cells, (manifest, run config, config id) triples, stack by their
+    train ids, val ids and stack_key, in cell order (manifest, then grid
+    config). A unit is (train subset, val subset, cells): at most _STACK_CAP
+    cells of one stack, with the subsets of their ids, shared by every unit
+    on them. Units come in the cell order of their stack's first pending
+    cell. A run config is its grid config with the seed its key, under
+    train.id, hashes to and the manifest's epochs, keeping the grid config's
+    identity so results pair across proxies.
+    """
     if not grid:
         raise ValueError("empty grid")
     budgets = sorted({cfg.epochs for cfg in grid})
     if len(budgets) != 1:
         raise ValueError(f"grid configs train for different epoch counts {budgets}")
     epochs = budgets[0]
-    for m in manifests:
-        fewer = m.spec.kind == "fewer_epochs"
-        if not (m.epochs < epochs if fewer else m.epochs == epochs):
-            raise ValueError(
-                f"proxy manifest {m.proxy_id!r} trains {m.epochs} epochs, not {'fewer than ' if fewer else ''}"
-                f"the grid's {epochs}; rebuild it with make-proxy --target-epochs {epochs}"
-            )
-
-
-def plan_runs(train: Dataset, val: Dataset, manifests: list, grid: list, store: ResultStore, global_seed: int) -> list:
-    """The (proxy, config) cells on the split (train, val) not yet in store, as units in submission order.
-
-    Manifests that hold the same train and val ids form a group, in the order
-    of each group's first manifest. A unit is (train subset, val subset,
-    cells): the subsets of its group's ids, built once per group, stored or
-    not, and shared by its units, and a list of cells of the group,
-    (manifest, run config, config id) triples in cell order (manifest, then
-    grid config), all of one stack_key and at most _STACK_CAP of them. A run
-    config is its grid config with the seed its key, under train.id, hashes
-    to and the manifest's epochs, keeping the grid config's identity so
-    results pair across proxies.
-
-    Raises ValueError if _check_epoch_budgets refuses the manifests and
-    grid, if two manifests share a proxy id, if a group's ids are not in
-    the split (a manifest built under another global seed or validation
-    fraction), if a stored record's seed differs from the one global_seed
-    gives its key, or if its cost_units is not the cell_cost of its manifest
-    (a file written under another split), since resuming would mix runs of
-    two seeds or two splits.
-    """
-    _check_epoch_budgets(manifests, grid)
-    groups: dict = {}  # (train ids, val ids) -> the manifests that hold them
     seen = set()
+    subsets: dict = {}  # (train ids, val ids) -> (train subset, val subset)
+    stacks: dict = {}  # (train ids, val ids, stack_key) -> its pending cells
     for manifest in manifests:
+        fewer = manifest.spec.kind == "fewer_epochs"
+        if not (manifest.epochs < epochs if fewer else manifest.epochs == epochs):
+            raise ValueError(
+                f"proxy manifest {manifest.proxy_id!r} trains {manifest.epochs} epochs, not "
+                f"{'fewer than ' if fewer else ''}the grid's {epochs}; "
+                f"rebuild it with make-proxy --target-epochs {epochs}"
+            )
         if manifest.proxy_id in seen:
             raise ValueError(f"duplicate proxy id {manifest.proxy_id!r}")
         seen.add(manifest.proxy_id)
-        groups.setdefault((manifest.train_ids.tobytes(), manifest.val_ids.tobytes()), []).append(manifest)
-    units = []
-    for group in groups.values():
-        stacks: dict = {}
-        for manifest in group:
-            cost = cell_cost(manifest)
-            for cfg in grid:
-                cfg_id = config_id(cfg)
-                key = (train.id, manifest.proxy_id, cfg_id)
-                seed = run_seed(*key, global_seed)
-                stored = store.get(key)
-                if stored is None:
-                    run_cfg = replace(cfg, seed=seed, epochs=manifest.epochs)
-                    stacks.setdefault(stack_key(run_cfg), []).append((manifest, run_cfg, cfg_id))
-                elif stored.seed != seed:
-                    raise ValueError(
-                        f"stored run {key} used seed {stored.seed}, "
-                        f"but global seed {global_seed} gives seed {seed}; refusing to resume"
-                    )
-                elif stored.cost_units != cost:
-                    raise ValueError(
-                        f"stored run {key} cost {stored.cost_units!r} units, but this split trains "
-                        f"{len(manifest.train_ids)} examples x {manifest.epochs} epochs = {cost!r}; refusing to resume"
-                    )
-        try:
-            subsets = (subset_by_ids(train, group[0].train_ids), subset_by_ids(val, group[0].val_ids))
-        except ValueError as e:
-            raise ValueError(f"proxy manifest {group[0].proxy_id!r} was built on another split (another "
-                             f"--global-seed or --val-fraction): {e}") from None
-        for cells in stacks.values():
-            units += [(*subsets, cells[lo : lo + _STACK_CAP]) for lo in range(0, len(cells), _STACK_CAP)]
-    return units
+        ids = (manifest.train_ids.tobytes(), manifest.val_ids.tobytes())
+        if ids not in subsets:
+            try:
+                subsets[ids] = (subset_by_ids(train, manifest.train_ids), subset_by_ids(val, manifest.val_ids))
+            except ValueError as e:
+                raise ValueError(f"proxy manifest {manifest.proxy_id!r} was built on another split (another "
+                                 f"--global-seed or --val-fraction): {e}") from None
+        cost = cell_cost(manifest)
+        for cfg in grid:
+            cfg_id = config_id(cfg)
+            key = (train.id, manifest.proxy_id, cfg_id)
+            seed = run_seed(*key, global_seed)
+            stored = store.get(key)
+            if stored is None:
+                run_cfg = replace(cfg, seed=seed, epochs=manifest.epochs)
+                stacks.setdefault((*ids, stack_key(run_cfg)), []).append((manifest, run_cfg, cfg_id))
+            elif stored.seed != seed:
+                raise ValueError(
+                    f"stored run {key} used seed {stored.seed}, "
+                    f"but global seed {global_seed} gives seed {seed}; refusing to resume"
+                )
+            elif stored.cost_units != cost:
+                raise ValueError(
+                    f"stored run {key} cost {stored.cost_units!r} units, but this split trains "
+                    f"{len(manifest.train_ids)} examples x {manifest.epochs} epochs = {cost!r}; refusing to resume"
+                )
+    return [(*subsets[key[:2]], cells[lo : lo + _STACK_CAP])
+            for key, cells in stacks.items() for lo in range(0, len(cells), _STACK_CAP)]
 
 
 def run_matrix(

@@ -27,6 +27,9 @@ def _toy(n_per_class=5, classes=3, dim=2):
 
 
 class TestDatasetConstruction:
+    def test_repr_names_id_size_classes_and_width(self):
+        assert repr(_toy()) == "Dataset(id='toy', n=15, classes=3, dim=2)"
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="unique"):
             Dataset([np.zeros(2), np.ones(2)], [0, 1], [0, 0], class_count=2)

@@ -337,11 +337,24 @@ class TestPlanRuns:
             class_count=3, feature_dim=4, examples_per_class=20, class_separation=4.0, noise_scale_lo=0.2,
             noise_scale_hi=0.4, label_flip_fraction=0.0, seed=5)), val_fraction=0.2, seed=1)
         proxies = [build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2),
-                   build_proxy(other_train, other_val, ProxySpec(kind="random_all", fraction=0.5), target_epochs=2)]
+                   build_proxy(other_train, other_val, ProxySpec(kind="random_all", fraction=0.5), target_epochs=2),
+                   # faulty too, for another target budget: the first faulty manifest in manifest order is named
+                   build_proxy(train, val, ProxySpec(kind="fewer_epochs", epochs=2), target_epochs=3)]
         with pytest.raises(ValueError, match=re.escape(
                 "proxy manifest 'random-0.5-s0' was built on another split (another --global-seed or "
                 "--val-fraction): ids not present in dataset")):
             plan_runs(train, val, proxies, [FAST], ResultStore(tmp_path / "r.jsonl"), 0)
+
+    def test_units_come_in_the_cell_order_of_their_first_pending_cell(self, tmp_path):
+        train, val = _tiny_split()
+        full = build_proxy(train, val, ProxySpec(kind="full"), target_epochs=2)
+        proxies = [full, build_proxy(train, val, ProxySpec(kind="random_all", fraction=0.5, seed=0), target_epochs=2),
+                   build_proxy(train, val, ProxySpec(kind="fewer_epochs", epochs=1), target_epochs=2)]
+        grid = generate_grid(GridSpec(defaults=FAST, variations={"learning_rate": [0.01]}))
+        store = run_matrix(train, val, [full], grid, store=ResultStore(tmp_path / "r.jsonl"))
+        units = [cells for _, _, cells in plan_runs(train, val, proxies, grid, store, 0)]
+        # ep1 shares full's ids, but its cells come after random-0.5-s0's
+        assert [[m.proxy_id for m, _, _ in cells] for cells in units] == [["random-0.5-s0"] * 2, ["ep1"] * 2]
 
     def test_two_manifests_with_one_proxy_id_are_refused_before_any_unit_runs(self, monkeypatch, tmp_path):
         import proxybench.orchestrator as orchestrator
